@@ -59,24 +59,7 @@ def _cmd_profiles(args) -> int:
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
-    record = pl.run_sweep(cfg)
-    pl.emit(record, cfg.out_dir)
-    for name, v in sorted(record.verdicts.items()):
-        if name == "overall_pass":
-            continue
-        print(f"{name}: {v['verdict']}, final deviation "
-              f"{v['final_deviation']:.3e}, "
-              f"{'pass' if v['pass'] else 'FAIL'}")
-    ok = record.verdicts["overall_pass"]
-    print("overall:", "pass" if ok else "FAIL")
-    return 0 if ok else 2
-
-
-def _cmd_verify(args) -> int:
-    record = pl.load_record(args.record)
-    verdicts = pl.verify(record)
+def _print_verdicts(verdicts: dict) -> int:
     for name, v in sorted(verdicts.items()):
         if name == "overall_pass":
             continue
@@ -86,6 +69,17 @@ def _cmd_verify(args) -> int:
     ok = verdicts["overall_pass"]
     print("overall:", "pass" if ok else "FAIL")
     return 0 if ok else 2
+
+
+def _cmd_sweep(args) -> int:
+    cfg = _build_config(args)
+    record = pl.run_sweep(cfg)
+    pl.emit(record, cfg.out_dir)
+    return _print_verdicts(record.verdicts)
+
+
+def _cmd_verify(args) -> int:
+    return _print_verdicts(pl.verify(pl.load_record(args.record)))
 
 
 def _cmd_report(args) -> int:
@@ -136,7 +130,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

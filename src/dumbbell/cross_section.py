@@ -19,14 +19,12 @@ import numpy as np
 
 __all__ = [
     "CrossSectionMode",
-    "SphereMode",
     "bessel_j_scaled",
     "bessel_first_zeros",
     "disk_ground_mode",
     "disk_second_mode",
     "sphere_surface_area",
     "upsilon",
-    "sphere_mode",
     "project_sphere",
     "project_section",
     "gauss_legendre",
@@ -63,11 +61,6 @@ def bessel_j_scaled(nu: float, x, terms: int = 80):
         if np.all(np.abs(term) <= 1e-18 * (np.abs(out) + 1e-300)):
             break
     return out
-
-
-def bessel_j(nu: float, x):
-    x = np.asarray(x, dtype=float)
-    return np.power(0.5 * x, nu) * bessel_j_scaled(nu, x)
 
 
 def bessel_first_zeros(nu: float, count: int, tol: float = 1e-14,
@@ -188,31 +181,6 @@ def upsilon(n: int) -> float:
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")
     return math.sqrt(sphere_surface_area(n - 1) / (2.0 * n))
-
-
-@dataclass(frozen=True)
-class SphereMode:
-    """Psi^+- = +-theta_1/Upsilon_N, the first Dirichlet mode (eigenvalue N-1)
-    of the spherical Laplacian on a half-sphere."""
-
-    dimension: int
-    sign: int
-    upsilon: float
-    surface_area: float  # omega_(N-1), the full sphere
-
-    @property
-    def eigenvalue(self) -> float:
-        return float(self.dimension - 1)
-
-    def value(self, theta1):
-        """Psi^sign at a point of the half-sphere with first coordinate theta1."""
-        return self.sign * np.asarray(theta1, dtype=float) / self.upsilon
-
-
-def sphere_mode(n: int, sign: int) -> SphereMode:
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    return SphereMode(n, sign, upsilon(n), sphere_surface_area(n - 1))
 
 
 # ----------------------------------------------------------------------------

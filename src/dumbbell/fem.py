@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import MeridianMesh
+from .mesh import MeridianMesh, edge_table
 
 __all__ = [
     "WeightModel",
@@ -27,6 +27,7 @@ __all__ = [
     "FieldSolution",
     "EigenPair",
     "assemble",
+    "eliminate",
     "solve_dirichlet",
     "eigen_smallest",
     "refine_eigenpair",
@@ -162,34 +163,17 @@ class Discretization:
         self.measure_exponent = (n - 2) if measure_exponent is None \
             else measure_exponent
 
-        nv = len(mesh.vertices)
         if order == 1:
             self.nodes = mesh.vertices
             self.cells = mesh.triangles
-            self._edge_index = None
+            self._edges = None
         else:
-            edge_index: dict[tuple[int, int], int] = {}
-            mid_coords: list[tuple[float, float]] = []
-
-            def edge_node(a: int, b: int) -> int:
-                key = (a, b) if a < b else (b, a)
-                idx = edge_index.get(key)
-                if idx is None:
-                    idx = nv + len(mid_coords)
-                    edge_index[key] = idx
-                    pa, pb = mesh.vertices[a], mesh.vertices[b]
-                    mid_coords.append((0.5 * (pa[0] + pb[0]),
-                                       0.5 * (pa[1] + pb[1])))
-                return idx
-
-            cells = np.empty((len(mesh.triangles), 6), dtype=np.int64)
-            for i, (a, b, c) in enumerate(mesh.triangles):
-                a, b, c = int(a), int(b), int(c)
-                cells[i] = (a, b, c, edge_node(a, b), edge_node(b, c),
-                            edge_node(c, a))
-            self.cells = cells
-            self.nodes = np.vstack([mesh.vertices, np.asarray(mid_coords)])
-            self._edge_index = edge_index
+            # midside node of edge k is node nv + k
+            self._edges = edge_table(mesh.triangles)
+            v, nv = mesh.vertices, len(mesh.vertices)
+            ends = self._edges.edges
+            self.nodes = np.vstack([v, 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])])
+            self.cells = np.hstack([mesh.triangles, nv + self._edges.side_edge])
 
         self.n_nodes = len(self.nodes)
         self._locator = None
@@ -199,17 +183,12 @@ class Discretization:
     def boundary_nodes(self, *tags: str) -> np.ndarray:
         """Sorted node indices (including midside nodes for P2) lying on
         boundary edges with any of the given tags."""
-        idx: list[int] = []
-        for tag in tags:
-            for a, b in self.mesh.tagged_edges(tag):
-                a, b = int(a), int(b)
-                idx.extend((a, b))
-                if self.order == 2:
-                    key = (a, b) if a < b else (b, a)
-                    mid = self._edge_index.get(key)
-                    if mid is not None:
-                        idx.append(mid)
-        return np.unique(np.asarray(idx, dtype=np.int64))
+        edges = np.concatenate([self.mesh.tagged_edges(t) for t in tags]
+                               + [np.empty((0, 2), dtype=np.int64)])
+        idx = [edges.ravel()]
+        if self.order == 2:
+            idx.append(len(self.mesh.vertices) + self._edges.index(edges))
+        return np.unique(np.concatenate(idx))
 
     def dirichlet_tags(self) -> tuple[str, ...]:
         """Tags that carry essential conditions by default: everything
@@ -423,10 +402,41 @@ def assemble(mesh_or_disc, weight: WeightModel | Callable,
     tags = disc.dirichlet_tags() if dirichlet_tags is None \
         else tuple(dirichlet_tags)
     fixed = disc.boundary_nodes(*tags)
-    free = np.setdiff1d(np.arange(disc.n_nodes), fixed)
-    K = K_full[free][:, free].tocsr()
-    Mp = Mp_full[free][:, free].tocsr()
+    free, K = eliminate(K_full, fixed)
+    _, Mp = eliminate(Mp_full, fixed)
     return AssembledSystem(disc, K, Mp, K_full, Mp_full, free, fixed, weight)
+
+
+def eliminate(A: sp.csr_matrix, fixed: np.ndarray,
+              load: np.ndarray | None = None,
+              data: np.ndarray | None = None):
+    """Dirichlet elimination of the nodes `fixed` from the full matrix A.
+
+    Without a load, returns (free, A_ff): the sorted free nodes and A
+    restricted to them.  With a full-length `load`, solves A u = load on
+    the free nodes with u = data on the fixed ones (data is full-length and
+    only its fixed entries are read; zero by default): the fixed data is
+    lifted into the reduced load, A_ff is factored, and (u, relative
+    residual of the reduced solve) is returned."""
+    free = np.setdiff1d(np.arange(A.shape[0]), fixed)
+    A_ff = A[free][:, free].tocsr()
+    if load is None:
+        return free, A_ff
+    values = np.zeros(A.shape[0])
+    if data is not None:
+        values[fixed] = data[fixed]
+    rhs = (load - A @ values)[free]
+    try:
+        lu = spla.splu(A_ff.tocsc())
+    except RuntimeError as exc:
+        raise RuntimeError(
+            f"singular factorization after Dirichlet elimination ({exc}); "
+            "check boundary tags and shifts") from exc
+    u_free = lu.solve(rhs)
+    values[free] = u_free
+    resid = np.linalg.norm(A_ff @ u_free - rhs) / max(
+        np.linalg.norm(rhs), 1e-300)
+    return values, float(resid)
 
 
 # ----------------------------------------------------------------------------
@@ -437,10 +447,9 @@ class FieldSolution:
     """Nodal field on a discretization with point evaluation."""
 
     def __init__(self, disc: Discretization, values: np.ndarray,
-                 boundary_data=None, residual: float = 0.0):
+                 residual: float = 0.0):
         self.disc = disc
         self.values = np.asarray(values, dtype=float)
-        self.boundary_data = boundary_data
         self.residual = float(residual)
 
     def __call__(self, x1, rho):
@@ -467,26 +476,6 @@ class FieldSolution:
         out = out.reshape(x1b.shape)
         return float(out[0]) if scalar and out.size == 1 else out
 
-    def gradient(self, x1, rho):
-        """(d/dx1, d/drho) at the given points (NaN outside)."""
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        x1b, rhob = np.broadcast_arrays(x1, rho)
-        tri, bary = self.disc.locate(x1b.ravel(), rhob.ravel())
-        _, bgrads = self.disc.cell_geometry()
-        out = np.full((len(tri), 2), np.nan)
-        ok = np.nonzero(tri >= 0)[0]
-        for i in ok:
-            t = tri[i]
-            cells = self.disc.cells[t]
-            if self.disc.order == 1:
-                g = bgrads[t]
-            else:
-                dshp = _p2_shapes(bary[i:i + 1])[1][0]
-                g = dshp @ bgrads[t]
-            out[i] = self.values[cells] @ g
-        return out.reshape(x1b.shape + (2,))
-
 
 def solve_dirichlet(mesh_or_disc, boundary_data: dict,
                     rhs: Callable | None = None,
@@ -507,33 +496,15 @@ def solve_dirichlet(mesh_or_disc, boundary_data: dict,
         F += rhs_vector
 
     g = np.zeros(disc.n_nodes)
-    fixed_list = []
     for tag, data in boundary_data.items():
         nodes = disc.boundary_nodes(tag)
         if callable(data):
             g[nodes] = data(disc.nodes[nodes, 0], disc.nodes[nodes, 1])
         else:
             g[nodes] = float(data)
-        fixed_list.append(nodes)
-    fixed = np.unique(np.concatenate(fixed_list)) if fixed_list \
-        else np.empty(0, dtype=np.int64)
-    free = np.setdiff1d(np.arange(disc.n_nodes), fixed)
-
-    Kff = K[free][:, free].tocsc()
-    rhs_red = F[free] - K[free][:, fixed] @ g[fixed]
-    try:
-        lu = spla.splu(Kff)
-    except RuntimeError as exc:
-        raise RuntimeError(
-            f"singular stiffness factorization ({exc}); check boundary tags") \
-            from exc
-    u_free = lu.solve(rhs_red)
-    resid = np.linalg.norm(Kff @ u_free - rhs_red) / max(
-        np.linalg.norm(rhs_red), 1e-300)
-    values = g.copy()
-    values[free] = u_free
-    return FieldSolution(disc, values, boundary_data=dict(boundary_data),
-                         residual=resid)
+    fixed = disc.boundary_nodes(*boundary_data)
+    values, resid = eliminate(K, fixed, F, g)
+    return FieldSolution(disc, values, residual=resid)
 
 
 # ----------------------------------------------------------------------------
@@ -545,8 +516,6 @@ class EigenPair:
     lam: float
     field: FieldSolution
     residual: float
-    sign_fixed: bool = False
-    residual_history: tuple = ()
 
     def rayleigh(self, system: AssembledSystem) -> float:
         u = self.field.values[system.free]
@@ -588,38 +557,27 @@ def refine_eigenpair(system: AssembledSystem, pair: EigenPair,
                      steps: int = 3) -> EigenPair:
     """Inverse-iteration polish with extended-precision residuals.
 
-    Each step solves K y = M_p u, renormalizes, and updates the Rayleigh
-    quotient; the residual is accumulated in long double so that components
-    many orders below the peak are refined rather than drowned."""
+    Runs exactly `steps` iterations.  Each solves K y = M_p u with one
+    correction solve against the long-double residual, so that components
+    many orders below the peak are refined rather than drowned, and
+    renormalizes; the returned eigenvalue is the Rayleigh quotient of the
+    returned vector."""
     lu = system.lu()
     Kl = system.K.astype(np.longdouble)
     Ml = system.Mp.astype(np.longdouble)
     u = pair.field.values[system.free].astype(np.longdouble)
-    lam = np.longdouble(pair.lam)
-    history = [float(_rel_residual(Kl, Ml, u, lam))]
     for _ in range(steps):
         rhs = np.asarray(Ml @ u, dtype=float)
         y = lu.solve(rhs).astype(np.longdouble)
-        # one extra float-precision correction of the solve itself
         corr = lu.solve(rhs - np.asarray(Kl @ y, dtype=float))
         y = y + corr.astype(np.longdouble)
-        y = y / np.sqrt(y @ (Ml @ y))
-        lam = (y @ (Kl @ y)) / (y @ (Ml @ y))
-        res = float(_rel_residual(Kl, Ml, y, lam))
-        if res > history[-1] * (1 + 1e-12):
-            break
-        u = y
-        history.append(res)
+        u = y / np.sqrt(y @ (Ml @ y))
+    Ku, Mu = Kl @ u, Ml @ u
+    lam = (u @ Ku) / (u @ Mu)
+    r = Ku - lam * Mu
+    res = float(np.sqrt(r @ r) / np.sqrt(Ku @ Ku))
     full = system.expand(np.asarray(u, dtype=float))
-    fld = FieldSolution(system.disc, full)
-    return EigenPair(float(lam), fld, history[-1],
-                     sign_fixed=pair.sign_fixed,
-                     residual_history=tuple(history))
-
-
-def _rel_residual(Kl, Ml, u, lam):
-    r = Kl @ u - lam * (Ml @ u)
-    return np.sqrt(np.longdouble(r @ r)) / np.sqrt(np.longdouble((Kl @ u) @ (Kl @ u)))
+    return EigenPair(float(lam), FieldSolution(system.disc, full), res)
 
 
 def mass_normalize(system: AssembledSystem, pair: EigenPair,
@@ -637,5 +595,4 @@ def mass_normalize(system: AssembledSystem, pair: EigenPair,
     if s < 0:
         v = -v
         fld = FieldSolution(system.disc, v)
-    return EigenPair(pair.lam, fld, pair.residual, sign_fixed=True,
-                     residual_history=pair.residual_history)
+    return EigenPair(pair.lam, fld, pair.residual)

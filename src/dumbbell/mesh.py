@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +36,8 @@ __all__ = [
     "build_dumbbell_mesh",
     "build_profile_mesh",
     "refine",
-    "write_mesh",
-    "read_mesh",
+    "EdgeTable",
+    "edge_table",
 ]
 
 PROFILE_KINDS = ("PhiDomain", "PhiHatDomain", "HalfPlus", "HalfMinus")
@@ -62,7 +63,6 @@ class MeshConfig:
     r_out: float = 12.0
     eps: float = 0.2
     tube_length: float = 10.0
-    element_order: int = 1
     dimension: int = 3
 
     def validate(self, need_eps: bool = False) -> None:
@@ -76,8 +76,6 @@ class MeshConfig:
                 "truncation must satisfy r_out > 6")
         if self.h0 <= 0:
             raise ValueError("h0 must be positive")
-        if self.element_order not in (1, 2):
-            raise ValueError("element order must be 1 or 2")
         if self.dimension < 3:
             raise ValueError("dimension must be >= 3")
         if need_eps and not (0.0 < self.eps < 0.5):
@@ -161,15 +159,48 @@ class MeridianMesh:
             out = np.minimum(out, np.hypot(d[:, 0], d[:, 1]))
         return out
 
-    def interior_edge_counts(self):
-        """Map undirected edge -> number of adjacent triangles."""
-        counts: dict[tuple[int, int], int] = {}
-        for tri in self.triangles:
-            for k in range(3):
-                a, b = int(tri[k]), int(tri[(k + 1) % 3])
-                key = (a, b) if a < b else (b, a)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
+
+class EdgeTable(NamedTuple):
+    """Undirected edges of a triangulation, numbered in order of first
+    appearance (triangle by triangle, sides ab, bc, ca).
+
+    edges: (E, 2) vertex pairs, smaller index first; side_edge: (T, 3)
+    edge index of each triangle side; counts: (E,) adjacent triangles."""
+
+    edges: np.ndarray
+    side_edge: np.ndarray
+    counts: np.ndarray
+
+    def index(self, pairs) -> np.ndarray:
+        """Edge indices of the given vertex pairs, in either orientation."""
+        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
+                        axis=1)
+        n = int(self.edges.max()) + 1 if len(self.edges) else 1
+        keys = self.edges[:, 0] * n + self.edges[:, 1]
+        order = np.argsort(keys)
+        pos = np.searchsorted(keys[order], pairs[:, 0] * n + pairs[:, 1])
+        found = order[np.minimum(pos, len(order) - 1)]
+        if not np.array_equal(self.edges[found], pairs):
+            raise ValueError("vertex pair is not an edge of the triangulation")
+        return found
+
+
+def edge_table(triangles) -> EdgeTable:
+    """Number the undirected edges of a triangle array (see EdgeTable)."""
+    tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    nxt = tri[:, [1, 2, 0]]
+    lo = np.minimum(tri, nxt).ravel()
+    hi = np.maximum(tri, nxt).ravel()
+    n = int(hi.max()) + 1 if len(hi) else 1
+    _, first, inverse, counts = np.unique(
+        lo * n + hi, return_index=True, return_inverse=True,
+        return_counts=True)
+    # np.unique numbers edges by key; renumber by first appearance
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    edges = np.stack([lo[first[order]], hi[first[order]]], axis=1)
+    return EdgeTable(edges, rank[inverse].reshape(-1, 3), counts[order])
 
 
 # ----------------------------------------------------------------------------
@@ -306,17 +337,14 @@ class _Builder:
 
 
 def _boundary_edges(triangles: np.ndarray):
-    counts: dict[tuple[int, int], int] = {}
-    for tri in triangles:
-        for k in range(3):
-            a, b = int(tri[k]), int(tri[(k + 1) % 3])
-            key = (a, b) if a < b else (b, a)
-            counts[key] = counts.get(key, 0) + 1
-    edges = [e for e, c in counts.items() if c == 1]
-    bad = [e for e, c in counts.items() if c > 2]
-    if bad:
-        raise ValueError(f"non-conforming edges shared by >2 triangles: {bad[:5]}")
-    return np.asarray(sorted(edges), dtype=np.int64)
+    """Edges with one adjacent triangle, sorted lexicographically."""
+    table = edge_table(triangles)
+    bad = table.edges[table.counts > 2]
+    if len(bad):
+        raise ValueError("non-conforming edges shared by >2 triangles: "
+                         f"{bad[:5].tolist()}")
+    edges = table.edges[table.counts == 1]
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 def _classify(vertices, edges, centers, r_out, inflow_x=None,
@@ -451,112 +479,15 @@ def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
 def refine(mesh: MeridianMesh) -> MeridianMesh:
     """Uniform red refinement: every triangle into 4 via edge midpoints;
     boundary edges split in place with tags inherited."""
-    verts = [tuple(v) for v in mesh.vertices]
-    mid_cache: dict[tuple[int, int], int] = {}
-
-    def midpoint(a: int, b: int) -> int:
-        key = (a, b) if a < b else (b, a)
-        idx = mid_cache.get(key)
-        if idx is None:
-            xa, ya = verts[a]
-            xb, yb = verts[b]
-            idx = len(verts)
-            verts.append((0.5 * (xa + xb), 0.5 * (ya + yb)))
-            mid_cache[key] = idx
-        return idx
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        a, b, c = int(a), int(b), int(c)
-        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        tris.extend([(a, mab, mca), (b, mbc, mab),
-                     (c, mca, mbc), (mab, mbc, mca)])
-    new_edges = []
-    new_tags = []
-    for (a, b), tag in zip(mesh.edges, mesh.edge_tags):
-        m = midpoint(int(a), int(b))
-        new_edges.extend([(int(a), m), (m, int(b))])
-        new_tags.extend([tag, tag])
-    return MeridianMesh(np.asarray(verts), np.asarray(tris, dtype=np.int64),
-                        np.asarray(new_edges, dtype=np.int64), new_tags,
+    table = edge_table(mesh.triangles)
+    v = mesh.vertices
+    verts = np.vstack([v, 0.5 * (v[table.edges[:, 0]] + v[table.edges[:, 1]])])
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = (len(v) + table.side_edge).T
+    tris = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
+                    axis=1).reshape(-1, 3)
+    m = len(v) + table.index(mesh.edges)
+    new_edges = np.stack([mesh.edges[:, 0], m, m, mesh.edges[:, 1]],
+                         axis=1).reshape(-1, 2)
+    return MeridianMesh(verts, tris, new_edges, np.repeat(mesh.edge_tags, 2),
                         mesh.domain_kind, mesh.params, mesh.level + 1)
-
-
-# ----------------------------------------------------------------------------
-# Plain-text serialization (exact decimal round trip via repr)
-# ----------------------------------------------------------------------------
-
-def write_mesh(mesh: MeridianMesh, stream) -> None:
-    own = isinstance(stream, str)
-    f = open(stream, "w") if own else stream
-    try:
-        n = mesh.params.get("dimension", 3)
-        f.write(f"meridian-mesh v1 N={n}\n")
-        f.write(f"domain {mesh.domain_kind} level {mesh.level}\n")
-        items = " ".join(f"{k}={_fmt_param(v)}" for k, v in
-                         sorted(mesh.params.items()))
-        f.write(f"params {items}\n")
-        f.write(f"vertices {len(mesh.vertices)}\n")
-        for x, r in mesh.vertices:
-            f.write(f"{float(x)!r} {float(r)!r}\n")
-        f.write(f"triangles {len(mesh.triangles)}\n")
-        for a, b, c in mesh.triangles:
-            f.write(f"{a} {b} {c}\n")
-        f.write(f"edges {len(mesh.edges)}\n")
-        for (a, b), tag in zip(mesh.edges, mesh.edge_tags):
-            f.write(f"{a} {b} {tag}\n")
-    finally:
-        if own:
-            f.close()
-
-
-def _fmt_param(v):
-    if isinstance(v, tuple):
-        return ",".join(repr(float(x)) for x in v)
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _parse_param(s: str):
-    if "," in s:
-        return tuple(float(x) for x in s.split(","))
-    try:
-        iv = int(s)
-        return iv
-    except ValueError:
-        return float(s)
-
-
-def read_mesh(stream) -> MeridianMesh:
-    own = isinstance(stream, str)
-    f = open(stream) if own else stream
-    try:
-        header = f.readline().split()
-        if header[:2] != ["meridian-mesh", "v1"]:
-            raise ValueError(f"not a meridian-mesh v1 file: {header}")
-        _, kind, _, level = f.readline().split()
-        params_line = f.readline().split()
-        assert params_line[0] == "params"
-        params = {}
-        for item in params_line[1:]:
-            k, v = item.split("=", 1)
-            params[k] = _parse_param(v)
-        nv = int(f.readline().split()[1])
-        vertices = np.array([[float(t) for t in f.readline().split()]
-                             for _ in range(nv)])
-        ntri = int(f.readline().split()[1])
-        triangles = np.array([[int(t) for t in f.readline().split()]
-                              for _ in range(ntri)], dtype=np.int64)
-        ne = int(f.readline().split()[1])
-        edges = np.empty((ne, 2), dtype=np.int64)
-        tags = []
-        for i in range(ne):
-            a, b, tag = f.readline().split()
-            edges[i] = (int(a), int(b))
-            tags.append(tag)
-        return MeridianMesh(vertices, triangles, edges, tags, kind,
-                            params, int(level))
-    finally:
-        if own:
-            f.close()

@@ -220,35 +220,6 @@ def run_profiles(cfg: RunConfig, return_fields: bool = False):
 # Per-eps solve
 # ----------------------------------------------------------------------------
 
-def _polish_eigenpair(system: fem.AssembledSystem, pair: fem.EigenPair,
-                      steps: int = 15) -> fem.EigenPair:
-    """Fixed-count inverse iteration on top of the Lanczos pair.
-
-    The left-body entries of the eigenvector sit up to 15 decades below
-    the peak; whatever junk the Lanczos start leaves there contracts by
-    lambda1/lambda2 ~ 1/2 per step, so a fixed 15 steps reaches the
-    roundoff floor from any start and makes the sweep entries independent
-    of ARPACK's internal state."""
-    lu = system.lu()
-    Kl = system.K.astype(np.longdouble)
-    Ml = system.Mp.astype(np.longdouble)
-    u = pair.field.values[system.free].astype(np.longdouble)
-    for _ in range(steps):
-        rhs = np.asarray(Ml @ u, dtype=float)
-        y = lu.solve(rhs)
-        # one correction solve against the extended-precision residual
-        y = y + lu.solve(rhs - np.asarray(Kl @ y.astype(np.longdouble),
-                                          dtype=float))
-        y = y.astype(np.longdouble)
-        u = y / np.sqrt(y @ (Ml @ y))
-    lam = float((u @ (Kl @ u)) / (u @ (Ml @ u)))
-    r = Kl @ u - np.longdouble(lam) * (Ml @ u)
-    rel = float(np.sqrt(np.longdouble(r @ r))
-                / np.sqrt(np.longdouble((Kl @ u) @ (Kl @ u))))
-    full = system.expand(np.asarray(u, dtype=float))
-    return fem.EigenPair(lam, fem.FieldSolution(system.disc, full), rel)
-
-
 def _dumbbell_eigenpair(cfg: RunConfig, eps: float):
     mesh = build_dumbbell_mesh(cfg.mesh_config(eps))
     for _ in range(cfg.sweep_level):
@@ -256,7 +227,12 @@ def _dumbbell_eigenpair(cfg: RunConfig, eps: float):
     disc = fem.Discretization(mesh, order=cfg.order)
     system = fem.assemble(disc, cfg.weight())
     pair = fem.eigen_smallest(system, count=1, tol=1e-12)[0]
-    pair = _polish_eigenpair(system, pair)
+    # the left-body entries of the eigenvector sit up to 15 decades below
+    # the peak; whatever junk the Lanczos start leaves there contracts by
+    # lambda1/lambda2 ~ 1/2 per step, so a fixed 15 steps reaches the
+    # roundoff floor from any start and makes the sweep entries
+    # independent of ARPACK's internal state
+    pair = fem.refine_eigenpair(system, pair, steps=15)
     pair = fem.mass_normalize(system, pair)
     return system, pair
 
@@ -268,9 +244,8 @@ def _restricted_reference(system: fem.AssembledSystem) -> float:
     disc = system.disc
     extra = np.nonzero(disc.nodes[:, 0] <= 1.0 + 1e-14)[0]
     fixed = np.union1d(system.fixed, extra)
-    free = np.setdiff1d(np.arange(disc.n_nodes), fixed)
-    K = system.K_full[free][:, free].tocsr()
-    Mp = system.Mp_full[free][:, free].tocsr()
+    free, K = fem.eliminate(system.K_full, fixed)
+    _, Mp = fem.eliminate(system.Mp_full, fixed)
     sub = fem.AssembledSystem(disc, K, Mp, system.K_full, system.Mp_full,
                               free, fixed, system.weight)
     ref = fem.eigen_smallest(sub, count=1, tol=1e-12)[0]
@@ -337,17 +312,13 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
         else:
             amp = ch.propagate(fit, x0)
             ht_x0[x0] = amp * amp
-    if direct:
-        ht_eps = ScaledAmplitude.from_float(
-            ch.htilde(u.evaluate, eps, eps, n)[0])
-    else:
-        ht_eps = ScaledAmplitude.zero()
 
     # cascade reconstruction of the left-side scales from tube data
     sqrt_ht_eps_c = (fit.A * math.sqrt(con.m_phihat)).scale_exp(-sl1 / eps) \
         if not fit.A.is_zero() else ScaledAmplitude.zero()
-    if not direct:
-        ht_eps = sqrt_ht_eps_c * sqrt_ht_eps_c
+    ht_eps = ScaledAmplitude.from_float(
+        ch.htilde(u.evaluate, eps, eps, n)[0]) if direct \
+        else sqrt_ht_eps_c * sqrt_ht_eps_c
     sqrt_ht_eps = ht_eps.sqrt()
     b_cascade = ((con.phihat0 - con.c_hat) * sqrt_ht_eps_c)\
         .scale_exp(-sl1 / eps) if not sqrt_ht_eps_c.is_zero() \
@@ -381,12 +352,12 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
             view, lambda a, b: con.d0 * pset.phi(a, b), x1, rho)
         comparisons["right_vs_d0Phi"] = out["sup"] / ref_sup
 
-        view = almgren.blowup(u.evaluate, "LeftJunction", eps, dimension=n)
+        uhat = almgren.blowup(u.evaluate, "LeftJunction", eps, dimension=n)
         x1, rho = _annulus_samples(0.0, (1.6, 2.0, 2.4), -1)
         c_hat = con.c_hat
         ref_sup = float(np.nanmax(np.abs(c_hat * pset.phihat(x1, rho))))
         out = almgren.compare_views(
-            view, lambda a, b: c_hat * pset.phihat(a, b), x1, rho)
+            uhat, lambda a, b: c_hat * pset.phihat(a, b), x1, rho)
         comparisons["left_vs_PhiHat"] = out["sup"] / ref_sup
 
         view = almgren.blowup(u.evaluate, "Channel", eps, x0=0.5,
@@ -401,20 +372,19 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
         comparisons["one_mode_dev"] = abs(
             phi_mid / math.sqrt(ht_mid) - 1.0)
 
-        x1, rho = _annulus_samples(0.0, (0.6, 1.0, 1.4), -1)
+        x1_in, rho_in = _annulus_samples(0.0, (0.6, 1.0, 1.4), -1)
         norm_dev = {}
         for kt in cfg.ktilde_list:
             view = almgren.blowup(u.evaluate, "Normalized", eps, ktilde=kt,
                                   dimension=n)
             ref = lambda a, b, _k=kt: pset.ubar(a, b) / math.sqrt(
                 con.norm_gamma[_k])
-            ref_sup = float(np.nanmax(np.abs(ref(x1, rho))))
-            out = almgren.compare_views(view, ref, x1, rho)
+            ref_sup = float(np.nanmax(np.abs(ref(x1_in, rho_in))))
+            out = almgren.compare_views(view, ref, x1_in, rho_in)
             norm_dev[kt] = out["sup"] / ref_sup
         comparisons["normalized_vs_Ubar"] = norm_dev
 
         # positivity surrogate for the left-junction transfer constant
-        uhat = almgren.blowup(u.evaluate, "LeftJunction", eps, dimension=n)
         comparisons["chat_sign"] = float(np.sign(
             cs.project_section(uhat, 1.0, 1.0, mode)))
 
@@ -441,11 +411,10 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
                 amp / (math.sqrt(con.norm_gamma[kt]) * big)).to_float()
 
     if direct:
-        x1, rho = _annulus_samples(0.0, (0.6, 1.0, 1.4), -1)
         scale = ScaledAmplitude.from_float(1.0).scale_exp(
             sl1 / eps - n * math.log(eps)).to_float()
-        lhs = scale * u.evaluate(x1, rho)
-        rhs = big * pset.ubar(x1, rho)
+        lhs = scale * u.evaluate(x1_in, rho_in)
+        rhs = big * pset.ubar(x1_in, rho_in)
         ok = np.isfinite(lhs) & np.isfinite(rhs)
         ratios["R6"] = float(np.max(np.abs(lhs[ok] - rhs[ok]))
                              / np.max(np.abs(rhs[ok])))
@@ -580,13 +549,13 @@ def verify(record: RunRecord, tolerances: dict | None = None) -> dict:
     final deviation is under its guard (5% for R1, 15% for the
     asymptotic series).  A series whose deviations never rise above the
     discretization floor has converged before the sweep began; its slope
-    is mesh noise and it passes regardless of the trend label."""
+    is mesh noise and it passes regardless of the trend label.  A sweep
+    with an errored entry fails under `sweep_errors`.  `tolerances` is not
+    modified."""
     tol = {"R1": 0.05, "R2": 0.15, "R3": 0.15, "R4": 0.15, "R5": 0.15,
-           "R6": 0.15}
-    floor = 5e-3
-    if tolerances:
-        floor = tolerances.pop("floor", floor)
-        tol.update(tolerances)
+           "R6": 0.15, "floor": 5e-3}
+    tol.update(tolerances or {})
+    floor = tol.pop("floor")
     names = sorted({k for entry in record.sweep
                     for k in entry.get("ratios", {})})
     out = {}
@@ -642,6 +611,23 @@ def verify(record: RunRecord, tolerances: dict | None = None) -> dict:
             "pass": ok,
         }
         overall = overall and ok
+
+    # an errored entry is missing from every series above, so the series
+    # verdicts cannot see it; the sweep fails as incomplete
+    errored = [e for e in record.sweep if "error" in e]
+    if errored:
+        out["sweep_errors"] = {
+            "formula": "every eps entry solved without error",
+            "eps": [e["eps"] for e in errored],
+            "values": [math.nan] * len(errored),
+            "deviations": [math.nan] * len(errored),
+            "errors": [e["error"] for e in errored],
+            "verdict": "errored",
+            "final_deviation": math.nan,
+            "at_floor": False,
+            "pass": False,
+        }
+        overall = False
     out["overall_pass"] = bool(overall)
     return out
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field as dfield
 from typing import Callable
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import cross_section as cs
 from . import fem
@@ -78,11 +77,6 @@ class ProfileSolution:
         rem = self.field.evaluate(x1, rho)
         return rem + self.carried(np.asarray(x1, dtype=float),
                                   np.asarray(rho, dtype=float))
-
-    def remainder_energy(self) -> float:
-        K = fem.assemble_stiffness(self.field.disc)
-        v = self.field.values
-        return float(v @ (K @ v))
 
 
 def _maybe_refine(mesh: MeridianMesh, level: int) -> MeridianMesh:
@@ -249,18 +243,7 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
 
     rhs_vec = fem.assemble_load(disc, commutator)
     A = (system.K_full - lam_k0 * system.Mp_full).tocsr()
-    fixed = disc.boundary_nodes(*disc.dirichlet_tags())
-    free = np.setdiff1d(np.arange(disc.n_nodes), fixed)
-    Aff = A[free][:, free].tocsc()
-    try:
-        lu = spla.splu(Aff)
-    except RuntimeError as exc:
-        raise ValueError(f"shifted operator singular: {exc}") from exc
-    w_free = lu.solve(rhs_vec[free])
-    values = np.zeros(disc.n_nodes)
-    values[free] = w_free
-    resid = np.linalg.norm(Aff @ w_free - rhs_vec[free]) / max(
-        np.linalg.norm(rhs_vec[free]), 1e-300)
+    values, resid = fem.eliminate(A, system.fixed, rhs_vec)
     remainder = fem.FieldSolution(disc, values, residual=resid)
 
     profile = ProfileSolution(

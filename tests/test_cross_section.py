@@ -98,17 +98,16 @@ class TestUpsilonAndSphereModes:
         assert cs.upsilon(3) == pytest.approx(1.4472025091165353, abs=1e-12)
 
     def test_psi_plus_at_pole(self):
-        mode = cs.sphere_mode(3, +1)
-        assert float(mode.value(1.0)) == pytest.approx(0.690988298942671, abs=1e-12)
+        # Psi+ = theta_1 / Upsilon_N at theta_1 = 1
+        assert 1.0 / cs.upsilon(3) == pytest.approx(0.690988298942671, abs=1e-12)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7])
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_half_sphere_normalization(self, n, sign):
         # int_{S_sign} (Psi^sign)^2 dsigma = 1 via the polar quadrature
-        mode = cs.sphere_mode(n, sign)
         a, b = (0.0, math.pi / 2) if sign > 0 else (math.pi / 2, math.pi)
         phi, w = cs.gauss_legendre(64, a, b)
-        integrand = (sign * np.cos(phi) / mode.upsilon) ** 2 * np.sin(phi) ** (n - 2)
+        integrand = (sign * np.cos(phi) / cs.upsilon(n)) ** 2 * np.sin(phi) ** (n - 2)
         val = cs.sphere_surface_area(n - 2) * np.sum(w * integrand)
         assert val == pytest.approx(1.0, rel=1e-12)
 

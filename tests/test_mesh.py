@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -63,10 +62,9 @@ class TestDumbbellGeometry:
     def test_conforming_and_oriented(self):
         m = small_dumbbell(levels=4)
         assert np.all(m.signed_areas() > 0)
-        counts = m.interior_edge_counts()
-        assert all(c in (1, 2) for c in counts.values())
-        boundary = sum(1 for c in counts.values() if c == 1)
-        assert boundary == len(m.edges)
+        counts = M.edge_table(m.triangles).counts
+        assert np.all((counts == 1) | (counts == 2))
+        assert np.sum(counts == 1) == len(m.edges)
 
     def test_quality_outside_graded_layers(self):
         m = small_dumbbell(levels=8)
@@ -130,7 +128,7 @@ class TestProfileDomains:
     def test_all_kinds_conforming(self, kind):
         m = M.build_profile_mesh(kind, M.MeshConfig(h0=0.3, levels=3))
         assert np.all(m.signed_areas() > 0)
-        assert all(c in (1, 2) for c in m.interior_edge_counts().values())
+        assert np.all(np.isin(M.edge_table(m.triangles).counts, (1, 2)))
 
 
 class TestRefine:
@@ -163,7 +161,7 @@ class TestRefine:
         for _ in range(2):
             m = M.refine(m)
         assert np.all(m.signed_areas() > 0)
-        assert all(c in (1, 2) for c in m.interior_edge_counts().values())
+        assert np.all(np.isin(M.edge_table(m.triangles).counts, (1, 2)))
 
     def test_corner_vertices_survive(self):
         m = M.refine(small_dumbbell(levels=2))
@@ -171,29 +169,30 @@ class TestRefine:
         assert (0.0, 0.2) in keys and (1.0, 0.2) in keys
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        m = M.refine(small_dumbbell(levels=3))
-        buf = io.StringIO()
-        M.write_mesh(m, buf)
-        buf.seek(0)
-        m2 = M.read_mesh(buf)
-        assert np.array_equal(m.vertices, m2.vertices)
-        assert np.array_equal(m.triangles, m2.triangles)
-        assert np.array_equal(m.edges, m2.edges)
-        assert list(m.edge_tags) == list(m2.edge_tags)
-        assert m2.domain_kind == m.domain_kind
-        assert m2.level == m.level
-        assert m2.params == m.params
-
-    def test_header(self):
-        buf = io.StringIO()
-        M.write_mesh(small_dumbbell(), buf)
-        assert buf.getvalue().splitlines()[0] == "meridian-mesh v1 N=3"
-
-    def test_rejects_garbage(self):
+class TestEdgeTable:
+    def test_first_appearance_order(self):
+        tris = np.array([[0, 1, 2], [2, 1, 3], [3, 4, 2]])
+        table = M.edge_table(tris)
+        assert table.edges.tolist() == [[0, 1], [1, 2], [0, 2], [1, 3],
+                                         [2, 3], [3, 4], [2, 4]]
+        assert table.side_edge.tolist() == [[0, 1, 2], [1, 3, 4], [5, 6, 4]]
+        assert table.counts.tolist() == [1, 2, 1, 1, 2, 1, 1]
+        assert table.index([[3, 1], [4, 2]]).tolist() == [3, 6]
         with pytest.raises(ValueError):
-            M.read_mesh(io.StringIO("not a mesh\n"))
+            table.index([[0, 3]])
+
+    def test_boundary_edges_match_brute_force(self):
+        m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.6))
+        counts = {}
+        for tri in m.triangles.tolist():
+            for k in range(3):
+                key = tuple(sorted((tri[k], tri[(k + 1) % 3])))
+                counts[key] = counts.get(key, 0) + 1
+        brute = sorted(e for e, c in counts.items() if c == 1)
+        assert M._boundary_edges(m.triangles).tolist() == [list(e) for e in brute]
+        table = M.edge_table(m.triangles)
+        assert dict(zip(map(tuple, table.edges.tolist()),
+                        table.counts.tolist())) == counts
 
 
 def test_immutability():

@@ -90,6 +90,30 @@ class TestVerify:
         assert v["R1"]["verdict"] == "converging"
         assert not v["R1"]["pass"]  # final 10% > 5% guard
 
+    def test_errored_entry_fails_sweep(self, tmp_path, capsys):
+        rec = synthetic_record([(e, 1.0 + 0.5 * e)
+                                for e in (0.3, 0.25, 0.2, 0.15)])
+        rec.sweep.append({"eps": 0.1, "error": "RuntimeError: synthetic",
+                          "ratios": {}})
+        v = pl.verify(rec)
+        assert v["R3"]["pass"]
+        assert v["sweep_errors"]["eps"] == [0.1]
+        assert "synthetic" in v["sweep_errors"]["errors"][0]
+        assert not v["sweep_errors"]["pass"]
+        assert not v["overall_pass"]
+        rec.verdicts = v
+        pl.emit(rec, str(tmp_path))
+        assert (tmp_path / "sweep_errors.csv").exists()
+        assert (tmp_path / "sweep_errors.svg").exists()
+        assert cli.main(["verify", str(tmp_path / "record.json")]) == 2
+        assert "sweep_errors: errored" in capsys.readouterr().out
+
+    def test_tolerances_not_modified(self):
+        rec = synthetic_record([(0.3, 1.15), (0.2, 1.1), (0.1, 1.05)])
+        tol = {"floor": 1e-2, "R3": 0.2}
+        pl.verify(rec, tol)
+        assert tol == {"floor": 1e-2, "R3": 0.2}
+
 
 class TestEmit:
     def test_json_round_trip_bit_exact(self, tmp_path):
@@ -242,6 +266,15 @@ class TestCLI:
 
     def test_missing_record_is_execution_error(self, capsys):
         assert cli.main(["verify", "/nonexistent/record.json"]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_overflow_is_execution_error(self, tmp_path, capsys):
+        rec = synthetic_record([(0.3, 1.15), (0.2, 1.1)])
+        rec.sweep[-1]["b_defect"] = ScaledAmplitude.from_float(
+            1.0).scale_exp(2000.0).to_dict()
+        rec.sweep[-1]["b_cascade"] = ScaledAmplitude.from_float(1.0).to_dict()
+        pl.emit(rec, str(tmp_path), formats=("json",))
+        assert cli.main(["verify", str(tmp_path / "record.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
     def test_bad_config_is_execution_error(self, tmp_path, capsys):
