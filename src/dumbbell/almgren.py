@@ -8,8 +8,8 @@ The frequency of a field V over exterior half-balls,
 
 identifies the order of the singularity or zero at the origin.  Energies
 are integrated element by element; cells cut by the sphere |x| = t (or by
-the section x1 = t for the channel variant) are subdivided recursively in
-barycentric coordinates so quadrature points stay aligned with the finite
+the section x1 = t for the channel variant) are subdivided level by level
+in barycentric coordinates so quadrature points stay aligned with the finite
 element basis.  FEM forms omit the constant angular factor omega_(N-2);
 the energies here restore it so that quotients against the surface-measure
 quadratures are consistent.
@@ -42,83 +42,79 @@ __all__ = [
 # Masked element quadrature
 # ----------------------------------------------------------------------------
 
-_SUBDIV = (
+_SUBDIV = np.array((
     ((1.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.0, 0.5)),
     ((0.5, 0.5, 0.0), (0.0, 1.0, 0.0), (0.0, 0.5, 0.5)),
     ((0.5, 0.0, 0.5), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0)),
     ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)),
-)
+))
+_DEPTH = 8     # subdivision levels below a cut cell
+_DEGREE = 6    # Dunavant rule on every piece
+_BATCH = 4096  # pieces per energy evaluation; bounds the quadrature memory
 
 
-def _masked_rule(corners_phys, inside, depth, base_pts, base_wts,
-                 corners_bary=None):
-    """Quadrature (barycentric points, weights as area fractions) for the
-    part of a triangle where `inside` holds, by recursive subdivision.
+def _masked_rule(corners, inside):
+    """Pieces of the triangles `corners` (T, 3, 2) where `inside` holds.
 
-    `corners_bary` tracks the sub-triangle in the parent's barycentric
-    frame; weights are fractions of the parent area.
-    """
-    if corners_bary is None:
-        corners_bary = np.eye(3)
-    probes = np.vstack([corners_phys,
-                        0.5 * (corners_phys + np.roll(corners_phys, 1, axis=0)),
-                        corners_phys.mean(axis=0)])
-    flags = inside(probes[:, 0], probes[:, 1])
-    if np.all(flags):
-        pts = base_pts @ corners_bary
-        frac = abs(np.linalg.det((corners_bary[:2] - corners_bary[2])[:, :2]))
-        return [(pts, base_wts * frac)]
-    if not np.any(flags):
-        return []
-    if depth == 0:
-        pts = base_pts @ corners_bary
-        phys = base_pts @ corners_phys
-        frac = abs(np.linalg.det((corners_bary[:2] - corners_bary[2])[:, :2]))
-        w = base_wts * frac * inside(phys[:, 0], phys[:, 1])
-        return [(pts, w)]
-    out = []
-    for sub in _SUBDIV:
-        sb = np.asarray(sub) @ corners_bary
-        sp = np.asarray(sub) @ corners_phys
-        out.extend(_masked_rule(sp, inside, depth - 1, base_pts, base_wts, sb))
-    return out
+    Each level probes all pieces at their corners, edge midpoints and
+    centroid at once, keeps those fully inside, drops empty ones and splits
+    cut ones in four; cut pieces left on the last level keep their inside
+    quadrature points.  Returns each piece's triangle, its corners in that
+    triangle's barycentric frame (P, 3, 3) and its weights as fractions of
+    the triangle's area (P, q)."""
+    base_pts, base_wts = fem._dunavant(_DEGREE)
+    cell = np.arange(len(corners))
+    bary = np.broadcast_to(np.eye(3), (len(corners), 3, 3))
+    pieces = []
+    for level in range(_DEPTH + 1):
+        probes = np.concatenate([
+            corners,
+            0.5 * (corners + np.roll(corners, 1, axis=1)),
+            corners.mean(axis=1, keepdims=True)], axis=1)
+        flags = inside(probes[..., 0], probes[..., 1])  # (P, 7)
+        full = flags.all(axis=1)
+        cut = ~full & flags.any(axis=1)
+        frac = np.broadcast_to(base_wts * 0.25 ** level,
+                               (len(corners), len(base_wts)))
+        if level == _DEPTH:
+            phys = base_pts @ corners[cut]
+            frac = frac.copy()
+            frac[cut] *= inside(phys[..., 0], phys[..., 1])
+            pieces.append((cell[full | cut], bary[full | cut],
+                           frac[full | cut]))
+            break
+        pieces.append((cell[full], bary[full], frac[full]))
+        cell = np.repeat(cell[cut], 4)
+        corners = np.einsum("sij,pjd->psid", _SUBDIV,
+                            corners[cut]).reshape(-1, 3, 2)
+        bary = np.einsum("sij,pjk->psik", _SUBDIV,
+                         bary[cut]).reshape(-1, 3, 3)
+    return tuple(np.concatenate(a) for a in zip(*pieces))
 
 
-def _masked_energy(disc, u_values, weight, lam, inside, depth=8, degree=6,
+def _masked_energy(disc, u_values, weight, lam, inside,
                    extra=None, extra_grad=None):
     """omega-weighted energy int (|grad u|^2 - lam p u^2) rho^m over the
     region where `inside` holds, with u = FEM field + optional closed-form
     part evaluated pointwise."""
-    base_pts, base_wts = fem._dunavant(degree)
-    area, bgrads = disc.cell_geometry()
-    verts = disc.mesh.vertices
-    tris = disc.mesh.triangles
+    base_pts, _ = fem._dunavant(_DEGREE)
     n = disc.mesh.params.get("dimension", 3)
-    omega = cs.sphere_surface_area(n - 2)
-
-    corners_all = verts[tris]  # (T, 3, 2)
-    probes = np.concatenate([
-        corners_all,
-        0.5 * (corners_all + np.roll(corners_all, 1, axis=1)),
-        corners_all.mean(axis=1, keepdims=True)], axis=1)
-    flags = np.asarray(inside(probes[..., 0].ravel(), probes[..., 1].ravel()))
-    flags = flags.reshape(len(tris), -1)
-    full = flags.all(axis=1)
-    cut = np.nonzero(~full & flags.any(axis=1))[0]
-
-    def chunk_energy(tri_ids, bary, wts):
-        phys = np.einsum("tqk,tkd->tqd", bary, corners_all[tri_ids])
-        if disc.order == 1:
-            shp = bary
-            dshp = np.broadcast_to(np.eye(3), bary.shape[:2] + (3, 3))
-        else:
-            flat = bary.reshape(-1, 3)
-            s, d = fem._p2_shapes(flat)
-            shp = s.reshape(bary.shape[:2] + (-1,))
-            dshp = d.reshape(bary.shape[:2] + d.shape[1:])
+    shapes = fem._p1_shapes if disc.order == 1 else fem._p2_shapes
+    corners = disc.mesh.vertices[disc.mesh.triangles]  # (T, 3, 2)
+    cells, pieces, fracs = _masked_rule(corners, inside)
+    total = 0.0
+    for lo in range(0, len(cells), _BATCH):
+        tri_ids = cells[lo:lo + _BATCH]
+        bary = base_pts @ pieces[lo:lo + _BATCH]  # (P, q, 3)
+        wts = fracs[lo:lo + _BATCH] * disc.area[tri_ids, None]
+        phys = np.einsum("tqk,tkd->tqd", bary, corners[tri_ids])
+        s, d = shapes(bary.reshape(-1, 3))
+        shp = s.reshape(bary.shape[:2] + s.shape[1:])
+        dshp = d.reshape(bary.shape[:2] + d.shape[1:])
         nodal = u_values[disc.cells[tri_ids]]
         uvals = np.einsum("tqi,ti->tq", shp, nodal)
-        grads = np.einsum("tqik,tkd,ti->tqd", dshp, bgrads[tri_ids], nodal)
+        grads = np.einsum("tqik,tkd,ti->tqd", dshp, disc.bgrads[tri_ids],
+                          nodal)
         x1, rho = phys[..., 0], phys[..., 1]
         if extra is not None:
             uvals = uvals + extra(x1, rho)
@@ -127,23 +123,8 @@ def _masked_energy(disc, u_values, weight, lam, inside, depth=8, degree=6,
         if weight is not None and lam != 0.0:
             dens = dens - lam * np.asarray(weight(x1, rho), float) * uvals ** 2
         rho_m = rho ** disc.measure_exponent if disc.measure_exponent else 1.0
-        return float(np.sum(wts * dens * rho_m))
-
-    total = 0.0
-    full_ids = np.nonzero(full)[0]
-    if len(full_ids):
-        bary = np.broadcast_to(base_pts, (len(full_ids),) + base_pts.shape)
-        wts = base_wts[None, :] * area[full_ids][:, None]
-        total += chunk_energy(full_ids, bary, wts)
-    for t in cut:
-        chunks = _masked_rule(corners_all[t], inside, depth,
-                              base_pts, base_wts)
-        if not chunks:
-            continue
-        bary = np.vstack([c[0] for c in chunks])[None]
-        wts = (np.concatenate([c[1] for c in chunks]) * area[t])[None]
-        total += chunk_energy(np.array([t]), bary, wts)
-    return omega * total
+        total += float(np.sum(wts * dens * rho_m))
+    return cs.sphere_surface_area(n - 2) * total
 
 
 def _fd_gradient(f, h=1e-6):
@@ -155,7 +136,7 @@ def _fd_gradient(f, h=1e-6):
     return grad
 
 
-def _unpack_field(field, mesh=None, gradient=None, order=2):
+def _unpack_field(field, mesh=None, gradient=None):
     """Returns (disc, nodal_values, extra, extra_grad, evaluator)."""
     if isinstance(field, ProfileSolution):
         disc = field.field.disc
@@ -166,7 +147,7 @@ def _unpack_field(field, mesh=None, gradient=None, order=2):
     if mesh is None:
         raise ValueError("analytic fields need an integration mesh")
     disc = mesh if isinstance(mesh, fem.Discretization) \
-        else fem.Discretization(mesh, order=order)
+        else fem.Discretization(mesh, order=2)
     grad = gradient if gradient is not None else _fd_gradient(field)
     zero = np.zeros(disc.n_nodes)
     return disc, zero, field, grad, field
@@ -185,8 +166,8 @@ class FrequencyTrace:
     context: dict = dfield(default_factory=dict)
 
 
-def frequency_exterior(field, weight, lam, radii, mesh=None, gradient=None,
-                       depth: int = 8) -> FrequencyTrace:
+def frequency_exterior(field, weight, lam, radii, mesh=None,
+                       gradient=None) -> FrequencyTrace:
     """Frequency of a left-half-space field over exterior regions |x| > t.
 
     `field` is a ProfileSolution, a FieldSolution on a D- mesh, or an
@@ -211,7 +192,7 @@ def frequency_exterior(field, weight, lam, radii, mesh=None, gradient=None,
     for i, t in enumerate(radii):
         def inside(x1, rho, _t=t):
             return np.hypot(x1, rho) > _t
-        e = _masked_energy(disc, values, weight, lam, inside, depth=depth,
+        e = _masked_energy(disc, values, weight, lam, inside,
                            extra=extra, extra_grad=extra_grad)
         D[i] = t ** (2 - n) * e
         H[i] = ch.hminus(evaluator, t, n)
@@ -222,8 +203,7 @@ def frequency_exterior(field, weight, lam, radii, mesh=None, gradient=None,
 
 
 def frequency_channel(field, eps, t_list, weight=None, lam=0.0,
-                      mesh=None, gradient=None,
-                      depth: int = 8) -> FrequencyTrace:
+                      mesh=None, gradient=None) -> FrequencyTrace:
     """Channel frequency N_eps(t) = eps * E(t) / Hc(t) with E(t) the energy
     over the region x1 < t and Hc the channel section mass at x1 = t."""
     disc, values, extra, extra_grad, evaluator = _unpack_field(
@@ -238,7 +218,7 @@ def frequency_channel(field, eps, t_list, weight=None, lam=0.0,
     for i, t in enumerate(t_list):
         def inside(x1, rho, _t=t):
             return x1 < _t
-        e = _masked_energy(disc, values, weight, lam, inside, depth=depth,
+        e = _masked_energy(disc, values, weight, lam, inside,
                            extra=extra, extra_grad=extra_grad)
         _, hc = ch.htilde(evaluator, t, eps, n)
         if hc <= 0:

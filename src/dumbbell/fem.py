@@ -146,6 +146,24 @@ def _p1_shapes(bary: np.ndarray):
 # Discretization
 # ----------------------------------------------------------------------------
 
+_LOCATE_TOL = 1e-10    # barycentric slack for points on cell boundaries
+_LOCATE_PAIRS = 1 << 14  # (point, candidate cell) pairs tested at once
+
+
+def _cell_geometry(vertices, triangles):
+    """Signed areas (ncell,) and barycentric gradients (ncell, 3, 2)."""
+    p = vertices[triangles]
+    x, y = p[..., 0], p[..., 1]
+    det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
+           - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
+    grads = np.empty((len(triangles), 3, 2))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        grads[:, k, 0] = (y[:, i] - y[:, j]) / det
+        grads[:, k, 1] = (x[:, j] - x[:, i]) / det
+    return 0.5 * det, grads
+
+
 class Discretization:
     """Nodes and cells of a P1 or P2 space on a meridian mesh.
 
@@ -176,6 +194,7 @@ class Discretization:
             self.cells = np.hstack([mesh.triangles, nv + self._edges.side_edge])
 
         self.n_nodes = len(self.nodes)
+        self.area, self.bgrads = _cell_geometry(mesh.vertices, mesh.triangles)
         self._locator = None
 
     # -- boundary node sets --------------------------------------------------
@@ -197,79 +216,72 @@ class Discretization:
         return tuple(t for t in ("dirichlet_wall", "truncation", "inflow")
                      if t in present)
 
-    # -- geometry ------------------------------------------------------------
-
-    def cell_geometry(self):
-        """Signed areas and barycentric gradients (ncell, 3, 2)."""
-        tri = self.mesh.triangles
-        p = self.mesh.vertices[tri]
-        x, y = p[..., 0], p[..., 1]
-        det = ((x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0])
-               - (x[:, 2] - x[:, 0]) * (y[:, 1] - y[:, 0]))
-        area = 0.5 * det
-        grads = np.empty((len(tri), 3, 2))
-        for k in range(3):
-            i, j = (k + 1) % 3, (k + 2) % 3
-            grads[:, k, 0] = (y[:, i] - y[:, j]) / det
-            grads[:, k, 1] = (x[:, j] - x[:, i]) / det
-        return area, grads
-
     # -- point location -------------------------------------------------------
 
     def _build_locator(self):
-        tri = self.mesh.triangles
-        p = self.mesh.vertices[tri]
-        lo = p.min(axis=1)
-        hi = p.max(axis=1)
+        """Uniform bucket grid over the mesh's bounding box, stored as CSR:
+        the cells whose bounding box meets bucket b are
+        ids[start[b]:start[b + 1]], in increasing index order."""
+        p = self.mesh.vertices[self.mesh.triangles]
         box_lo = self.mesh.vertices.min(axis=0)
         box_hi = self.mesh.vertices.max(axis=0)
-        ncell = max(8, int(math.sqrt(len(tri))))
+        ncell = max(8, int(math.sqrt(len(p))))
         size = (box_hi - box_lo) / ncell
         size[size == 0] = 1.0
-        buckets: dict[tuple[int, int], list[int]] = {}
-        ilo = np.clip(((lo - box_lo) / size).astype(int), 0, ncell - 1)
-        ihi = np.clip(((hi - box_lo) / size).astype(int), 0, ncell - 1)
-        for t in range(len(tri)):
-            for ix in range(ilo[t, 0], ihi[t, 0] + 1):
-                for iy in range(ilo[t, 1], ihi[t, 1] + 1):
-                    buckets.setdefault((ix, iy), []).append(t)
-        self._locator = (box_lo, size, ncell, buckets)
+        ilo = np.clip(((p.min(axis=1) - box_lo) / size).astype(np.int64),
+                      0, ncell - 1)
+        ihi = np.clip(((p.max(axis=1) - box_lo) / size).astype(np.int64),
+                      0, ncell - 1)
+        span = ihi - ilo + 1
+        count = span[:, 0] * span[:, 1]
+        cell = np.repeat(np.arange(len(p)), count)
+        k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
+        bucket = ((ilo[cell, 0] + k // span[cell, 1]) * ncell
+                  + ilo[cell, 1] + k % span[cell, 1])
+        order = np.argsort(bucket, kind="stable")
+        start = np.searchsorted(bucket[order], np.arange(ncell * ncell + 1))
+        # corners and barycentric gradients as (x or y, vertex, cell) tables
+        self._locator = (box_lo, size, ncell, cell[order], start,
+                         p.T.copy(), self.bgrads.T.copy())
 
-    def locate(self, x1, rho, tol: float = 1e-10):
+    def locate(self, x1, rho):
         """Find containing triangles and barycentric coordinates.
 
-        Returns (tri_indices, bary) with tri = -1 for points outside."""
+        A point belongs to the first cell of its bucket, in index order,
+        whose barycentric coordinates are all >= -1e-10.  Returns
+        (tri_indices, bary) with tri = -1 for points outside."""
         if self._locator is None:
             self._build_locator()
-        box_lo, size, ncell, buckets = self._locator
-        x1 = np.atleast_1d(np.asarray(x1, dtype=float))
-        rho = np.atleast_1d(np.asarray(rho, dtype=float))
-        pts = np.stack([x1, rho], axis=1)
+        box_lo, size, ncell, ids, start, (vx, vy), (gx, gy) = self._locator
+        pts = np.stack([np.atleast_1d(np.asarray(x1, dtype=float)),
+                        np.atleast_1d(np.asarray(rho, dtype=float))], axis=1)
         tri_out = np.full(len(pts), -1, dtype=np.int64)
         bary_out = np.zeros((len(pts), 3))
-        area, grads = self.cell_geometry()
-        verts = self.mesh.vertices
-        tris = self.mesh.triangles
-        for i, (px, py) in enumerate(pts):
-            ix = min(max(int((px - box_lo[0]) / size[0]), 0), ncell - 1)
-            iy = min(max(int((py - box_lo[1]) / size[1]), 0), ncell - 1)
-            best_t, best_b, best_m = -1, None, -np.inf
-            for t in buckets.get((ix, iy), ()):
-                a, b, c = tris[t]
-                # barycentric via the cached gradients: lam_k is affine with
-                # gradient grads[t, k] and value 1 at vertex k
-                lam = np.empty(3)
-                for k, vk in enumerate((a, b, c)):
-                    lam[k] = 1.0 + grads[t, k] @ (pts[i] - verts[vk])
-                m = lam.min()
-                if m > best_m:
-                    best_t, best_b, best_m = t, lam, m
-                if m >= -tol:
-                    break
-            if best_t >= 0 and best_m >= -tol:
-                tri_out[i] = best_t
-                bary_out[i] = np.clip(best_b, 0.0, None)
-                bary_out[i] /= bary_out[i].sum()
+        # a non-finite point lands in bucket 0 and matches no cell there
+        ij = np.nan_to_num(np.clip((pts - box_lo) / size, 0, ncell - 1))
+        bucket = ij[:, 0].astype(np.int64) * ncell + ij[:, 1].astype(np.int64)
+        first = start[bucket]
+        count = start[bucket + 1] - first
+        # (point, candidate) pairs in batches of about _LOCATE_PAIRS, so the
+        # memory stays bounded however many points share a crowded bucket
+        before = np.cumsum(count) - count
+        cuts = np.flatnonzero(np.diff(before // _LOCATE_PAIRS)) + 1
+        for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, len(pts)]):
+            n = count[lo:hi]
+            pt = np.repeat(np.arange(lo, hi), n)
+            k = np.arange(len(pt)) - np.repeat(np.cumsum(n) - n, n)
+            cand = ids[first[pt] + k]
+            x, y = pts[pt].T
+            # lam_j is affine with gradient bgrads[t, j] and value 1 at
+            # vertex j of cell t; lam is (3, pairs)
+            lam = np.array([1.0 + (gx[j, cand] * (x - vx[j, cand])
+                                   + gy[j, cand] * (y - vy[j, cand]))
+                            for j in range(3)])
+            hit = np.flatnonzero(lam.min(axis=0) >= -_LOCATE_TOL)
+            hit = hit[np.unique(pt[hit], return_index=True)[1]]
+            b = np.clip(lam[:, hit].T, 0.0, None)
+            tri_out[pt[hit]] = cand[hit]
+            bary_out[pt[hit]] = b / b.sum(axis=1, keepdims=True)
         return tri_out, bary_out
 
 
@@ -278,24 +290,19 @@ class Discretization:
 # ----------------------------------------------------------------------------
 
 def _assemble_form(disc: Discretization, kind: str,
-                   coeff: Callable | None = None,
-                   degree: int | None = None) -> sp.csr_matrix:
+                   coeff: Callable | None = None) -> sp.csr_matrix:
     """kind 'stiffness' or 'mass'; coeff(x1, rho) multiplies the integrand."""
-    if degree is None:
-        if kind == "stiffness":
-            degree = 2 if disc.order == 1 else 4
-        else:
-            degree = 4 if disc.order == 1 else 6
-        if coeff is not None:
-            degree = max(degree, 6)
-    bary, wts = _dunavant(degree)
-    if disc.order == 1:
-        shp, dshp = _p1_shapes(bary)
+    if kind == "stiffness":
+        degree = 2 if disc.order == 1 else 4
     else:
-        shp, dshp = _p2_shapes(bary)
+        degree = 4 if disc.order == 1 else 6
+    if coeff is not None:
+        degree = max(degree, 6)
+    bary, wts = _dunavant(degree)
+    shp, dshp = (_p1_shapes if disc.order == 1 else _p2_shapes)(bary)
     nloc = shp.shape[1]
 
-    area, bgrads = disc.cell_geometry()
+    area, bgrads = disc.area, disc.bgrads
     tris = disc.mesh.triangles
     p = disc.mesh.vertices[tris]
     # physical quadrature points: (ncell, q, 2)
@@ -339,12 +346,11 @@ def assemble_mass(disc: Discretization,
     return _assemble_form(disc, "mass", coeff=coeff)
 
 
-def assemble_load(disc: Discretization, f: Callable,
-                  degree: int = 6) -> np.ndarray:
-    """Load vector int f v rho^m."""
-    bary, wts = _dunavant(degree)
+def assemble_load(disc: Discretization, f: Callable) -> np.ndarray:
+    """Load vector int f v rho^m (degree-6 rule)."""
+    bary, wts = _dunavant(6)
     shp = _p1_shapes(bary)[0] if disc.order == 1 else _p2_shapes(bary)[0]
-    area, _ = disc.cell_geometry()
+    area = disc.area
     p = disc.mesh.vertices[disc.mesh.triangles]
     qpts = np.einsum("qk,tkd->tqd", bary, p)
     rho_m = qpts[..., 1] ** disc.measure_exponent \
@@ -379,12 +385,9 @@ class AssembledSystem:
             self._lu = spla.splu(self.K.tocsc())
         return self._lu
 
-    def expand(self, reduced: np.ndarray,
-               fixed_values: np.ndarray | None = None) -> np.ndarray:
+    def expand(self, reduced: np.ndarray) -> np.ndarray:
         full = np.zeros(self.disc.n_nodes)
         full[self.free] = reduced
-        if fixed_values is not None:
-            full[self.fixed] = fixed_values
         return full
 
 
@@ -455,24 +458,19 @@ class FieldSolution:
     def __call__(self, x1, rho):
         return self.evaluate(x1, rho)
 
-    def evaluate(self, x1, rho, outside=np.nan):
+    def evaluate(self, x1, rho):
+        """Field values at the points; NaN outside the mesh."""
         x1 = np.asarray(x1, dtype=float)
         scalar = x1.ndim == 0
         x1 = np.atleast_1d(x1)
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         x1b, rhob = np.broadcast_arrays(x1, rho)
         tri, bary = self.disc.locate(x1b.ravel(), rhob.ravel())
-        out = np.full(tri.shape, float(outside))
+        out = np.full(tri.shape, np.nan)
         ok = tri >= 0
-        if ok.any():
-            if self.disc.order == 1:
-                cells = self.disc.cells[tri[ok]]
-                out[ok] = np.einsum("pk,pk->p", bary[ok],
-                                    self.values[cells])
-            else:
-                shp = _p2_shapes(bary[ok])[0]
-                cells = self.disc.cells[tri[ok]]
-                out[ok] = np.einsum("pk,pk->p", shp, self.values[cells])
+        shapes = _p1_shapes if self.disc.order == 1 else _p2_shapes
+        out[ok] = np.einsum("pk,pk->p", shapes(bary[ok])[0],
+                            self.values[self.disc.cells[tri[ok]]])
         out = out.reshape(x1b.shape)
         return float(out[0]) if scalar and out.size == 1 else out
 
@@ -580,19 +578,14 @@ def refine_eigenpair(system: AssembledSystem, pair: EigenPair,
     return EigenPair(float(lam), FieldSolution(system.disc, full), res)
 
 
-def mass_normalize(system: AssembledSystem, pair: EigenPair,
-                   orient: Callable | None = None) -> EigenPair:
-    """Scale so int p u^2 rho^m = 1 and fix the sign (orient(field) > 0;
-    defaults to positivity of the weighted mean)."""
+def mass_normalize(system: AssembledSystem, pair: EigenPair) -> EigenPair:
+    """Scale so int p u^2 rho^m = 1 and fix the sign so that the weighted
+    mean is positive."""
     v = pair.field.values
     m = float(v @ (system.Mp_full @ v))
     if m <= 0:
         raise ValueError("field has no weighted mass")
     v = v / math.sqrt(m)
-    fld = FieldSolution(system.disc, v)
-    s = orient(fld) if orient is not None \
-        else float(np.ones_like(v) @ (system.Mp_full @ v))
-    if s < 0:
+    if float(np.ones_like(v) @ (system.Mp_full @ v)) < 0:
         v = -v
-        fld = FieldSolution(system.disc, v)
-    return EigenPair(pair.lam, fld, pair.residual)
+    return EigenPair(pair.lam, FieldSolution(system.disc, v), pair.residual)

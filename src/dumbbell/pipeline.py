@@ -20,6 +20,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dfield
+from pathlib import Path
 
 import numpy as np
 
@@ -201,18 +202,26 @@ def _compute_profiles(cfg: RunConfig, level: int) -> ProfileSet:
 
 
 def run_profiles(cfg: RunConfig, return_fields: bool = False):
-    """Profile constants for a config, cached on disk by config hash."""
+    """Profile constants for a config, cached on disk by config hash; a
+    cache file that other package source wrote is recomputed and replaced."""
     cfg.validate()
     cache_path = os.path.join(cfg.out_dir, "cache",
                               f"profiles-{cfg.hash()}.json")
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + path.read_bytes())
+    source = h.hexdigest()
     if cfg.cache and not return_fields and os.path.exists(cache_path):
         with open(cache_path) as fh:
-            return ProfileConstants.from_dict(json.load(fh))
+            blob = json.load(fh)
+        if blob.get("source") == source:
+            return ProfileConstants.from_dict(blob["constants"])
     pset = _compute_profiles(cfg, cfg.profile_level)
     if cfg.cache:
         os.makedirs(os.path.dirname(cache_path), exist_ok=True)
         with open(cache_path, "w") as fh:
-            json.dump(pset.constants.to_dict(), fh, indent=1)
+            json.dump({"source": source,
+                       "constants": pset.constants.to_dict()}, fh, indent=1)
     return pset if return_fields else pset.constants
 
 
@@ -261,6 +270,15 @@ def _annulus_samples(center: float, radii, side: int, n_phi: int = 25):
         pts_x.append(center + r * np.cos(phis))
         pts_r.append(r * np.sin(phis))
     return np.concatenate(pts_x), np.concatenate(pts_r)
+
+
+def _count_samples(samples: dict, window: str, valid: int, total: int):
+    """Record the samples behind a sup-norm figure; a non-finite one (say,
+    a point the locator missed) fails the entry instead of leaving the sup."""
+    if valid != total:
+        raise ValueError(f"window {window}: {total - valid} of {total} "
+                         "samples are not finite")
+    samples[window] = int(valid)
 
 
 def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
@@ -342,30 +360,34 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
                                      lam=pair.lam)
     n_eps_half = float(freq.N[0])
 
-    # blow-up comparisons
+    # blow-up comparisons; `samples` counts the points behind each sup
     comparisons = {}
+    samples = {}
     if direct:
         view = almgren.blowup(u.evaluate, "RightJunction", eps)
         x1, rho = _annulus_samples(1.0, (1.6, 2.0, 2.4), +1)
-        ref_sup = float(np.nanmax(np.abs(con.d0 * pset.phi(x1, rho))))
+        ref_sup = float(np.max(np.abs(con.d0 * pset.phi(x1, rho))))
         out = almgren.compare_views(
             view, lambda a, b: con.d0 * pset.phi(a, b), x1, rho)
+        _count_samples(samples, "right_vs_d0Phi", out["samples"], x1.size)
         comparisons["right_vs_d0Phi"] = out["sup"] / ref_sup
 
         uhat = almgren.blowup(u.evaluate, "LeftJunction", eps, dimension=n)
         x1, rho = _annulus_samples(0.0, (1.6, 2.0, 2.4), -1)
         c_hat = con.c_hat
-        ref_sup = float(np.nanmax(np.abs(c_hat * pset.phihat(x1, rho))))
+        ref_sup = float(np.max(np.abs(c_hat * pset.phihat(x1, rho))))
         out = almgren.compare_views(
             uhat, lambda a, b: c_hat * pset.phihat(a, b), x1, rho)
+        _count_samples(samples, "left_vs_PhiHat", out["samples"], x1.size)
         comparisons["left_vs_PhiHat"] = out["sup"] / ref_sup
 
         view = almgren.blowup(u.evaluate, "Channel", eps, x0=0.5,
                               dimension=n)
         rr = np.linspace(0.02, 0.98, 33)
-        w1 = view(np.ones_like(rr), rr)
-        comparisons["channel_vs_psi1"] = float(
-            np.nanmax(np.abs(w1 - mode.psi1(rr))))
+        dev = np.abs(view(np.ones_like(rr), rr) - mode.psi1(rr))
+        _count_samples(samples, "channel_vs_psi1", np.isfinite(dev).sum(),
+                       rr.size)
+        comparisons["channel_vs_psi1"] = float(np.max(dev))
         # one-mode dominance at mid-tube: phi(t)^2 / Htilde(t) -> 1
         phi_mid = cs.project_section(u.evaluate, 0.5, eps, mode)
         ht_mid = ch.htilde(u.evaluate, 0.5, eps, n)[0]
@@ -379,8 +401,10 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
                                   dimension=n)
             ref = lambda a, b, _k=kt: pset.ubar(a, b) / math.sqrt(
                 con.norm_gamma[_k])
-            ref_sup = float(np.nanmax(np.abs(ref(x1_in, rho_in))))
+            ref_sup = float(np.max(np.abs(ref(x1_in, rho_in))))
             out = almgren.compare_views(view, ref, x1_in, rho_in)
+            _count_samples(samples, f"normalized_vs_Ubar[kt={kt:g}]",
+                           out["samples"], x1_in.size)
             norm_dev[kt] = out["sup"] / ref_sup
         comparisons["normalized_vs_Ubar"] = norm_dev
 
@@ -416,8 +440,8 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
         lhs = scale * u.evaluate(x1_in, rho_in)
         rhs = big * pset.ubar(x1_in, rho_in)
         ok = np.isfinite(lhs) & np.isfinite(rhs)
-        ratios["R6"] = float(np.max(np.abs(lhs[ok] - rhs[ok]))
-                             / np.max(np.abs(rhs[ok])))
+        _count_samples(samples, "R6", ok.sum(), ok.size)
+        ratios["R6"] = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
 
     entry = {
         "eps": eps,
@@ -440,6 +464,7 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
         "beta_cascade": beta_cascade.to_dict(),
         "n_eps_half": n_eps_half,
         "comparisons": comparisons,
+        "samples": samples,
         "ratios": ratios,
     }
     return entry

@@ -118,6 +118,32 @@ class TestFrequencyChannel:
         tr = A.frequency_channel(u, eps, [0.4, 0.6], mesh=mesh, gradient=du)
         assert np.all(np.abs(tr.N - SL1) < 1e-3)
 
+    def test_linear_field_energy_oracle(self):
+        # u = x1 has |grad u| = 1, so the energy over x1 < t is omega times
+        # int rho: exact per cell (area times centroid rho) on the left
+        # body, t eps^2 / 2 on the tube
+        eps = 0.2
+        mesh = build_dumbbell_mesh(MeshConfig(h0=0.15, eps=eps, levels=8,
+                                              r_out=12.0))
+        p = mesh.vertices[mesh.triangles]
+        left = p[..., 0].mean(axis=1) < 0.0
+        body = np.sum(np.abs(mesh.signed_areas()[left])
+                      * p[left][..., 1].mean(axis=1))
+        omega = cs.sphere_surface_area(1)
+
+        def u(x1, rho):
+            return x1 + 0.0 * rho
+
+        def du(x1, rho):
+            return np.stack([np.ones_like(x1), np.zeros_like(x1)], axis=-1)
+
+        xs = np.unique(mesh.vertices[:, 0])
+        on_line = float(xs[np.argmin(np.abs(xs - 0.5))])
+        for t, tol in ((on_line, 1e-12), (0.4, 1e-8)):
+            tr = A.frequency_channel(u, eps, [t], mesh=mesh, gradient=du)
+            ref = omega * (body + t * eps ** 2 / 2)
+            assert tr.D[0] == pytest.approx(ref, rel=tol)
+
     def test_discrete_bound_and_log_derivative(self, dumbbell_pair):
         from dumbbell import channel as ch
         eps = 0.2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import scipy.sparse as sp
 from dumbbell import cross_section as cs
 from dumbbell import fem
 from dumbbell import mesh as M
+from dumbbell.pipeline import RunConfig
 
 
 def half_disk_mesh(n_rad, n_theta):
@@ -324,3 +326,68 @@ def test_field_evaluation_and_gradient():
     # P2 represents quadratics exactly
     assert f.evaluate(-1.3, 0.7) == pytest.approx(1.3**2 - 0.7**2, rel=1e-12)
     assert np.isnan(f.evaluate(5.0, 5.0))
+
+
+def brute_force_locate(mesh, pts, tol=1e-10):
+    """First cell in index order whose barycentrics (by cross products) are
+    all >= -tol; the reference for Discretization.locate."""
+    a, b, c = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
+
+    def cross(u, v):
+        return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+
+    det = cross(b - a, c - a)
+    tri = np.full(len(pts), -1)
+    bary = np.zeros((len(pts), 3))
+    for i, p in enumerate(pts):
+        lam = np.stack([cross(b - p, c - p), cross(c - p, a - p),
+                        cross(a - p, b - p)], axis=1) / det[:, None]
+        hit = np.flatnonzero(lam.min(axis=1) >= -tol)
+        if len(hit):
+            tri[i] = hit[0]
+            lam = np.clip(lam[hit[0]], 0.0, None)
+            bary[i] = lam / lam.sum()
+    return tri, bary
+
+
+class TestLocate:
+    def test_matches_brute_force_scan(self):
+        mesh = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.2, levels=4,
+                                                  r_out=7.0))
+        disc = fem.Discretization(mesh)
+        rng = np.random.default_rng(7)
+        v = mesh.vertices
+        table = M.edge_table(mesh.triangles)
+        shared = table.edges[table.counts == 2]
+        s = rng.uniform(0.0, 1.0, (len(shared), 1))
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        pts = np.vstack([
+            rng.uniform(lo - 0.5, hi + 0.5, (1500, 2)),  # inside and out
+            v,
+            v[shared[:, 0]] + s * (v[shared[:, 1]] - v[shared[:, 0]]),
+            [[0.5, 0.5], [0.5, -0.1], [-20.0, 1.0], [30.0, 30.0],
+             [np.nan, 1.0]],
+        ])
+        tri, bary = disc.locate(pts[:, 0], pts[:, 1])
+        ref_tri, ref_bary = brute_force_locate(mesh, pts)
+        assert np.array_equal(tri, ref_tri)
+        assert np.all(tri[len(pts) - 5:] == -1)  # gap, far and NaN points
+        assert np.all(tri[1500:1500 + len(v)] >= 0)
+        assert np.allclose(bary, ref_bary, rtol=0.0, atol=1e-12)
+
+    def test_memory_bounded_in_crowded_buckets(self):
+        # the junction bucket of the level-1 eps = 0.1 mesh holds thousands
+        # of graded cells, so tube points meet that many candidates each
+        mesh = M.refine(M.build_dumbbell_mesh(RunConfig().mesh_config(0.1)))
+        disc = fem.Discretization(mesh)
+        rng = np.random.default_rng(3)
+        x1 = rng.uniform(0.0, 1.0, 20000)
+        rho = rng.uniform(0.0, 0.1, 20000)
+        tracemalloc.start()
+        try:
+            tri, _ = disc.locate(x1, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(tri >= 0)
+        assert peak < 64e6

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -170,6 +171,24 @@ class TestProfileCache:
         assert cache.stat().st_mtime_ns == stamp  # not recomputed
         assert first.to_dict() == second.to_dict()
 
+    def test_cache_from_other_source_is_recomputed(self, tmp_path):
+        cfg = pl.RunConfig(out_dir=str(tmp_path), **COARSE)
+        first = pl.run_profiles(cfg)
+        cache = tmp_path / "cache" / f"profiles-{cfg.hash()}.json"
+        blob = json.loads(cache.read_text())
+        source = blob["source"]
+        blob["source"] = "0" * 64
+        blob["constants"]["c_phi"] = -1.0
+        cache.write_text(json.dumps(blob))
+        again = pl.run_profiles(cfg)
+        assert again.c_phi == pytest.approx(first.c_phi, rel=1e-9)
+        assert json.loads(cache.read_text())["source"] == source
+        # the old format held the bare constants; it is a miss too
+        cache.write_text(json.dumps(dict(first.to_dict(), c_phi=-1.0)))
+        assert pl.run_profiles(cfg).c_phi == pytest.approx(first.c_phi,
+                                                           rel=1e-9)
+        assert json.loads(cache.read_text())["source"] == source
+
     def test_cache_disabled(self, tmp_path):
         cfg = pl.RunConfig(out_dir=str(tmp_path), cache=False, **COARSE)
         pl.run_profiles(cfg)
@@ -177,10 +196,16 @@ class TestProfileCache:
 
 
 @pytest.fixture(scope="module")
-def coarse_record(tmp_path_factory):
+def coarse_pset():
+    cfg = pl.RunConfig(cache=False, **COARSE)
+    return pl.run_profiles(cfg, return_fields=True)
+
+
+@pytest.fixture(scope="module")
+def coarse_record(tmp_path_factory, coarse_pset):
     out = str(tmp_path_factory.mktemp("sweep"))
     cfg = pl.RunConfig(out_dir=out, **COARSE)
-    record = pl.run_sweep(cfg)
+    record = pl.run_sweep(cfg, coarse_pset)
     pl.emit(record, out)
     return cfg, record, out
 
@@ -224,6 +249,28 @@ class TestSweep:
             bd = ScaledAmplitude.from_dict(entry["b_defect"])
             bc = ScaledAmplitude.from_dict(entry["b_cascade"])
             assert (bd / bc).to_float() == pytest.approx(1.0, abs=0.5)
+
+    def test_sample_counts_recorded(self, coarse_record):
+        _, rec, _ = coarse_record
+        full = {"right_vs_d0Phi": 75, "left_vs_PhiHat": 75,
+                "channel_vs_psi1": 33, "R6": 75}
+        full.update({f"normalized_vs_Ubar[kt={kt:g}]": 75
+                     for kt in (0.5, 1.0, 1.5)})
+        for entry in rec.sweep:
+            assert entry["samples"] == full
+
+    def test_non_finite_sample_fails_entry(self, coarse_pset):
+        ubar = coarse_pset.ubar
+
+        def ubar_with_hole(x1, rho):
+            out = np.array(ubar(x1, rho), dtype=float)
+            out.flat[0] = np.nan
+            return out
+
+        pset = dataclasses.replace(coarse_pset, ubar=ubar_with_hole)
+        cfg = pl.RunConfig(cache=False, **COARSE)
+        with pytest.raises(ValueError, match=r"normalized_vs_Ubar\[kt=0.5\]"):
+            pl._sweep_entry(cfg, 0.3, pset)
 
     def test_failed_entry_keeps_sweep_alive(self, monkeypatch, tmp_path):
         cfg = pl.RunConfig(out_dir=str(tmp_path), **COARSE)
