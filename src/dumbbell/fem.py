@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -165,21 +165,16 @@ def _cell_geometry(vertices, triangles):
 
 
 class Discretization:
-    """Nodes and cells of a P1 or P2 space on a meridian mesh.
-
-    measure_exponent m gives the meridian volume weight rho^m (m = N-2 by
-    default; m = 0 turns the forms into plain 2D ones for test harnesses).
+    """Nodes and cells of a P1 or P2 space on a meridian mesh; the forms
+    carry the meridian volume weight rho^m with m = measure_exponent = N-2.
     """
 
-    def __init__(self, mesh: MeridianMesh, order: int = 1,
-                 measure_exponent: int | None = None):
+    def __init__(self, mesh: MeridianMesh, order: int = 1):
         if order not in (1, 2):
             raise ValueError("element order must be 1 or 2")
         self.mesh = mesh
         self.order = order
-        n = mesh.params.get("dimension", 3)
-        self.measure_exponent = (n - 2) if measure_exponent is None \
-            else measure_exponent
+        self.measure_exponent = mesh.params.get("dimension", 3) - 2
 
         if order == 1:
             self.nodes = mesh.vertices
@@ -392,9 +387,9 @@ class AssembledSystem:
 
 
 def assemble(mesh_or_disc, weight: WeightModel | Callable,
-             order: int = 1,
-             dirichlet_tags: Sequence[str] | None = None) -> AssembledSystem:
-    """Assemble K (SPD on free nodes) and M_p (PSD) for -Du = l p u."""
+             order: int = 1) -> AssembledSystem:
+    """Assemble K (SPD on free nodes) and M_p (PSD) for -Du = l p u, with
+    Dirichlet conditions on `Discretization.dirichlet_tags()`."""
     disc = mesh_or_disc if isinstance(mesh_or_disc, Discretization) \
         else Discretization(mesh_or_disc, order=order)
     K_full = assemble_stiffness(disc)
@@ -402,9 +397,7 @@ def assemble(mesh_or_disc, weight: WeightModel | Callable,
         Mp_full = sp.csr_matrix((disc.n_nodes, disc.n_nodes))
     else:
         Mp_full = assemble_mass(disc, coeff=weight)
-    tags = disc.dirichlet_tags() if dirichlet_tags is None \
-        else tuple(dirichlet_tags)
-    fixed = disc.boundary_nodes(*tags)
+    fixed = disc.boundary_nodes(*disc.dirichlet_tags())
     free, K = eliminate(K_full, fixed)
     _, Mp = eliminate(Mp_full, fixed)
     return AssembledSystem(disc, K, Mp, K_full, Mp_full, free, fixed, weight)
@@ -477,12 +470,15 @@ class FieldSolution:
 
 def solve_dirichlet(mesh_or_disc, boundary_data: dict,
                     rhs: Callable | None = None,
-                    rhs_vector: np.ndarray | None = None,
+                    lift: Callable | None = None,
                     order: int = 1) -> FieldSolution:
     """Solve -div(rho^m grad u) = rho^m f with essential data per tag.
 
     boundary_data maps tag -> callable(x1, rho) or constant; every tag in
-    the map is treated as essential, the axis is always natural.
+    the map is treated as essential, the axis is always natural.  With a
+    closed-form carried part lift(x1, rho), the returned field is the
+    remainder w of the solution I(lift) + w: the load gains -K I(lift),
+    I being nodal interpolation, and the data apply to w.
     """
     disc = mesh_or_disc if isinstance(mesh_or_disc, Discretization) \
         else Discretization(mesh_or_disc, order=order)
@@ -490,8 +486,8 @@ def solve_dirichlet(mesh_or_disc, boundary_data: dict,
     F = np.zeros(disc.n_nodes)
     if rhs is not None:
         F += assemble_load(disc, rhs)
-    if rhs_vector is not None:
-        F += rhs_vector
+    if lift is not None:
+        F -= K @ lift(disc.nodes[:, 0], disc.nodes[:, 1])
 
     g = np.zeros(disc.n_nodes)
     for tag, data in boundary_data.items():

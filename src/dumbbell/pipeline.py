@@ -80,13 +80,27 @@ class RunConfig:
             raise ValueError("sweep needs at least two eps values")
         if any(b >= a for a, b in zip(sweep, sweep[1:])):
             raise ValueError("eps sweep must be strictly decreasing")
+        if not all(0 < e < 0.5 for e in sweep):
+            raise ValueError("every eps must lie in (0, 0.5)")
         if not self.cascade_only and min(sweep) < 0.05:
             raise ValueError(
                 "eps < 0.05 requires cascade-only mode (direct left-side "
                 "reads are below the eigensolver noise floor)")
-        lo, hi = self.fit_window
-        if not (0 < lo < hi < 1):
-            raise ValueError("fit window must sit inside the tube")
+        for name in ("fit_window", "fit_window_left"):
+            lo, hi = getattr(self, name)
+            if not (0 < lo < hi < 1):
+                raise ValueError(f"{name} must sit inside the tube: "
+                                 "0 < lo < hi < 1")
+        if not all(0 < x0 < 1 for x0 in self.x0_list):
+            raise ValueError("every x0 must lie inside the tube, in (0, 1)")
+        if self.fit_points < 4:
+            raise ValueError("fit_points must be at least 4")
+        if not all(k > 0 for k in self.ktilde_list):
+            raise ValueError("every ktilde must be positive")
+        if self.order not in (1, 2):
+            raise ValueError("element order must be 1 or 2")
+        if self.sweep_level < 0 or self.profile_level < 0:
+            raise ValueError("refinement levels must be non-negative")
         return self
 
     def canonical(self) -> dict:
@@ -173,26 +187,25 @@ def _compute_profiles(cfg: RunConfig, level: int) -> ProfileSet:
     mc = cfg.mesh_config()
     weight = cfg.weight()
     mode = cs.disk_ground_mode(cfg.dimension)
-    try:
-        u0, lam_k0, d0 = prof.compute_u0(mc, level=level, order=cfg.order,
-                                         weight=weight)
-    except Exception as exc:
-        raise RuntimeError(f"profile stage 'u0' failed: {exc}") from exc
-    try:
-        phi, c_phi = prof.compute_Phi(mc, level=level, order=cfg.order)
-    except Exception as exc:
-        raise RuntimeError(f"profile stage 'Phi' failed: {exc}") from exc
-    try:
-        phihat, c_phihat, m_phihat = prof.compute_PhiHat(
-            mc, level=level, order=cfg.order)
-    except Exception as exc:
-        raise RuntimeError(f"profile stage 'PhiHat' failed: {exc}") from exc
-    try:
-        ubar, norms = prof.compute_Ubar(mc, weight, lam_k0, level=level,
-                                        order=cfg.order,
-                                        ktilde=cfg.ktilde_list)
-    except Exception as exc:
-        raise RuntimeError(f"profile stage 'Ubar' failed: {exc}") from exc
+    kw = {"level": level, "order": cfg.order}
+    out = {}
+    stages = (
+        ("u0", lambda: prof.compute_u0(mc, weight=weight, **kw)),
+        ("Phi", lambda: prof.compute_Phi(mc, **kw)),
+        ("PhiHat", lambda: prof.compute_PhiHat(mc, **kw)),
+        # Ubar's shift is the u0 eigenvalue
+        ("Ubar", lambda: prof.compute_Ubar(mc, weight, out["u0"][1],
+                                           ktilde=cfg.ktilde_list, **kw)))
+    for name, solve in stages:
+        try:
+            out[name] = solve()
+        except Exception as exc:
+            raise RuntimeError(
+                f"profile stage {name!r} failed: {exc}") from exc
+    u0, lam_k0, d0 = out["u0"]
+    phi, c_phi = out["Phi"]
+    phihat, c_phihat, m_phihat = out["PhiHat"]
+    ubar, norms = out["Ubar"]
     a0 = cs.project_section(phihat, 0.0, 1.0, mode)
     constants = ProfileConstants(
         lam_k0=lam_k0, d0=d0, d0_spread=u0.metadata["d0_spread"],

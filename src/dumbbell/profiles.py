@@ -125,8 +125,22 @@ def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
 
 
 # ----------------------------------------------------------------------------
-# Phi
+# Phi and PhiHat
 # ----------------------------------------------------------------------------
+
+def _harmonic_profile(domain: str, cfg: MeshConfig, level: int, order: int,
+                      lift: Callable, tags) -> ProfileSolution:
+    """Harmonic profile on a profile domain: the closed-form lift plus a
+    finite element remainder that vanishes on the edges with the given
+    tags (the axis stays natural)."""
+    mesh = _maybe_refine(build_profile_mesh(domain, cfg), level)
+    disc = fem.Discretization(mesh, order=order)
+    sol = fem.solve_dirichlet(disc, dict.fromkeys(tags, 0.0), lift=lift)
+    return ProfileSolution(
+        domain.removesuffix("Domain"), sol, lift,
+        {"r_out": cfg.r_out, "tube_length": cfg.tube_length,
+         "level": level, "order": order})
+
 
 def compute_Phi(cfg: MeshConfig, level: int = 0, order: int = 2):
     """Harmonic profile growing like (x1-1)+ in D+, decaying in the tube.
@@ -135,31 +149,16 @@ def compute_Phi(cfg: MeshConfig, level: int = 0, order: int = 2):
     for |x-e1| >= 2; the remainder gets homogeneous data everywhere, so
     Phi equals x1-1 on the far hemisphere and 0 at the deep tube end.
     """
-    mesh = _maybe_refine(build_profile_mesh("PhiDomain", cfg), level)
-    disc = fem.Discretization(mesh, order=order)
-
     def lift(x1, rho):
         r = np.hypot(x1 - 1.0, rho)
         return smoothstep(r, 1.0, 2.0) * np.maximum(x1 - 1.0, 0.0)
 
-    K = fem.assemble_stiffness(disc)
-    lift_nodal = lift(disc.nodes[:, 0], disc.nodes[:, 1])
-    sol = fem.solve_dirichlet(
-        disc, {"dirichlet_wall": 0.0, "truncation": 0.0},
-        rhs_vector=-(K @ lift_nodal))
-
-    profile = ProfileSolution(
-        "Phi", sol, lift,
-        {"r_out": cfg.r_out, "tube_length": cfg.tube_length,
-         "level": level, "order": order})
-    mode = cs.disk_ground_mode(mesh.params.get("dimension", 3))
-    c_phi = cs.project_section(profile, 1.0, 1.0, mode)
+    profile = _harmonic_profile("PhiDomain", cfg, level, order, lift,
+                                ("dirichlet_wall", "truncation"))
+    c_phi = cs.project_section(profile, 1.0, 1.0,
+                               cs.disk_ground_mode(cfg.dimension))
     return profile, c_phi
 
-
-# ----------------------------------------------------------------------------
-# PhiHat
-# ----------------------------------------------------------------------------
 
 def compute_PhiHat(cfg: MeshConfig, level: int = 0, order: int = 2):
     """Harmonic profile on D- plus the unit tube, growing like the tube
@@ -169,26 +168,16 @@ def compute_PhiHat(cfg: MeshConfig, level: int = 0, order: int = 2):
     remainder vanishes on the inflow face (PhiHat = h there), on the walls
     and on the far hemisphere.
     """
-    mesh = _maybe_refine(build_profile_mesh("PhiHatDomain", cfg), level)
-    n = mesh.params.get("dimension", 3)
+    n = cfg.dimension
     mode = cs.disk_ground_mode(n)
-    disc = fem.Discretization(mesh, order=order)
 
     def lift(x1, rho):
         val = smoothstep(x1, 0.5, 2.0) * np.exp(mode.sqrt_lambda1 * x1) \
             * mode.psi1(np.minimum(rho, 1.0))
         return np.where(rho <= 1.0, val, 0.0)
 
-    K = fem.assemble_stiffness(disc)
-    lift_nodal = lift(disc.nodes[:, 0], disc.nodes[:, 1])
-    sol = fem.solve_dirichlet(
-        disc, {"dirichlet_wall": 0.0, "truncation": 0.0, "inflow": 0.0},
-        rhs_vector=-(K @ lift_nodal))
-
-    profile = ProfileSolution(
-        "PhiHat", sol, lift,
-        {"r_out": cfg.r_out, "tube_length": cfg.tube_length,
-         "level": level, "order": order})
+    profile = _harmonic_profile("PhiHatDomain", cfg, level, order, lift,
+                                ("dirichlet_wall", "truncation", "inflow"))
     c_phihat = cs.project_sphere(profile, 0.0, 1.0, -1, n)
     m_phihat = cs.section_mass(profile, 1.0, 1.0, n)
     return profile, c_phihat, m_phihat

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dumbbell import cross_section as cs
 from dumbbell import fem
 from dumbbell import mesh as M
 from dumbbell.pipeline import RunConfig
@@ -148,6 +147,18 @@ class TestSolveDirichlet:
         err = np.abs(sol.values - sol.disc.nodes[:, 1] ** 2).max()
         assert err < 1e-9
 
+    def test_lift_of_discrete_harmonic_leaves_zero_remainder(self):
+        # L = x1^2 - rho^2/2 is axisymmetric harmonic and lies in P2, so
+        # with zero data the remainder of the lifted solve is roundoff
+        m = M.refine(M.build_profile_mesh("HalfPlus",
+                                          M.MeshConfig(h0=0.6, r_out=8.0)))
+        disc = fem.Discretization(m, order=2)
+        lift = lambda x, r: x ** 2 - 0.5 * r ** 2
+        sol = fem.solve_dirichlet(
+            disc, {"dirichlet_wall": 0.0, "truncation": 0.0}, lift=lift)
+        scale = np.abs(lift(disc.nodes[:, 0], disc.nodes[:, 1])).max()
+        assert np.abs(sol.values).max() <= 1e-10 * scale
+
     def test_self_convergence_poisson(self):
         # solve -Delta u = 1 on the dumbbell and compare energy-norm changes
         # across refinements: change should shrink by >= 1.5 per level
@@ -174,13 +185,13 @@ class TestSolveDirichlet:
 
 class TestEigen:
     def test_bessel_oracle_half_disk(self):
-        exact = cs.disk_ground_mode(3).lambda1
+        # the half disk spun about the axis is the unit ball B^3, whose
+        # first Dirichlet eigenvalue is pi^2 (the first zero of J_(1/2))
+        exact = math.pi ** 2
         errs = []
         for n in (8, 16, 32):
-            disc = fem.Discretization(half_disk_mesh(n, 3 * n), order=2,
-                                      measure_exponent=0)
-            sysd = fem.assemble(disc, lambda x, r: np.ones_like(x),
-                                dirichlet_tags=("truncation",))
+            disc = fem.Discretization(half_disk_mesh(n, 3 * n), order=2)
+            sysd = fem.assemble(disc, lambda x, r: np.ones_like(x))
             lam = fem.eigen_smallest(sysd, count=1)[0].lam
             errs.append(abs(lam - exact))
         assert errs[2] < 2e-3 * exact

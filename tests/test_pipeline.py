@@ -40,6 +40,26 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             pl.RunConfig(eps_sweep=(0.2,)).validate()
 
+    @pytest.mark.parametrize("bad", [
+        {"eps_sweep": (0.6, 0.3)},
+        {"eps_sweep": (0.3, -0.1), "cascade_only": True},
+        {"x0_list": (0.3, 1.0)},
+        {"x0_list": (0.0,)},
+        {"fit_window": (0.85, 0.55)},
+        {"fit_window_left": (0.4, 0.1)},
+        {"fit_window_left": (0.0, 0.4)},
+        {"fit_window_left": (0.1, 1.2)},
+        {"fit_points": 3},
+        {"ktilde_list": (0.5, 0.0)},
+        {"ktilde_list": (-1.0,)},
+        {"order": 3},
+        {"sweep_level": -1},
+        {"profile_level": -1},
+    ])
+    def test_rejects_out_of_range_fields(self, bad):
+        with pytest.raises(ValueError):
+            pl.RunConfig(**bad).validate()
+
     def test_hash_ignores_io_fields(self):
         a = pl.RunConfig(out_dir="x", jobs=1, cache=True)
         b = pl.RunConfig(out_dir="y", jobs=4, cache=False)
@@ -272,6 +292,20 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"normalized_vs_Ubar\[kt=0.5\]"):
             pl._sweep_entry(cfg, 0.3, pset)
 
+    def test_failed_profile_stage_is_named(self, monkeypatch):
+        monkeypatch.setattr(pl.prof, "compute_u0",
+                            lambda *a, **k: (None, 1.0, 1.0))
+        monkeypatch.setattr(pl.prof, "compute_Phi",
+                            lambda *a, **k: (None, 1.0))
+
+        def broken(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(pl.prof, "compute_PhiHat", broken)
+        with pytest.raises(RuntimeError,
+                           match="profile stage 'PhiHat' failed: synthetic"):
+            pl._compute_profiles(pl.RunConfig(**COARSE), 0)
+
     def test_failed_entry_keeps_sweep_alive(self, monkeypatch, tmp_path):
         cfg = pl.RunConfig(out_dir=str(tmp_path), **COARSE)
         pset = pl.run_profiles(cfg, return_fields=True)
@@ -329,6 +363,16 @@ class TestCLI:
         cfg.write_text(json.dumps({"eps_sweep": [0.1, 0.2]}))
         assert cli.main(["profiles", "--config", str(cfg)]) == 1
         capsys.readouterr()
+
+    def test_bad_eps_fails_before_profile_stage(self, monkeypatch,
+                                                tmp_path, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("profile stage entered")
+
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        assert cli.main(["sweep", "--eps", "0.6", "0.3",
+                         "--out", str(tmp_path)]) == 1
+        assert "eps" in capsys.readouterr().err
 
     def test_report_from_record(self, tmp_path, capsys):
         rec = synthetic_record([(0.3, 1.1), (0.2, 1.05)])

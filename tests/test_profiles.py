@@ -127,6 +127,20 @@ class TestPhi:
         assert math.isnan(sol(1.0 + CFG.r_out + 1.0, 0.5))
 
 
+def test_harmonic_profiles_assemble_stiffness_once(monkeypatch):
+    """The lifted solve forms its load from the stiffness matrix it
+    factors, so each harmonic profile assembles exactly one."""
+    calls = []
+    assemble = fem.assemble_stiffness
+    monkeypatch.setattr(fem, "assemble_stiffness",
+                        lambda disc: calls.append(disc) or assemble(disc))
+    cfg = MeshConfig(h0=0.5, levels=3, r_out=8.0, tube_length=8.0)
+    P.compute_Phi(cfg, order=1)
+    assert len(calls) == 1
+    P.compute_PhiHat(cfg, order=1)
+    assert len(calls) == 2
+
+
 class TestPhiHat:
     def test_growing_coefficient_is_unity(self, phihat_pack):
         """The inflow condition pins the growing tube-mode coefficient to 1;
