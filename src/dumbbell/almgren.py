@@ -7,12 +7,12 @@ The frequency of a field V over exterior half-balls,
     H_V(t) = t^(1-N) int_{half-sphere |x|=t} V^2 dsigma,
 
 identifies the order of the singularity or zero at the origin.  Energies
-are integrated element by element; cells cut by the sphere |x| = t (or by
-the section x1 = t for the channel variant) are subdivided level by level
-in barycentric coordinates so quadrature points stay aligned with the finite
-element basis.  FEM forms omit the constant angular factor omega_(N-2);
-the energies here restore it so that quotients against the surface-measure
-quadratures are consistent.
+are integrated element by element; cells the sphere |x| = t (or the
+section x1 = t for the channel variant) crosses are subdivided level by
+level in barycentric coordinates so quadrature points stay aligned with
+the finite element basis.  FEM forms omit the constant angular factor
+omega_(N-2); the energies here restore it so that quotients against the
+surface-measure quadratures are consistent.
 """
 
 from __future__ import annotations
@@ -26,11 +26,9 @@ from . import channel as ch
 from . import cross_section as cs
 from . import fem
 from .profiles import ProfileSolution
-from .scaled import ScaledAmplitude
 
 __all__ = [
     "FrequencyTrace",
-    "BlowupView",
     "frequency_exterior",
     "frequency_channel",
     "blowup",
@@ -53,15 +51,18 @@ _DEGREE = 6    # Dunavant rule on every piece
 _BATCH = 4096  # pieces per energy evaluation; bounds the quadrature memory
 
 
-def _masked_rule(corners, inside):
-    """Pieces of the triangles `corners` (T, 3, 2) where `inside` holds.
+def _masked_rule(corners, side):
+    """Pieces of the triangles `corners` (T, 3, 2) where the signed level
+    `side(x1, rho)` is positive.
 
     Each level probes all pieces at their corners, edge midpoints and
-    centroid at once, keeps those fully inside, drops empty ones and splits
-    cut ones in four; cut pieces left on the last level keep their inside
-    quadrature points.  Returns each piece's triangle, its corners in that
-    triangle's barycentric frame (P, 3, 3) and its weights as fractions of
-    the triangle's area (P, q)."""
+    centroid at once, keeps those with no negative probe, splits in four
+    those with probes of both signs and drops the rest, so a piece that
+    only touches the cut is never subdivided; cut pieces left on the last
+    level keep their quadrature points where the level is positive.
+    Returns each piece's triangle, its corners in that triangle's
+    barycentric frame (P, 3, 3) and its weights as fractions of the
+    triangle's area (P, q)."""
     base_pts, base_wts = fem._dunavant(_DEGREE)
     cell = np.arange(len(corners))
     bary = np.broadcast_to(np.eye(3), (len(corners), 3, 3))
@@ -71,15 +72,15 @@ def _masked_rule(corners, inside):
             corners,
             0.5 * (corners + np.roll(corners, 1, axis=1)),
             corners.mean(axis=1, keepdims=True)], axis=1)
-        flags = inside(probes[..., 0], probes[..., 1])  # (P, 7)
-        full = flags.all(axis=1)
-        cut = ~full & flags.any(axis=1)
+        level_vals = side(probes[..., 0], probes[..., 1])  # (P, 7)
+        full = (level_vals >= 0).all(axis=1)
+        cut = (level_vals > 0).any(axis=1) & (level_vals < 0).any(axis=1)
         frac = np.broadcast_to(base_wts * 0.25 ** level,
                                (len(corners), len(base_wts)))
         if level == _DEPTH:
             phys = base_pts @ corners[cut]
             frac = frac.copy()
-            frac[cut] *= inside(phys[..., 0], phys[..., 1])
+            frac[cut] *= side(phys[..., 0], phys[..., 1]) > 0
             pieces.append((cell[full | cut], bary[full | cut],
                            frac[full | cut]))
             break
@@ -92,16 +93,16 @@ def _masked_rule(corners, inside):
     return tuple(np.concatenate(a) for a in zip(*pieces))
 
 
-def _masked_energy(disc, u_values, weight, lam, inside,
+def _masked_energy(disc, u_values, weight, lam, side,
                    extra=None, extra_grad=None):
     """omega-weighted energy int (|grad u|^2 - lam p u^2) rho^m over the
-    region where `inside` holds, with u = FEM field + optional closed-form
-    part evaluated pointwise."""
+    region where the signed level `side` is positive, with u = FEM field +
+    optional closed-form part evaluated pointwise."""
     base_pts, _ = fem._dunavant(_DEGREE)
     n = disc.mesh.params.get("dimension", 3)
     shapes = fem._p1_shapes if disc.order == 1 else fem._p2_shapes
     corners = disc.mesh.vertices[disc.mesh.triangles]  # (T, 3, 2)
-    cells, pieces, fracs = _masked_rule(corners, inside)
+    cells, pieces, fracs = _masked_rule(corners, side)
     total = 0.0
     for lo in range(0, len(cells), _BATCH):
         tri_ids = cells[lo:lo + _BATCH]
@@ -190,9 +191,8 @@ def frequency_exterior(field, weight, lam, radii, mesh=None,
     D = np.empty(len(radii))
     H = np.empty(len(radii))
     for i, t in enumerate(radii):
-        def inside(x1, rho, _t=t):
-            return np.hypot(x1, rho) > _t
-        e = _masked_energy(disc, values, weight, lam, inside,
+        e = _masked_energy(disc, values, weight, lam,
+                           lambda x1, rho, _t=t: np.hypot(x1, rho) - _t,
                            extra=extra, extra_grad=extra_grad)
         D[i] = t ** (2 - n) * e
         H[i] = ch.hminus(evaluator, t, n)
@@ -216,9 +216,8 @@ def frequency_channel(field, eps, t_list, weight=None, lam=0.0,
     D = np.empty(len(t_list))
     H = np.empty(len(t_list))
     for i, t in enumerate(t_list):
-        def inside(x1, rho, _t=t):
-            return x1 < _t
-        e = _masked_energy(disc, values, weight, lam, inside,
+        e = _masked_energy(disc, values, weight, lam,
+                           lambda x1, rho, _t=t: _t - x1,
                            extra=extra, extra_grad=extra_grad)
         _, hc = ch.htilde(evaluator, t, eps, n)
         if hc <= 0:
@@ -236,79 +235,56 @@ def frequency_channel(field, eps, t_list, weight=None, lam=0.0,
 _KINDS = ("RightJunction", "Channel", "LeftJunction", "Normalized")
 
 
-@dataclass
-class BlowupView:
-    """Rescaled view of a source field; calling evaluates the view."""
-
-    source: object
-    kind: str
-    eps: float
-    params: dict
-    denominator: ScaledAmplitude
-
-    def __call__(self, x1, rho):
-        return self.evaluate(x1, rho)
-
-    def evaluate(self, x1, rho):
-        x1 = np.asarray(x1, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        eps = self.eps
-        den = self.denominator.to_float()
-        if den == 0.0:
-            raise OverflowError("view denominator underflows double range")
-        if self.kind == "RightJunction":
-            return self.source(1.0 + eps * (x1 - 1.0), eps * rho) / den
-        if self.kind == "Channel":
-            x0 = self.params["x0"]
-            return self.source(eps * (x1 - 1.0) + x0, eps * rho) / den
-        if self.kind == "LeftJunction":
-            return self.source(eps * x1, eps * rho) / den
-        return self.source(x1, rho) / den
-
-
 def blowup(field, kind: str, eps: float, x0: float | None = None,
-           ktilde: float | None = None, dimension: int = 3) -> BlowupView:
-    """Construct one of the four rescaled views of `field`.
+           ktilde: float | None = None, dimension: int = 3):
+    """One of the four rescaled views of `field`, as a function of
+    (x1, rho):
 
     RightJunction: (1/eps) u(e1 + eps(x - e1));
     Channel:       u(eps(x1-1) + x0, eps x') / sqrt(Htilde(x0));
     LeftJunction:  u(eps x) / sqrt(section mass at x1 = eps);
     Normalized:    u / sqrt(half-sphere mass over Gamma-_ktilde).
+
+    Each view evaluates field(center + scale (x1 - anchor), scale rho) / den
+    with the map and the denominator fixed here.
     """
     if kind not in _KINDS:
         raise ValueError(f"unknown blow-up kind {kind!r}")
     if not 0 < eps < 0.5:
         raise ValueError("eps out of range")
-    params: dict = {}
     if kind == "RightJunction":
-        den = ScaledAmplitude.from_float(eps)
+        center, anchor, scale, den = 1.0, 1.0, eps, eps
     elif kind == "Channel":
         if x0 is None or not 0 < x0 < 1:
             raise ValueError("Channel view needs x0 in (0, 1)")
-        params["x0"] = x0
         ht, _ = ch.htilde(field, x0, eps, dimension)
         if ht <= 0:
             raise ValueError("degenerate field: section mass vanishes")
-        den = ScaledAmplitude.from_float(ht).sqrt()
+        center, anchor, scale, den = x0, 1.0, eps, math.sqrt(ht)
     elif kind == "LeftJunction":
         ht, _ = ch.htilde(field, eps, eps, dimension)
         if ht <= 0:
             raise ValueError("degenerate field: section mass vanishes")
-        den = ScaledAmplitude.from_float(ht).sqrt()
+        center, anchor, scale, den = 0.0, 0.0, eps, math.sqrt(ht)
     else:
         if ktilde is None or ktilde <= 0:
             raise ValueError("Normalized view needs ktilde > 0")
-        params["ktilde"] = ktilde
         m = cs.half_sphere_mass(field, 0.0, ktilde, -1, dimension)
         if m <= 0:
             raise ValueError("degenerate field: surface mass vanishes")
-        den = ScaledAmplitude.from_float(m).sqrt()
-    return BlowupView(field, kind, eps, params, den)
+        center, anchor, scale, den = 0.0, 0.0, 1.0, math.sqrt(m)
+
+    def view(x1, rho):
+        x1 = np.asarray(x1, dtype=float)
+        rho = np.asarray(rho, dtype=float)
+        return field(center + scale * (x1 - anchor), scale * rho) / den
+    return view
 
 
-def compare_views(view, reference, x1, rho, weights=None) -> dict:
-    """Sup and (weighted) L2 discrepancies between a view and a reference
-    evaluator over a common sample set."""
+def compare_views(view, reference, x1, rho) -> dict:
+    """Sup discrepancy between a view and a reference evaluator over a
+    common sample set, with the sup of the reference and the number of
+    finite samples behind both; non-finite samples are left out."""
     x1 = np.asarray(x1, dtype=float)
     rho = np.asarray(rho, dtype=float)
     a = np.asarray(view(x1, rho), dtype=float)
@@ -317,7 +293,6 @@ def compare_views(view, reference, x1, rho, weights=None) -> dict:
     ok = np.isfinite(diff)
     if not np.any(ok):
         raise ValueError("no valid samples in the comparison window")
-    w = np.ones_like(x1) if weights is None else np.asarray(weights, float)
-    sup = float(np.max(np.abs(diff[ok])))
-    l2 = float(math.sqrt(np.sum(w[ok] * diff[ok] ** 2) / np.sum(w[ok])))
-    return {"sup": sup, "l2": l2, "samples": int(ok.sum())}
+    return {"sup": float(np.max(np.abs(diff[ok]))),
+            "ref_sup": float(np.max(np.abs(b[ok]))),
+            "samples": int(ok.sum())}

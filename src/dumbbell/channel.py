@@ -34,8 +34,7 @@ __all__ = [
 # Section and half-sphere masses
 # ----------------------------------------------------------------------------
 
-def htilde(field, r: float, eps: float, dimension: int = 3,
-           order: int = cs.DEFAULT_QUAD_ORDER):
+def htilde(field, r: float, eps: float, dimension: int = 3):
     """Scaled-section mass Htilde(r) = int_Sigma field(r, eps x')^2 dx' and
     the channel mass Hc(r) = eps^(N-1) Htilde(r).
 
@@ -45,18 +44,17 @@ def htilde(field, r: float, eps: float, dimension: int = 3,
         raise ValueError(f"section x1 = {r} outside the tube [0, 1]")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    ht = cs.section_mass(field, r, eps, dimension, order)
+    ht = cs.section_mass(field, r, eps, dimension)
     return ht, eps ** (dimension - 1) * ht
 
 
-def hminus(field, t: float, dimension: int = 3,
-           order: int = cs.DEFAULT_QUAD_ORDER) -> float:
+def hminus(field, t: float, dimension: int = 3) -> float:
     """H^-(t) = t^(1-N) int over the left half-sphere of radius t of
     field^2 dsigma."""
     if t <= 0:
         raise ValueError("half-sphere radius must be positive")
     return t ** (1 - dimension) * cs.half_sphere_mass(
-        field, 0.0, t, -1, dimension, order)
+        field, 0.0, t, -1, dimension)
 
 
 # ----------------------------------------------------------------------------
@@ -86,14 +84,12 @@ class ModeFit:
                           A: ScaledAmplitude, B: ScaledAmplitude,
                           window=(0.0, 1.0), residual: float = 0.0,
                           b_resolved: bool = True) -> "ModeFit":
-        C = B * ScaledAmplitude.from_float(-2.0 * sqrt_lambda1 / eps) \
-            if not B.is_zero() else ScaledAmplitude.zero()
+        C = B * ScaledAmplitude.from_float(-2.0 * sqrt_lambda1 / eps)
         return cls(eps, sqrt_lambda1, A, B, C, tuple(window), residual,
                    b_resolved)
 
 
-def fit_channel_mode(samples, eps: float, sqrt_lambda1: float,
-                     resolve_factor: float = 30.0) -> ModeFit:
+def fit_channel_mode(samples, eps: float, sqrt_lambda1: float) -> ModeFit:
     """Least squares of (t, value) samples against the two tube
     exponentials.
 
@@ -130,11 +126,10 @@ def fit_channel_mode(samples, eps: float, sqrt_lambda1: float,
     residual = float(np.linalg.norm(misfit) / np.linalg.norm(ys / yscale))
 
     a_sh, b_sh = float(coef[0]) * yscale, float(coef[1]) * yscale
-    noise_floor = resolve_factor * (resid_abs + 1e-15) * yscale
+    noise_floor = 30.0 * (resid_abs + 1e-15) * yscale
     b_resolved = abs(b_sh) > noise_floor
 
-    A = ScaledAmplitude.from_float(a_sh).scale_exp(k * (1.0 - t_hi)) \
-        if a_sh != 0.0 else ScaledAmplitude.zero()
+    A = ScaledAmplitude.from_float(a_sh).scale_exp(k * (1.0 - t_hi))
     if b_resolved:
         B = ScaledAmplitude.from_float(b_sh).scale_exp(k * (t_lo - 1.0))
     else:
@@ -147,12 +142,7 @@ def fit_channel_mode(samples, eps: float, sqrt_lambda1: float,
 def propagate(fit: ModeFit, t: float) -> ScaledAmplitude:
     """Evaluate the two-exponential model at t in scaled arithmetic."""
     k = fit.sqrt_lambda1 / fit.eps
-    out = ScaledAmplitude.zero()
-    if not fit.A.is_zero():
-        out = out + fit.A.scale_exp(k * (t - 1.0))
-    if not fit.B.is_zero():
-        out = out + fit.B.scale_exp(-k * (t - 1.0))
-    return out
+    return fit.A.scale_exp(k * (t - 1.0)) + fit.B.scale_exp(-k * (t - 1.0))
 
 
 # ----------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import cross_section as cs
 from . import pipeline as pl
@@ -23,6 +24,10 @@ def _build_config(args) -> pl.RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             base = json.load(fh)
+        unknown = sorted(set(base) - {f.name for f in fields(pl.RunConfig)})
+        if unknown:
+            raise ValueError(f"unknown config key(s) in {args.config}: "
+                             f"{', '.join(unknown)}")
     for key in ("eps_sweep", "fit_window", "fit_window_left", "x0_list",
                 "ktilde_list", "spherical_radii"):
         if key in base:

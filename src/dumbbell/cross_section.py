@@ -45,7 +45,7 @@ def gauss_legendre(order: int, a: float = 0.0, b: float = 1.0):
 # Bessel machinery (power series; arguments stay modest here)
 # ----------------------------------------------------------------------------
 
-def bessel_j_scaled(nu: float, x, terms: int = 80):
+def bessel_j_scaled(nu: float, x):
     """Evaluate g(x) = (x/2)^(-nu) * J_nu(x) by its power series.
 
     g is entire in x^2, so this is stable through x = 0.  Adequate for the
@@ -55,7 +55,7 @@ def bessel_j_scaled(nu: float, x, terms: int = 80):
     q = 0.25 * x * x
     out = np.zeros_like(q)
     term = np.full_like(q, math.exp(-math.lgamma(nu + 1.0)))
-    for m in range(terms):
+    for m in range(80):
         out += term
         term = term * (-q) / ((m + 1.0) * (m + 1.0 + nu))
         if np.all(np.abs(term) <= 1e-18 * (np.abs(out) + 1e-300)):
@@ -63,8 +63,7 @@ def bessel_j_scaled(nu: float, x, terms: int = 80):
     return out
 
 
-def bessel_first_zeros(nu: float, count: int, tol: float = 1e-14,
-                       max_iter: int = 200) -> list[float]:
+def bessel_first_zeros(nu: float, count: int) -> list[float]:
     """First `count` positive zeros of J_nu by scan + bisection on the
     scaled series (same zeros as J_nu for x > 0)."""
     zeros: list[float] = []
@@ -82,10 +81,10 @@ def bessel_first_zeros(nu: float, count: int, tol: float = 1e-14,
             zeros.append(x)
         elif f_prev * f_next < 0.0:
             lo, hi, flo = x, x_next, f_prev
-            for it in range(max_iter):
+            for _ in range(200):
                 mid = 0.5 * (lo + hi)
                 fmid = float(bessel_j_scaled(nu, mid))
-                if fmid == 0.0 or (hi - lo) <= tol * mid:
+                if fmid == 0.0 or (hi - lo) <= 1e-14 * mid:
                     break
                 if flo * fmid < 0.0:
                     hi = mid
@@ -134,36 +133,34 @@ class CrossSectionMode:
         return -self.norm_constant * np.power(0.5 * k, self._nu) * \
             (0.5 * k * k * r) * bessel_j_scaled(self._nu + 1.0, k * r)
 
-    def section_integral(self, values_of_r: Callable, order: int = DEFAULT_QUAD_ORDER) -> float:
+    def section_integral(self, values_of_r: Callable) -> float:
         """Integral over the unit (N-1)-ball of a radial function."""
         n = self.dimension
-        r, w = gauss_legendre(order)
+        r, w = gauss_legendre(DEFAULT_QUAD_ORDER)
         return sphere_surface_area(n - 2) * float(
             np.sum(w * values_of_r(r) * r ** (n - 2)))
 
 
-def _disk_mode(n: int, tol: float, index: int) -> CrossSectionMode:
+def _disk_mode(n: int, index: int) -> CrossSectionMode:
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     nu = 0.5 * (n - 3)
-    k = bessel_first_zeros(nu, index, tol=tol)[index - 1]
+    k = bessel_first_zeros(nu, index)[index - 1]
     mode = CrossSectionMode(n, k * k, k, 1.0, index, nu)
     norm2 = mode.section_integral(lambda r: mode.psi1(r) ** 2)
     sign = 1.0 if float(mode.psi1(0.0)) > 0 else -1.0
     return CrossSectionMode(n, k * k, k, sign / math.sqrt(norm2), index, nu)
 
 
-def disk_ground_mode(n: int = 3, tol: float = 1e-14) -> CrossSectionMode:
+def disk_ground_mode(n: int = 3) -> CrossSectionMode:
     """Radial ground mode of the unit (N-1)-ball: lambda1 = j_(nu,1)^2 with
     nu = (N-3)/2, psi1 ~ r^-nu J_nu(sqrt(lambda1) r)."""
-    return _disk_mode(n, tol, 1)
+    return _disk_mode(n, 1)
 
 
-def disk_second_mode(n: int = 3, tol: float = 1e-14) -> CrossSectionMode:
+def disk_second_mode(n: int = 3) -> CrossSectionMode:
     """Second radial Dirichlet mode (orthogonality test helper)."""
-    return _disk_mode(n, tol, 2)
+    return _disk_mode(n, 2)
 
 
 # ----------------------------------------------------------------------------
@@ -188,7 +185,7 @@ def upsilon(n: int) -> float:
 # ----------------------------------------------------------------------------
 
 def project_sphere(fld: Callable, center: float, r: float, sign: int,
-                   n: int = 3, order: int = DEFAULT_QUAD_ORDER) -> float:
+                   n: int = 3) -> float:
     """int_{S^(N-1)_sign} field(center + r*theta) Psi^sign(theta) dsigma.
 
     `fld(x1, rho)` must accept arrays; `center` is the x1-coordinate of the
@@ -200,7 +197,7 @@ def project_sphere(fld: Callable, center: float, r: float, sign: int,
     if r <= 0:
         raise ValueError("radius must be positive")
     a, b = (0.0, 0.5 * math.pi) if sign > 0 else (0.5 * math.pi, math.pi)
-    phi, w = gauss_legendre(order, a, b)
+    phi, w = gauss_legendre(DEFAULT_QUAD_ORDER, a, b)
     cosp, sinp = np.cos(phi), np.sin(phi)
     vals = np.asarray(fld(center + r * cosp, r * sinp), dtype=float)
     psi = sign * cosp / upsilon(n)
@@ -209,34 +206,32 @@ def project_sphere(fld: Callable, center: float, r: float, sign: int,
 
 
 def project_section(fld: Callable, t: float, eps: float,
-                    mode: CrossSectionMode,
-                    order: int = DEFAULT_QUAD_ORDER) -> float:
+                    mode: CrossSectionMode) -> float:
     """int_Sigma field(t, eps*x') psi1(x') dx' by radial Gauss quadrature
     with weight r^(N-2) on [0, 1]."""
     n = mode.dimension
-    r, w = gauss_legendre(order)
+    r, w = gauss_legendre(DEFAULT_QUAD_ORDER)
     vals = np.asarray(fld(np.full_like(r, t), eps * r), dtype=float)
     return sphere_surface_area(n - 2) * float(
         np.sum(w * vals * mode.psi1(r) * r ** (n - 2)))
 
 
 def half_sphere_mass(fld: Callable, center: float, t: float, sign: int,
-                     n: int = 3, order: int = DEFAULT_QUAD_ORDER) -> float:
+                     n: int = 3) -> float:
     """int_{Gamma_t} field^2 dsigma over the half-sphere of radius t about
     `center` on the given side (true (N-1)-dimensional surface integral)."""
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     a, b = (0.0, 0.5 * math.pi) if sign > 0 else (0.5 * math.pi, math.pi)
-    phi, w = gauss_legendre(order, a, b)
+    phi, w = gauss_legendre(DEFAULT_QUAD_ORDER, a, b)
     cosp, sinp = np.cos(phi), np.sin(phi)
     vals = np.asarray(fld(center + t * cosp, t * sinp), dtype=float)
     return sphere_surface_area(n - 2) * t ** (n - 1) * float(
         np.sum(w * vals ** 2 * sinp ** (n - 2)))
 
 
-def section_mass(fld: Callable, t: float, eps: float, n: int = 3,
-                 order: int = DEFAULT_QUAD_ORDER) -> float:
+def section_mass(fld: Callable, t: float, eps: float, n: int = 3) -> float:
     """int_Sigma field^2(t, eps*x') dx' (scaled-section L2 mass)."""
-    r, w = gauss_legendre(order)
+    r, w = gauss_legendre(DEFAULT_QUAD_ORDER)
     vals = np.asarray(fld(np.full_like(r, t), eps * r), dtype=float)
     return sphere_surface_area(n - 2) * float(np.sum(w * vals ** 2 * r ** (n - 2)))

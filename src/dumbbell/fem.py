@@ -517,7 +517,7 @@ class EigenPair:
 
 
 def eigen_smallest(system: AssembledSystem, count: int = 1,
-                   tol: float = 1e-10, maxiter: int = 5000) -> list[EigenPair]:
+                   tol: float = 1e-10) -> list[EigenPair]:
     """Smallest eigenvalues of K u = l M_p u via Lanczos on the pencil
     (M_p, K): largest mu of M_p u = mu K u gives l = 1/mu, with K-inner
     products and the sparse factorization of K reused across iterations."""
@@ -529,7 +529,7 @@ def eigen_smallest(system: AssembledSystem, count: int = 1,
     n = system.K.shape[0]
     op_kinv = spla.LinearOperator((n, n), matvec=lu.solve)
     mu, vecs = spla.eigsh(system.Mp, k=count, M=system.K, Minv=op_kinv,
-                          which="LM", tol=tol, maxiter=maxiter)
+                          which="LM", tol=tol, maxiter=5000)
     order = np.argsort(-mu)
     pairs = []
     for idx in order:

@@ -285,13 +285,16 @@ def _annulus_samples(center: float, radii, side: int, n_phi: int = 25):
     return np.concatenate(pts_x), np.concatenate(pts_r)
 
 
-def _count_samples(samples: dict, window: str, valid: int, total: int):
-    """Record the samples behind a sup-norm figure; a non-finite one (say,
-    a point the locator missed) fails the entry instead of leaving the sup."""
-    if valid != total:
-        raise ValueError(f"window {window}: {total - valid} of {total} "
-                         "samples are not finite")
-    samples[window] = int(valid)
+def _sup_window(samples: dict, window: str, view, reference, x1, rho):
+    """Compare `view` with `reference` on the points (x1, rho) and record
+    the sample count under `window`; a non-finite sample (say, a point the
+    locator missed) fails the entry instead of leaving the sup."""
+    out = almgren.compare_views(view, reference, x1, rho)
+    if out["samples"] != x1.size:
+        raise ValueError(f"window {window}: {x1.size - out['samples']} of "
+                         f"{x1.size} samples are not finite")
+    samples[window] = out["samples"]
+    return out
 
 
 def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
@@ -327,12 +330,9 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
                                                      mode)
         t_probe = 0.05
         y_probe = junction_probes[t_probe]
-        grow = fit.A.scale_exp(sl1 / eps * (t_probe - 1.0)).to_float() \
-            if not fit.A.is_zero() else 0.0
-        defect = y_probe - grow
-        if defect != 0.0:
-            b_defect = ScaledAmplitude.from_float(defect).scale_exp(
-                sl1 / eps * (t_probe - 1.0))
+        grow = fit.A.scale_exp(sl1 / eps * (t_probe - 1.0)).to_float()
+        b_defect = ScaledAmplitude.from_float(y_probe - grow).scale_exp(
+            sl1 / eps * (t_probe - 1.0))
 
     # section masses, kept scaled
     ht_x0 = {}
@@ -345,18 +345,15 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
             ht_x0[x0] = amp * amp
 
     # cascade reconstruction of the left-side scales from tube data
-    sqrt_ht_eps_c = (fit.A * math.sqrt(con.m_phihat)).scale_exp(-sl1 / eps) \
-        if not fit.A.is_zero() else ScaledAmplitude.zero()
+    sqrt_ht_eps_c = (fit.A * math.sqrt(con.m_phihat)).scale_exp(-sl1 / eps)
     ht_eps = ScaledAmplitude.from_float(
         ch.htilde(u.evaluate, eps, eps, n)[0]) if direct \
         else sqrt_ht_eps_c * sqrt_ht_eps_c
     sqrt_ht_eps = ht_eps.sqrt()
     b_cascade = ((con.phihat0 - con.c_hat) * sqrt_ht_eps_c)\
-        .scale_exp(-sl1 / eps) if not sqrt_ht_eps_c.is_zero() \
-        else ScaledAmplitude.zero()
+        .scale_exp(-sl1 / eps)
     beta_cascade = (sqrt_ht_eps_c * (con.c_hat * con.c_phihat))\
-        .scale_exp((n - 1) * math.log(eps)) \
-        if not sqrt_ht_eps_c.is_zero() else ScaledAmplitude.zero()
+        .scale_exp((n - 1) * math.log(eps))
 
     # spherical representation in D- (direct track only)
     sph = None
@@ -378,29 +375,23 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
     samples = {}
     if direct:
         view = almgren.blowup(u.evaluate, "RightJunction", eps)
-        x1, rho = _annulus_samples(1.0, (1.6, 2.0, 2.4), +1)
-        ref_sup = float(np.max(np.abs(con.d0 * pset.phi(x1, rho))))
-        out = almgren.compare_views(
-            view, lambda a, b: con.d0 * pset.phi(a, b), x1, rho)
-        _count_samples(samples, "right_vs_d0Phi", out["samples"], x1.size)
-        comparisons["right_vs_d0Phi"] = out["sup"] / ref_sup
+        out = _sup_window(samples, "right_vs_d0Phi", view,
+                          lambda a, b: con.d0 * pset.phi(a, b),
+                          *_annulus_samples(1.0, (1.6, 2.0, 2.4), +1))
+        comparisons["right_vs_d0Phi"] = out["sup"] / out["ref_sup"]
 
         uhat = almgren.blowup(u.evaluate, "LeftJunction", eps, dimension=n)
-        x1, rho = _annulus_samples(0.0, (1.6, 2.0, 2.4), -1)
-        c_hat = con.c_hat
-        ref_sup = float(np.max(np.abs(c_hat * pset.phihat(x1, rho))))
-        out = almgren.compare_views(
-            uhat, lambda a, b: c_hat * pset.phihat(a, b), x1, rho)
-        _count_samples(samples, "left_vs_PhiHat", out["samples"], x1.size)
-        comparisons["left_vs_PhiHat"] = out["sup"] / ref_sup
+        out = _sup_window(samples, "left_vs_PhiHat", uhat,
+                          lambda a, b: con.c_hat * pset.phihat(a, b),
+                          *_annulus_samples(0.0, (1.6, 2.0, 2.4), -1))
+        comparisons["left_vs_PhiHat"] = out["sup"] / out["ref_sup"]
 
         view = almgren.blowup(u.evaluate, "Channel", eps, x0=0.5,
                               dimension=n)
         rr = np.linspace(0.02, 0.98, 33)
-        dev = np.abs(view(np.ones_like(rr), rr) - mode.psi1(rr))
-        _count_samples(samples, "channel_vs_psi1", np.isfinite(dev).sum(),
-                       rr.size)
-        comparisons["channel_vs_psi1"] = float(np.max(dev))
+        out = _sup_window(samples, "channel_vs_psi1", view,
+                          lambda a, b: mode.psi1(b), np.ones_like(rr), rr)
+        comparisons["channel_vs_psi1"] = out["sup"]
         # one-mode dominance at mid-tube: phi(t)^2 / Htilde(t) -> 1
         phi_mid = cs.project_section(u.evaluate, 0.5, eps, mode)
         ht_mid = ch.htilde(u.evaluate, 0.5, eps, n)[0]
@@ -414,11 +405,9 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
                                   dimension=n)
             ref = lambda a, b, _k=kt: pset.ubar(a, b) / math.sqrt(
                 con.norm_gamma[_k])
-            ref_sup = float(np.max(np.abs(ref(x1_in, rho_in))))
-            out = almgren.compare_views(view, ref, x1_in, rho_in)
-            _count_samples(samples, f"normalized_vs_Ubar[kt={kt:g}]",
-                           out["samples"], x1_in.size)
-            norm_dev[kt] = out["sup"] / ref_sup
+            out = _sup_window(samples, f"normalized_vs_Ubar[kt={kt:g}]",
+                              view, ref, x1_in, rho_in)
+            norm_dev[kt] = out["sup"] / out["ref_sup"]
         comparisons["normalized_vs_Ubar"] = norm_dev
 
         # positivity surrogate for the left-junction transfer constant
@@ -450,11 +439,10 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
     if direct:
         scale = ScaledAmplitude.from_float(1.0).scale_exp(
             sl1 / eps - n * math.log(eps)).to_float()
-        lhs = scale * u.evaluate(x1_in, rho_in)
-        rhs = big * pset.ubar(x1_in, rho_in)
-        ok = np.isfinite(lhs) & np.isfinite(rhs)
-        _count_samples(samples, "R6", ok.sum(), ok.size)
-        ratios["R6"] = float(np.max(np.abs(lhs - rhs)) / np.max(np.abs(rhs)))
+        out = _sup_window(samples, "R6",
+                          lambda a, b: scale * u.evaluate(a, b),
+                          lambda a, b: big * pset.ubar(a, b), x1_in, rho_in)
+        ratios["R6"] = out["sup"] / out["ref_sup"]
 
     entry = {
         "eps": eps,
@@ -564,7 +552,7 @@ def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
     return record
 
 
-def _classify(eps, devs, slope_tol: float = 0.1) -> str:
+def _classify(eps, devs) -> str:
     """Trend of a deviation series by log-log slope (deviation vs eps)."""
     pairs = [(e, d) for e, d in zip(eps, devs)
              if d is not None and np.isfinite(d) and d > 0]
@@ -573,9 +561,9 @@ def _classify(eps, devs, slope_tol: float = 0.1) -> str:
     x = np.log([e for e, _ in pairs])
     y = np.log([d for _, d in pairs])
     slope = float(np.polyfit(x, y, 1)[0])
-    if slope > slope_tol:
+    if slope > 0.1:
         return "converging"
-    if slope < -slope_tol:
+    if slope < -0.1:
         return "diverging"
     return "flat"
 
@@ -676,7 +664,11 @@ def verify(record: RunRecord, tolerances: dict | None = None) -> dict:
 
 def emit(record: RunRecord, out_dir: str,
          formats=("json", "csv", "svg")) -> list:
-    """Write the record and per-series tables/plots; returns paths."""
+    """Write the record and per-series tables/plots; returns paths.  An
+    unknown format raises ValueError before anything is written."""
+    unknown = sorted(set(formats) - {"json", "csv", "svg"})
+    if unknown:
+        raise ValueError(f"unknown report format(s): {', '.join(unknown)}")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     if "json" in formats:

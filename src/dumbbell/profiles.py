@@ -90,14 +90,13 @@ def _maybe_refine(mesh: MeridianMesh, level: int) -> MeridianMesh:
 # ----------------------------------------------------------------------------
 
 def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
-               weight: fem.WeightModel | None = None,
-               d0_radii=(0.5, 1.0, 2.0)):
+               weight: fem.WeightModel | None = None):
     """First eigenpair of -Du = lam p u on the truncated right half-space,
     normalized to unit weighted mass and positive sign.
 
     d0 is read from v(r) = int_{S+} u0(e1 + r theta) Psi+ dsigma, which
     equals Upsilon_N d0 r for r inside the weight-free ball, so
-    v(r)/(Upsilon_N r) is averaged over `d0_radii` with the spread kept as
+    v(r)/(Upsilon_N r) is averaged over r = 0.5, 1, 2 with the spread kept as
     a resolution diagnostic.
     """
     weight = fem.WeightModel() if weight is None else weight
@@ -114,7 +113,7 @@ def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
     ups = cs.upsilon(n)
     samples = np.array([
         cs.project_sphere(pair.field.evaluate, 1.0, r, +1, n) / (ups * r)
-        for r in d0_radii])
+        for r in (0.5, 1.0, 2.0)])
     d0 = float(samples.mean())
     spread = float(np.ptp(samples) / abs(d0)) if d0 != 0 else math.inf
     meta = {"r_out": cfg.r_out, "level": level, "order": order,

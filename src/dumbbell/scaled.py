@@ -50,30 +50,6 @@ class ScaledAmplitude:
                                abs(x) * math.exp(-expo))
 
     @classmethod
-    def from_log(cls, sign: int, log_abs: float) -> "ScaledAmplitude":
-        """Value sign * e**log_abs."""
-        if sign == 0:
-            return cls.zero()
-        return cls._build(sign, log_abs)
-
-    @classmethod
-    def _build(cls, sign: float, log_abs: float) -> "ScaledAmplitude":
-        expo = math.floor(log_abs)
-        frac = log_abs - expo
-        mant = math.exp(frac)
-        # guard against rounding pushing the mantissa to e
-        if mant >= math.e:
-            expo += 1
-            mant = math.exp(log_abs - expo)
-        if mant < 1.0:
-            expo -= 1
-            mant = math.exp(log_abs - expo)
-            if mant >= math.e:  # log_abs was integral up to rounding
-                mant = 1.0
-                expo += 1
-        return cls(1 if sign > 0 else -1, float(expo), mant)
-
-    @classmethod
     def _from_parts(cls, sign: int, exponent: float,
                     raw_mantissa: float) -> "ScaledAmplitude":
         """Normalize sign * raw_mantissa * e**exponent with raw_mantissa > 0.
@@ -141,9 +117,6 @@ class ScaledAmplitude:
             self.mantissa / other.mantissa,
         )
 
-    def __rtruediv__(self, other) -> "ScaledAmplitude":
-        return _coerce(other) / self
-
     def __add__(self, other) -> "ScaledAmplitude":
         other = _coerce(other)
         if self.sign == 0:
@@ -163,24 +136,6 @@ class ScaledAmplitude:
         return ScaledAmplitude._from_parts(
             big.sign, big.exponent, big.mantissa * total)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ScaledAmplitude":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other) -> "ScaledAmplitude":
-        return _coerce(other) + (-self)
-
-    def __neg__(self) -> "ScaledAmplitude":
-        if self.sign == 0:
-            return self
-        return ScaledAmplitude(-self.sign, self.exponent, self.mantissa)
-
-    def __abs__(self) -> "ScaledAmplitude":
-        if self.sign == -1:
-            return -self
-        return self
-
     def scale_exp(self, log_factor: float) -> "ScaledAmplitude":
         """Multiply by e**log_factor, exact in the exponent."""
         if self.sign == 0:
@@ -199,17 +154,6 @@ class ScaledAmplitude:
         return ScaledAmplitude._from_parts(
             1, half, math.sqrt(self.mantissa * math.exp(rem)))
 
-    def __pow__(self, k: int) -> "ScaledAmplitude":
-        if self.sign == 0:
-            return self if k > 0 else _ONE
-        sign = 1 if (self.sign == 1 or k % 2 == 0) else -1
-        frac = k * math.log(self.mantissa)
-        shift = math.floor(frac)
-        return ScaledAmplitude._from_parts(
-            sign, k * self.exponent + shift, math.exp(frac - shift))
-
-    # -- comparisons (by value) --------------------------------------------
-
     def _cmp_abs(self, other: "ScaledAmplitude") -> int:
         """Compare |self| with |other| (zero compares below everything)."""
         if self.sign == 0 or other.sign == 0:
@@ -219,26 +163,6 @@ class ScaledAmplitude:
         if self.mantissa == other.mantissa:
             return 0
         return 1 if self.mantissa > other.mantissa else -1
-
-    def _cmp(self, other) -> int:
-        other = _coerce(other)
-        if self.sign != other.sign:
-            return 1 if self.sign > other.sign else -1
-        if self.sign == 0:
-            return 0
-        return self._cmp_abs(other) * self.sign
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
 
     # -- serialization -----------------------------------------------------
 
@@ -253,9 +177,6 @@ class ScaledAmplitude:
         if self.sign == 0:
             return "ScaledAmplitude(0)"
         return f"ScaledAmplitude({'+' if self.sign > 0 else '-'}{self.mantissa:.17g}*e^{self.exponent:g})"
-
-
-_ONE = ScaledAmplitude(1, 0.0, 1.0)
 
 
 def _coerce(x) -> ScaledAmplitude:

@@ -102,10 +102,11 @@ def test_criterion_03_mode_fit_round_trip():
     up = base.scale_exp(1e4)
     assert up.exponent == base.exponent + 1e4
     assert up.mantissa == base.mantissa
-    down = ScaledAmplitude.from_log(1, -1e4)
+    down = ScaledAmplitude.from_float(1.0).scale_exp(-1e4)
     assert down.log_abs == -1e4
     assert (up * down).exponent == base.exponent
-    assert (ScaledAmplitude.from_log(1, 2.5e3) ** 4).exponent == 1e4
+    quarter = ScaledAmplitude.from_float(1.0).scale_exp(2.5e3)
+    assert (quarter * quarter * quarter * quarter).exponent == 1e4
     report(3, f"synthetic recovery errors A {err_a:.1e}, B {err_b:.1e}; "
               f"exponent algebra exact over +-1e4")
 
@@ -243,9 +244,9 @@ def test_criterion_10_smallness_claims(record):
         eps = entry["eps"]
         k = SL1 / eps
         bd = ScaledAmplitude.from_dict(entry["b_defect"])
-        scaled_b = abs(bd).scale_exp(2.0 * SL1 * (1.0 - x0) / eps) \
+        scaled_b = bd.scale_exp(2.0 * SL1 * (1.0 - x0) / eps) \
             / ScaledAmplitude.from_float(eps)
-        growth_logs.append(scaled_b.log_abs)
+        growth_logs.append(scaled_b.log_abs)  # log of |scaled_b|
         A = ScaledAmplitude.from_dict(entry["fit"]["A"])
         a_devs.append(abs(A.to_float() / (eps * con.d0 * con.c_phi) - 1.0))
     assert all(b < a for a, b in zip(growth_logs, growth_logs[1:]))

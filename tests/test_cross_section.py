@@ -37,14 +37,14 @@ def shoot_radial_ode(lam, n, r_end=1.0, steps=20000):
 
 class TestDiskGroundMode:
     def test_sqrt_lambda1_n3_matches_j0_zero(self):
-        mode = cs.disk_ground_mode(3, 1e-14)
+        mode = cs.disk_ground_mode(3)
         assert mode.sqrt_lambda1 == pytest.approx(J0_FIRST_ZERO, rel=1e-12)
         assert mode.lambda1 == pytest.approx(5.783185962946785, rel=1e-12)
 
     def test_shooting_oracle_n3(self):
         # independent 1D radial ODE shooting: psi crosses zero at r=1 exactly
         # when lam = lambda1
-        mode = cs.disk_ground_mode(3, 1e-14)
+        mode = cs.disk_ground_mode(3)
         val = shoot_radial_ode(mode.lambda1, 3)
         assert abs(val) < 1e-8
 
@@ -53,7 +53,7 @@ class TestDiskGroundMode:
         import scipy.optimize
 
         nu = 0.5 * (n - 3)
-        mode = cs.disk_ground_mode(n, 1e-14)
+        mode = cs.disk_ground_mode(n)
         expected = scipy.optimize.brentq(
             lambda x: scipy.special.jv(nu, x),
             mode.sqrt_lambda1 - 0.5, mode.sqrt_lambda1 + 0.5, xtol=1e-14)
@@ -177,12 +177,19 @@ class TestProjections:
         assert val == pytest.approx(1.474, abs=5e-4)
 
     def test_quadrature_order_insensitivity(self):
-        # doubling the polar order changes polynomial projections by < 1e-12
+        # the 64-point polar rule agrees with a 128-point rule on a
+        # polynomial projection to < 1e-12
         def poly(x1, rho):
             return (x1 - 1.0) ** 3 + rho**4 * (x1 - 1.0) + rho**8
 
-        v64 = cs.project_sphere(poly, 1.0, 1.3, +1, 3, order=64)
-        v128 = cs.project_sphere(poly, 1.0, 1.3, +1, 3, order=128)
+        v64 = cs.project_sphere(poly, 1.0, 1.3, +1, 3)
+        x, w = np.polynomial.legendre.leggauss(128)
+        phi = 0.25 * math.pi * (x + 1.0)
+        r = 1.3
+        integrand = poly(1.0 + r * np.cos(phi), r * np.sin(phi)) \
+            * np.cos(phi) / cs.upsilon(3) * np.sin(phi)
+        v128 = cs.sphere_surface_area(1) * 0.25 * math.pi * float(
+            np.sum(w * integrand))
         assert abs(v64 - v128) < 1e-12 * max(1.0, abs(v64))
 
     def test_half_sphere_mass_kernel(self):

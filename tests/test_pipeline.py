@@ -6,7 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from dumbbell import channel as ch
 from dumbbell import cli
+from dumbbell import cross_section as cs
 from dumbbell import pipeline as pl
 from dumbbell.scaled import ScaledAmplitude
 
@@ -292,6 +294,24 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"normalized_vs_Ubar\[kt=0.5\]"):
             pl._sweep_entry(cfg, 0.3, pset)
 
+    def test_cascade_track_entry(self, coarse_pset):
+        # below eps = 0.1 the left-side scales come from the tube fit alone
+        cfg = pl.RunConfig(cache=False, **COARSE)
+        entry = pl._sweep_entry(cfg, 0.09, coarse_pset)
+        assert entry["track"] == "cascade"
+        ratios = entry["ratios"]
+        assert set(ratios) == {"R1", "R3"} | {f"R2[x0={x0:g}]"
+                                              for x0 in cfg.x0_list}
+        for name, v in ratios.items():
+            assert math.isfinite(v) and abs(v - 1.0) < 0.15, (name, v)
+        sl1 = cs.disk_ground_mode(cfg.dimension).sqrt_lambda1
+        fit = ch.ModeFit.from_coefficients(
+            0.09, sl1, ScaledAmplitude.from_dict(entry["fit"]["A"]),
+            ScaledAmplitude.from_dict(entry["fit"]["B"]))
+        for x0 in cfg.x0_list:
+            amp = ch.propagate(fit, x0)
+            assert entry["htilde_x0"][repr(x0)] == (amp * amp).to_dict()
+
     def test_failed_profile_stage_is_named(self, monkeypatch):
         monkeypatch.setattr(pl.prof, "compute_u0",
                             lambda *a, **k: (None, 1.0, 1.0))
@@ -364,6 +384,13 @@ class TestCLI:
         assert cli.main(["profiles", "--config", str(cfg)]) == 1
         capsys.readouterr()
 
+    def test_unknown_config_key_is_execution_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps_swep": [0.3, 0.2]}))
+        assert cli.main(["profiles", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "eps_swep" in err
+
     def test_bad_eps_fails_before_profile_stage(self, monkeypatch,
                                                 tmp_path, capsys):
         def unreachable(*args, **kwargs):
@@ -384,3 +411,16 @@ class TestCLI:
         assert (tmp_path / "rep" / "R3.csv").exists()
         assert (tmp_path / "rep" / "R3.svg").exists()
         capsys.readouterr()
+
+    def test_unknown_report_format_is_execution_error(self, tmp_path,
+                                                      capsys):
+        rec = synthetic_record([(0.3, 1.1), (0.2, 1.05)])
+        rec.verdicts = pl.verify(rec)
+        pl.emit(rec, str(tmp_path), formats=("json",))
+        out = tmp_path / "rep"
+        code = cli.main(["report", str(tmp_path / "record.json"),
+                         "--out", str(out), "--formats", "csv,svgg"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "svgg" in err
+        assert not out.exists()

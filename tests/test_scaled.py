@@ -23,8 +23,8 @@ def test_zero():
 
 
 def test_huge_exponents_no_overflow():
-    big = ScaledAmplitude.from_log(1, 5000.0)
-    small = ScaledAmplitude.from_log(1, -5000.0)
+    big = ScaledAmplitude.from_float(1.0).scale_exp(5000.0)
+    small = ScaledAmplitude.from_float(1.0).scale_exp(-5000.0)
     prod = big * small
     assert prod.to_float() == pytest.approx(1.0, rel=1e-14)
     with pytest.raises(OverflowError):
@@ -39,8 +39,8 @@ def test_huge_exponents_no_overflow():
     st.sampled_from([-1, 1]),
 )
 def test_mul_div_inverse(la, lb, sa, sb):
-    a = ScaledAmplitude.from_log(sa, la)
-    b = ScaledAmplitude.from_log(sb, lb)
+    a = ScaledAmplitude.from_float(float(sa)).scale_exp(la)
+    b = ScaledAmplitude.from_float(float(sb)).scale_exp(lb)
     c = (a * b) / b
     # exact in the exponent, 1e-15 in the mantissa
     assert c.sign == a.sign
@@ -51,8 +51,8 @@ def test_mul_div_inverse(la, lb, sa, sb):
 @given(st.floats(min_value=-50, max_value=50),
        st.floats(min_value=-50, max_value=50))
 def test_add_matches_float(la, lb):
-    a = ScaledAmplitude.from_log(1, la)
-    b = ScaledAmplitude.from_log(-1, lb)
+    a = ScaledAmplitude.from_float(1.0).scale_exp(la)
+    b = ScaledAmplitude.from_float(-1.0).scale_exp(lb)
     expect = math.exp(la) - math.exp(lb)
     got = (a + b).to_float()
     # near-cancellation is limited by the mantissa ulp of the larger operand
@@ -60,22 +60,9 @@ def test_add_matches_float(la, lb):
                                 abs=1e-14 * math.exp(max(la, lb)))
 
 
-def test_sub_neg_abs_sqrt_pow():
+def test_sqrt():
     a = ScaledAmplitude.from_float(9.0)
     assert (a.sqrt()).to_float() == pytest.approx(3.0, rel=1e-15)
-    assert (a ** 2).to_float() == pytest.approx(81.0, rel=1e-14)
-    assert (-a).sign == -1
-    assert abs(-a).to_float() == pytest.approx(9.0)
-    assert (a - a).is_zero()
-
-
-def test_comparisons():
-    a = ScaledAmplitude.from_log(1, 100.0)
-    b = ScaledAmplitude.from_log(1, 99.0)
-    assert a > b
-    assert -a < -b
-    assert -a < b
-    assert ScaledAmplitude.zero() < b
 
 
 def test_scale_exp_exact():
@@ -85,6 +72,6 @@ def test_scale_exp_exact():
 
 
 def test_serialization_round_trip():
-    a = ScaledAmplitude.from_log(-1, 1234.5678)
+    a = ScaledAmplitude.from_float(-1.0).scale_exp(1234.5678)
     d = a.to_dict()
     assert ScaledAmplitude.from_dict(d) == a
