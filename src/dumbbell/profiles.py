@@ -106,7 +106,8 @@ def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
     disc = fem.Discretization(mesh, order=order)
     system = fem.assemble(disc, weight)
     pair = fem.eigen_smallest(system, count=1, tol=1e-12)[0]
-    pair = fem.refine_eigenpair(system, pair, steps=2)
+    pair = fem.refine_eigenpair(system, pair.field.values[system.free],
+                                0.99 * pair.lam, 2)
     pair = fem.mass_normalize(system, pair)
 
     n = mesh.params.get("dimension", 3)

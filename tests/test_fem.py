@@ -21,6 +21,11 @@ def half_disk_mesh(n_rad, n_theta):
                           {"r_out": 1.0, "dimension": 3})
 
 
+def rayleigh(system, pair):
+    u = pair.field.values[system.free]
+    return float(u @ (system.K @ u)) / float(u @ (system.Mp @ u))
+
+
 class TestWeightModel:
     def test_vanishes_near_junctions_and_tube(self):
         p = fem.WeightModel()
@@ -59,7 +64,7 @@ class TestWeightModel:
 class TestAssembly:
     def test_zero_weight_gives_zero_mass(self):
         m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.5, r_out=8.0))
-        sysd = fem.assemble(m, fem.WeightModel.zero())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel.zero())
         assert sysd.Mp_full.nnz == 0
 
     def test_stiffness_symmetric_exactly(self):
@@ -109,13 +114,15 @@ class TestSolveDirichlet:
     def test_linear_reproduction(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.5, r_out=8.0))
         sol = fem.solve_dirichlet(
-            m, {"dirichlet_wall": lambda x, r: x, "truncation": lambda x, r: x})
+            fem.Discretization(m),
+            {"dirichlet_wall": lambda x, r: x, "truncation": lambda x, r: x})
         assert np.abs(sol.values - sol.disc.nodes[:, 0]).max() < 1e-10
         assert sol.residual < 1e-12
 
     def test_zero_data_zero_rhs(self):
         m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.6, r_out=8.0))
-        sol = fem.solve_dirichlet(m, {"dirichlet_wall": 0.0, "truncation": 0.0})
+        sol = fem.solve_dirichlet(fem.Discretization(m),
+                                  {"dirichlet_wall": 0.0, "truncation": 0.0})
         assert np.all(sol.values == 0.0)
 
     def test_manufactured_rho2_l2_order(self):
@@ -125,8 +132,9 @@ class TestSolveDirichlet:
         errs = []
         for _ in range(3):
             sol = fem.solve_dirichlet(
-                m, {"dirichlet_wall": lambda x, r: r**2,
-                    "truncation": lambda x, r: r**2},
+                fem.Discretization(m),
+                {"dirichlet_wall": lambda x, r: r**2,
+                 "truncation": lambda x, r: r**2},
                 rhs=lambda x, r: -4.0 * np.ones_like(x))
             disc = sol.disc
             Mass = fem.assemble_mass(disc)
@@ -141,9 +149,10 @@ class TestSolveDirichlet:
     def test_p2_exact_for_quadratic(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
         sol = fem.solve_dirichlet(
-            m, {"dirichlet_wall": lambda x, r: r**2,
-                "truncation": lambda x, r: r**2},
-            rhs=lambda x, r: -4.0 * np.ones_like(x), order=2)
+            fem.Discretization(m, order=2),
+            {"dirichlet_wall": lambda x, r: r**2,
+             "truncation": lambda x, r: r**2},
+            rhs=lambda x, r: -4.0 * np.ones_like(x))
         err = np.abs(sol.values - sol.disc.nodes[:, 1] ** 2).max()
         assert err < 1e-9
 
@@ -168,7 +177,8 @@ class TestSolveDirichlet:
         rhs = lambda x, r: np.ones_like(x)
         sols, meshes = [], []
         for _ in range(3):
-            sols.append(fem.solve_dirichlet(m, data, rhs=rhs))
+            sols.append(fem.solve_dirichlet(fem.Discretization(m), data,
+                                            rhs=rhs))
             meshes.append(m)
             m = M.refine(m)
         changes = []
@@ -217,14 +227,15 @@ class TestEigen:
         lam = {}
         for kind in ("HalfPlus", "HalfMinus"):
             m = M.build_profile_mesh(kind, M.MeshConfig(h0=0.3, r_out=12.0))
-            sysd = fem.assemble(m, fem.WeightModel())
+            sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
             lam[kind] = fem.eigen_smallest(sysd, count=1, tol=1e-12)[0].lam
         assert lam["HalfMinus"] / lam["HalfPlus"] == pytest.approx(2.0, rel=5e-3)
 
     def test_symmetric_weight_near_degenerate(self):
         m = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.25, r_out=8.0,
                                                levels=3))
-        sysd = fem.assemble(m, fem.WeightModel(1.0, 1.0))
+        sysd = fem.assemble(fem.Discretization(m),
+                            fem.WeightModel(1.0, 1.0))
         pairs = fem.eigen_smallest(sysd, count=2, tol=1e-12)
         gap = (pairs[1].lam - pairs[0].lam) / pairs[0].lam
         assert 0.0 <= gap < 0.01
@@ -234,28 +245,36 @@ class TestEigen:
         for r_out in (12.0, 16.0, 24.0):
             m = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.25,
                                                    r_out=r_out, levels=3))
-            sysd = fem.assemble(m, fem.WeightModel())
+            sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
             lams.append(fem.eigen_smallest(sysd, count=1)[0].lam)
         assert lams[0] >= lams[1] >= lams[2]
 
     def test_rayleigh_consistency(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.3, r_out=8.0))
-        sysd = fem.assemble(m, fem.WeightModel())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         pair = fem.eigen_smallest(sysd, count=1, tol=1e-13)[0]
-        assert abs(pair.lam - pair.rayleigh(sysd)) / pair.lam < 1e-12
+        assert abs(pair.lam - rayleigh(sysd, pair)) / pair.lam < 1e-12
+
+    def test_repeatable_in_one_process(self):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m, order=2), fem.WeightModel())
+        first = fem.eigen_smallest(sysd, count=1, tol=1e-12)[0]
+        second = fem.eigen_smallest(sysd, count=1, tol=1e-12)[0]
+        assert first.lam == second.lam
+        assert np.array_equal(first.field.values, second.field.values)
 
     def test_count_exceeding_rank_raises(self):
         # rank of M_p is limited by nodes inside the annulus; ask for far
         # too many modes on a tiny mesh
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=1.0, r_out=7.0))
-        sysd = fem.assemble(m, fem.WeightModel())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         rank_bound = int((sysd.Mp.diagonal() > 0).sum())
         with pytest.raises(Exception):
             fem.eigen_smallest(sysd, count=rank_bound + 5)
 
     def test_zero_mass_raises(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
-        sysd = fem.assemble(m, fem.WeightModel.zero())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel.zero())
         with pytest.raises(ValueError):
             fem.eigen_smallest(sysd, count=1)
 
@@ -263,26 +282,30 @@ class TestEigen:
 class TestRefineEigenpair:
     def test_fixed_point(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
-        sysd = fem.assemble(m, fem.WeightModel())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         pair = fem.eigen_smallest(sysd, count=1, tol=1e-13)[0]
-        once = fem.refine_eigenpair(sysd, pair, steps=2)
-        twice = fem.refine_eigenpair(sysd, once, steps=2)
+        once = fem.refine_eigenpair(sysd, pair.field.values[sysd.free],
+                                    0.99 * pair.lam, 2)
+        twice = fem.refine_eigenpair(sysd, once.field.values[sysd.free],
+                                     0.99 * once.lam, 2)
         assert abs(twice.lam - once.lam) / once.lam < 1e-14
 
     def test_residual_non_increasing(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
-        sysd = fem.assemble(m, fem.WeightModel())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         pair = fem.eigen_smallest(sysd, count=1, tol=1e-8)[0]
-        refined = fem.refine_eigenpair(sysd, pair, steps=4)
+        refined = fem.refine_eigenpair(sysd, pair.field.values[sysd.free],
+                                       0.99 * pair.lam, 4)
         assert refined.residual <= pair.residual * (1 + 1e-12)
 
     def test_eigenvalue_is_rayleigh_quotient_of_vector(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
-        sysd = fem.assemble(m, fem.WeightModel())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         pair = fem.eigen_smallest(sysd, count=1, tol=1e-6)[0]
         for steps in (0, 1, 3):
-            refined = fem.refine_eigenpair(sysd, pair, steps=steps)
-            assert refined.lam == pytest.approx(refined.rayleigh(sysd),
+            refined = fem.refine_eigenpair(
+                sysd, pair.field.values[sysd.free], 0.99 * pair.lam, steps)
+            assert refined.lam == pytest.approx(rayleigh(sysd, refined),
                                                 rel=1e-13)
 
     def test_two_scale_recovery(self):
@@ -307,21 +330,20 @@ class TestRefineEigenpair:
 
         sysd = fem.AssembledSystem(_Stub(), K, Mp, K, Mp,
                                    np.arange(n), np.empty(0, dtype=np.int64))
-        pair = fem.EigenPair(lam_true * 1.001,
-                             fem.FieldSolution.__new__(fem.FieldSolution), 1.0)
-        pair.field.disc = _Stub()
-        pair.field.values = u0
-        refined = fem.refine_eigenpair(sysd, pair, steps=3)
-        got = refined.field.values
-        got = got * (u_true[0] / got[0])
-        rel = np.abs(got - u_true) / u_true
-        assert rel.max() < 1e-4
-        assert refined.lam == pytest.approx(lam_true, rel=1e-10)
+        # a perturbed start unshifted, and the sweep's all-ones start
+        # shifted to 0.99 lam
+        for start, shift in ((u0, 0.0), (np.ones(n), 0.99 * lam_true)):
+            refined = fem.refine_eigenpair(sysd, start, shift, 3)
+            got = refined.field.values
+            got = got * (u_true[0] / got[0])
+            rel = np.abs(got - u_true) / u_true
+            assert rel.max() < 1e-4
+            assert refined.lam == pytest.approx(lam_true, rel=1e-10)
 
 
 def test_mass_normalize():
     m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
-    sysd = fem.assemble(m, fem.WeightModel())
+    sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
     pair = fem.eigen_smallest(sysd, count=1)[0]
     normed = fem.mass_normalize(sysd, pair)
     v = normed.field.values

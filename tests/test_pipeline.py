@@ -272,6 +272,14 @@ class TestSweep:
             bc = ScaledAmplitude.from_dict(entry["b_cascade"])
             assert (bd / bc).to_float() == pytest.approx(1.0, abs=0.5)
 
+    def test_eigenpair_repeatable_in_one_process(self, coarse_pset):
+        cfg = pl.RunConfig(cache=False, **COARSE)
+        lam_k0 = coarse_pset.constants.lam_k0
+        _, first = pl._dumbbell_eigenpair(cfg, 0.2, lam_k0)
+        _, second = pl._dumbbell_eigenpair(cfg, 0.2, lam_k0)
+        assert first.lam == second.lam
+        assert np.array_equal(first.field.values, second.field.values)
+
     def test_sample_counts_recorded(self, coarse_record):
         _, rec, _ = coarse_record
         full = {"right_vs_d0Phi": 75, "left_vs_PhiHat": 75,
