@@ -47,6 +47,8 @@ _SUBDIV = np.array((
     ((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)),
 ))
 _DEPTH = 8     # subdivision levels below a cut cell
+_ON_CUT = 1e-12  # |level| at or below this is on the cut: mesh vertices
+                 # meant to lie on a section sit there up to rounding
 _DEGREE = 6    # Dunavant rule on every piece
 _BATCH = 4096  # pieces per energy evaluation; bounds the quadrature memory
 
@@ -58,7 +60,8 @@ def _masked_rule(corners, side):
     Each level probes all pieces at their corners, edge midpoints and
     centroid at once, keeps those with no negative probe, splits in four
     those with probes of both signs and drops the rest, so a piece that
-    only touches the cut is never subdivided; cut pieces left on the last
+    only touches the cut is never subdivided (a probe within _ON_CUT of
+    zero counts as on the cut, neither sign); cut pieces left on the last
     level keep their quadrature points where the level is positive.
     Returns each piece's triangle, its corners in that triangle's
     barycentric frame (P, 3, 3) and its weights as fractions of the
@@ -73,8 +76,9 @@ def _masked_rule(corners, side):
             0.5 * (corners + np.roll(corners, 1, axis=1)),
             corners.mean(axis=1, keepdims=True)], axis=1)
         level_vals = side(probes[..., 0], probes[..., 1])  # (P, 7)
-        full = (level_vals >= 0).all(axis=1)
-        cut = (level_vals > 0).any(axis=1) & (level_vals < 0).any(axis=1)
+        below = (level_vals < -_ON_CUT).any(axis=1)
+        full = ~below
+        cut = below & (level_vals > _ON_CUT).any(axis=1)
         frac = np.broadcast_to(base_wts * 0.25 ** level,
                                (len(corners), len(base_wts)))
         if level == _DEPTH:
@@ -108,14 +112,15 @@ def _masked_energy(disc, u_values, weight, lam, side,
         tri_ids = cells[lo:lo + _BATCH]
         bary = base_pts @ pieces[lo:lo + _BATCH]  # (P, q, 3)
         wts = fracs[lo:lo + _BATCH] * disc.area[tri_ids, None]
-        phys = np.einsum("tqk,tkd->tqd", bary, corners[tri_ids])
+        phys = bary @ corners[tri_ids]  # (P, q, 2)
         s, d = shapes(bary.reshape(-1, 3))
-        shp = s.reshape(bary.shape[:2] + s.shape[1:])
-        dshp = d.reshape(bary.shape[:2] + d.shape[1:])
-        nodal = u_values[disc.cells[tri_ids]]
-        uvals = np.einsum("tqi,ti->tq", shp, nodal)
-        grads = np.einsum("tqik,tkd,ti->tqd", dshp, disc.bgrads[tri_ids],
-                          nodal)
+        shp = s.reshape(bary.shape[:2] + s.shape[1:])  # (P, q, i)
+        dshp = d.reshape(bary.shape[:2] + d.shape[1:])  # (P, q, i, 3)
+        nodal = u_values[disc.cells[tri_ids]]  # (P, i)
+        uvals = (shp @ nodal[:, :, None])[..., 0]
+        # barycentric gradient (P, q, 1, 3), then the physical one (P, q, 2)
+        gbary = nodal[:, None, None, :] @ dshp
+        grads = gbary[:, :, 0, :] @ disc.bgrads[tri_ids]
         x1, rho = phys[..., 0], phys[..., 1]
         if extra is not None:
             uvals = uvals + extra(x1, rho)

@@ -288,7 +288,14 @@ class Discretization:
 
 def _assemble_form(disc: Discretization, kind: str,
                    coeff: Callable | None = None) -> sp.csr_matrix:
-    """kind 'stiffness' or 'mass'; coeff(x1, rho) multiplies the integrand."""
+    """kind 'stiffness' or 'mass'; coeff(x1, rho) multiplies the integrand.
+
+    Each form is one matrix product of per-cell quadrature factors with a
+    reference table built from the rule (Kirby & Logg, ACM TOMS 2006):
+    mass local[t, ij] = sum_q wfac[t, q] shp[q, i] shp[q, j]; stiffness
+    local[t, ij] = sum_(q,k,l) wfac[t, q] B[t, k, l] dshp[q, i, k]
+    dshp[q, j, l], with B[t] the Gram matrix of the cell's barycentric
+    gradients."""
     if kind == "stiffness":
         degree = 2 if disc.order == 1 else 4
     else:
@@ -297,13 +304,13 @@ def _assemble_form(disc: Discretization, kind: str,
         degree = max(degree, 6)
     bary, wts = _dunavant(degree)
     shp, dshp = (_p1_shapes if disc.order == 1 else _p2_shapes)(bary)
-    nloc = shp.shape[1]
+    nq, nloc = shp.shape
 
     area, bgrads = disc.area, disc.bgrads
     tris = disc.mesh.triangles
     p = disc.mesh.vertices[tris]
     # physical quadrature points: (ncell, q, 2)
-    qpts = np.einsum("qk,tkd->tqd", bary, p)
+    qpts = bary @ p
     rho_m = qpts[..., 1] ** disc.measure_exponent \
         if disc.measure_exponent else np.ones(qpts.shape[:2])
     cvals = np.ones(qpts.shape[:2])
@@ -318,12 +325,18 @@ def _assemble_form(disc: Discretization, kind: str,
     wfac = (wts[None, :] * rho_m[keep] * cvals[keep]) * areaK[:, None]
 
     if kind == "mass":
-        local = np.einsum("tq,qi,qj->tij", wfac, shp, shp)
+        table = (shp[:, :, None] * shp[:, None, :]).reshape(nq, nloc * nloc)
+        local = wfac @ table
     else:
-        # physical gradients of shape functions: (t, q, i, 2)
-        g = np.einsum("qik,tkd->tqid", dshp, bgrads[keep])
-        local = np.einsum("tq,tqid,tqjd->tij", wfac, g, g)
-    # enforce bitwise symmetry (einsum summation order is not symmetric)
+        table = np.einsum("qik,qjl->qklij", dshp, dshp).reshape(
+            nq * 9, nloc * nloc)
+        bg = bgrads[keep]
+        gram = bg @ np.swapaxes(bg, 1, 2)  # (t, 3, 3)
+        local = (wfac[:, :, None] * gram.reshape(-1, 1, 9)).reshape(
+            -1, nq * 9) @ table
+    local = local.reshape(-1, nloc, nloc)
+    # enforce bitwise symmetry (a matrix product's summation order is not
+    # symmetric in i and j)
     local = 0.5 * (local + np.swapaxes(local, 1, 2))
 
     rows = np.repeat(cells, nloc, axis=1).ravel()
@@ -424,7 +437,9 @@ def eliminate(A: sp.csr_matrix, fixed: np.ndarray,
     only its fixed entries are read; zero by default): the fixed data is
     lifted into the reduced load, A_ff is factored, and (u, relative
     residual of the reduced solve) is returned."""
-    free = np.setdiff1d(np.arange(A.shape[0]), fixed)
+    is_free = np.ones(A.shape[0], dtype=bool)
+    is_free[fixed] = False
+    free = np.flatnonzero(is_free)
     A_ff = A[free][:, free].tocsr()
     if load is None:
         return free, A_ff

@@ -7,7 +7,9 @@ from dumbbell import almgren as A
 from dumbbell import cross_section as cs
 from dumbbell import fem
 from dumbbell import profiles as P
-from dumbbell.mesh import MeshConfig, build_dumbbell_mesh, build_profile_mesh
+from dumbbell.mesh import (MeshConfig, build_dumbbell_mesh, build_profile_mesh,
+                           refine)
+from dumbbell.pipeline import RunConfig
 
 MODE = cs.disk_ground_mode(3)
 SL1 = MODE.sqrt_lambda1
@@ -179,6 +181,43 @@ class TestMaskedRule:
         right = left * [-1.0, 1.0] + [1.0, 0.0]
         cells, _, _ = A._masked_rule(right, lambda x1, rho: 0.5 - x1)
         assert len(cells) == 0
+
+    def test_edge_a_rounding_off_the_cut_is_not_subdivided(self):
+        # mesh vertices meant to lie on x1 = 0.5 can sit one ulp off it;
+        # a level of +5.6e-17 there is on the cut, not on its positive side
+        edge = np.nextafter(0.5, 0.0)
+        left = np.array([[[edge, 0.0], [edge, 1.0], [0.0, 0.5]]])
+        right = np.array([[[edge, 0.0], [edge, 1.0], [1.0, 0.5]]])
+        cells, _, _ = A._masked_rule(left, lambda x1, rho: 0.5 - x1)
+        assert cells.tolist() == [0]
+        cells, _, _ = A._masked_rule(right, lambda x1, rho: 0.5 - x1)
+        assert len(cells) == 0
+
+    def test_channel_section_keeps_no_empty_piece(self):
+        # on the sweep's eps = 0.1 mesh the tube vertices of x1 = 0.5 sit
+        # at 0.5 - 1.1e-16
+        mesh = refine(build_dumbbell_mesh(RunConfig().mesh_config(0.1)))
+        corners = mesh.vertices[mesh.triangles]
+        _, _, fracs = A._masked_rule(corners, lambda x1, rho: 0.5 - x1)
+        assert np.all(fracs.sum(axis=1) > 0)
+
+
+class TestMaskedEnergy:
+    def test_full_region_matches_assembled_forms(self):
+        # with the level positive everywhere the masked quadrature is the
+        # energy u^T (K - lam M_p) u of the assembled forms, times omega
+        mesh = build_dumbbell_mesh(MeshConfig(h0=0.3, eps=0.3, r_out=8.0,
+                                              levels=2))
+        disc = fem.Discretization(mesh, order=2)
+        weight = fem.WeightModel()
+        system = fem.assemble(disc, weight)
+        u = np.random.default_rng(3).standard_normal(disc.n_nodes)
+        lam = 1.6
+        energy = A._masked_energy(disc, u, weight, lam,
+                                  lambda x1, rho: np.ones_like(x1))
+        ref = cs.sphere_surface_area(1) * float(
+            u @ (system.K_full @ u) - lam * (u @ (system.Mp_full @ u)))
+        assert energy == pytest.approx(ref, rel=1e-12)
 
 
 class TestBlowup:

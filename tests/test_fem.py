@@ -109,6 +109,44 @@ class TestAssembly:
         assert np.max(np.abs(K - Ksym)) < 1e-14
         assert np.max(np.abs(Mq - Msym)) < 1e-14
 
+    def test_p2_forms_match_a_per_cell_loop(self):
+        # reference: a Python loop over cells and quadrature points of the
+        # degree-6 rule, exact for both P2 integrands with measure rho
+        m = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.3, r_out=8.0,
+                                               levels=2))
+        disc = fem.Discretization(m, order=2)
+        weight = fem.WeightModel()
+        bary, wts = fem._dunavant(6)
+        shp, dshp = fem._p2_shapes(bary)
+        rows, cols, kvals, mvals = [], [], [], []
+        for tri, cell in zip(m.triangles, disc.cells):
+            p = m.vertices[tri]
+            jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
+            area = 0.5 * abs(np.linalg.det(jac))
+            inv = np.linalg.inv(jac)  # rows: gradients of lambda_2, lambda_3
+            bg = np.vstack([-inv.sum(axis=0), inv])
+            k_loc = np.zeros((6, 6))
+            m_loc = np.zeros((6, 6))
+            for q in range(len(wts)):
+                x1, rho = bary[q] @ p
+                dv = wts[q] * area * rho
+                g = dshp[q] @ bg
+                k_loc += dv * (g @ g.T)
+                m_loc += dv * weight(x1, rho) * np.outer(shp[q], shp[q])
+            rows.append(np.repeat(cell, 6))
+            cols.append(np.tile(cell, 6))
+            kvals.append(k_loc.ravel())
+            mvals.append(m_loc.ravel())
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        shape = (disc.n_nodes, disc.n_nodes)
+        for assembled, vals in (
+                (fem.assemble_stiffness(disc), kvals),
+                (fem.assemble_mass(disc, coeff=weight), mvals)):
+            ref = sp.coo_matrix((np.concatenate(vals), (rows, cols)),
+                                shape=shape).tocsr()
+            top = np.abs(ref.data).max()
+            assert np.abs((assembled - ref).data).max() <= 1e-13 * top
+
 
 class TestSolveDirichlet:
     def test_linear_reproduction(self):

@@ -9,6 +9,7 @@ import pytest
 from dumbbell import channel as ch
 from dumbbell import cli
 from dumbbell import cross_section as cs
+from dumbbell import fem
 from dumbbell import pipeline as pl
 from dumbbell.scaled import ScaledAmplitude
 
@@ -279,6 +280,22 @@ class TestSweep:
         _, second = pl._dumbbell_eigenpair(cfg, 0.2, lam_k0)
         assert first.lam == second.lam
         assert np.array_equal(first.field.values, second.field.values)
+
+    def test_entry_factors_twice_and_assembles_stiffness_once(
+            self, coarse_pset, monkeypatch):
+        # the hot path: one shifted factor for the dumbbell eigenpair, one
+        # for the restricted reference, and one stiffness matrix for both
+        factored, assembled = [], []
+        factor, assemble = fem.factor, fem.assemble_stiffness
+        monkeypatch.setattr(fem, "factor",
+                            lambda A: factored.append(A.shape) or factor(A))
+        monkeypatch.setattr(fem, "assemble_stiffness",
+                            lambda disc: assembled.append(disc)
+                            or assemble(disc))
+        pl._sweep_entry(pl.RunConfig(cache=False, **COARSE), 0.3,
+                        coarse_pset)
+        assert len(factored) == 2
+        assert len(assembled) == 1
 
     def test_sample_counts_recorded(self, coarse_record):
         _, rec, _ = coarse_record
