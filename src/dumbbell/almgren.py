@@ -18,7 +18,7 @@ surface-measure quadratures are consistent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +169,6 @@ class FrequencyTrace:
     D: np.ndarray
     H: np.ndarray
     N: np.ndarray
-    context: dict = dfield(default_factory=dict)
 
 
 def frequency_exterior(field, weight, lam, radii, mesh=None,
@@ -203,8 +202,7 @@ def frequency_exterior(field, weight, lam, radii, mesh=None,
         H[i] = ch.hminus(evaluator, t, n)
         if H[i] <= 0:
             raise ValueError(f"boundary mass vanishes at radius {t}")
-    return FrequencyTrace(radii, D, H, D / H,
-                          {"kind": "exterior", "lambda": lam})
+    return FrequencyTrace(radii, D, H, D / H)
 
 
 def frequency_channel(field, eps, t_list, weight=None, lam=0.0,
@@ -229,8 +227,7 @@ def frequency_channel(field, eps, t_list, weight=None, lam=0.0,
             raise ValueError(f"channel mass vanishes at section {t}")
         D[i] = e
         H[i] = hc
-    return FrequencyTrace(t_list, D, H, eps * D / H,
-                          {"kind": "channel", "eps": eps, "lambda": lam})
+    return FrequencyTrace(t_list, D, H, eps * D / H)
 
 
 # ----------------------------------------------------------------------------

@@ -153,16 +153,13 @@ def propagate(fit: ModeFit, t: float) -> ScaledAmplitude:
 class SphericalFit:
     """Coefficients of v(r) = alpha r + beta r^(1-N); d = -N beta exactly."""
 
-    eps: float
-    dimension: int
     alpha: float
     beta: float
     d: float
-    radii: tuple
     residual: float
 
 
-def spherical_fit(samples, n: int = 3, eps: float = 0.0) -> SphericalFit:
+def spherical_fit(samples, n: int = 3) -> SphericalFit:
     pts = sorted((float(r), float(v)) for r, v in samples)
     if len(pts) < 2:
         raise ValueError("need at least 2 radii")
@@ -175,4 +172,4 @@ def spherical_fit(samples, n: int = 3, eps: float = 0.0) -> SphericalFit:
     misfit = M @ coef - vs
     residual = float(np.linalg.norm(misfit) / max(np.linalg.norm(vs), 1e-300))
     alpha, beta = float(coef[0]), float(coef[1])
-    return SphericalFit(eps, n, alpha, beta, -n * beta, tuple(rs), residual)
+    return SphericalFit(alpha, beta, -n * beta, residual)

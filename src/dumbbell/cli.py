@@ -28,10 +28,9 @@ def _build_config(args) -> pl.RunConfig:
         if unknown:
             raise ValueError(f"unknown config key(s) in {args.config}: "
                              f"{', '.join(unknown)}")
-    for key in ("eps_sweep", "fit_window", "fit_window_left", "x0_list",
-                "ktilde_list", "spherical_radii"):
-        if key in base:
-            base[key] = tuple(base[key])
+    for f in fields(pl.RunConfig):
+        if isinstance(f.default, tuple) and f.name in base:
+            base[f.name] = tuple(base[f.name])
     if getattr(args, "eps", None):
         base["eps_sweep"] = tuple(args.eps)
     if getattr(args, "levels", None) is not None:

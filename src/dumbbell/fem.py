@@ -387,7 +387,6 @@ class AssembledSystem:
     Mp_full: sp.csr_matrix
     free: np.ndarray
     fixed: np.ndarray
-    weight: object = None
     _lu: object = dfield(default=None, repr=False)
 
     def lu(self):
@@ -410,7 +409,7 @@ def assemble(disc: Discretization,
     fixed = disc.boundary_nodes(*disc.dirichlet_tags())
     free, K = eliminate(K_full, fixed)
     _, Mp = eliminate(Mp_full, fixed)
-    return AssembledSystem(disc, K, Mp, K_full, Mp_full, free, fixed, weight)
+    return AssembledSystem(disc, K, Mp, K_full, Mp_full, free, fixed)
 
 
 def factor(A: sp.spmatrix):

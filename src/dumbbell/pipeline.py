@@ -1,14 +1,17 @@
 """Sweep orchestration: profile constants, per-eps dumbbell solves, ratio
 series, trend verdicts and persistence.
 
-The verification is two-track.  For eps >= 0.1 every quantity is measured
-directly on the dumbbell eigenvector (all scales sit inside double range).
-Below that the left-side quantities are reconstructed through the exact
-channel algebra: the tube amplitude A_eps propagates the right-junction
-data to the left junction, where the transfer constants of the PhiHat
-profile convert it into section masses and the Ubar shape; the global
-eigenvector's left-side entries are numerically meaningless there.  On the
-default sweep both tracks are computed and compared.
+The verification is two-track.  Every entry reads the eigenpair, the
+restricted reference eigenvalue, the right-window tube fit, the cascade
+scales, the channel frequency and R1-R3.  For eps >= 0.1 (the direct
+track) the section masses, the junction defect, the spherical fit and the
+blow-up windows are read off the dumbbell eigenvector (all scales sit
+inside double range), and give R4-R6.  Below that (the cascade track) the
+section masses come from the tube amplitude A_eps propagated through the
+exact channel algebra, and nothing left of the tube is read: the global
+eigenvector's left-side entries are numerically meaningless there.  On
+direct entries the `cascade_B` verdict checks the cascade's decaying-mode
+coefficient against the one measured next to the left junction.
 """
 
 from __future__ import annotations
@@ -64,11 +67,9 @@ class RunConfig:
     profile_level: int = 1
     sweep_level: int = 1
     fit_window: tuple = (0.55, 0.85)
-    fit_window_left: tuple = (0.1, 0.4)
     fit_points: int = 13
     x0_list: tuple = (0.3, 0.5, 0.7)
     ktilde_list: tuple = (0.5, 1.0, 1.5)
-    spherical_radii: tuple = (0.3, 0.5, 0.8, 1.2, 2.0)
     out_dir: str = "runs"
     cache: bool = True
     cascade_only: bool = False
@@ -86,11 +87,10 @@ class RunConfig:
             raise ValueError(
                 "eps < 0.05 requires cascade-only mode (direct left-side "
                 "reads are below the eigensolver noise floor)")
-        for name in ("fit_window", "fit_window_left"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo < hi < 1):
-                raise ValueError(f"{name} must sit inside the tube: "
-                                 "0 < lo < hi < 1")
+        lo, hi = self.fit_window
+        if not (0 < lo < hi < 1):
+            raise ValueError("fit_window must sit inside the tube: "
+                             "0 < lo < hi < 1")
         if not all(0 < x0 < 1 for x0 in self.x0_list):
             raise ValueError("every x0 must lie inside the tube, in (0, 1)")
         if self.fit_points < 4:
@@ -272,11 +272,15 @@ def _restricted_reference(system: fem.AssembledSystem,
     free, K = fem.eliminate(system.K_full, fixed)
     _, Mp = fem.eliminate(system.Mp_full, fixed)
     sub = fem.AssembledSystem(disc, K, Mp, system.K_full, system.Mp_full,
-                              free, fixed, system.weight)
+                              free, fixed)
     # on D+ lam2/lam1 = 2.38, so each step at sigma = 0.99 lam_k0 contracts
     # by about 0.007, and the Rayleigh quotient error squares that
     ref = fem.refine_eigenpair(sub, np.ones(len(free)), 0.99 * lam_k0, 4)
     return ref.lam
+
+
+# radii of the spherical fit in D-; those inside the tube radius are skipped
+_SPHERICAL_RADII = (0.3, 0.5, 0.8, 1.2, 2.0)
 
 
 def _annulus_samples(center: float, radii, side: int, n_phi: int = 25):
@@ -306,78 +310,65 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
     n = cfg.dimension
     mode = cs.disk_ground_mode(n)
     sl1 = mode.sqrt_lambda1
-    direct = eps >= 0.1
+    track = "direct" if eps >= 0.1 else "cascade"
 
     system, pair = _dumbbell_eigenpair(cfg, eps, con.lam_k0)
     u = pair.field
     lam_ref = _restricted_reference(system, con.lam_k0)
 
-    # tube-mode fits: right window for A, left window for B
-    def phi_samples(window):
-        ts = np.linspace(window[0], window[1], cfg.fit_points)
-        return [(t, cs.project_section(u.evaluate, t, eps, mode))
-                for t in ts]
-
-    fit = ch.fit_channel_mode(phi_samples(cfg.fit_window), eps, sl1)
-    fit_left = ch.fit_channel_mode(phi_samples(cfg.fit_window_left), eps,
-                                   sl1) if direct else None
-
-    # decaying-mode coefficient by defect: next to the left junction the
-    # B-term is a percent-level fraction of the local signal (it is
-    # invisible to a uniformly weighted window fit), so subtract the
-    # fitted growing mode there and unfold the decay factor
-    b_defect = ScaledAmplitude.zero()
-    junction_probes = {}
-    if direct:
-        for tp in (0.02, 0.05, 0.08):
-            junction_probes[tp] = cs.project_section(u.evaluate, tp, eps,
-                                                     mode)
-        t_probe = 0.05
-        y_probe = junction_probes[t_probe]
-        grow = fit.A.scale_exp(sl1 / eps * (t_probe - 1.0)).to_float()
-        b_defect = ScaledAmplitude.from_float(y_probe - grow).scale_exp(
-            sl1 / eps * (t_probe - 1.0))
-
-    # section masses, kept scaled
-    ht_x0 = {}
-    for x0 in cfg.x0_list:
-        if direct:
-            ht, _ = ch.htilde(u.evaluate, x0, eps, n)
-            ht_x0[x0] = ScaledAmplitude.from_float(ht)
-        else:
-            amp = ch.propagate(fit, x0)
-            ht_x0[x0] = amp * amp
+    # growing-mode amplitude A from the right tube window
+    ts = np.linspace(cfg.fit_window[0], cfg.fit_window[1], cfg.fit_points)
+    fit = ch.fit_channel_mode(
+        [(t, cs.project_section(u.evaluate, t, eps, mode)) for t in ts],
+        eps, sl1)
 
     # cascade reconstruction of the left-side scales from tube data
     sqrt_ht_eps_c = (fit.A * math.sqrt(con.m_phihat)).scale_exp(-sl1 / eps)
-    ht_eps = ScaledAmplitude.from_float(
-        ch.htilde(u.evaluate, eps, eps, n)[0]) if direct \
-        else sqrt_ht_eps_c * sqrt_ht_eps_c
-    sqrt_ht_eps = ht_eps.sqrt()
     b_cascade = ((con.phihat0 - con.c_hat) * sqrt_ht_eps_c)\
         .scale_exp(-sl1 / eps)
-    beta_cascade = (sqrt_ht_eps_c * (con.c_hat * con.c_phihat))\
-        .scale_exp((n - 1) * math.log(eps))
-
-    # spherical representation in D- (direct track only)
-    sph = None
-    gamma_mass = {}
-    if direct:
-        pts = [(r, cs.project_sphere(u.evaluate, 0.0, r, -1, n))
-               for r in cfg.spherical_radii if r > eps]
-        sph = ch.spherical_fit(pts, n, eps)
-        for kt in cfg.ktilde_list:
-            gamma_mass[kt] = cs.half_sphere_mass(u.evaluate, 0.0, kt, -1, n)
 
     # channel frequency at the midpoint section
     freq = almgren.frequency_channel(u, eps, [0.5], weight=cfg.weight(),
                                      lam=pair.lam)
-    n_eps_half = float(freq.N[0])
 
-    # blow-up comparisons; `samples` counts the points behind each sup
-    comparisons = {}
-    samples = {}
-    if direct:
+    kd0cphi = con.d0 * con.c_phi
+    if track == "direct":
+        # section masses, kept scaled
+        ht_x0 = {x0: ScaledAmplitude.from_float(
+            ch.htilde(u.evaluate, x0, eps, n)[0]) for x0 in cfg.x0_list}
+        ht_eps = ScaledAmplitude.from_float(
+            ch.htilde(u.evaluate, eps, eps, n)[0])
+
+        # decaying-mode coefficient by defect: next to the left junction
+        # the B-term is a percent-level fraction of the local signal (it
+        # is invisible to a uniformly weighted window fit), so subtract
+        # the fitted growing mode at t = 0.05 and unfold the decay factor
+        junction_probes = {tp: cs.project_section(u.evaluate, tp, eps, mode)
+                           for tp in (0.02, 0.05, 0.08)}
+        decay = sl1 / eps * (0.05 - 1.0)
+        grow = fit.A.scale_exp(decay).to_float()
+        b_defect = ScaledAmplitude.from_float(
+            junction_probes[0.05] - grow).scale_exp(decay)
+
+        # spherical representation in D-; a zero section mass at eps
+        # fails the entry in R4
+        sph = ch.spherical_fit(
+            [(r, cs.project_sphere(u.evaluate, 0.0, r, -1, n))
+             for r in _SPHERICAL_RADII if r > eps], n)
+        spherical = {"alpha": sph.alpha, "beta": sph.beta, "d": sph.d,
+                     "residual": sph.residual}
+        left = {"R4": (sph.d / (n * eps ** (n - 1)))
+                / ((-con.c_phihat * con.c_hat) * ht_eps.sqrt().to_float())}
+        big = con.c_phihat * kd0cphi
+        for kt in cfg.ktilde_list:
+            amp = ScaledAmplitude.from_float(math.sqrt(
+                cs.half_sphere_mass(u.evaluate, 0.0, kt, -1, n))).scale_exp(
+                    sl1 / eps - n * math.log(eps))
+            left[f"R5[kt={kt:g}]"] = (
+                amp / (math.sqrt(con.norm_gamma[kt]) * big)).to_float()
+
+        # blow-up comparisons; `samples` counts the points behind each sup
+        comparisons, samples = {}, {}
         view = almgren.blowup(u.evaluate, "RightJunction", eps)
         out = _sup_window(samples, "right_vs_d0Phi", view,
                           lambda a, b: con.d0 * pset.phi(a, b),
@@ -396,11 +387,6 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
         out = _sup_window(samples, "channel_vs_psi1", view,
                           lambda a, b: mode.psi1(b), np.ones_like(rr), rr)
         comparisons["channel_vs_psi1"] = out["sup"]
-        # one-mode dominance at mid-tube: phi(t)^2 / Htilde(t) -> 1
-        phi_mid = cs.project_section(u.evaluate, 0.5, eps, mode)
-        ht_mid = ch.htilde(u.evaluate, 0.5, eps, n)[0]
-        comparisons["one_mode_dev"] = abs(
-            phi_mid / math.sqrt(ht_mid) - 1.0)
 
         x1_in, rho_in = _annulus_samples(0.0, (0.6, 1.0, 1.4), -1)
         norm_dev = {}
@@ -414,51 +400,44 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
             norm_dev[kt] = out["sup"] / out["ref_sup"]
         comparisons["normalized_vs_Ubar"] = norm_dev
 
-        # positivity surrogate for the left-junction transfer constant
-        comparisons["chat_sign"] = float(np.sign(
-            cs.project_section(uhat, 1.0, 1.0, mode)))
+        scale = ScaledAmplitude.from_float(1.0).scale_exp(
+            sl1 / eps - n * math.log(eps)).to_float()
+        out = _sup_window(samples, "R6",
+                          lambda a, b: scale * u.evaluate(a, b),
+                          lambda a, b: big * pset.ubar(a, b), x1_in, rho_in)
+        left["R6"] = out["sup"] / out["ref_sup"]
+    else:
+        # the left side is not read: section masses from the propagated
+        # tube amplitude, and no left-side ratios
+        ht_x0 = {}
+        for x0 in cfg.x0_list:
+            amp = ch.propagate(fit, x0)
+            ht_x0[x0] = amp * amp
+        ht_eps = sqrt_ht_eps_c * sqrt_ht_eps_c
+        junction_probes, b_defect = {}, ScaledAmplitude.zero()
+        spherical, comparisons, samples, left = None, {}, {}, {}
 
     # ratio series entries
+    sqrt_ht_eps = ht_eps.sqrt()
     ratios = {"R1": pair.lam / lam_ref}
-    kd0cphi = con.d0 * con.c_phi
     for x0 in cfg.x0_list:
         amp = ht_x0[x0].sqrt().scale_exp(-sl1 * (x0 - 1.0) / eps)
         ratios[f"R2[x0={x0:g}]"] = (amp / (eps * kd0cphi)).to_float()
     ratios["R3"] = (sqrt_ht_eps.scale_exp(sl1 / eps)
                     / (eps * kd0cphi * math.sqrt(con.m_phihat))).to_float() \
         if not sqrt_ht_eps.is_zero() else float("nan")
-    if sph is not None and not sqrt_ht_eps.is_zero():
-        num = sph.d / (n * eps ** (n - 1))
-        den = (-con.c_phihat * con.c_hat) * sqrt_ht_eps.to_float()
-        ratios["R4"] = num / den
-    big = con.c_phihat * kd0cphi
-    for kt in cfg.ktilde_list:
-        if kt in gamma_mass:
-            amp = ScaledAmplitude.from_float(
-                math.sqrt(gamma_mass[kt])).scale_exp(
-                    sl1 / eps - n * math.log(eps))
-            ratios[f"R5[kt={kt:g}]"] = (
-                amp / (math.sqrt(con.norm_gamma[kt]) * big)).to_float()
+    ratios.update(left)
 
-    if direct:
-        scale = ScaledAmplitude.from_float(1.0).scale_exp(
-            sl1 / eps - n * math.log(eps)).to_float()
-        out = _sup_window(samples, "R6",
-                          lambda a, b: scale * u.evaluate(a, b),
-                          lambda a, b: big * pset.ubar(a, b), x1_in, rho_in)
-        ratios["R6"] = out["sup"] / out["ref_sup"]
-
-    entry = {
+    return {
         "eps": eps,
-        "track": "direct" if direct else "cascade",
+        "track": track,
         "lam_eps": pair.lam,
         "lam_ref": lam_ref,
         "eigen_residual": pair.residual,
-        "fit": _fit_dict(fit),
-        "fit_left": _fit_dict(fit_left) if fit_left is not None else None,
-        "spherical": None if sph is None else {
-            "alpha": sph.alpha, "beta": sph.beta, "d": sph.d,
-            "residual": sph.residual},
+        "fit": {"A": fit.A.to_dict(), "B": fit.B.to_dict(),
+                "C": fit.C.to_dict(), "window": list(fit.window),
+                "residual": fit.residual, "b_resolved": bool(fit.b_resolved)},
+        "spherical": spherical,
         "htilde_x0": {repr(float(k)): v.to_dict() for k, v in ht_x0.items()},
         "htilde_eps": ht_eps.to_dict(),
         "sqrt_htilde_eps_cascade": sqrt_ht_eps_c.to_dict(),
@@ -466,19 +445,11 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
         "b_defect": b_defect.to_dict(),
         "junction_probes": {repr(float(k)): v
                             for k, v in junction_probes.items()},
-        "beta_cascade": beta_cascade.to_dict(),
-        "n_eps_half": n_eps_half,
+        "n_eps_half": float(freq.N[0]),
         "comparisons": comparisons,
         "samples": samples,
         "ratios": ratios,
     }
-    return entry
-
-
-def _fit_dict(fit: ch.ModeFit) -> dict:
-    return {"A": fit.A.to_dict(), "B": fit.B.to_dict(),
-            "C": fit.C.to_dict(), "window": list(fit.window),
-            "residual": fit.residual, "b_resolved": bool(fit.b_resolved)}
 
 
 # ----------------------------------------------------------------------------
@@ -529,9 +500,16 @@ class RunRecord:
 
 
 def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
+    """Sweep `cfg.eps_sweep`; `constants` is the ProfileSet to reuse, or
+    None to solve the profiles first."""
     cfg.validate()
-    pset = constants if isinstance(constants, ProfileSet) \
-        else run_profiles(cfg, return_fields=True)
+    if constants is None:
+        pset = run_profiles(cfg, return_fields=True)
+    elif isinstance(constants, ProfileSet):
+        pset = constants
+    else:
+        raise TypeError("run_sweep needs a ProfileSet or None as "
+                        f"constants, not {type(constants).__name__}")
 
     sweep = [None] * len(cfg.eps_sweep)
 
@@ -572,7 +550,7 @@ def _classify(eps, devs) -> str:
     return "flat"
 
 
-def verify(record: RunRecord, tolerances: dict | None = None) -> dict:
+def verify(record: RunRecord) -> dict:
     """Classify every ratio series and decide the overall verdict.
 
     A series passes when its deviation-from-1 trend is converging and the
@@ -580,12 +558,10 @@ def verify(record: RunRecord, tolerances: dict | None = None) -> dict:
     asymptotic series).  A series whose deviations never rise above the
     discretization floor has converged before the sweep began; its slope
     is mesh noise and it passes regardless of the trend label.  A sweep
-    with an errored entry fails under `sweep_errors`.  `tolerances` is not
-    modified."""
+    with an errored entry fails under `sweep_errors`."""
     tol = {"R1": 0.05, "R2": 0.15, "R3": 0.15, "R4": 0.15, "R5": 0.15,
-           "R6": 0.15, "floor": 5e-3}
-    tol.update(tolerances or {})
-    floor = tol.pop("floor")
+           "R6": 0.15}
+    floor = 5e-3
     names = sorted({k for entry in record.sweep
                     for k in entry.get("ratios", {})})
     out = {}

@@ -117,9 +117,7 @@ def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
         for r in (0.5, 1.0, 2.0)])
     d0 = float(samples.mean())
     spread = float(np.ptp(samples) / abs(d0)) if d0 != 0 else math.inf
-    meta = {"r_out": cfg.r_out, "level": level, "order": order,
-            "d0_samples": samples.tolist(), "d0_spread": spread,
-            "eigen_residual": pair.residual}
+    meta = {"d0_spread": spread, "eigen_residual": pair.residual}
     sol = ProfileSolution("U0", pair.field, lambda x1, rho: 0.0 * x1, meta)
     return sol, pair.lam, d0
 
@@ -136,10 +134,7 @@ def _harmonic_profile(domain: str, cfg: MeshConfig, level: int, order: int,
     mesh = _maybe_refine(build_profile_mesh(domain, cfg), level)
     disc = fem.Discretization(mesh, order=order)
     sol = fem.solve_dirichlet(disc, dict.fromkeys(tags, 0.0), lift=lift)
-    return ProfileSolution(
-        domain.removesuffix("Domain"), sol, lift,
-        {"r_out": cfg.r_out, "tube_length": cfg.tube_length,
-         "level": level, "order": order})
+    return ProfileSolution(domain.removesuffix("Domain"), sol, lift)
 
 
 def compute_Phi(cfg: MeshConfig, level: int = 0, order: int = 2):
@@ -235,10 +230,7 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
     values, resid = fem.eliminate(A, system.fixed, rhs_vec)
     remainder = fem.FieldSolution(disc, values, residual=resid)
 
-    profile = ProfileSolution(
-        "Ubar", remainder, carried,
-        {"r_out": cfg.r_out, "level": level, "order": order,
-         "lam_k0": lam_k0})
+    profile = ProfileSolution("Ubar", remainder, carried)
     norms = {float(k): cs.half_sphere_mass(profile, 0.0, float(k), -1, n)
              for k in ktilde}
     return profile, norms

@@ -27,6 +27,18 @@ def synthetic_record(values_by_eps, name="R3"):
     return pl.RunRecord("deadbeef", {}, constants, sweep)
 
 
+def unreachable(*args, **kwargs):
+    raise AssertionError("a solve was entered")
+
+
+# every entry carries these keys, in this order, on either track
+ENTRY_KEYS = ["eps", "track", "lam_eps", "lam_ref", "eigen_residual", "fit",
+              "spherical", "htilde_x0", "htilde_eps",
+              "sqrt_htilde_eps_cascade", "b_cascade", "b_defect",
+              "junction_probes", "n_eps_half", "comparisons", "samples",
+              "ratios"]
+
+
 class TestRunConfig:
     def test_sweep_must_decrease(self):
         with pytest.raises(ValueError):
@@ -49,9 +61,9 @@ class TestRunConfig:
         {"x0_list": (0.3, 1.0)},
         {"x0_list": (0.0,)},
         {"fit_window": (0.85, 0.55)},
-        {"fit_window_left": (0.4, 0.1)},
-        {"fit_window_left": (0.0, 0.4)},
-        {"fit_window_left": (0.1, 1.2)},
+        {"fit_window": (0.0, 0.4)},
+        {"fit_window": (0.1, 1.2)},
+        {"fit_window": (0.4, 0.4)},
         {"fit_points": 3},
         {"ktilde_list": (0.5, 0.0)},
         {"ktilde_list": (-1.0,)},
@@ -131,12 +143,6 @@ class TestVerify:
         assert (tmp_path / "sweep_errors.svg").exists()
         assert cli.main(["verify", str(tmp_path / "record.json")]) == 2
         assert "sweep_errors: errored" in capsys.readouterr().out
-
-    def test_tolerances_not_modified(self):
-        rec = synthetic_record([(0.3, 1.15), (0.2, 1.1), (0.1, 1.05)])
-        tol = {"floor": 1e-2, "R3": 0.2}
-        pl.verify(rec, tol)
-        assert tol == {"floor": 1e-2, "R3": 0.2}
 
 
 class TestEmit:
@@ -239,6 +245,10 @@ class TestSweep:
         assert len(rec.sweep) == 2
         for entry in rec.sweep:
             assert "error" not in entry
+            assert list(entry) == ENTRY_KEYS
+            assert set(entry["comparisons"]) == {
+                "right_vs_d0Phi", "left_vs_PhiHat", "channel_vs_psi1",
+                "normalized_vs_Ubar"}
             assert entry["track"] == "direct"
             assert 1.0 < entry["lam_eps"] < 2.0
             assert entry["lam_eps"] < entry["lam_ref"]
@@ -324,6 +334,10 @@ class TestSweep:
         cfg = pl.RunConfig(cache=False, **COARSE)
         entry = pl._sweep_entry(cfg, 0.09, coarse_pset)
         assert entry["track"] == "cascade"
+        assert list(entry) == ENTRY_KEYS
+        assert entry["spherical"] is None
+        assert entry["comparisons"] == entry["samples"] == {}
+        assert entry["junction_probes"] == {}
         ratios = entry["ratios"]
         assert set(ratios) == {"R1", "R3"} | {f"R2[x0={x0:g}]"
                                               for x0 in cfg.x0_list}
@@ -350,6 +364,13 @@ class TestSweep:
         with pytest.raises(RuntimeError,
                            match="profile stage 'PhiHat' failed: synthetic"):
             pl._compute_profiles(pl.RunConfig(**COARSE), 0)
+
+    def test_profile_constants_rejected_before_any_solve(self, monkeypatch):
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        monkeypatch.setattr(pl, "_sweep_entry", unreachable)
+        constants = synthetic_record([]).constants
+        with pytest.raises(TypeError, match="ProfileConstants"):
+            pl.run_sweep(pl.RunConfig(**COARSE), constants)
 
     def test_failed_entry_keeps_sweep_alive(self, monkeypatch, tmp_path):
         cfg = pl.RunConfig(out_dir=str(tmp_path), **COARSE)
@@ -409,18 +430,19 @@ class TestCLI:
         assert cli.main(["profiles", "--config", str(cfg)]) == 1
         capsys.readouterr()
 
-    def test_unknown_config_key_is_execution_error(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"eps_swep": [0.3, 0.2]}))
-        assert cli.main(["profiles", "--config", str(cfg)]) == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "eps_swep" in err
+    def test_unknown_config_key_is_execution_error(self, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        # a misspelt key, and a module constant that is no config field
+        for key in ("eps_swep", "spherical_radii"):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: [0.3, 0.2]}))
+            assert cli.main(["profiles", "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert "error:" in err and key in err
 
     def test_bad_eps_fails_before_profile_stage(self, monkeypatch,
                                                 tmp_path, capsys):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("profile stage entered")
-
         monkeypatch.setattr(pl, "run_profiles", unreachable)
         assert cli.main(["sweep", "--eps", "0.6", "0.3",
                          "--out", str(tmp_path)]) == 1
