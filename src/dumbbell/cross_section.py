@@ -140,6 +140,7 @@ class CrossSectionMode:
             np.sum(w * values_of_r(r) * r ** (n - 2)))
 
 
+@lru_cache(maxsize=None)
 def _disk_mode(n: int, index: int) -> CrossSectionMode:
     if n < 3:
         raise ValueError(f"dimension must be >= 3, got {n}")

@@ -5,14 +5,16 @@ angular factor omega_(N-2) is omitted consistently; it cancels in every
 eigenvalue, Rayleigh quotient and normalized field).  P1 and P2 triangles on
 a MeridianMesh, Dirichlet conditions by elimination to a reduced SPD system,
 one sparse factorization helper for every SPD matrix, and shifted inverse
-iteration for the ground state; Lanczos on K^-1 M_p serves only where no
-shift below the smallest weighted eigenvalue is known.
+iteration for the ground state.  An AssembledSystem carries its shift and
+factors K - shift M_p once, so every eigen step on it reuses that factor;
+Lanczos on K^-1 M_p serves only where no shift below the smallest weighted
+eigenvalue is known (the start of the u0 solve).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass, field as dfield, replace
 from typing import Callable
 
 import numpy as np
@@ -378,7 +380,11 @@ class AssembledSystem:
     """Stiffness and weighted mass with Dirichlet elimination bookkeeping.
 
     K, Mp are the reduced (free-node) matrices used by the eigensolver;
-    K_full/Mp_full keep all nodes for lifting, norms and diagnostics."""
+    K_full/Mp_full keep all nodes for lifting, norms and diagnostics.
+    `shift` is the sigma of the operator K - sigma M_p that `lu` factors,
+    which is SPD only for sigma below the smallest weighted eigenvalue;
+    the factor pivots on the diagonal, so a larger sigma shows as a
+    non-positive pivot of U."""
 
     disc: Discretization
     K: sp.csr_matrix
@@ -387,12 +393,18 @@ class AssembledSystem:
     Mp_full: sp.csr_matrix
     free: np.ndarray
     fixed: np.ndarray
+    shift: float = 0.0
     _lu: object = dfield(default=None, repr=False)
 
     def lu(self):
+        """Factor of K - shift M_p, made on the first call and kept."""
         if self._lu is None:
-            self._lu = factor(self.K)
+            self._lu = factor(self.K - self.shift * self.Mp)
         return self._lu
+
+    def shifted(self, shift: float) -> "AssembledSystem":
+        """The same system with another shift and no factor yet."""
+        return replace(self, shift=float(shift), _lu=None)
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         full = np.zeros(self.disc.n_nodes)
@@ -537,7 +549,10 @@ def eigen_smallest(system: AssembledSystem, count: int = 1,
                    tol: float = 1e-10) -> list[EigenPair]:
     """Smallest eigenvalues of K u = l M_p u via Lanczos on the pencil
     (M_p, K): largest mu of M_p u = mu K u gives l = 1/mu, with K-inner
-    products and the sparse factorization of K reused across iterations."""
+    products and the sparse factorization of K reused across iterations.
+    The system must be unshifted, so that its factor is the one of K."""
+    if system.shift:
+        raise ValueError("eigen_smallest needs an unshifted system")
     if system.Mp.nnz == 0:
         raise ValueError("weighted mass is identically zero")
     if count < 1:
@@ -566,21 +581,22 @@ def eigen_smallest(system: AssembledSystem, count: int = 1,
 
 
 def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
-                     shift: float, steps: int) -> EigenPair:
+                     steps: int) -> EigenPair:
     """Shifted inverse iteration with extended-precision residuals.
 
-    Factors K - shift M_p once; the shift must lie below the smallest
-    weighted eigenvalue, so that the matrix is SPD.  From the free-node
-    vector `start`, runs exactly `steps` iterations, each contracting the
-    other eigencomponents by (lam1 - shift)/(lam2 - shift) or better.  A
-    step solves (K - shift M_p) y = M_p u with one correction solve against
-    the long-double residual, so that components many orders below the
-    peak are refined rather than drowned, and renormalizes; the returned
-    eigenvalue is the K/M_p Rayleigh quotient of the returned vector."""
+    Iterates on the factor `system.lu()` of K - sigma M_p, sigma being
+    `system.shift`, and makes no factorization of its own.  From the
+    free-node vector `start`, runs exactly `steps` iterations, each
+    contracting the other eigencomponents by (lam1 - sigma)/(lam2 - sigma)
+    or better.  A step solves (K - sigma M_p) y = M_p u with one correction
+    solve against the long-double residual, so that components many orders
+    below the peak are refined rather than drowned, and renormalizes; the
+    returned eigenvalue is the K/M_p Rayleigh quotient of the returned
+    vector."""
     Kl = system.K.astype(np.longdouble)
     Ml = system.Mp.astype(np.longdouble)
-    Al = Kl - np.longdouble(shift) * Ml
-    lu = factor(system.K - shift * system.Mp)
+    Al = Kl - np.longdouble(system.shift) * Ml
+    lu = system.lu()
     u = np.asarray(start, dtype=np.longdouble)
     for _ in range(steps):
         rhs = np.asarray(Ml @ u, dtype=float)

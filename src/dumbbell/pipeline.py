@@ -255,8 +255,8 @@ def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
     # decades below the peak and need 9 more digits, so contraction^steps
     # <= 1e-24: 12 steps from the all-ones start (the ground state is
     # positive)
-    pair = fem.refine_eigenpair(system, np.ones(len(system.free)),
-                                0.99 * lam_k0, 12)
+    pair = fem.refine_eigenpair(system.shifted(0.99 * lam_k0),
+                                np.ones(len(system.free)), 12)
     pair = fem.mass_normalize(system, pair)
     return system, pair
 
@@ -271,11 +271,11 @@ def _restricted_reference(system: fem.AssembledSystem,
     fixed = np.union1d(system.fixed, extra)
     free, K = fem.eliminate(system.K_full, fixed)
     _, Mp = fem.eliminate(system.Mp_full, fixed)
-    sub = fem.AssembledSystem(disc, K, Mp, system.K_full, system.Mp_full,
-                              free, fixed)
     # on D+ lam2/lam1 = 2.38, so each step at sigma = 0.99 lam_k0 contracts
     # by about 0.007, and the Rayleigh quotient error squares that
-    ref = fem.refine_eigenpair(sub, np.ones(len(free)), 0.99 * lam_k0, 4)
+    sub = fem.AssembledSystem(disc, K, Mp, system.K_full, system.Mp_full,
+                              free, fixed, shift=0.99 * lam_k0)
+    ref = fem.refine_eigenpair(sub, np.ones(len(free)), 4)
     return ref.lam
 
 

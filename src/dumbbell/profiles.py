@@ -106,8 +106,9 @@ def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
     disc = fem.Discretization(mesh, order=order)
     system = fem.assemble(disc, weight)
     pair = fem.eigen_smallest(system, count=1, tol=1e-12)[0]
-    pair = fem.refine_eigenpair(system, pair.field.values[system.free],
-                                0.99 * pair.lam, 2)
+    # polish on the factor of K that Lanczos made: at sigma = 0 each step
+    # contracts the other components by lam1/lam2 ~ 0.42
+    pair = fem.refine_eigenpair(system, pair.field.values[system.free], 5)
     pair = fem.mass_normalize(system, pair)
 
     n = mesh.params.get("dimension", 3)
@@ -192,18 +193,31 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
     |x| < 1, 0 outside |x| > 2), S0 is harmonic and p chi S0 = 0, so the
     remainder solves (K - lam_k0 M_p) w = commutator with
     Delta(chi S0) = S0 (chi'' - (N-1) chi'/|x|) supported on the cutoff
-    annulus.  Invertibility of the shift encodes lam_k0 not being in the
-    D- spectrum (twice the D+ one by the weight construction).
+    annulus.  One factor of K - lam_k0 M_p serves the spectral-gap guard
+    and the solve.  With the row and column permutations equal, its LU is
+    a congruence of the operator, so by Sylvester's law of inertia all
+    pivots of U positive certifies lam_k0 < lambda_1(D-) (twice the D+ one
+    by the weight construction); inverse iteration on the same factor then
+    gives lambda_1(D-), and lam_k0 must stay below 0.8 of it.
     """
     mesh = _maybe_refine(build_profile_mesh("HalfMinus", cfg), level)
     n = mesh.params.get("dimension", 3)
     ups = cs.upsilon(n)
     disc = fem.Discretization(mesh, order=order)
-    system = fem.assemble(disc, weight)
-
-    # guard: the shifted operator must sit strictly below the D- spectrum
+    system = fem.assemble(disc, weight).shifted(lam_k0)
+    lu = system.lu()
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise RuntimeError("shifted factor pivoted off the diagonal; its "
+                           "pivots do not give the inertia")
+    if np.any(lu.U.diagonal() <= 0):
+        raise ValueError(
+            f"spectral gap violated: shift {lam_k0:.6g} is not below "
+            "lambda_1(D-); weight misconfigured")
     if not weight.is_zero():
-        lam_minus = fem.eigen_smallest(system, count=1)[0].lam
+        # lambda_1(D-) = 2 lam_k0 and lambda_2/lambda_1 = 2.38 as on D+,
+        # so each step at sigma = lam_k0 contracts by about 0.27
+        lam_minus = fem.refine_eigenpair(
+            system, np.ones(len(system.free)), 6).lam
         if lam_k0 > 0.8 * lam_minus:
             raise ValueError(
                 f"spectral gap violated: shift {lam_k0:.6g} too close to "
@@ -225,10 +239,12 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
         d2 = smoothstep_d2(2.0 - r, 0.0, 1.0)
         return kernel(x1, rho) * (d2 - (n - 1) * d1 / np.where(r == 0, np.inf, r))
 
-    rhs_vec = fem.assemble_load(disc, commutator)
-    A = (system.K_full - lam_k0 * system.Mp_full).tocsr()
-    values, resid = fem.eliminate(A, system.fixed, rhs_vec)
-    remainder = fem.FieldSolution(disc, values, residual=resid)
+    rhs = fem.assemble_load(disc, commutator)[system.free]
+    w = lu.solve(rhs)
+    resid = np.linalg.norm(system.K @ w - lam_k0 * (system.Mp @ w)) \
+        / max(np.linalg.norm(rhs), 1e-300)
+    remainder = fem.FieldSolution(disc, system.expand(w),
+                                  residual=float(resid))
 
     profile = ProfileSolution("Ubar", remainder, carried)
     norms = {float(k): cs.half_sphere_mass(profile, 0.0, float(k), -1, n)

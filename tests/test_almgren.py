@@ -48,8 +48,8 @@ def dumbbell_pair():
     disc = fem.Discretization(mesh, order=2)
     system = fem.assemble(disc, fem.WeightModel())
     pair = fem.eigen_smallest(system, count=1, tol=1e-12)[0]
-    pair = fem.refine_eigenpair(system, pair.field.values[system.free],
-                                0.99 * pair.lam, 3)
+    pair = fem.refine_eigenpair(system.shifted(0.99 * pair.lam),
+                                pair.field.values[system.free], 3)
     pair = fem.mass_normalize(system, pair)
     return pair
 

@@ -91,6 +91,10 @@ class TestDiskGroundMode:
         fd = (mode.psi1(r + h) - mode.psi1(r - h)) / (2 * h)
         assert np.allclose(mode.psi1_deriv(r), fd, atol=1e-8)
 
+    def test_memoized(self):
+        # the Bessel zero scan runs once per dimension and mode
+        assert cs.disk_ground_mode(3) is cs.disk_ground_mode(3)
+
 
 class TestUpsilonAndSphereModes:
     def test_upsilon_3_closed_form(self):

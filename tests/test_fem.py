@@ -318,22 +318,43 @@ class TestEigen:
 
 
 class TestRefineEigenpair:
+    def test_shifted_system_factors_once(self, monkeypatch):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
+        shifted = sysd.shifted(0.5)
+        assert shifted.shift == 0.5 and sysd.shift == 0.0
+        lu = shifted.lu()
+        assert shifted.lu() is lu
+        factored = []
+        factor = fem.factor
+        monkeypatch.setattr(fem, "factor",
+                            lambda A: factored.append(A.shape) or factor(A))
+        fem.refine_eigenpair(shifted, np.ones(len(sysd.free)), 3)
+        assert factored == []
+        assert shifted.lu() is lu
+
+    def test_eigen_smallest_rejects_a_shifted_system(self):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
+        with pytest.raises(ValueError):
+            fem.eigen_smallest(sysd.shifted(0.5), count=1)
+
     def test_fixed_point(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         pair = fem.eigen_smallest(sysd, count=1, tol=1e-13)[0]
-        once = fem.refine_eigenpair(sysd, pair.field.values[sysd.free],
-                                    0.99 * pair.lam, 2)
-        twice = fem.refine_eigenpair(sysd, once.field.values[sysd.free],
-                                     0.99 * once.lam, 2)
+        once = fem.refine_eigenpair(sysd.shifted(0.99 * pair.lam),
+                                    pair.field.values[sysd.free], 2)
+        twice = fem.refine_eigenpair(sysd.shifted(0.99 * once.lam),
+                                     once.field.values[sysd.free], 2)
         assert abs(twice.lam - once.lam) / once.lam < 1e-14
 
     def test_residual_non_increasing(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         pair = fem.eigen_smallest(sysd, count=1, tol=1e-8)[0]
-        refined = fem.refine_eigenpair(sysd, pair.field.values[sysd.free],
-                                       0.99 * pair.lam, 4)
+        refined = fem.refine_eigenpair(sysd.shifted(0.99 * pair.lam),
+                                       pair.field.values[sysd.free], 4)
         assert refined.residual <= pair.residual * (1 + 1e-12)
 
     def test_eigenvalue_is_rayleigh_quotient_of_vector(self):
@@ -342,7 +363,8 @@ class TestRefineEigenpair:
         pair = fem.eigen_smallest(sysd, count=1, tol=1e-6)[0]
         for steps in (0, 1, 3):
             refined = fem.refine_eigenpair(
-                sysd, pair.field.values[sysd.free], 0.99 * pair.lam, steps)
+                sysd.shifted(0.99 * pair.lam), pair.field.values[sysd.free],
+                steps)
             assert refined.lam == pytest.approx(rayleigh(sysd, refined),
                                                 rel=1e-13)
 
@@ -371,7 +393,7 @@ class TestRefineEigenpair:
         # a perturbed start unshifted, and the sweep's all-ones start
         # shifted to 0.99 lam
         for start, shift in ((u0, 0.0), (np.ones(n), 0.99 * lam_true)):
-            refined = fem.refine_eigenpair(sysd, start, shift, 3)
+            refined = fem.refine_eigenpair(sysd.shifted(shift), start, 3)
             got = refined.field.values
             got = got * (u_true[0] / got[0])
             rel = np.abs(got - u_true) / u_true

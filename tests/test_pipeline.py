@@ -224,6 +224,21 @@ class TestProfileCache:
         assert not (tmp_path / "cache").exists()
 
 
+def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
+    # K on D+ (Lanczos and the u0 polish), the two harmonic solves, and
+    # K - lam_k0 M_p on D- (the Ubar guard and solve)
+    factored, lanczos = [], []
+    splu, eigen = fem.spla.splu, fem.eigen_smallest
+    monkeypatch.setattr(fem.spla, "splu", lambda A, **kw:
+                        factored.append(A.shape) or splu(A, **kw))
+    monkeypatch.setattr(fem, "eigen_smallest", lambda *a, **kw:
+                        lanczos.append(a) or eigen(*a, **kw))
+    pl.run_profiles(pl.RunConfig(out_dir=str(tmp_path), cache=False,
+                                 **COARSE))
+    assert len(factored) == 4
+    assert len(lanczos) == 1
+
+
 @pytest.fixture(scope="module")
 def coarse_pset():
     cfg = pl.RunConfig(cache=False, **COARSE)

@@ -232,9 +232,24 @@ class TestUbar:
         assert norms[0.5] > norms[1.0] > norms[1.5]
 
     def test_spectral_gap_guard(self, u0_pack):
+        # 5 lam_k0 lies above lambda_1(D-) = 2 lam_k0: a negative pivot
         _, lam, _ = u0_pack
         with pytest.raises(ValueError):
             P.compute_Ubar(CFG, fem.WeightModel(), 5.0 * lam,
+                           level=0, order=2)
+
+    def test_spectral_gap_guard_inside_the_margin(self, u0_pack,
+                                                  monkeypatch):
+        # 0.8 lambda_1(D-) < 1.8 lam_k0 < lambda_1(D-): the operator is SPD,
+        # so only the guard eigenvalue, by inverse iteration on the solve's
+        # factor and without Lanczos, can catch it
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Ubar's guard runs no Lanczos")
+
+        monkeypatch.setattr(fem, "eigen_smallest", unreachable)
+        _, lam, _ = u0_pack
+        with pytest.raises(ValueError, match="too close"):
+            P.compute_Ubar(CFG, fem.WeightModel(), 1.8 * lam,
                            level=0, order=2)
 
     def test_remainder_is_smooth_at_origin(self, ubar_pack):
