@@ -243,29 +243,37 @@ def run_profiles(cfg: RunConfig, return_fields: bool = False):
 # ----------------------------------------------------------------------------
 
 def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
+    """The mass-normalized ground pair of the dumbbell and the eigenvalue
+    lambda_ref of its restricted reference."""
     mesh = build_dumbbell_mesh(cfg.mesh_config(eps))
     for _ in range(cfg.sweep_level):
         mesh = refine(mesh)
     disc = fem.Discretization(mesh, order=cfg.order)
     system = fem.assemble(disc, cfg.weight())
+    ref = _restricted_reference(system, lam_k0)
     # lam_eps sits just below lam_k0 (lam_eps/lam_k0 - 1 measured -2.7e-5 at
     # eps = 0.3 and -9.2e-5 at eps = 0.45), so sigma = 0.99 lam_k0 keeps
     # K - sigma M_p SPD, and each step contracts the other components by
     # (lam1 - sigma)/(lam2 - sigma) ~ 0.01.  The left-body entries sit 15
-    # decades below the peak and need 9 more digits, so contraction^steps
-    # <= 1e-24: 12 steps from the all-ones start (the ground state is
-    # positive)
+    # decades below the peak and need 9 more digits.  The all-ones start
+    # carries an O(1) share of the left-body mode (lam2 ~ 2 lam_k0) and
+    # would need 0.01^steps <= 1e-24, 12 steps; the restricted eigenvector
+    # is zero on x1 <= 1 and lacks only the left tail, about 1e-15 of the
+    # peak, so 0.01^steps <= 1e-9 gives 5 steps, and 6 keep a x100 margin
     pair = fem.refine_eigenpair(system.shifted(0.99 * lam_k0),
-                                np.ones(len(system.free)), 12)
+                                ref.field.values[system.free], 6)
     pair = fem.mass_normalize(system, pair)
-    return system, pair
+    return pair, ref.lam
 
 
 def _restricted_reference(system: fem.AssembledSystem,
-                          lam_k0: float) -> float:
+                          lam_k0: float) -> fem.EigenPair:
     """lambda_k0 on the same dumbbell mesh with everything left of the
     right junction clamped to zero: a nested subspace of the sweep space,
-    so the eigenvalue comparison is free of independent-mesh bias."""
+    so the eigenvalue comparison is free of independent-mesh bias.  Its
+    eigenvector, zero on the clamped nodes, is the start of the sweep's
+    own iteration.  The pair is returned without its subsystem, so that
+    the subsystem's factor is freed before the full operator is factored."""
     disc = system.disc
     extra = np.nonzero(disc.nodes[:, 0] <= 1.0 + 1e-14)[0]
     fixed = np.union1d(system.fixed, extra)
@@ -275,8 +283,7 @@ def _restricted_reference(system: fem.AssembledSystem,
     # by about 0.007, and the Rayleigh quotient error squares that
     sub = fem.AssembledSystem(disc, K, Mp, system.K_full, system.Mp_full,
                               free, fixed, shift=0.99 * lam_k0)
-    ref = fem.refine_eigenpair(sub, np.ones(len(free)), 4)
-    return ref.lam
+    return fem.refine_eigenpair(sub, np.ones(len(free)), 4)
 
 
 # radii of the spherical fit in D-; those inside the tube radius are skipped
@@ -312,9 +319,13 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
     sl1 = mode.sqrt_lambda1
     track = "direct" if eps >= 0.1 else "cascade"
 
-    system, pair = _dumbbell_eigenpair(cfg, eps, con.lam_k0)
+    pair, lam_ref = _dumbbell_eigenpair(cfg, eps, con.lam_k0)
     u = pair.field
-    lam_ref = _restricted_reference(system, con.lam_k0)
+    # the restricted space is a subspace of the sweep space, so by min-max
+    # lam_eps <= lam_ref; a larger lam_eps is an iterate on the wrong mode
+    if pair.lam > lam_ref * (1 + 1e-12):
+        raise ValueError(f"lambda_eps = {pair.lam!r} exceeds the restricted "
+                         f"reference lambda_ref = {lam_ref!r}")
 
     # growing-mode amplitude A from the right tube window
     ts = np.linspace(cfg.fit_window[0], cfg.fit_window[1], cfg.fit_points)

@@ -301,19 +301,31 @@ class TestSweep:
     def test_eigenpair_repeatable_in_one_process(self, coarse_pset):
         cfg = pl.RunConfig(cache=False, **COARSE)
         lam_k0 = coarse_pset.constants.lam_k0
-        _, first = pl._dumbbell_eigenpair(cfg, 0.2, lam_k0)
-        _, second = pl._dumbbell_eigenpair(cfg, 0.2, lam_k0)
+        first, first_ref = pl._dumbbell_eigenpair(cfg, 0.2, lam_k0)
+        second, second_ref = pl._dumbbell_eigenpair(cfg, 0.2, lam_k0)
         assert first.lam == second.lam
+        assert first_ref == second_ref
         assert np.array_equal(first.field.values, second.field.values)
 
     def test_entry_factors_twice_and_assembles_stiffness_once(
             self, coarse_pset, monkeypatch):
         # the hot path: one shifted factor for the dumbbell eigenpair, one
-        # for the restricted reference, and one stiffness matrix for both
-        factored, assembled = [], []
+        # for the restricted reference, and one stiffness matrix for both;
+        # 6 steps on the first and 4 on the second, two solves a step
+        factored, assembled, solves = [], [], []
         factor, assemble = fem.factor, fem.assemble_stiffness
+
+        class CountingLU:
+            def __init__(self, lu):
+                self._lu = lu
+
+            def solve(self, *args, **kwargs):
+                solves.append(1)
+                return self._lu.solve(*args, **kwargs)
+
         monkeypatch.setattr(fem, "factor",
-                            lambda A: factored.append(A.shape) or factor(A))
+                            lambda A: factored.append(A.shape)
+                            or CountingLU(factor(A)))
         monkeypatch.setattr(fem, "assemble_stiffness",
                             lambda disc: assembled.append(disc)
                             or assemble(disc))
@@ -321,6 +333,45 @@ class TestSweep:
                         coarse_pset)
         assert len(factored) == 2
         assert len(assembled) == 1
+        assert len(solves) == 6 * 2 + 4 * 2
+
+    def test_eigenvalue_above_restricted_reference_fails_entry(
+            self, coarse_pset, monkeypatch):
+        # min-max on the nested spaces gives lam_eps <= lam_ref
+        restricted = pl._restricted_reference
+
+        def lowered(*args):
+            ref = restricted(*args)
+            return dataclasses.replace(ref, lam=0.9 * ref.lam)
+
+        monkeypatch.setattr(pl, "_restricted_reference", lowered)
+        with pytest.raises(ValueError, match="exceeds the restricted"):
+            pl._sweep_entry(pl.RunConfig(cache=False, **COARSE), 0.3,
+                            coarse_pset)
+
+    def test_warm_start_reaches_the_left_body(self, coarse_pset,
+                                              monkeypatch):
+        # eps = 0.1 is the deepest direct-track eps: there the left body
+        # sits furthest below the peak.  The 6-step iterate must agree with
+        # a 12-step one from the same start where R4-R6 read it.  The left
+        # error falls by 0.01 a step and measures 3e-14 at 6 steps on this
+        # mesh, 3e-12 at 5 and 3e-10 at 4, so 1e-11 of the left peak
+        # catches a cut to 4 steps
+        calls = []
+        refine = fem.refine_eigenpair
+        monkeypatch.setattr(fem, "refine_eigenpair",
+                            lambda system, start, steps:
+                            calls.append((system, start))
+                            or refine(system, start, steps))
+        cfg = pl.RunConfig(cache=False, **COARSE)
+        pair, _ = pl._dumbbell_eigenpair(cfg, 0.1,
+                                         coarse_pset.constants.lam_k0)
+        system, start = calls[-1]
+        deep = fem.mass_normalize(system, refine(system, start, 12))
+        left = pair.field.disc.nodes[:, 0] < -0.5
+        u, v = pair.field.values[left], deep.field.values[left]
+        assert np.max(np.abs(u - v)) <= 1e-11 * np.max(np.abs(v))
+        assert pair.lam == pytest.approx(deep.lam, rel=1e-14, abs=0)
 
     def test_sample_counts_recorded(self, coarse_record):
         _, rec, _ = coarse_record
