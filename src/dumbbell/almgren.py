@@ -103,7 +103,7 @@ def _masked_energy(disc, u_values, weight, lam, side,
     region where the signed level `side` is positive, with u = FEM field +
     optional closed-form part evaluated pointwise."""
     base_pts, _ = fem._dunavant(_DEGREE)
-    n = disc.mesh.params.get("dimension", 3)
+    n = disc.dimension
     shapes = fem._p1_shapes if disc.order == 1 else fem._p2_shapes
     corners = disc.mesh.vertices[disc.mesh.triangles]  # (T, 3, 2)
     cells, pieces, fracs = _masked_rule(corners, side)
@@ -190,7 +190,7 @@ def frequency_exterior(field, weight, lam, radii, mesh=None,
         raise ValueError(
             f"radius {radii[-1]} leaves an empty exterior (mesh extends "
             f"to {r_max:.3g})")
-    n = disc.mesh.params.get("dimension", 3)
+    n = disc.dimension
 
     D = np.empty(len(radii))
     H = np.empty(len(radii))
@@ -214,7 +214,7 @@ def frequency_channel(field, eps, t_list, weight=None, lam=0.0,
     t_list = np.asarray(sorted(float(t) for t in t_list))
     if np.any(t_list <= 0) or np.any(t_list >= 1):
         raise ValueError("sections must lie strictly inside the tube (0, 1)")
-    n = disc.mesh.params.get("dimension", 3)
+    n = disc.dimension
 
     D = np.empty(len(t_list))
     H = np.empty(len(t_list))

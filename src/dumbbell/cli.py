@@ -38,8 +38,6 @@ def _build_config(args) -> pl.RunConfig:
         base["profile_level"] = args.levels
     if getattr(args, "jobs", None) is not None:
         base["jobs"] = args.jobs
-    if getattr(args, "cascade_only", False):
-        base["cascade_only"] = True
     if getattr(args, "out", None):
         base["out_dir"] = args.out
     return pl.RunConfig(**base).validate()
@@ -116,9 +114,6 @@ def main(argv=None) -> int:
         p.add_argument("--levels", type=int,
                        help="mesh refinement level for all solves")
         p.add_argument("--jobs", type=int, help="worker count")
-        p.add_argument("--cascade-only", action="store_true",
-                       help="allow eps below 0.05; left-side quantities "
-                            "come from the channel reconstruction only")
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="re-check verdicts on a stored record")

@@ -126,9 +126,6 @@ class CrossSectionMode:
         """d psi1 / dr, from d/dr [r^-nu J_nu(kr)] = -k r^-nu J_(nu+1)(kr)."""
         r = np.asarray(r, dtype=float)
         k = self.sqrt_lambda1
-        # derivative of the scaled series: g_nu'(kr)*k with
-        # d/dx[(x/2)^-nu J_nu(x)] = -(x/2)^-nu J_(nu+1)(x) * (x/2) / (x/2) ...
-        # use identity directly on the unscaled form:
         return -self.norm_constant * np.power(0.5 * k, self._nu) * \
             (0.5 * k * k * r) * bessel_j_scaled(self._nu + 1.0, k * r)
 

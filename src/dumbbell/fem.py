@@ -5,10 +5,11 @@ angular factor omega_(N-2) is omitted consistently; it cancels in every
 eigenvalue, Rayleigh quotient and normalized field).  P1 and P2 triangles on
 a MeridianMesh, Dirichlet conditions by elimination to a reduced SPD system,
 one sparse factorization helper for every SPD matrix, and shifted inverse
-iteration for the ground state.  An AssembledSystem carries its shift and
-factors K - shift M_p once, so every eigen step on it reuses that factor;
-Lanczos on K^-1 M_p serves only where no shift below the smallest weighted
-eigenvalue is known (the start of the u0 solve).
+iteration for the ground state.  An AssembledSystem is the one place that
+reduces, factors and solves a Dirichlet problem: it carries its shift and
+factors K - shift M_p once, so every eigen step and load solve on it reuses
+that factor; Lanczos on K^-1 M_p serves only where no shift below the
+smallest weighted eigenvalue is known (the start of the u0 solve).
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "EigenPair",
     "assemble",
     "factor",
-    "eliminate",
     "solve_dirichlet",
     "eigen_smallest",
     "refine_eigenpair",
@@ -178,7 +178,8 @@ class Discretization:
             raise ValueError("element order must be 1 or 2")
         self.mesh = mesh
         self.order = order
-        self.measure_exponent = mesh.params.get("dimension", 3) - 2
+        self.dimension = mesh.params["dimension"]
+        self.measure_exponent = self.dimension - 2
 
         if order == 1:
             self.nodes = mesh.vertices
@@ -379,7 +380,7 @@ def assemble_load(disc: Discretization, f: Callable) -> np.ndarray:
 class AssembledSystem:
     """Stiffness and weighted mass with Dirichlet elimination bookkeeping.
 
-    K, Mp are the reduced (free-node) matrices used by the eigensolver;
+    K, Mp are the reduced (free-node) matrices used by the solvers;
     K_full/Mp_full keep all nodes for lifting, norms and diagnostics.
     `shift` is the sigma of the operator K - sigma M_p that `lu` factors,
     which is SPD only for sigma below the smallest weighted eigenvalue;
@@ -397,14 +398,50 @@ class AssembledSystem:
     _lu: object = dfield(default=None, repr=False)
 
     def lu(self):
-        """Factor of K - shift M_p, made on the first call and kept."""
+        """Factor of K - shift M_p (of K itself at shift 0), made on the
+        first call and kept."""
         if self._lu is None:
-            self._lu = factor(self.K - self.shift * self.Mp)
+            self._lu = factor(self.K - self.shift * self.Mp if self.shift
+                              else self.K)
         return self._lu
 
     def shifted(self, shift: float) -> "AssembledSystem":
         """The same system with another shift and no factor yet."""
         return replace(self, shift=float(shift), _lu=None)
+
+    def clamped(self, nodes: np.ndarray) -> "AssembledSystem":
+        """The system with `nodes` fixed as well, reduced from the same
+        full matrices, with the same shift and no factor yet."""
+        fixed = np.union1d(self.fixed, nodes)
+        free = np.setdiff1d(np.arange(self.K_full.shape[0]), fixed,
+                            assume_unique=True)
+        return replace(self, K=self.K_full[free][:, free].tocsr(),
+                       Mp=self.Mp_full[free][:, free].tocsr(),
+                       free=free, fixed=fixed, _lu=None)
+
+    def solve(self, load: np.ndarray, data=None) -> "FieldSolution":
+        """Solve (K - shift M_p) u = load on the free nodes with u = data
+        on the fixed ones (zero by default).  `load` is full-length and
+        `data` holds the values at `fixed` (or one constant); it is lifted
+        into the reduced load by products with the full matrices.  The
+        field carries the relative residual of the reduced solve."""
+        values = np.zeros(self.disc.n_nodes)
+        if data is not None:
+            values[self.fixed] = data
+            load = load - (self.K_full @ values
+                           - self.shift * (self.Mp_full @ values))
+        rhs = load[self.free]
+        try:
+            lu = self.lu()
+        except RuntimeError as exc:
+            raise RuntimeError(
+                f"singular factorization after Dirichlet elimination ({exc}); "
+                "check boundary tags and shifts") from exc
+        u = lu.solve(rhs)
+        values[self.free] = u
+        r = self.K @ u - self.shift * (self.Mp @ u) - rhs
+        resid = np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300)
+        return FieldSolution(self.disc, values, residual=float(resid))
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         full = np.zeros(self.disc.n_nodes)
@@ -418,10 +455,10 @@ def assemble(disc: Discretization,
     Dirichlet conditions on `Discretization.dirichlet_tags()`."""
     K_full = assemble_stiffness(disc)
     Mp_full = assemble_mass(disc, coeff=weight)
-    fixed = disc.boundary_nodes(*disc.dirichlet_tags())
-    free, K = eliminate(K_full, fixed)
-    _, Mp = eliminate(Mp_full, fixed)
-    return AssembledSystem(disc, K, Mp, K_full, Mp_full, free, fixed)
+    nodes = np.arange(disc.n_nodes)
+    unclamped = AssembledSystem(disc, K_full, Mp_full, K_full, Mp_full,
+                                nodes, nodes[:0])
+    return unclamped.clamped(disc.boundary_nodes(*disc.dirichlet_tags()))
 
 
 def factor(A: sp.spmatrix):
@@ -435,40 +472,6 @@ def factor(A: sp.spmatrix):
     return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0,
                      options={"SymmetricMode": True})
-
-
-def eliminate(A: sp.csr_matrix, fixed: np.ndarray,
-              load: np.ndarray | None = None,
-              data: np.ndarray | None = None):
-    """Dirichlet elimination of the nodes `fixed` from the full matrix A.
-
-    Without a load, returns (free, A_ff): the sorted free nodes and A
-    restricted to them.  With a full-length `load`, solves A u = load on
-    the free nodes with u = data on the fixed ones (data is full-length and
-    only its fixed entries are read; zero by default): the fixed data is
-    lifted into the reduced load, A_ff is factored, and (u, relative
-    residual of the reduced solve) is returned."""
-    is_free = np.ones(A.shape[0], dtype=bool)
-    is_free[fixed] = False
-    free = np.flatnonzero(is_free)
-    A_ff = A[free][:, free].tocsr()
-    if load is None:
-        return free, A_ff
-    values = np.zeros(A.shape[0])
-    if data is not None:
-        values[fixed] = data[fixed]
-    rhs = (load - A @ values)[free]
-    try:
-        lu = factor(A_ff)
-    except RuntimeError as exc:
-        raise RuntimeError(
-            f"singular factorization after Dirichlet elimination ({exc}); "
-            "check boundary tags and shifts") from exc
-    u_free = lu.solve(rhs)
-    values[free] = u_free
-    resid = np.linalg.norm(A_ff @ u_free - rhs) / max(
-        np.linalg.norm(rhs), 1e-300)
-    return values, float(resid)
 
 
 # ----------------------------------------------------------------------------
@@ -504,34 +507,26 @@ class FieldSolution:
         return float(out[0]) if scalar and out.size == 1 else out
 
 
-def solve_dirichlet(disc: Discretization, boundary_data: dict,
+def solve_dirichlet(disc: Discretization, data=0.0,
                     rhs: Callable | None = None,
                     lift: Callable | None = None) -> FieldSolution:
-    """Solve -div(rho^m grad u) = rho^m f with essential data per tag.
+    """Solve -div(rho^m grad u) = rho^m f with u = data on the nodes of
+    `disc.dirichlet_tags()`; the axis is always natural.
 
-    boundary_data maps tag -> callable(x1, rho) or constant; every tag in
-    the map is treated as essential, the axis is always natural.  With a
-    closed-form carried part lift(x1, rho), the returned field is the
-    remainder w of the solution I(lift) + w: the load gains -K I(lift),
-    I being nodal interpolation, and the data apply to w.
+    `data` is a callable(x1, rho) or a constant.  With a closed-form
+    carried part lift(x1, rho), the returned field is the remainder w of
+    the solution I(lift) + w: the load gains -K I(lift), I being nodal
+    interpolation, and the data apply to w.
     """
-    K = assemble_stiffness(disc)
+    system = assemble(disc, WeightModel.zero())
     F = np.zeros(disc.n_nodes)
     if rhs is not None:
         F += assemble_load(disc, rhs)
     if lift is not None:
-        F -= K @ lift(disc.nodes[:, 0], disc.nodes[:, 1])
-
-    g = np.zeros(disc.n_nodes)
-    for tag, data in boundary_data.items():
-        nodes = disc.boundary_nodes(tag)
-        if callable(data):
-            g[nodes] = data(disc.nodes[nodes, 0], disc.nodes[nodes, 1])
-        else:
-            g[nodes] = float(data)
-    fixed = disc.boundary_nodes(*boundary_data)
-    values, resid = eliminate(K, fixed, F, g)
-    return FieldSolution(disc, values, residual=resid)
+        F -= system.K_full @ lift(disc.nodes[:, 0], disc.nodes[:, 1])
+    if callable(data):
+        data = data(*disc.nodes[system.fixed].T)
+    return system.solve(F, data)
 
 
 # ----------------------------------------------------------------------------

@@ -72,7 +72,6 @@ class RunConfig:
     ktilde_list: tuple = (0.5, 1.0, 1.5)
     out_dir: str = "runs"
     cache: bool = True
-    cascade_only: bool = False
     jobs: int = 1
 
     def validate(self) -> "RunConfig":
@@ -83,10 +82,6 @@ class RunConfig:
             raise ValueError("eps sweep must be strictly decreasing")
         if not all(0 < e < 0.5 for e in sweep):
             raise ValueError("every eps must lie in (0, 0.5)")
-        if not self.cascade_only and min(sweep) < 0.05:
-            raise ValueError(
-                "eps < 0.05 requires cascade-only mode (direct left-side "
-                "reads are below the eigensolver noise floor)")
         lo, hi = self.fit_window
         if not (0 < lo < hi < 1):
             raise ValueError("fit_window must sit inside the tube: "
@@ -274,16 +269,11 @@ def _restricted_reference(system: fem.AssembledSystem,
     eigenvector, zero on the clamped nodes, is the start of the sweep's
     own iteration.  The pair is returned without its subsystem, so that
     the subsystem's factor is freed before the full operator is factored."""
-    disc = system.disc
-    extra = np.nonzero(disc.nodes[:, 0] <= 1.0 + 1e-14)[0]
-    fixed = np.union1d(system.fixed, extra)
-    free, K = fem.eliminate(system.K_full, fixed)
-    _, Mp = fem.eliminate(system.Mp_full, fixed)
+    left = np.nonzero(system.disc.nodes[:, 0] <= 1.0 + 1e-14)[0]
     # on D+ lam2/lam1 = 2.38, so each step at sigma = 0.99 lam_k0 contracts
     # by about 0.007, and the Rayleigh quotient error squares that
-    sub = fem.AssembledSystem(disc, K, Mp, system.K_full, system.Mp_full,
-                              free, fixed, shift=0.99 * lam_k0)
-    return fem.refine_eigenpair(sub, np.ones(len(free)), 4)
+    sub = system.clamped(left).shifted(0.99 * lam_k0)
+    return fem.refine_eigenpair(sub, np.ones(len(sub.free)), 4)
 
 
 # radii of the spherical fit in D-; those inside the tube radius are skipped

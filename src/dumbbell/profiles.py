@@ -111,7 +111,7 @@ def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
     pair = fem.refine_eigenpair(system, pair.field.values[system.free], 5)
     pair = fem.mass_normalize(system, pair)
 
-    n = mesh.params.get("dimension", 3)
+    n = disc.dimension
     ups = cs.upsilon(n)
     samples = np.array([
         cs.project_sphere(pair.field.evaluate, 1.0, r, +1, n) / (ups * r)
@@ -128,13 +128,13 @@ def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
 # ----------------------------------------------------------------------------
 
 def _harmonic_profile(domain: str, cfg: MeshConfig, level: int, order: int,
-                      lift: Callable, tags) -> ProfileSolution:
+                      lift: Callable) -> ProfileSolution:
     """Harmonic profile on a profile domain: the closed-form lift plus a
-    finite element remainder that vanishes on the edges with the given
-    tags (the axis stays natural)."""
+    finite element remainder that vanishes on the domain's Dirichlet edges
+    (the axis stays natural)."""
     mesh = _maybe_refine(build_profile_mesh(domain, cfg), level)
     disc = fem.Discretization(mesh, order=order)
-    sol = fem.solve_dirichlet(disc, dict.fromkeys(tags, 0.0), lift=lift)
+    sol = fem.solve_dirichlet(disc, lift=lift)
     return ProfileSolution(domain.removesuffix("Domain"), sol, lift)
 
 
@@ -149,8 +149,7 @@ def compute_Phi(cfg: MeshConfig, level: int = 0, order: int = 2):
         r = np.hypot(x1 - 1.0, rho)
         return smoothstep(r, 1.0, 2.0) * np.maximum(x1 - 1.0, 0.0)
 
-    profile = _harmonic_profile("PhiDomain", cfg, level, order, lift,
-                                ("dirichlet_wall", "truncation"))
+    profile = _harmonic_profile("PhiDomain", cfg, level, order, lift)
     c_phi = cs.project_section(profile, 1.0, 1.0,
                                cs.disk_ground_mode(cfg.dimension))
     return profile, c_phi
@@ -172,8 +171,7 @@ def compute_PhiHat(cfg: MeshConfig, level: int = 0, order: int = 2):
             * mode.psi1(np.minimum(rho, 1.0))
         return np.where(rho <= 1.0, val, 0.0)
 
-    profile = _harmonic_profile("PhiHatDomain", cfg, level, order, lift,
-                                ("dirichlet_wall", "truncation", "inflow"))
+    profile = _harmonic_profile("PhiHatDomain", cfg, level, order, lift)
     c_phihat = cs.project_sphere(profile, 0.0, 1.0, -1, n)
     m_phihat = cs.section_mass(profile, 1.0, 1.0, n)
     return profile, c_phihat, m_phihat
@@ -201,9 +199,9 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
     gives lambda_1(D-), and lam_k0 must stay below 0.8 of it.
     """
     mesh = _maybe_refine(build_profile_mesh("HalfMinus", cfg), level)
-    n = mesh.params.get("dimension", 3)
-    ups = cs.upsilon(n)
     disc = fem.Discretization(mesh, order=order)
+    n = disc.dimension
+    ups = cs.upsilon(n)
     system = fem.assemble(disc, weight).shifted(lam_k0)
     lu = system.lu()
     if not np.array_equal(lu.perm_r, lu.perm_c):
@@ -239,13 +237,7 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
         d2 = smoothstep_d2(2.0 - r, 0.0, 1.0)
         return kernel(x1, rho) * (d2 - (n - 1) * d1 / np.where(r == 0, np.inf, r))
 
-    rhs = fem.assemble_load(disc, commutator)[system.free]
-    w = lu.solve(rhs)
-    resid = np.linalg.norm(system.K @ w - lam_k0 * (system.Mp @ w)) \
-        / max(np.linalg.norm(rhs), 1e-300)
-    remainder = fem.FieldSolution(disc, system.expand(w),
-                                  residual=float(resid))
-
+    remainder = system.solve(fem.assemble_load(disc, commutator))
     profile = ProfileSolution("Ubar", remainder, carried)
     norms = {float(k): cs.half_sphere_mass(profile, 0.0, float(k), -1, n)
              for k in ktilde}

@@ -78,9 +78,7 @@ class TestFrequencyExterior:
     def test_poincare_lower_bound(self):
         mesh = build_profile_mesh("HalfMinus", MeshConfig(h0=0.2, levels=4))
         disc = fem.Discretization(mesh, order=2)
-        v = fem.solve_dirichlet(disc, {"dirichlet_wall": 0.0,
-                                       "truncation": 0.0},
-                                rhs=lambda x1, rho: np.ones_like(x1))
+        v = fem.solve_dirichlet(disc, rhs=lambda x1, rho: np.ones_like(x1))
         tr = A.frequency_exterior(v, None, 0.0, [0.5, 1.0, 2.0])
         assert np.all(tr.N >= 2.0 * (1.0 - 1e-3))
 

@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +34,16 @@ def test_benchmark_span_targets_resolve():
         if owner is None or not callable(vars(owner).get(name)):
             missing.append(f"{mod_name}.{attr}")
     assert not missing
+
+
+def test_only_fem_reduces_factors_and_solves():
+    """Dirichlet reduction, factorization and solves live in
+    `fem.AssembledSystem`: no other module calls splu, eliminates nodes,
+    builds a system by hand or solves on a factor."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dumbbell"
+    pattern = re.compile(r"splu|eliminate\(|AssembledSystem\(|lu\.solve\(")
+    offenders = [f"{path.name}:{i}"
+                 for path in sorted(src.glob("*.py")) if path.name != "fem.py"
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert not offenders

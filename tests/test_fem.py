@@ -151,16 +151,13 @@ class TestAssembly:
 class TestSolveDirichlet:
     def test_linear_reproduction(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.5, r_out=8.0))
-        sol = fem.solve_dirichlet(
-            fem.Discretization(m),
-            {"dirichlet_wall": lambda x, r: x, "truncation": lambda x, r: x})
+        sol = fem.solve_dirichlet(fem.Discretization(m), lambda x, r: x)
         assert np.abs(sol.values - sol.disc.nodes[:, 0]).max() < 1e-10
         assert sol.residual < 1e-12
 
     def test_zero_data_zero_rhs(self):
         m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.6, r_out=8.0))
-        sol = fem.solve_dirichlet(fem.Discretization(m),
-                                  {"dirichlet_wall": 0.0, "truncation": 0.0})
+        sol = fem.solve_dirichlet(fem.Discretization(m))
         assert np.all(sol.values == 0.0)
 
     def test_manufactured_rho2_l2_order(self):
@@ -170,9 +167,7 @@ class TestSolveDirichlet:
         errs = []
         for _ in range(3):
             sol = fem.solve_dirichlet(
-                fem.Discretization(m),
-                {"dirichlet_wall": lambda x, r: r**2,
-                 "truncation": lambda x, r: r**2},
+                fem.Discretization(m), lambda x, r: r**2,
                 rhs=lambda x, r: -4.0 * np.ones_like(x))
             disc = sol.disc
             Mass = fem.assemble_mass(disc)
@@ -187,9 +182,7 @@ class TestSolveDirichlet:
     def test_p2_exact_for_quadratic(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
         sol = fem.solve_dirichlet(
-            fem.Discretization(m, order=2),
-            {"dirichlet_wall": lambda x, r: r**2,
-             "truncation": lambda x, r: r**2},
+            fem.Discretization(m, order=2), lambda x, r: r**2,
             rhs=lambda x, r: -4.0 * np.ones_like(x))
         err = np.abs(sol.values - sol.disc.nodes[:, 1] ** 2).max()
         assert err < 1e-9
@@ -201,8 +194,7 @@ class TestSolveDirichlet:
                                           M.MeshConfig(h0=0.6, r_out=8.0)))
         disc = fem.Discretization(m, order=2)
         lift = lambda x, r: x ** 2 - 0.5 * r ** 2
-        sol = fem.solve_dirichlet(
-            disc, {"dirichlet_wall": 0.0, "truncation": 0.0}, lift=lift)
+        sol = fem.solve_dirichlet(disc, lift=lift)
         scale = np.abs(lift(disc.nodes[:, 0], disc.nodes[:, 1])).max()
         assert np.abs(sol.values).max() <= 1e-10 * scale
 
@@ -211,12 +203,10 @@ class TestSolveDirichlet:
         # across refinements: change should shrink by >= 1.5 per level
         m = M.build_dumbbell_mesh(M.MeshConfig(h0=0.35, eps=0.3, r_out=8.0,
                                                levels=2))
-        data = {"dirichlet_wall": 0.0, "truncation": 0.0}
         rhs = lambda x, r: np.ones_like(x)
         sols, meshes = [], []
         for _ in range(3):
-            sols.append(fem.solve_dirichlet(fem.Discretization(m), data,
-                                            rhs=rhs))
+            sols.append(fem.solve_dirichlet(fem.Discretization(m), rhs=rhs))
             meshes.append(m)
             m = M.refine(m)
         changes = []
@@ -229,6 +219,37 @@ class TestSolveDirichlet:
             K = fem.assemble_stiffness(disc_f)
             changes.append(math.sqrt(d @ (K @ d)))
         assert changes[0] / changes[1] >= 1.5
+
+
+class TestAssembledSystem:
+    def test_clamped_restricts_the_full_matrices(self):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
+        disc = fem.Discretization(m, order=2)
+        sysd = fem.assemble(disc, fem.WeightModel()).shifted(0.01)
+        sysd.lu()
+        extra = np.flatnonzero(disc.nodes[:, 0] < 3.0)
+        sub = sysd.clamped(extra)
+        fixed = np.union1d(sysd.fixed, extra)
+        free = np.setdiff1d(np.arange(disc.n_nodes), fixed)
+        assert np.array_equal(sub.fixed, fixed)
+        assert np.array_equal(sub.free, free)
+        assert (sub.K != sysd.K_full[free][:, free]).nnz == 0
+        assert (sub.Mp != sysd.Mp_full[free][:, free]).nnz == 0
+        assert sub.shift == 0.01 and sub._lu is None
+
+    def test_shifted_solve_lifts_the_data(self):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
+        disc = fem.Discretization(m, order=2)
+        sysd = fem.assemble(disc, fem.WeightModel()).shifted(0.01)
+        rng = np.random.default_rng(0)
+        load = rng.standard_normal(disc.n_nodes)
+        data = rng.standard_normal(len(sysd.fixed))
+        sol = sysd.solve(load, data)
+        assert np.array_equal(sol.values[sysd.fixed], data)
+        r = (sysd.K_full @ sol.values - 0.01 * (sysd.Mp_full @ sol.values)
+             - load)[sysd.free]
+        assert np.linalg.norm(r) <= 1e-10 * np.linalg.norm(load)
+        assert sol.residual < 1e-12
 
 
 class TestEigen:

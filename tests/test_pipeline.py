@@ -46,10 +46,9 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             pl.RunConfig(eps_sweep=(0.2, 0.2)).validate()
 
-    def test_small_eps_needs_cascade_mode(self):
-        with pytest.raises(ValueError):
-            pl.RunConfig(eps_sweep=(0.1, 0.01)).validate()
-        pl.RunConfig(eps_sweep=(0.1, 0.01), cascade_only=True).validate()
+    def test_small_eps_validates(self):
+        # eps < 0.1 runs the cascade track; no flag gates it
+        pl.RunConfig(eps_sweep=(0.1, 0.01)).validate()
 
     def test_single_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -57,7 +56,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("bad", [
         {"eps_sweep": (0.6, 0.3)},
-        {"eps_sweep": (0.3, -0.1), "cascade_only": True},
+        {"eps_sweep": (0.3, -0.1)},
         {"x0_list": (0.3, 1.0)},
         {"x0_list": (0.0,)},
         {"fit_window": (0.85, 0.55)},

@@ -194,6 +194,11 @@ class TestPhiHat:
 
 
 class TestUbar:
+    def test_remainder_solve_residual(self, ubar_pack):
+        # relative residual of (K - lam_k0 M_p) w = load on the free nodes
+        sol, _ = ubar_pack
+        assert sol.field.residual < 1e-10
+
     def test_singularity_trace(self, ubar_pack):
         """r^2 Ubar restricted to a small half-sphere reproduces the sphere
         mode Psi-."""
