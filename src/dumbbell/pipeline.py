@@ -254,7 +254,9 @@ def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
     # carries an O(1) share of the left-body mode (lam2 ~ 2 lam_k0) and
     # would need 0.01^steps <= 1e-24, 12 steps; the restricted eigenvector
     # is zero on x1 <= 1 and lacks only the left tail, about 1e-15 of the
-    # peak, so 0.01^steps <= 1e-9 gives 5 steps, and 6 keep a x100 margin
+    # peak, so 0.01^steps <= 1e-9 gives 5 steps, and 6 keep a x100 margin;
+    # the last two of them carry the extended-precision correction that
+    # fixes those 9 digits
     pair = fem.refine_eigenpair(system.shifted(0.99 * lam_k0),
                                 ref.field.values[system.free], 6)
     pair = fem.mass_normalize(system, pair)

@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dumbbell import fem
 from dumbbell import mesh as M
@@ -338,6 +344,57 @@ class TestEigen:
             fem.eigen_smallest(sysd, count=1)
 
 
+class TestFactor:
+    def test_supernode_settings_keep_pivots_and_fill(self):
+        m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.35, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m, order=2), fem.WeightModel())
+        lam = fem.eigen_smallest(sysd, count=1, tol=1e-12)[0].lam
+        A = sp.csc_matrix(sysd.K - 0.99 * lam * sysd.Mp)
+        lu = fem.factor(A)
+        # the inertia guard of compute_Ubar reads the U diagonal as pivots
+        assert np.array_equal(lu.perm_r, lu.perm_c)
+        assert np.all(lu.U.diagonal() > 0)
+        plain = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+                          diag_pivot_thresh=0.0,
+                          options={"SymmetricMode": True})
+        assert lu.L.nnz + lu.U.nnz == plain.L.nnz + plain.U.nnz
+        b = np.random.default_rng(5).standard_normal(A.shape[0])
+        x = lu.solve(b)
+        assert np.linalg.norm(A @ x - b) < 1e-12 * np.linalg.norm(b)
+
+    def test_repeated_factors_keep_the_heap_intact(self):
+        # SuperLU in scipy 1.17.1 corrupts the heap on these operators at
+        # relax = 80, panel_size = 40; MALLOC_CHECK_=3 makes glibc abort
+        # the child at the first corrupt free
+        script = textwrap.dedent("""
+            from dumbbell import fem, mesh as M
+            from dumbbell.pipeline import RunConfig
+
+            cfg = RunConfig()
+            lam_k0 = 1.6443731
+            # the level-1 eps = 0.3 sweep operator at 0.99 lam_k0, and the
+            # level-1 Ubar operator at lam_k0
+            for mesh, shift in (
+                    (M.build_dumbbell_mesh(cfg.mesh_config(0.3)),
+                     0.99 * lam_k0),
+                    (M.build_profile_mesh("HalfMinus", cfg.mesh_config()),
+                     lam_k0)):
+                disc = fem.Discretization(M.refine(mesh), order=cfg.order)
+                system = fem.assemble(disc, cfg.weight())
+                A = system.K - shift * system.Mp
+                for _ in range(3):
+                    lu = fem.factor(A)
+                    del lu
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fem.__file__)))
+        path = os.pathsep.join(filter(None, [src,
+                                             os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, MALLOC_CHECK_="3", PYTHONPATH=path)
+        child = subprocess.run([sys.executable, "-c", script], env=env,
+                               capture_output=True, text=True, timeout=120)
+        assert child.returncode == 0, child.stderr[-2000:]
+
+
 class TestRefineEigenpair:
     def test_shifted_system_factors_once(self, monkeypatch):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
@@ -353,6 +410,20 @@ class TestRefineEigenpair:
         fem.refine_eigenpair(shifted, np.ones(len(sysd.free)), 3)
         assert factored == []
         assert shifted.lu() is lu
+
+    def test_plain_steps_then_two_refined(self):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
+        shifted = sysd.shifted(0.5)
+        lu = shifted.lu()
+        solves = []
+        shifted._lu = SimpleNamespace(
+            solve=lambda b: solves.append(1) or lu.solve(b))
+        # one solve a plain step, two for each of the last two steps
+        for steps, count in ((0, 0), (1, 2), (2, 4), (6, 8)):
+            solves.clear()
+            fem.refine_eigenpair(shifted, np.ones(len(sysd.free)), steps)
+            assert len(solves) == count
 
     def test_eigen_smallest_rejects_a_shifted_system(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))

@@ -310,7 +310,8 @@ class TestSweep:
             self, coarse_pset, monkeypatch):
         # the hot path: one shifted factor for the dumbbell eigenpair, one
         # for the restricted reference, and one stiffness matrix for both;
-        # 6 steps on the first and 4 on the second, two solves a step
+        # 6 steps on the first and 4 on the second, one solve a plain step
+        # and two for each of the last two, extended-precision steps
         factored, assembled, solves = [], [], []
         factor, assemble = fem.factor, fem.assemble_stiffness
 
@@ -332,7 +333,7 @@ class TestSweep:
                         coarse_pset)
         assert len(factored) == 2
         assert len(assembled) == 1
-        assert len(solves) == 6 * 2 + 4 * 2
+        assert len(solves) == (4 + 2 * 2) + (2 + 2 * 2)
 
     def test_eigenvalue_above_restricted_reference_fails_entry(
             self, coarse_pset, monkeypatch):
