@@ -5,11 +5,10 @@ angular factor omega_(N-2) is omitted consistently; it cancels in every
 eigenvalue, Rayleigh quotient and normalized field).  P1 and P2 triangles on
 a MeridianMesh, Dirichlet conditions by elimination to a reduced SPD system,
 one sparse factorization helper for every SPD matrix, and shifted inverse
-iteration for the ground state.  An AssembledSystem is the one place that
-reduces, factors and solves a Dirichlet problem: it carries its shift and
-factors K - shift M_p once, so every eigen step and load solve on it reuses
-that factor; Lanczos on K^-1 M_p serves only where no shift below the
-smallest weighted eigenvalue is known (the start of the u0 solve).
+iteration for the ground state, the package's only eigen algorithm.  An
+AssembledSystem is the one place that reduces, factors and solves a
+Dirichlet problem: it carries its shift and factors K - shift M_p once, so
+every eigen step and load solve on it reuses that factor.
 """
 
 from __future__ import annotations
@@ -79,9 +78,6 @@ class WeightModel:
     @classmethod
     def zero(cls) -> "WeightModel":
         return cls(0.0, 0.0)
-
-    def is_zero(self) -> bool:
-        return self.a_plus == 0.0 and self.a_minus == 0.0
 
 
 # ----------------------------------------------------------------------------
@@ -551,39 +547,13 @@ class EigenPair:
     residual: float
 
 
-def eigen_smallest(system: AssembledSystem, count: int = 1,
-                   tol: float = 1e-10) -> list[EigenPair]:
-    """Smallest eigenvalues of K u = l M_p u via Lanczos on the pencil
-    (M_p, K): largest mu of M_p u = mu K u gives l = 1/mu, with K-inner
-    products and the sparse factorization of K reused across iterations.
-    The system must be unshifted, so that its factor is the one of K."""
-    if system.shift:
-        raise ValueError("eigen_smallest needs an unshifted system")
-    if system.Mp.nnz == 0:
-        raise ValueError("weighted mass is identically zero")
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    lu = system.lu()
-    n = system.K.shape[0]
-    op_kinv = spla.LinearOperator((n, n), matvec=lu.solve)
-    # a fixed start vector makes the result the same in every process
-    mu, vecs = spla.eigsh(system.Mp, k=count, M=system.K, Minv=op_kinv,
-                          which="LM", tol=tol, maxiter=5000, v0=np.ones(n))
-    order = np.argsort(-mu)
-    pairs = []
-    for idx in order:
-        if mu[idx] <= 0:
-            raise RuntimeError(
-                f"count={count} exceeds the number of positive weighted "
-                "modes resolvable on this mesh")
-        lam = 1.0 / mu[idx]
-        v = vecs[:, idx]
-        r = system.K @ v - lam * (system.Mp @ v)
-        rel = np.linalg.norm(r) / np.linalg.norm(system.K @ v)
-        full = system.expand(v)
-        pairs.append(EigenPair(float(lam), FieldSolution(system.disc, full),
-                               float(rel)))
-    return pairs
+def eigen_smallest(system: AssembledSystem, steps: int) -> EigenPair:
+    """Ground pair of K u = l M_p u from a cold start: `refine_eigenpair`
+    from the all-ones vector on the system's own factor.  The all-ones
+    vector overlaps the positive ground state, so the iteration cannot
+    start orthogonal to it, and a fixed start gives the same result in
+    every process."""
+    return refine_eigenpair(system, np.ones(len(system.free)), steps)
 
 
 def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
@@ -602,6 +572,8 @@ def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
     last digits of components many orders below the peak (the left body of
     a dumbbell eigenvector) rather than drowning them.  The returned
     eigenvalue is the K/M_p Rayleigh quotient of the returned vector."""
+    if system.Mp.nnz == 0:
+        raise ValueError("weighted mass is identically zero")
     lu = system.lu()
     plain = max(steps - 2, 0)
     u = np.asarray(start, dtype=float)

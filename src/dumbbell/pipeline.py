@@ -275,7 +275,7 @@ def _restricted_reference(system: fem.AssembledSystem,
     # on D+ lam2/lam1 = 2.38, so each step at sigma = 0.99 lam_k0 contracts
     # by about 0.007, and the Rayleigh quotient error squares that
     sub = system.clamped(left).shifted(0.99 * lam_k0)
-    return fem.refine_eigenpair(sub, np.ones(len(sub.free)), 4)
+    return fem.eigen_smallest(sub, 4)
 
 
 # radii of the spherical fit in D-; those inside the tube radius are skipped

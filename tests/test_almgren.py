@@ -10,6 +10,7 @@ from dumbbell import profiles as P
 from dumbbell.mesh import (MeshConfig, build_dumbbell_mesh, build_profile_mesh,
                            refine)
 from dumbbell.pipeline import RunConfig
+from lanczos_oracle import lanczos_pairs
 
 MODE = cs.disk_ground_mode(3)
 SL1 = MODE.sqrt_lambda1
@@ -47,7 +48,7 @@ def dumbbell_pair():
                                           r_out=12.0))
     disc = fem.Discretization(mesh, order=2)
     system = fem.assemble(disc, fem.WeightModel())
-    pair = fem.eigen_smallest(system, count=1, tol=1e-12)[0]
+    pair = lanczos_pairs(system, tol=1e-12)[0]
     pair = fem.refine_eigenpair(system.shifted(0.99 * pair.lam),
                                 pair.field.values[system.free], 3)
     pair = fem.mass_normalize(system, pair)

@@ -47,3 +47,16 @@ def test_only_fem_reduces_factors_and_solves():
                  for i, line in enumerate(path.read_text().splitlines(), 1)
                  if pattern.search(line)]
     assert not offenders
+
+
+def test_one_eigen_algorithm():
+    """Every ground pair comes from inverse iteration in `fem`
+    (`eigen_smallest`, `refine_eigenpair`): no module runs ARPACK, builds
+    an implicit operator for it or calls another iterative eigensolver."""
+    src = Path(__file__).resolve().parents[1] / "src" / "dumbbell"
+    pattern = re.compile(r"eigsh|LinearOperator|lobpcg")
+    offenders = [f"{path.name}:{i}"
+                 for path in sorted(src.glob("*.py"))
+                 for i, line in enumerate(path.read_text().splitlines(), 1)
+                 if pattern.search(line)]
+    assert not offenders

@@ -14,6 +14,7 @@ import scipy.sparse.linalg as spla
 from dumbbell import fem
 from dumbbell import mesh as M
 from dumbbell.pipeline import RunConfig
+from lanczos_oracle import lanczos_pairs
 
 
 def half_disk_mesh(n_rad, n_theta):
@@ -267,7 +268,7 @@ class TestEigen:
         for n in (8, 16, 32):
             disc = fem.Discretization(half_disk_mesh(n, 3 * n), order=2)
             sysd = fem.assemble(disc, lambda x, r: np.ones_like(x))
-            lam = fem.eigen_smallest(sysd, count=1)[0].lam
+            lam = fem.eigen_smallest(sysd, 40).lam
             errs.append(abs(lam - exact))
         assert errs[2] < 2e-3 * exact
         assert errs[0] > errs[1] > errs[2]
@@ -281,8 +282,8 @@ class TestEigen:
         scaled = fem.WeightModel(2.0, 0.0)
         s1 = fem.assemble(disc, base)
         s2 = fem.assemble(disc, scaled)
-        p1 = fem.eigen_smallest(s1, count=1, tol=1e-12)[0]
-        p2 = fem.eigen_smallest(s2, count=1, tol=1e-12)[0]
+        p1 = fem.eigen_smallest(s1, 40)
+        p2 = fem.eigen_smallest(s2, 40)
         assert p2.lam == pytest.approx(p1.lam / 2.0, rel=1e-10)
         v1, v2 = p1.field.values, p2.field.values
         corr = abs(v1 @ v2) / math.sqrt((v1 @ v1) * (v2 @ v2))
@@ -293,7 +294,7 @@ class TestEigen:
         for kind in ("HalfPlus", "HalfMinus"):
             m = M.build_profile_mesh(kind, M.MeshConfig(h0=0.3, r_out=12.0))
             sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-            lam[kind] = fem.eigen_smallest(sysd, count=1, tol=1e-12)[0].lam
+            lam[kind] = fem.eigen_smallest(sysd, 40).lam
         assert lam["HalfMinus"] / lam["HalfPlus"] == pytest.approx(2.0, rel=5e-3)
 
     def test_symmetric_weight_near_degenerate(self):
@@ -301,7 +302,7 @@ class TestEigen:
                                                levels=3))
         sysd = fem.assemble(fem.Discretization(m),
                             fem.WeightModel(1.0, 1.0))
-        pairs = fem.eigen_smallest(sysd, count=2, tol=1e-12)
+        pairs = lanczos_pairs(sysd, count=2, tol=1e-12)
         gap = (pairs[1].lam - pairs[0].lam) / pairs[0].lam
         assert 0.0 <= gap < 0.01
 
@@ -311,44 +312,44 @@ class TestEigen:
             m = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.25,
                                                    r_out=r_out, levels=3))
             sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-            lams.append(fem.eigen_smallest(sysd, count=1)[0].lam)
+            lams.append(fem.eigen_smallest(sysd, 40).lam)
         assert lams[0] >= lams[1] >= lams[2]
 
     def test_rayleigh_consistency(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.3, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-        pair = fem.eigen_smallest(sysd, count=1, tol=1e-13)[0]
+        pair = fem.eigen_smallest(sysd, 40)
         assert abs(pair.lam - rayleigh(sysd, pair)) / pair.lam < 1e-12
 
     def test_repeatable_in_one_process(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m, order=2), fem.WeightModel())
-        first = fem.eigen_smallest(sysd, count=1, tol=1e-12)[0]
-        second = fem.eigen_smallest(sysd, count=1, tol=1e-12)[0]
+        first = fem.eigen_smallest(sysd, 40)
+        second = fem.eigen_smallest(sysd, 40)
         assert first.lam == second.lam
         assert np.array_equal(first.field.values, second.field.values)
 
-    def test_count_exceeding_rank_raises(self):
-        # rank of M_p is limited by nodes inside the annulus; ask for far
-        # too many modes on a tiny mesh
-        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=1.0, r_out=7.0))
-        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-        rank_bound = int((sysd.Mp.diagonal() > 0).sum())
-        with pytest.raises(Exception):
-            fem.eigen_smallest(sysd, count=rank_bound + 5)
+    def test_matches_the_lanczos_oracle(self):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m, order=2), fem.WeightModel())
+        ref = fem.mass_normalize(sysd, lanczos_pairs(sysd, tol=1e-14)[0])
+        got = fem.mass_normalize(sysd, fem.eigen_smallest(sysd, 40))
+        assert got.lam == pytest.approx(ref.lam, rel=1e-12)
+        u, v = got.field.values, ref.field.values
+        assert np.max(np.abs(u - v)) <= 1e-10 * np.max(np.abs(v))
 
     def test_zero_mass_raises(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel.zero())
         with pytest.raises(ValueError):
-            fem.eigen_smallest(sysd, count=1)
+            fem.eigen_smallest(sysd, 40)
 
 
 class TestFactor:
     def test_supernode_settings_keep_pivots_and_fill(self):
         m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m, order=2), fem.WeightModel())
-        lam = fem.eigen_smallest(sysd, count=1, tol=1e-12)[0].lam
+        lam = fem.eigen_smallest(sysd, 40).lam
         A = sp.csc_matrix(sysd.K - 0.99 * lam * sysd.Mp)
         lu = fem.factor(A)
         # the inertia guard of compute_Ubar reads the U diagonal as pivots
@@ -425,16 +426,19 @@ class TestRefineEigenpair:
             fem.refine_eigenpair(shifted, np.ones(len(sysd.free)), steps)
             assert len(solves) == count
 
-    def test_eigen_smallest_rejects_a_shifted_system(self):
-        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
-        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-        with pytest.raises(ValueError):
-            fem.eigen_smallest(sysd.shifted(0.5), count=1)
+    def test_zero_mass_raises_before_iterating(self):
+        # 0/0 in the M_p-normalization would return lam = nan silently
+        m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.6, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel(1.0, 0.0))
+        assert sysd.Mp.nnz == 0
+        with pytest.raises(ValueError, match="identically zero"):
+            fem.refine_eigenpair(sysd.shifted(0.5), np.ones(len(sysd.free)),
+                                 3)
 
     def test_fixed_point(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-        pair = fem.eigen_smallest(sysd, count=1, tol=1e-13)[0]
+        pair = lanczos_pairs(sysd, tol=1e-13)[0]
         once = fem.refine_eigenpair(sysd.shifted(0.99 * pair.lam),
                                     pair.field.values[sysd.free], 2)
         twice = fem.refine_eigenpair(sysd.shifted(0.99 * once.lam),
@@ -444,7 +448,7 @@ class TestRefineEigenpair:
     def test_residual_non_increasing(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-        pair = fem.eigen_smallest(sysd, count=1, tol=1e-8)[0]
+        pair = lanczos_pairs(sysd, tol=1e-8)[0]
         refined = fem.refine_eigenpair(sysd.shifted(0.99 * pair.lam),
                                        pair.field.values[sysd.free], 4)
         assert refined.residual <= pair.residual * (1 + 1e-12)
@@ -452,7 +456,7 @@ class TestRefineEigenpair:
     def test_eigenvalue_is_rayleigh_quotient_of_vector(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-        pair = fem.eigen_smallest(sysd, count=1, tol=1e-6)[0]
+        pair = lanczos_pairs(sysd, tol=1e-6)[0]
         for steps in (0, 1, 3):
             refined = fem.refine_eigenpair(
                 sysd.shifted(0.99 * pair.lam), pair.field.values[sysd.free],
@@ -496,7 +500,7 @@ class TestRefineEigenpair:
 def test_mass_normalize():
     m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
     sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-    pair = fem.eigen_smallest(sysd, count=1)[0]
+    pair = fem.eigen_smallest(sysd, 40)
     normed = fem.mass_normalize(sysd, pair)
     v = normed.field.values
     assert v @ (sysd.Mp_full @ v) == pytest.approx(1.0, rel=1e-12)

@@ -224,18 +224,18 @@ class TestProfileCache:
 
 
 def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
-    # K on D+ (Lanczos and the u0 polish), the two harmonic solves, and
-    # K - lam_k0 M_p on D- (the Ubar guard and solve)
-    factored, lanczos = [], []
-    splu, eigen = fem.spla.splu, fem.eigen_smallest
+    # K on D+ (the u0 iteration), the two harmonic solves, and
+    # K - lam_k0 M_p on D- (the Ubar guard and solve); no ARPACK run
+    factored, arpack = [], []
+    splu, eigsh = fem.spla.splu, fem.spla.eigsh
     monkeypatch.setattr(fem.spla, "splu", lambda A, **kw:
                         factored.append(A.shape) or splu(A, **kw))
-    monkeypatch.setattr(fem, "eigen_smallest", lambda *a, **kw:
-                        lanczos.append(a) or eigen(*a, **kw))
+    monkeypatch.setattr(fem.spla, "eigsh", lambda *a, **kw:
+                        arpack.append(a) or eigsh(*a, **kw))
     pl.run_profiles(pl.RunConfig(out_dir=str(tmp_path), cache=False,
                                  **COARSE))
     assert len(factored) == 4
-    assert len(lanczos) == 1
+    assert arpack == []
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,21 @@ class TestUbar:
             # residual ~ r/r_out^3 from the Dirichlet truncation at r_out
             assert sol(x1, rho) == pytest.approx(exact, rel=5e-3)
 
+    def test_no_weight_on_d_minus_skips_the_gap_guard(self):
+        """A weight that vanishes on D- leaves no weighted spectrum there:
+        the guard has no gap to check and computes no NaN, and the solve
+        is the zero-weight one."""
+        cfg = MeshConfig(h0=0.35, r_out=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sol, norms = P.compute_Ubar(cfg, fem.WeightModel(1.0, 0.0), 1.3,
+                                        level=0, order=2)
+        ref, _ = P.compute_Ubar(cfg, fem.WeightModel.zero(), 1.3,
+                                level=0, order=2)
+        assert np.allclose(sol.field.values, ref.field.values,
+                           rtol=1e-12, atol=0)
+        assert all(np.isfinite(v) for v in norms.values())
+
     def test_surface_norms_scale_like_kernel(self, ubar_pack):
         _, norms = ubar_pack
         # near the origin Ubar ~ r^-2 Psi-, whose half-sphere mass is
@@ -247,11 +263,11 @@ class TestUbar:
                                                   monkeypatch):
         # 0.8 lambda_1(D-) < 1.8 lam_k0 < lambda_1(D-): the operator is SPD,
         # so only the guard eigenvalue, by inverse iteration on the solve's
-        # factor and without Lanczos, can catch it
+        # factor and without ARPACK, can catch it
         def unreachable(*args, **kwargs):
-            raise AssertionError("Ubar's guard runs no Lanczos")
+            raise AssertionError("Ubar's guard runs no ARPACK")
 
-        monkeypatch.setattr(fem, "eigen_smallest", unreachable)
+        monkeypatch.setattr(fem.spla, "eigsh", unreachable)
         _, lam, _ = u0_pack
         with pytest.raises(ValueError, match="too close"):
             P.compute_Ubar(CFG, fem.WeightModel(), 1.8 * lam,
