@@ -104,7 +104,6 @@ def _masked_energy(disc, u_values, weight, lam, side,
     optional closed-form part evaluated pointwise."""
     base_pts, _ = fem._dunavant(_DEGREE)
     n = disc.dimension
-    shapes = fem._p1_shapes if disc.order == 1 else fem._p2_shapes
     corners = disc.mesh.vertices[disc.mesh.triangles]  # (T, 3, 2)
     cells, pieces, fracs = _masked_rule(corners, side)
     total = 0.0
@@ -113,7 +112,7 @@ def _masked_energy(disc, u_values, weight, lam, side,
         bary = base_pts @ pieces[lo:lo + _BATCH]  # (P, q, 3)
         wts = fracs[lo:lo + _BATCH] * disc.area[tri_ids, None]
         phys = bary @ corners[tri_ids]  # (P, q, 2)
-        s, d = shapes(bary.reshape(-1, 3))
+        s, d = fem._p2_shapes(bary.reshape(-1, 3))
         shp = s.reshape(bary.shape[:2] + s.shape[1:])  # (P, q, i)
         dshp = d.reshape(bary.shape[:2] + d.shape[1:])  # (P, q, i, 3)
         nodal = u_values[disc.cells[tri_ids]]  # (P, i)
@@ -128,8 +127,7 @@ def _masked_energy(disc, u_values, weight, lam, side,
         dens = np.einsum("tqd,tqd->tq", grads, grads)
         if weight is not None and lam != 0.0:
             dens = dens - lam * np.asarray(weight(x1, rho), float) * uvals ** 2
-        rho_m = rho ** disc.measure_exponent if disc.measure_exponent else 1.0
-        total += float(np.sum(wts * dens * rho_m))
+        total += float(np.sum(wts * dens * rho ** disc.measure_exponent))
     return cs.sphere_surface_area(n - 2) * total
 
 
@@ -153,7 +151,7 @@ def _unpack_field(field, mesh=None, gradient=None):
     if mesh is None:
         raise ValueError("analytic fields need an integration mesh")
     disc = mesh if isinstance(mesh, fem.Discretization) \
-        else fem.Discretization(mesh, order=2)
+        else fem.Discretization(mesh)
     grad = gradient if gradient is not None else _fd_gradient(field)
     zero = np.zeros(disc.n_nodes)
     return disc, zero, field, grad, field

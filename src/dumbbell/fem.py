@@ -2,8 +2,8 @@
 
 All forms carry the meridian volume measure rho^(N-2) drho dx1 (the constant
 angular factor omega_(N-2) is omitted consistently; it cancels in every
-eigenvalue, Rayleigh quotient and normalized field).  P1 and P2 triangles on
-a MeridianMesh, Dirichlet conditions by elimination to a reduced SPD system,
+eigenvalue, Rayleigh quotient and normalized field).  P2 triangles on a
+MeridianMesh, Dirichlet conditions by elimination to a reduced SPD system,
 one sparse factorization helper for every SPD matrix, and shifted inverse
 iteration for the ground state, the package's only eigen algorithm.  An
 AssembledSystem is the one place that reduces, factors and solves a
@@ -64,6 +64,10 @@ class WeightModel:
     a_plus: float = 1.0
     a_minus: float = 0.5
 
+    def __post_init__(self):
+        if not (self.a_plus >= 0 and self.a_minus >= 0):
+            raise ValueError("weight amplitudes must be non-negative")
+
     def __call__(self, x1, rho):
         x1 = np.asarray(x1, dtype=float)
         rho = np.asarray(rho, dtype=float)
@@ -85,10 +89,7 @@ class WeightModel:
 # ----------------------------------------------------------------------------
 
 def _dunavant(degree: int):
-    if degree <= 2:
-        pts = [(0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)]
-        wts = [1.0 / 3.0] * 3
-    elif degree <= 4:
+    if degree <= 4:
         a1, w1 = 0.445948490915965, 0.223381589678011
         a2, w2 = 0.091576213509771, 0.109951743655322
         pts, wts = [], []
@@ -136,12 +137,6 @@ def _p2_shapes(bary: np.ndarray):
     return vals, grads
 
 
-def _p1_shapes(bary: np.ndarray):
-    q = len(bary)
-    grads = np.broadcast_to(np.eye(3), (q, 3, 3)).copy()
-    return bary.copy(), grads
-
-
 # ----------------------------------------------------------------------------
 # Discretization
 # ----------------------------------------------------------------------------
@@ -165,29 +160,24 @@ def _cell_geometry(vertices, triangles):
 
 
 class Discretization:
-    """Nodes and cells of a P1 or P2 space on a meridian mesh; the forms
-    carry the meridian volume weight rho^m with m = measure_exponent = N-2.
+    """Nodes and cells of the P2 space on a meridian mesh; the forms carry
+    the meridian volume weight rho^m with m = measure_exponent = N-2.
     """
 
-    def __init__(self, mesh: MeridianMesh, order: int = 1):
-        if order not in (1, 2):
-            raise ValueError("element order must be 1 or 2")
+    # `order` stays only for perfbench's problem_size, which passes it
+    def __init__(self, mesh: MeridianMesh, order: int = 2):
+        if order != 2:
+            raise ValueError("P2 is the only element")
         self.mesh = mesh
-        self.order = order
         self.dimension = mesh.params["dimension"]
         self.measure_exponent = self.dimension - 2
 
-        if order == 1:
-            self.nodes = mesh.vertices
-            self.cells = mesh.triangles
-            self._edges = None
-        else:
-            # midside node of edge k is node nv + k
-            self._edges = edge_table(mesh.triangles)
-            v, nv = mesh.vertices, len(mesh.vertices)
-            ends = self._edges.edges
-            self.nodes = np.vstack([v, 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])])
-            self.cells = np.hstack([mesh.triangles, nv + self._edges.side_edge])
+        # midside node of edge k is node nv + k
+        self._edges = edge_table(mesh.triangles)
+        v, nv = mesh.vertices, len(mesh.vertices)
+        ends = self._edges.edges
+        self.nodes = np.vstack([v, 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])])
+        self.cells = np.hstack([mesh.triangles, nv + self._edges.side_edge])
 
         self.n_nodes = len(self.nodes)
         self.area, self.bgrads = _cell_geometry(mesh.vertices, mesh.triangles)
@@ -196,14 +186,12 @@ class Discretization:
     # -- boundary node sets --------------------------------------------------
 
     def boundary_nodes(self, *tags: str) -> np.ndarray:
-        """Sorted node indices (including midside nodes for P2) lying on
+        """Sorted node indices, vertices and midside nodes, lying on
         boundary edges with any of the given tags."""
         edges = np.concatenate([self.mesh.tagged_edges(t) for t in tags]
                                + [np.empty((0, 2), dtype=np.int64)])
-        idx = [edges.ravel()]
-        if self.order == 2:
-            idx.append(len(self.mesh.vertices) + self._edges.index(edges))
-        return np.unique(np.concatenate(idx))
+        mids = len(self.mesh.vertices) + self._edges.index(edges)
+        return np.unique(np.concatenate([edges.ravel(), mids]))
 
     def dirichlet_tags(self) -> tuple[str, ...]:
         """Tags that carry essential conditions by default: everything
@@ -295,14 +283,9 @@ def _assemble_form(disc: Discretization, kind: str,
     local[t, ij] = sum_(q,k,l) wfac[t, q] B[t, k, l] dshp[q, i, k]
     dshp[q, j, l], with B[t] the Gram matrix of the cell's barycentric
     gradients."""
-    if kind == "stiffness":
-        degree = 2 if disc.order == 1 else 4
-    else:
-        degree = 4 if disc.order == 1 else 6
-    if coeff is not None:
-        degree = max(degree, 6)
+    degree = 4 if kind == "stiffness" else 6
     bary, wts = _dunavant(degree)
-    shp, dshp = (_p1_shapes if disc.order == 1 else _p2_shapes)(bary)
+    shp, dshp = _p2_shapes(bary)
     nq, nloc = shp.shape
 
     area, bgrads = disc.area, disc.bgrads
@@ -310,8 +293,7 @@ def _assemble_form(disc: Discretization, kind: str,
     p = disc.mesh.vertices[tris]
     # physical quadrature points: (ncell, q, 2)
     qpts = bary @ p
-    rho_m = qpts[..., 1] ** disc.measure_exponent \
-        if disc.measure_exponent else np.ones(qpts.shape[:2])
+    rho_m = qpts[..., 1] ** disc.measure_exponent
     cvals = np.ones(qpts.shape[:2])
     if coeff is not None:
         cvals = np.asarray(coeff(qpts[..., 0], qpts[..., 1]), dtype=float)
@@ -358,12 +340,11 @@ def assemble_mass(disc: Discretization,
 def assemble_load(disc: Discretization, f: Callable) -> np.ndarray:
     """Load vector int f v rho^m (degree-6 rule)."""
     bary, wts = _dunavant(6)
-    shp = _p1_shapes(bary)[0] if disc.order == 1 else _p2_shapes(bary)[0]
+    shp = _p2_shapes(bary)[0]
     area = disc.area
     p = disc.mesh.vertices[disc.mesh.triangles]
     qpts = np.einsum("qk,tkd->tqd", bary, p)
-    rho_m = qpts[..., 1] ** disc.measure_exponent \
-        if disc.measure_exponent else np.ones(qpts.shape[:2])
+    rho_m = qpts[..., 1] ** disc.measure_exponent
     fvals = np.asarray(f(qpts[..., 0], qpts[..., 1]), dtype=float)
     wfac = (wts[None, :] * rho_m * fvals) * area[:, None]
     local = np.einsum("tq,qi->ti", wfac, shp)
@@ -507,8 +488,7 @@ class FieldSolution:
         tri, bary = self.disc.locate(x1b.ravel(), rhob.ravel())
         out = np.full(tri.shape, np.nan)
         ok = tri >= 0
-        shapes = _p1_shapes if self.disc.order == 1 else _p2_shapes
-        out[ok] = np.einsum("pk,pk->p", shapes(bary[ok])[0],
+        out[ok] = np.einsum("pk,pk->p", _p2_shapes(bary[ok])[0],
                             self.values[self.disc.cells[tri[ok]]])
         out = out.reshape(x1b.shape)
         return float(out[0]) if scalar and out.size == 1 else out

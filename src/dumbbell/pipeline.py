@@ -24,6 +24,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dfield
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -63,7 +64,8 @@ class RunConfig:
     grade_levels: int = 8
     r_out: float = 12.0
     tube_length: float = 10.0
-    order: int = 2
+    # a class constant, not a field, only for perfbench's problem_size
+    order: ClassVar[int] = 2
     profile_level: int = 1
     sweep_level: int = 1
     fit_window: tuple = (0.55, 0.85)
@@ -92,10 +94,9 @@ class RunConfig:
             raise ValueError("fit_points must be at least 4")
         if not all(k > 0 for k in self.ktilde_list):
             raise ValueError("every ktilde must be positive")
-        if self.order not in (1, 2):
-            raise ValueError("element order must be 1 or 2")
         if self.sweep_level < 0 or self.profile_level < 0:
             raise ValueError("refinement levels must be non-negative")
+        self.weight()  # rejects a negative amplitude
         return self
 
     def canonical(self) -> dict:
@@ -182,15 +183,14 @@ def _compute_profiles(cfg: RunConfig, level: int) -> ProfileSet:
     mc = cfg.mesh_config()
     weight = cfg.weight()
     mode = cs.disk_ground_mode(cfg.dimension)
-    kw = {"level": level, "order": cfg.order}
     out = {}
     stages = (
-        ("u0", lambda: prof.compute_u0(mc, weight=weight, **kw)),
-        ("Phi", lambda: prof.compute_Phi(mc, **kw)),
-        ("PhiHat", lambda: prof.compute_PhiHat(mc, **kw)),
+        ("u0", lambda: prof.compute_u0(mc, level, weight=weight)),
+        ("Phi", lambda: prof.compute_Phi(mc, level)),
+        ("PhiHat", lambda: prof.compute_PhiHat(mc, level)),
         # Ubar's shift is the u0 eigenvalue
-        ("Ubar", lambda: prof.compute_Ubar(mc, weight, out["u0"][1],
-                                           ktilde=cfg.ktilde_list, **kw)))
+        ("Ubar", lambda: prof.compute_Ubar(mc, weight, out["u0"][1], level,
+                                           ktilde=cfg.ktilde_list)))
     for name, solve in stages:
         try:
             out[name] = solve()
@@ -243,7 +243,7 @@ def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
     mesh = build_dumbbell_mesh(cfg.mesh_config(eps))
     for _ in range(cfg.sweep_level):
         mesh = refine(mesh)
-    disc = fem.Discretization(mesh, order=cfg.order)
+    disc = fem.Discretization(mesh)
     system = fem.assemble(disc, cfg.weight())
     ref = _restricted_reference(system, lam_k0)
     # lam_eps sits just below lam_k0 (lam_eps/lam_k0 - 1 measured -2.7e-5 at
@@ -561,7 +561,8 @@ def verify(record: RunRecord) -> dict:
     asymptotic series).  A series whose deviations never rise above the
     discretization floor has converged before the sweep began; its slope
     is mesh noise and it passes regardless of the trend label.  A sweep
-    with an errored entry fails under `sweep_errors`."""
+    with an errored entry, or with fewer than the two eps entries a
+    config must have, fails under `sweep_errors`."""
     tol = {"R1": 0.05, "R2": 0.15, "R3": 0.15, "R4": 0.15, "R5": 0.15,
            "R6": 0.15}
     floor = 5e-3
@@ -622,11 +623,12 @@ def verify(record: RunRecord) -> dict:
         overall = overall and ok
 
     # an errored entry is missing from every series above, so the series
-    # verdicts cannot see it; the sweep fails as incomplete
+    # verdicts cannot see it; the sweep fails as incomplete, and so does a
+    # sweep of fewer than two eps, which has no trend to classify
     errored = [e for e in record.sweep if "error" in e]
-    if errored:
+    if errored or len(record.sweep) < 2:
         out["sweep_errors"] = {
-            "formula": "every eps entry solved without error",
+            "formula": "at least two eps entries, each solved without error",
             "eps": [e["eps"] for e in errored],
             "values": [math.nan] * len(errored),
             "deviations": [math.nan] * len(errored),

@@ -89,7 +89,7 @@ def _maybe_refine(mesh: MeridianMesh, level: int) -> MeridianMesh:
 # u0 and d0
 # ----------------------------------------------------------------------------
 
-def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
+def compute_u0(cfg: MeshConfig, level: int = 0,
                weight: fem.WeightModel | None = None):
     """First eigenpair of -Du = lam p u on the truncated right half-space,
     normalized to unit weighted mass and positive sign.
@@ -103,7 +103,7 @@ def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
     if weight.a_plus <= 0:
         raise ValueError("u0 needs a positive weight amplitude on D+")
     mesh = _maybe_refine(build_profile_mesh("HalfPlus", cfg), level)
-    disc = fem.Discretization(mesh, order=order)
+    disc = fem.Discretization(mesh)
     system = fem.assemble(disc, weight)
     # unshifted, on the factor of K: each step contracts the other
     # components by lam1/lam2 ~ 0.42, and 0.42^40 < 1e-15 leaves nothing of
@@ -126,18 +126,18 @@ def compute_u0(cfg: MeshConfig, level: int = 0, order: int = 2,
 # Phi and PhiHat
 # ----------------------------------------------------------------------------
 
-def _harmonic_profile(domain: str, cfg: MeshConfig, level: int, order: int,
+def _harmonic_profile(domain: str, cfg: MeshConfig, level: int,
                       lift: Callable) -> ProfileSolution:
     """Harmonic profile on a profile domain: the closed-form lift plus a
     finite element remainder that vanishes on the domain's Dirichlet edges
     (the axis stays natural)."""
     mesh = _maybe_refine(build_profile_mesh(domain, cfg), level)
-    disc = fem.Discretization(mesh, order=order)
+    disc = fem.Discretization(mesh)
     sol = fem.solve_dirichlet(disc, lift=lift)
     return ProfileSolution(domain.removesuffix("Domain"), sol, lift)
 
 
-def compute_Phi(cfg: MeshConfig, level: int = 0, order: int = 2):
+def compute_Phi(cfg: MeshConfig, level: int = 0):
     """Harmonic profile growing like (x1-1)+ in D+, decaying in the tube.
 
     Carried part chi(|x-e1|) (x1-1)+ with chi = 0 for |x-e1| <= 1 and 1
@@ -148,13 +148,13 @@ def compute_Phi(cfg: MeshConfig, level: int = 0, order: int = 2):
         r = np.hypot(x1 - 1.0, rho)
         return smoothstep(r, 1.0, 2.0) * np.maximum(x1 - 1.0, 0.0)
 
-    profile = _harmonic_profile("PhiDomain", cfg, level, order, lift)
+    profile = _harmonic_profile("PhiDomain", cfg, level, lift)
     c_phi = cs.project_section(profile, 1.0, 1.0,
                                cs.disk_ground_mode(cfg.dimension))
     return profile, c_phi
 
 
-def compute_PhiHat(cfg: MeshConfig, level: int = 0, order: int = 2):
+def compute_PhiHat(cfg: MeshConfig, level: int = 0):
     """Harmonic profile on D- plus the unit tube, growing like the tube
     mode h(x1, rho) = e^(sqrt(lambda1) x1) psi1(rho).
 
@@ -170,7 +170,7 @@ def compute_PhiHat(cfg: MeshConfig, level: int = 0, order: int = 2):
             * mode.psi1(np.minimum(rho, 1.0))
         return np.where(rho <= 1.0, val, 0.0)
 
-    profile = _harmonic_profile("PhiHatDomain", cfg, level, order, lift)
+    profile = _harmonic_profile("PhiHatDomain", cfg, level, lift)
     c_phihat = cs.project_sphere(profile, 0.0, 1.0, -1, n)
     m_phihat = cs.section_mass(profile, 1.0, 1.0, n)
     return profile, c_phihat, m_phihat
@@ -181,8 +181,7 @@ def compute_PhiHat(cfg: MeshConfig, level: int = 0, order: int = 2):
 # ----------------------------------------------------------------------------
 
 def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
-                 level: int = 0, order: int = 2,
-                 ktilde=(0.5, 1.0, 1.5)):
+                 level: int = 0, ktilde=(0.5, 1.0, 1.5)):
     """Solution of -Du = lam_k0 p u on D- with singular part exactly
     -x1/(Upsilon_N |x|^N) at the origin.
 
@@ -198,7 +197,7 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
     gives lambda_1(D-), and lam_k0 must stay below 0.8 of it.
     """
     mesh = _maybe_refine(build_profile_mesh("HalfMinus", cfg), level)
-    disc = fem.Discretization(mesh, order=order)
+    disc = fem.Discretization(mesh)
     n = disc.dimension
     ups = cs.upsilon(n)
     system = fem.assemble(disc, weight).shifted(lam_k0)

@@ -37,8 +37,8 @@ def halfminus_wide():
 @pytest.fixture(scope="module")
 def ubar_pack():
     cfg = MeshConfig(h0=0.2, levels=6, r_out=12.0)
-    _, lam, _ = P.compute_u0(cfg, level=0, order=2)
-    ub, _ = P.compute_Ubar(cfg, fem.WeightModel(), lam, level=0, order=2)
+    _, lam, _ = P.compute_u0(cfg, level=0)
+    ub, _ = P.compute_Ubar(cfg, fem.WeightModel(), lam, level=0)
     return ub, lam
 
 
@@ -46,7 +46,7 @@ def ubar_pack():
 def dumbbell_pair():
     mesh = build_dumbbell_mesh(MeshConfig(h0=0.15, eps=0.2, levels=8,
                                           r_out=12.0))
-    disc = fem.Discretization(mesh, order=2)
+    disc = fem.Discretization(mesh)
     system = fem.assemble(disc, fem.WeightModel())
     pair = lanczos_pairs(system, tol=1e-12)[0]
     pair = fem.refine_eigenpair(system.shifted(0.99 * pair.lam),
@@ -78,7 +78,7 @@ class TestFrequencyExterior:
 
     def test_poincare_lower_bound(self):
         mesh = build_profile_mesh("HalfMinus", MeshConfig(h0=0.2, levels=4))
-        disc = fem.Discretization(mesh, order=2)
+        disc = fem.Discretization(mesh)
         v = fem.solve_dirichlet(disc, rhs=lambda x1, rho: np.ones_like(x1))
         tr = A.frequency_exterior(v, None, 0.0, [0.5, 1.0, 2.0])
         assert np.all(tr.N >= 2.0 * (1.0 - 1e-3))
@@ -207,7 +207,7 @@ class TestMaskedEnergy:
         # energy u^T (K - lam M_p) u of the assembled forms, times omega
         mesh = build_dumbbell_mesh(MeshConfig(h0=0.3, eps=0.3, r_out=8.0,
                                               levels=2))
-        disc = fem.Discretization(mesh, order=2)
+        disc = fem.Discretization(mesh)
         weight = fem.WeightModel()
         system = fem.assemble(disc, weight)
         u = np.random.default_rng(3).standard_normal(disc.n_nodes)

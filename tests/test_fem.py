@@ -67,6 +67,13 @@ class TestWeightModel:
         r = rng.uniform(0, 12, 500)
         assert np.all(fem.WeightModel()(x, r) >= 0.0)
 
+    @pytest.mark.parametrize("amps", [(1.0, -0.5), (-1.0, 0.5)])
+    def test_negative_amplitude_rejected(self, amps):
+        # p >= 0 is what makes M_p semidefinite; a negative amplitude
+        # would let Ubar's gap guard pass on the NaN of sqrt(u^T M_p u)
+        with pytest.raises(ValueError):
+            fem.WeightModel(*amps)
+
 
 class TestAssembly:
     def test_zero_weight_gives_zero_mass(self):
@@ -77,11 +84,14 @@ class TestAssembly:
     def test_stiffness_symmetric_exactly(self):
         m = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.3, r_out=8.0,
                                                levels=2))
-        for order in (1, 2):
-            disc = fem.Discretization(m, order=order)
-            K = fem.assemble_stiffness(disc)
-            diff = (K - K.T).tocoo()
-            assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+        K = fem.assemble_stiffness(fem.Discretization(m))
+        diff = (K - K.T).tocoo()
+        assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+
+    def test_p2_is_the_only_element(self):
+        m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.8, r_out=8.0))
+        with pytest.raises(ValueError, match="P2 is the only element"):
+            fem.Discretization(m, order=1)
 
     def test_element_integrals_against_sympy(self):
         # one reference triangle (0,0)-(1,0)-(0,1); axisymmetric forms with
@@ -90,19 +100,26 @@ class TestAssembly:
         import sympy as sy
 
         x, r = sy.symbols("x r", nonnegative=True)
-        phis = [1 - x - r, x, r]
-        Ksym = np.zeros((3, 3))
-        Msym = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
+        l1, l2, l3 = 1 - x - r, x, r
+        # the six P2 shape functions in fem._p2_shapes' local order
+        phis = [l1 * (2 * l1 - 1), l2 * (2 * l2 - 1), l3 * (2 * l3 - 1),
+                4 * l1 * l2, 4 * l2 * l3, 4 * l3 * l1]
+
+        def integrate(f):
+            # exact int_0^1 int_0^(1-x) f dr dx by polynomial antiderivatives
+            inner = sy.Poly(f, r).integrate().as_expr().subs(r, 1 - x)
+            return float(sy.Poly(inner, x).integrate().eval(1))
+
+        Ksym = np.zeros((6, 6))
+        Msym = np.zeros((6, 6))
+        # both forms are symmetric: integrate j >= i only
+        for i in range(6):
+            for j in range(i, 6):
                 gi = (sy.diff(phis[i], x), sy.diff(phis[i], r))
                 gj = (sy.diff(phis[j], x), sy.diff(phis[j], r))
-                integrand_k = (gi[0] * gj[0] + gi[1] * gj[1]) * r
-                integrand_m = phis[i] * phis[j] * r
-                Ksym[i, j] = float(sy.integrate(
-                    sy.integrate(integrand_k, (r, 0, 1 - x)), (x, 0, 1)))
-                Msym[i, j] = float(sy.integrate(
-                    sy.integrate(integrand_m, (r, 0, 1 - x)), (x, 0, 1)))
+                Ksym[i, j] = Ksym[j, i] = integrate(
+                    (gi[0] * gj[0] + gi[1] * gj[1]) * r)
+                Msym[i, j] = Msym[j, i] = integrate(phis[i] * phis[j] * r)
 
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         tris = np.array([[0, 1, 2]])
@@ -110,9 +127,10 @@ class TestAssembly:
         tags = ["axis", "dirichlet_wall", "dirichlet_wall"]
         mesh1 = M.MeridianMesh(verts, tris, edges, tags, "HalfMinus",
                                {"dimension": 3})
-        disc = fem.Discretization(mesh1, order=1)
-        K = fem.assemble_stiffness(disc).toarray()
-        Mq = fem.assemble_mass(disc).toarray()
+        disc = fem.Discretization(mesh1)
+        local = np.ix_(disc.cells[0], disc.cells[0])
+        K = fem.assemble_stiffness(disc).toarray()[local]
+        Mq = fem.assemble_mass(disc).toarray()[local]
         assert np.max(np.abs(K - Ksym)) < 1e-14
         assert np.max(np.abs(Mq - Msym)) < 1e-14
 
@@ -121,7 +139,7 @@ class TestAssembly:
         # degree-6 rule, exact for both P2 integrands with measure rho
         m = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.3, r_out=8.0,
                                                levels=2))
-        disc = fem.Discretization(m, order=2)
+        disc = fem.Discretization(m)
         weight = fem.WeightModel()
         bary, wts = fem._dunavant(6)
         shp, dshp = fem._p2_shapes(bary)
@@ -167,29 +185,29 @@ class TestSolveDirichlet:
         sol = fem.solve_dirichlet(fem.Discretization(m))
         assert np.all(sol.values == 0.0)
 
-    def test_manufactured_rho2_l2_order(self):
-        # u = rho^2 solves -Delta_axi u = -4 (axisymmetric Laplacian of
-        # rho^2 is 4); measure L2 error under refinement, expect order ~2
-        m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.8, r_out=8.0))
-        errs = []
-        for _ in range(3):
-            sol = fem.solve_dirichlet(
-                fem.Discretization(m), lambda x, r: r**2,
-                rhs=lambda x, r: -4.0 * np.ones_like(x))
-            disc = sol.disc
-            Mass = fem.assemble_mass(disc)
-            e = sol.values - disc.nodes[:, 1] ** 2
-            errs.append(math.sqrt(e @ (Mass @ e)))
-            m = M.refine(m)
-        order1 = math.log2(errs[0] / errs[1])
-        order2 = math.log2(errs[1] / errs[2])
-        assert order2 > 1.7
-        assert order1 > 1.5
+    def test_manufactured_cubic_l2_order(self):
+        # u = x1 rho^2 solves -Delta_axi u = -4 x1 (u_rhorho + u_rho/rho
+        # = 4 x1) and is not in P2; measure the L2 error of the nodal
+        # values under refinement, expect order ~3 or better
+        exact = lambda x, r: x * r ** 2
+        for kind in ("HalfMinus", "HalfPlus"):
+            m = M.build_profile_mesh(kind, M.MeshConfig(h0=0.8, r_out=8.0))
+            errs = []
+            for _ in range(3):
+                sol = fem.solve_dirichlet(fem.Discretization(m), exact,
+                                          rhs=lambda x, r: -4.0 * x)
+                disc = sol.disc
+                Mass = fem.assemble_mass(disc)
+                e = sol.values - exact(disc.nodes[:, 0], disc.nodes[:, 1])
+                errs.append(math.sqrt(e @ (Mass @ e)))
+                m = M.refine(m)
+            assert math.log2(errs[0] / errs[1]) > 2.7
+            assert math.log2(errs[1] / errs[2]) > 2.7
 
     def test_p2_exact_for_quadratic(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
         sol = fem.solve_dirichlet(
-            fem.Discretization(m, order=2), lambda x, r: r**2,
+            fem.Discretization(m), lambda x, r: r**2,
             rhs=lambda x, r: -4.0 * np.ones_like(x))
         err = np.abs(sol.values - sol.disc.nodes[:, 1] ** 2).max()
         assert err < 1e-9
@@ -199,7 +217,7 @@ class TestSolveDirichlet:
         # with zero data the remainder of the lifted solve is roundoff
         m = M.refine(M.build_profile_mesh("HalfPlus",
                                           M.MeshConfig(h0=0.6, r_out=8.0)))
-        disc = fem.Discretization(m, order=2)
+        disc = fem.Discretization(m)
         lift = lambda x, r: x ** 2 - 0.5 * r ** 2
         sol = fem.solve_dirichlet(disc, lift=lift)
         scale = np.abs(lift(disc.nodes[:, 0], disc.nodes[:, 1])).max()
@@ -231,7 +249,7 @@ class TestSolveDirichlet:
 class TestAssembledSystem:
     def test_clamped_restricts_the_full_matrices(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
-        disc = fem.Discretization(m, order=2)
+        disc = fem.Discretization(m)
         sysd = fem.assemble(disc, fem.WeightModel()).shifted(0.01)
         sysd.lu()
         extra = np.flatnonzero(disc.nodes[:, 0] < 3.0)
@@ -246,7 +264,7 @@ class TestAssembledSystem:
 
     def test_shifted_solve_lifts_the_data(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
-        disc = fem.Discretization(m, order=2)
+        disc = fem.Discretization(m)
         sysd = fem.assemble(disc, fem.WeightModel()).shifted(0.01)
         rng = np.random.default_rng(0)
         load = rng.standard_normal(disc.n_nodes)
@@ -266,7 +284,7 @@ class TestEigen:
         exact = math.pi ** 2
         errs = []
         for n in (8, 16, 32):
-            disc = fem.Discretization(half_disk_mesh(n, 3 * n), order=2)
+            disc = fem.Discretization(half_disk_mesh(n, 3 * n))
             sysd = fem.assemble(disc, lambda x, r: np.ones_like(x))
             lam = fem.eigen_smallest(sysd, 40).lam
             errs.append(abs(lam - exact))
@@ -277,7 +295,7 @@ class TestEigen:
 
     def test_mass_scaling(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.3, r_out=8.0))
-        disc = fem.Discretization(m, order=1)
+        disc = fem.Discretization(m)
         base = fem.WeightModel(1.0, 0.0)
         scaled = fem.WeightModel(2.0, 0.0)
         s1 = fem.assemble(disc, base)
@@ -323,7 +341,7 @@ class TestEigen:
 
     def test_repeatable_in_one_process(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
-        sysd = fem.assemble(fem.Discretization(m, order=2), fem.WeightModel())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         first = fem.eigen_smallest(sysd, 40)
         second = fem.eigen_smallest(sysd, 40)
         assert first.lam == second.lam
@@ -331,7 +349,7 @@ class TestEigen:
 
     def test_matches_the_lanczos_oracle(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
-        sysd = fem.assemble(fem.Discretization(m, order=2), fem.WeightModel())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         ref = fem.mass_normalize(sysd, lanczos_pairs(sysd, tol=1e-14)[0])
         got = fem.mass_normalize(sysd, fem.eigen_smallest(sysd, 40))
         assert got.lam == pytest.approx(ref.lam, rel=1e-12)
@@ -348,7 +366,7 @@ class TestEigen:
 class TestFactor:
     def test_supernode_settings_keep_pivots_and_fill(self):
         m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.35, r_out=8.0))
-        sysd = fem.assemble(fem.Discretization(m, order=2), fem.WeightModel())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         lam = fem.eigen_smallest(sysd, 40).lam
         A = sp.csc_matrix(sysd.K - 0.99 * lam * sysd.Mp)
         lu = fem.factor(A)
@@ -380,7 +398,7 @@ class TestFactor:
                      0.99 * lam_k0),
                     (M.build_profile_mesh("HalfMinus", cfg.mesh_config()),
                      lam_k0)):
-                disc = fem.Discretization(M.refine(mesh), order=cfg.order)
+                disc = fem.Discretization(M.refine(mesh))
                 system = fem.assemble(disc, cfg.weight())
                 A = system.K - shift * system.Mp
                 for _ in range(3):
@@ -510,7 +528,7 @@ def test_mass_normalize():
 
 def test_field_evaluation_and_gradient():
     m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.4, r_out=8.0))
-    disc = fem.Discretization(m, order=2)
+    disc = fem.Discretization(m)
     f = fem.FieldSolution(disc, disc.nodes[:, 0] ** 2 - disc.nodes[:, 1] ** 2)
     # P2 represents quadratics exactly
     assert f.evaluate(-1.3, 0.7) == pytest.approx(1.3**2 - 0.7**2, rel=1e-12)

@@ -66,7 +66,7 @@ class TestRunConfig:
         {"fit_points": 3},
         {"ktilde_list": (0.5, 0.0)},
         {"ktilde_list": (-1.0,)},
-        {"order": 3},
+        {"a_minus": -0.5},
         {"sweep_level": -1},
         {"profile_level": -1},
     ])
@@ -140,6 +140,19 @@ class TestVerify:
         pl.emit(rec, str(tmp_path))
         assert (tmp_path / "sweep_errors.csv").exists()
         assert (tmp_path / "sweep_errors.svg").exists()
+        assert cli.main(["verify", str(tmp_path / "record.json")]) == 2
+        assert "sweep_errors: errored" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", [(), (0.1,)])
+    def test_sweep_of_fewer_than_two_eps_fails(self, eps, tmp_path, capsys):
+        # one eps has no trend, and an empty sweep has no series at all
+        rec = synthetic_record([(e, 1.0001) for e in eps])
+        v = pl.verify(rec)
+        assert not v["sweep_errors"]["pass"]
+        assert "at least two eps" in v["sweep_errors"]["formula"]
+        assert not v["overall_pass"]
+        rec.verdicts = v
+        pl.emit(rec, str(tmp_path))
         assert cli.main(["verify", str(tmp_path / "record.json")]) == 2
         assert "sweep_errors: errored" in capsys.readouterr().out
 
@@ -499,8 +512,9 @@ class TestCLI:
     def test_unknown_config_key_is_execution_error(self, tmp_path,
                                                    monkeypatch, capsys):
         monkeypatch.setattr(pl, "run_profiles", unreachable)
-        # a misspelt key, and a module constant that is no config field
-        for key in ("eps_swep", "spherical_radii"):
+        # a misspelt key, a module constant that is no config field, and
+        # the element order, a class constant
+        for key in ("eps_swep", "spherical_radii", "order"):
             cfg = tmp_path / "cfg.json"
             cfg.write_text(json.dumps({key: [0.3, 0.2]}))
             assert cli.main(["profiles", "--config", str(cfg)]) == 1

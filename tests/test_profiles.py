@@ -16,23 +16,23 @@ UPS = cs.upsilon(3)
 
 @pytest.fixture(scope="module")
 def u0_pack():
-    return P.compute_u0(CFG, level=0, order=2)
+    return P.compute_u0(CFG, level=0)
 
 
 @pytest.fixture(scope="module")
 def phi_pack():
-    return P.compute_Phi(CFG, level=0, order=2)
+    return P.compute_Phi(CFG, level=0)
 
 
 @pytest.fixture(scope="module")
 def phihat_pack():
-    return P.compute_PhiHat(CFG, level=0, order=2)
+    return P.compute_PhiHat(CFG, level=0)
 
 
 @pytest.fixture(scope="module")
 def ubar_pack(u0_pack):
     _, lam, _ = u0_pack
-    return P.compute_Ubar(CFG, fem.WeightModel(), lam, level=0, order=2)
+    return P.compute_Ubar(CFG, fem.WeightModel(), lam, level=0)
 
 
 class TestSmoothstep:
@@ -77,7 +77,7 @@ class TestU0:
     def test_eigenvalue_decreases_with_domain(self, u0_pack):
         _, lam12, _ = u0_pack
         _, lam16, _ = P.compute_u0(
-            MeshConfig(h0=0.2, levels=6, r_out=16.0), level=0, order=2)
+            MeshConfig(h0=0.2, levels=6, r_out=16.0), level=0)
         assert lam16 < lam12
 
     def test_rejects_dead_weight(self):
@@ -120,7 +120,7 @@ class TestPhi:
 
     def test_c_phi_stable_under_refinement(self, phi_pack):
         _, c0 = phi_pack
-        _, c1 = P.compute_Phi(CFG, level=1, order=2)
+        _, c1 = P.compute_Phi(CFG, level=1)
         assert c1 == pytest.approx(c0, rel=1e-2)
 
     def test_outside_evaluation_is_nan(self, phi_pack):
@@ -136,9 +136,9 @@ def test_harmonic_profiles_assemble_stiffness_once(monkeypatch):
     monkeypatch.setattr(fem, "assemble_stiffness",
                         lambda disc: calls.append(disc) or assemble(disc))
     cfg = MeshConfig(h0=0.5, levels=3, r_out=8.0, tube_length=8.0)
-    P.compute_Phi(cfg, order=1)
+    P.compute_Phi(cfg)
     assert len(calls) == 1
-    P.compute_PhiHat(cfg, order=1)
+    P.compute_PhiHat(cfg)
     assert len(calls) == 2
 
 
@@ -170,7 +170,7 @@ class TestPhiHat:
         exactly like h^(1-N); the residual is set by domain truncation, so
         a wide domain is used here."""
         cfg = MeshConfig(h0=0.2, levels=6, r_out=32.0)
-        sol, _, _ = P.compute_PhiHat(cfg, level=0, order=2)
+        sol, _, _ = P.compute_PhiHat(cfg, level=0)
         v1 = cs.project_sphere(sol, 0.0, 1.0, -1)
         for h in (1.5, 2.0, 3.0):
             vh = cs.project_sphere(sol, 0.0, h, -1)
@@ -222,7 +222,7 @@ class TestUbar:
         """With p = 0 the exact solution is the harmonic kernel itself (up
         to the small domain-truncation correction)."""
         sol, _ = P.compute_Ubar(CFG, fem.WeightModel.zero(), 1.3,
-                                level=0, order=2)
+                                level=0)
         for r in (0.5, 1.5):
             x1, rho = -r / math.sqrt(2), r / math.sqrt(2)
             exact = -x1 / (UPS * r ** 3)
@@ -237,9 +237,9 @@ class TestUbar:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sol, norms = P.compute_Ubar(cfg, fem.WeightModel(1.0, 0.0), 1.3,
-                                        level=0, order=2)
+                                        level=0)
         ref, _ = P.compute_Ubar(cfg, fem.WeightModel.zero(), 1.3,
-                                level=0, order=2)
+                                level=0)
         assert np.allclose(sol.field.values, ref.field.values,
                            rtol=1e-12, atol=0)
         assert all(np.isfinite(v) for v in norms.values())
@@ -257,7 +257,7 @@ class TestUbar:
         _, lam, _ = u0_pack
         with pytest.raises(ValueError):
             P.compute_Ubar(CFG, fem.WeightModel(), 5.0 * lam,
-                           level=0, order=2)
+                           level=0)
 
     def test_spectral_gap_guard_inside_the_margin(self, u0_pack,
                                                   monkeypatch):
@@ -271,7 +271,7 @@ class TestUbar:
         _, lam, _ = u0_pack
         with pytest.raises(ValueError, match="too close"):
             P.compute_Ubar(CFG, fem.WeightModel(), 1.8 * lam,
-                           level=0, order=2)
+                           level=0)
 
     def test_remainder_is_smooth_at_origin(self, ubar_pack):
         """All the singularity lives in the carried part: the finite
