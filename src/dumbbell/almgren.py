@@ -51,6 +51,8 @@ _ON_CUT = 1e-12  # |level| at or below this is on the cut: mesh vertices
                  # meant to lie on a section sit there up to rounding
 _DEGREE = 6    # Dunavant rule on every piece
 _BATCH = 4096  # pieces per energy evaluation; bounds the quadrature memory
+_P2_NODES = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [.5, .5, 0],
+                      [0, .5, .5], [.5, 0, .5]])  # P2 nodes, _p2_shapes order
 
 
 def _masked_rule(corners, side):
@@ -101,34 +103,44 @@ def _masked_energy(disc, u_values, weight, lam, side,
                    extra=None, extra_grad=None):
     """omega-weighted energy int (|grad u|^2 - lam p u^2) rho^m over the
     region where the signed level `side` is positive, with u = FEM field +
-    optional closed-form part evaluated pointwise."""
+    optional closed-form part evaluated pointwise.  A cut piece with corners
+    B (rows, in its cell's barycentric frame) takes the field at its own P2
+    nodes and B^-T times the cell's gradients, a whole cell its own; values
+    and gradients at the Dunavant points are then products with the
+    reference tables, and p is evaluated only where it can be nonzero."""
     base_pts, _ = fem._dunavant(_DEGREE)
-    n = disc.dimension
+    shp, dshp = fem._p2_shapes(base_pts)  # (q, i), (q, i, 3)
+    dtab = dshp.transpose(1, 0, 2).reshape(6, -1)  # (i, 3q)
     corners = disc.mesh.vertices[disc.mesh.triangles]  # (T, 3, 2)
     cells, pieces, fracs = _masked_rule(corners, side)
+    nodal = u_values[disc.cells[cells]]  # (P, i)
+    bgrads = disc.bgrads[cells]  # (P, 3, 2)
+    cut = np.flatnonzero((pieces != np.eye(3)).any(axis=(1, 2)))
+    at_nodes = fem._p2_shapes((_P2_NODES @ pieces[cut]).reshape(-1, 3))[0]
+    nodal[cut] = (at_nodes.reshape(-1, 6, 6) @ nodal[cut, :, None])[..., 0]
+    bgrads[cut] = np.swapaxes(np.linalg.inv(pieces[cut]), 1, 2) @ bgrads[cut]
+    corners = pieces @ corners[cells]  # (P, 3, 2), physical
+    wts = fracs * disc.area[cells, None]
+    weighted = np.full(len(cells), weight is not None and lam != 0.0)
+    if isinstance(weight, fem.WeightModel):
+        weighted &= weight.support(corners)
     total = 0.0
     for lo in range(0, len(cells), _BATCH):
-        tri_ids = cells[lo:lo + _BATCH]
-        bary = base_pts @ pieces[lo:lo + _BATCH]  # (P, q, 3)
-        wts = fracs[lo:lo + _BATCH] * disc.area[tri_ids, None]
-        phys = bary @ corners[tri_ids]  # (P, q, 2)
-        s, d = fem._p2_shapes(bary.reshape(-1, 3))
-        shp = s.reshape(bary.shape[:2] + s.shape[1:])  # (P, q, i)
-        dshp = d.reshape(bary.shape[:2] + d.shape[1:])  # (P, q, i, 3)
-        nodal = u_values[disc.cells[tri_ids]]  # (P, i)
-        uvals = (shp @ nodal[:, :, None])[..., 0]
-        # barycentric gradient (P, q, 1, 3), then the physical one (P, q, 2)
-        gbary = nodal[:, None, None, :] @ dshp
-        grads = gbary[:, :, 0, :] @ disc.bgrads[tri_ids]
+        sl = slice(lo, lo + _BATCH)
+        phys = base_pts @ corners[sl]  # (P, q, 2)
+        uvals = nodal[sl] @ shp.T
+        grads = (nodal[sl] @ dtab).reshape(*uvals.shape, 3) @ bgrads[sl]
         x1, rho = phys[..., 0], phys[..., 1]
         if extra is not None:
             uvals = uvals + extra(x1, rho)
             grads = grads + extra_grad(x1, rho)
         dens = np.einsum("tqd,tqd->tq", grads, grads)
-        if weight is not None and lam != 0.0:
-            dens = dens - lam * np.asarray(weight(x1, rho), float) * uvals ** 2
-        total += float(np.sum(wts * dens * rho ** disc.measure_exponent))
-    return cs.sphere_surface_area(n - 2) * total
+        w = np.flatnonzero(weighted[sl])
+        if len(w):
+            dens[w] -= lam * np.asarray(weight(x1[w], rho[w]), float) \
+                * uvals[w] ** 2
+        total += float(np.sum(wts[sl] * dens * rho ** disc.measure_exponent))
+    return cs.sphere_surface_area(disc.dimension - 2) * total
 
 
 def _fd_gradient(f, h=1e-6):

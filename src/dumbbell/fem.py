@@ -83,6 +83,24 @@ class WeightModel:
     def zero(cls) -> "WeightModel":
         return cls(0.0, 0.0)
 
+    def support(self, tri):
+        """Mask of the triangles (T, 3, 2) whose bounding box reaches a
+        nonzero annulus 4 < r < 5 on its side, with 1e-9 slack for
+        rounding; p is zero on every other triangle."""
+        lo = np.minimum(np.minimum(tri[:, 0], tri[:, 1]), tri[:, 2])
+        hi = np.maximum(np.maximum(tri[:, 0], tri[:, 1]), tri[:, 2])
+        out = np.zeros(len(tri), dtype=bool)
+        for amp, cx, side in ((self.a_plus, 1.0, hi[:, 0] > 1.0 - 1e-9),
+                              (self.a_minus, 0.0, lo[:, 0] < 1e-9)):
+            if amp > 0:
+                # squared offsets of the box's nearest and farthest points
+                a, b = lo - (cx, 0.0), hi - (cx, 0.0)
+                near = (np.maximum(a, 0.0) - np.minimum(b, 0.0)) ** 2
+                far = np.maximum(-a, b) ** 2
+                out |= (side & (near[:, 0] + near[:, 1] < 25.0 + 1e-8)
+                        & (far[:, 0] + far[:, 1] > 16.0 - 1e-8))
+        return out
+
 
 # ----------------------------------------------------------------------------
 # Quadrature on the reference triangle (barycentric points, weights sum to 1)
@@ -203,30 +221,42 @@ class Discretization:
     # -- point location -------------------------------------------------------
 
     def _build_locator(self):
-        """Uniform bucket grid over the mesh's bounding box, stored as CSR:
-        the cells whose bounding box meets bucket b are
-        ids[start[b]:start[b + 1]], in increasing index order."""
+        """Bucket grid, stored as CSR: the cells whose bounding box meets
+        bucket b are ids[start[b]:start[b + 1]], in increasing index order.
+        Its lines sit at per-axis quantiles of the cell centroids, about
+        sqrt(cells)/2 a side, so graded regions get small buckets."""
         p = self.mesh.vertices[self.mesh.triangles]
-        box_lo = self.mesh.vertices.min(axis=0)
-        box_hi = self.mesh.vertices.max(axis=0)
-        ncell = max(8, int(math.sqrt(len(p))))
-        size = (box_hi - box_lo) / ncell
-        size[size == 0] = 1.0
-        ilo = np.clip(((p.min(axis=1) - box_lo) / size).astype(np.int64),
-                      0, ncell - 1)
-        ihi = np.clip(((p.max(axis=1) - box_lo) / size).astype(np.int64),
-                      0, ncell - 1)
+        lo = np.minimum(np.minimum(p[:, 0], p[:, 1]), p[:, 2])
+        hi = np.maximum(np.maximum(p[:, 0], p[:, 1]), p[:, 2])
+        centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
+        n = max(4, int(math.sqrt(len(p)) / 2))
+        at = np.arange(1, n) * len(p) // n
+        lines = [np.unique(np.sort(centroid[:, d])[at]) for d in (0, 1)]
+        ny = len(lines[1]) + 1
+        # boxes grow by more than the barycentric slack, so a point just off
+        # a cell's edge meets that cell even across a bucket line
+        pad = 1e-9 * np.maximum(hi[:, :1] - lo[:, :1], hi[:, 1:] - lo[:, 1:])
+        ilo, ihi = (self._bucket_ij(b, lines) for b in (lo - pad, hi + pad))
         span = ihi - ilo + 1
         count = span[:, 0] * span[:, 1]
         cell = np.repeat(np.arange(len(p)), count)
         k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
-        bucket = ((ilo[cell, 0] + k // span[cell, 1]) * ncell
-                  + ilo[cell, 1] + k % span[cell, 1])
-        order = np.argsort(bucket, kind="stable")
-        start = np.searchsorted(bucket[order], np.arange(ncell * ncell + 1))
+        row, col = np.divmod(k, np.repeat(span[:, 1], count))
+        bucket = np.repeat(ilo[:, 0] * ny + ilo[:, 1], count) + row * ny + col
+        nb = (len(lines[0]) + 1) * ny
+        # keys of 16 bits or fewer get numpy's radix sort
+        key = bucket.astype(np.min_scalar_type(nb))
+        order = np.argsort(key, kind="stable")
+        start = np.searchsorted(bucket[order], np.arange(nb + 1))
         # corners and barycentric gradients as (x or y, vertex, cell) tables
-        self._locator = (box_lo, size, ncell, cell[order], start,
+        self._locator = (lines, ny, cell[order], start,
                          p.T.copy(), self.bgrads.T.copy())
+
+    @staticmethod
+    def _bucket_ij(pts, lines):
+        """Per-axis bucket indices (n, 2), monotone; NaN is in the last."""
+        return np.stack([np.searchsorted(lines[d], pts[:, d], side="right")
+                         for d in (0, 1)], axis=1)
 
     def locate(self, x1, rho):
         """Find containing triangles and barycentric coordinates.
@@ -236,14 +266,13 @@ class Discretization:
         (tri_indices, bary) with tri = -1 for points outside."""
         if self._locator is None:
             self._build_locator()
-        box_lo, size, ncell, ids, start, (vx, vy), (gx, gy) = self._locator
+        lines, ny, ids, start, (vx, vy), (gx, gy) = self._locator
         pts = np.stack([np.atleast_1d(np.asarray(x1, dtype=float)),
                         np.atleast_1d(np.asarray(rho, dtype=float))], axis=1)
         tri_out = np.full(len(pts), -1, dtype=np.int64)
         bary_out = np.zeros((len(pts), 3))
-        # a non-finite point lands in bucket 0 and matches no cell there
-        ij = np.nan_to_num(np.clip((pts - box_lo) / size, 0, ncell - 1))
-        bucket = ij[:, 0].astype(np.int64) * ncell + ij[:, 1].astype(np.int64)
+        ij = self._bucket_ij(pts, lines)
+        bucket = ij[:, 0] * ny + ij[:, 1]
         first = start[bucket]
         count = start[bucket + 1] - first
         # (point, candidate) pairs in batches of about _LOCATE_PAIRS, so the
@@ -288,22 +317,21 @@ def _assemble_form(disc: Discretization, kind: str,
     shp, dshp = _p2_shapes(bary)
     nq, nloc = shp.shape
 
-    area, bgrads = disc.area, disc.bgrads
-    tris = disc.mesh.triangles
-    p = disc.mesh.vertices[tris]
+    p = disc.mesh.vertices[disc.mesh.triangles]
+    # a WeightModel only where its annuli reach: the same cells are kept
+    keep = (coeff.support(p) if isinstance(coeff, WeightModel)
+            else np.ones(len(p), dtype=bool))
     # physical quadrature points: (ncell, q, 2)
-    qpts = bary @ p
-    rho_m = qpts[..., 1] ** disc.measure_exponent
+    qpts = bary @ p[keep]
     cvals = np.ones(qpts.shape[:2])
-    if coeff is not None:
+    if coeff is not None and len(qpts):
         cvals = np.asarray(coeff(qpts[..., 0], qpts[..., 1]), dtype=float)
-        keep = np.any(cvals != 0.0, axis=1)
-    else:
-        keep = np.ones(len(tris), dtype=bool)
+        keep[keep] = live = np.any(cvals != 0.0, axis=1)
+        qpts, cvals = qpts[live], cvals[live]
+    rho_m = qpts[..., 1] ** disc.measure_exponent
 
     cells = disc.cells[keep]
-    areaK = area[keep]
-    wfac = (wts[None, :] * rho_m[keep] * cvals[keep]) * areaK[:, None]
+    wfac = (wts[None, :] * rho_m * cvals) * disc.area[keep, None]
 
     if kind == "mass":
         table = (shp[:, :, None] * shp[:, None, :]).reshape(nq, nloc * nloc)
@@ -311,7 +339,7 @@ def _assemble_form(disc: Discretization, kind: str,
     else:
         table = np.einsum("qik,qjl->qklij", dshp, dshp).reshape(
             nq * 9, nloc * nloc)
-        bg = bgrads[keep]
+        bg = disc.bgrads[keep]
         gram = bg @ np.swapaxes(bg, 1, 2)  # (t, 3, 3)
         local = (wfac[:, :, None] * gram.reshape(-1, 1, 9)).reshape(
             -1, nq * 9) @ table

@@ -9,8 +9,9 @@ from dumbbell import fem
 from dumbbell import profiles as P
 from dumbbell.mesh import (MeshConfig, build_dumbbell_mesh, build_profile_mesh,
                            refine)
-from dumbbell.pipeline import RunConfig
+from dumbbell.pipeline import RunConfig, _dumbbell_eigenpair
 from lanczos_oracle import lanczos_pairs
+from masked_energy_oracle import masked_energy
 
 MODE = cs.disk_ground_mode(3)
 SL1 = MODE.sqrt_lambda1
@@ -217,6 +218,53 @@ class TestMaskedEnergy:
         ref = cs.sphere_surface_area(1) * float(
             u @ (system.K_full @ u) - lam * (u @ (system.Mp_full @ u)))
         assert energy == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def sweep_pair():
+    """The level-1 eps = 0.3 sweep eigenpair and its discretization."""
+    cfg = RunConfig()
+    _, lam_k0, _ = P.compute_u0(cfg.mesh_config(), level=cfg.profile_level)
+    pair, _ = _dumbbell_eigenpair(cfg, 0.3, lam_k0)
+    return pair.field.disc, pair.field.values, pair.lam
+
+
+class TestMaskedEnergyOracle:
+    """The reference-table kernel against the point-by-point oracle."""
+
+    @pytest.mark.parametrize("cut, subdivided", [
+        (lambda x1, rho: 0.5 - x1, False),
+        (lambda x1, rho: 0.7 - np.hypot(x1, rho), True),
+        (lambda x1, rho: np.hypot(x1, rho) - 0.7, True),
+    ], ids=["channel", "ball", "exterior"])
+    def test_matches_the_oracle(self, sweep_pair, cut, subdivided):
+        # the channel cut x1 < 0.5 subdivides no cell, the sphere |x| = 0.7
+        # does.  The tolerance is relative to the gradient energy: outside
+        # the ball the weighted term cancels it down to -7.5e-7 of 10.3,
+        # and both kernels round at the 10.3 scale
+        disc, u, lam = sweep_pair
+        weight = fem.WeightModel()
+        corners = disc.mesh.vertices[disc.mesh.triangles]
+        _, pieces, _ = A._masked_rule(corners, cut)
+        whole = (pieces == np.eye(3)).all(axis=(1, 2))
+        assert whole.all() != subdivided
+        got = A._masked_energy(disc, u, weight, lam, cut)
+        ref = masked_energy(disc, u, weight, lam, cut)
+        scale = masked_energy(disc, u, None, 0.0, cut)
+        assert abs(got - ref) <= 1e-13 * scale
+
+    def test_full_region_matches_assembled_forms(self, sweep_pair):
+        # u^T (K - lam M_p) u of an eigenpair cancels down to its residual,
+        # so the difference is measured against the omega u^T K u scale
+        disc, u, lam = sweep_pair
+        weight = fem.WeightModel()
+        system = fem.assemble(disc, weight)
+        energy = A._masked_energy(disc, u, weight, lam,
+                                  lambda x1, rho: np.ones_like(x1))
+        omega = cs.sphere_surface_area(1)
+        stiff = float(u @ (system.K_full @ u))
+        ref = omega * (stiff - lam * float(u @ (system.Mp_full @ u)))
+        assert abs(energy - ref) <= 1e-12 * omega * stiff
 
 
 class TestBlowup:

@@ -75,11 +75,39 @@ class TestWeightModel:
             fem.WeightModel(*amps)
 
 
+@pytest.fixture(scope="module")
+def sweep_mesh_01():
+    """The level-1 eps = 0.1 dumbbell mesh of the default sweep."""
+    return M.refine(M.build_dumbbell_mesh(RunConfig().mesh_config(0.1)))
+
+
 class TestAssembly:
-    def test_zero_weight_gives_zero_mass(self):
+    def test_zero_weight_gives_zero_mass(self, monkeypatch):
+        # the zero weight has no support, so it is never evaluated
+        def never(self, x1, rho):
+            raise AssertionError("the zero weight was evaluated")
+        monkeypatch.setattr(fem.WeightModel, "__call__", never)
         m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.5, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel.zero())
         assert sysd.Mp_full.nnz == 0
+        assert sysd.Mp.nnz == 0
+
+    @pytest.mark.parametrize("domain", ["HalfPlus", "HalfMinus", "dumbbell"])
+    def test_weight_model_mass_matches_a_plain_callable(self, domain,
+                                                        sweep_mesh_01):
+        # a WeightModel is evaluated only on cells its annuli can meet, a
+        # plain callable on every cell; M_p must not change by one bit
+        if domain == "dumbbell":
+            m = sweep_mesh_01
+        else:
+            m = M.build_profile_mesh(domain, RunConfig().mesh_config())
+        disc = fem.Discretization(m)
+        weight = fem.WeightModel()
+        got = fem.assemble_mass(disc, weight)
+        ref = fem.assemble_mass(disc, lambda x1, rho: weight(x1, rho))
+        assert ref.nnz > 0
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
 
     def test_stiffness_symmetric_exactly(self):
         m = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.3, r_out=8.0,
@@ -536,28 +564,94 @@ def test_field_evaluation_and_gradient():
 
 
 def brute_force_locate(mesh, pts, tol=1e-10):
-    """First cell in index order whose barycentrics (by cross products) are
+    """First cell in index order whose barycentrics (cross products, as
+    affine forms in the point, over every cell) are
     all >= -tol; the reference for Discretization.locate."""
     a, b, c = (mesh.vertices[mesh.triangles[:, k]] for k in range(3))
 
     def cross(u, v):
         return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
+    # lam_k det = cross(u - p, v - p) = cross(u, v - u) + p . g, (u, v) the
+    # other two vertices in turn and g = (u_y - v_y, v_x - u_x)
     det = cross(b - a, c - a)
+    forms = [(np.stack([u[:, 1] - v[:, 1], v[:, 0] - u[:, 0]]),
+              cross(u, v - u)) for u, v in ((b, c), (c, a), (a, b))]
     tri = np.full(len(pts), -1)
     bary = np.zeros((len(pts), 3))
-    for i, p in enumerate(pts):
-        lam = np.stack([cross(b - p, c - p), cross(c - p, a - p),
-                        cross(a - p, b - p)], axis=1) / det[:, None]
-        hit = np.flatnonzero(lam.min(axis=1) >= -tol)
-        if len(hit):
-            tri[i] = hit[0]
-            lam = np.clip(lam[hit[0]], 0.0, None)
-            bary[i] = lam / lam.sum()
+    for lo in range(0, len(pts), 64):  # 64 points at a time, all cells
+        lam = [(pts[lo:lo + 64] @ g + h) / det for g, h in forms]
+        inside = (lam[0] >= -tol) & (lam[1] >= -tol) & (lam[2] >= -tol)
+        for i in np.flatnonzero(inside.any(axis=1)):
+            tri[lo + i] = first = np.argmax(inside[i])
+            hit = np.clip([l[i, first] for l in lam], 0.0, None)
+            bary[lo + i] = hit / hit.sum()
     return tri, bary
 
 
+def tube_and_junction_points(eps, n, rng):
+    """n points in the tube box [0, 1] x [0, eps] and n in the junction
+    boxes [-2 eps, 2 eps] x [0, 2 eps] about x1 = 0 and x1 = 1."""
+    tube = np.stack([rng.uniform(0.0, 1.0, n), rng.uniform(0.0, eps, n)], 1)
+    x1 = rng.choice([0.0, 1.0], n) + rng.uniform(-2 * eps, 2 * eps, n)
+    junction = np.stack([x1, rng.uniform(0.0, 2 * eps, n)], 1)
+    return np.vstack([tube, junction])
+
+
 class TestLocate:
+    def test_matches_brute_force_on_the_sweep_mesh(self, sweep_mesh_01):
+        # graded cells, points on shared edges near the tube, and the
+        # section x1 = 0.5
+        mesh, eps = sweep_mesh_01, 0.1
+        rng = np.random.default_rng(11)
+        v = mesh.vertices
+        table = M.edge_table(mesh.triangles)
+        shared = table.edges[table.counts == 2]
+        near = shared[np.all(np.abs(v[shared, 1]) <= 2 * eps, axis=1)
+                      & np.all(np.abs(v[shared, 0] - 0.5) <= 0.5 + 2 * eps,
+                               axis=1)]
+        near = near[rng.choice(len(near), 400, replace=False)]
+        s = rng.uniform(0.0, 1.0, (len(near), 1))
+        pts = np.vstack([
+            tube_and_junction_points(eps, 1000, rng),
+            v[near[:, 0]] + s * (v[near[:, 1]] - v[near[:, 0]]),
+            np.stack([np.full(21, 0.5), np.linspace(0.0, eps, 21)], 1),
+        ])
+        disc = fem.Discretization(mesh)
+        tri, bary = disc.locate(pts[:, 0], pts[:, 1])
+        ref_tri, ref_bary = brute_force_locate(mesh, pts)
+        assert np.all(tri[:1000] >= 0)  # the tube box lies in the mesh
+        assert np.array_equal(tri, ref_tri)
+        assert np.allclose(bary, ref_bary, rtol=0.0, atol=1e-12)
+
+    def test_cell_within_the_slack_across_a_bucket_line(self):
+        # four cells give bucket lines at the centroid x of cells 1-3; the
+        # first sits 1e-12 right of cell 0's edge x1 = 0.5, and a point
+        # 2e-12 right of that edge is in cell 0 within the 1e-10 slack
+        v = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 1.0],
+                      [0.25, 5.0], [0.75, 5.0], [0.5 + 3e-12, 6.0],
+                      [2.0, 0.0], [2.5, 0.0], [2.0, 1.0],
+                      [3.0, 0.0], [3.5, 0.0], [3.0, 1.0]])
+        t = np.arange(12).reshape(4, 3)
+        mesh = M.MeridianMesh(v, t, np.empty((0, 2)), [], "HalfMinus",
+                              {"dimension": 3})
+        pts = np.array([[0.5 + 2e-12, 0.5]])
+        tri, _ = fem.Discretization(mesh).locate(pts[:, 0], pts[:, 1])
+        assert tri.tolist() == [0]
+        assert np.array_equal(tri, brute_force_locate(mesh, pts)[0])
+
+    def test_few_candidates_per_point_on_the_sweep_mesh(self, sweep_mesh_01):
+        # quantile bucket lines follow the grading: tube and junction
+        # points meet about 24 candidate cells each (a uniform grid of
+        # sqrt(cells) lines gave about 500)
+        disc = fem.Discretization(sweep_mesh_01)
+        disc._build_locator()
+        lines, ny, _, start = disc._locator[:4]
+        pts = tube_and_junction_points(0.1, 1000, np.random.default_rng(5))
+        ij = disc._bucket_ij(pts, lines)
+        bucket = ij[:, 0] * ny + ij[:, 1]
+        assert np.mean(start[bucket + 1] - start[bucket]) <= 64
+
     def test_matches_brute_force_scan(self):
         mesh = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.2, levels=4,
                                                   r_out=7.0))
@@ -582,11 +676,11 @@ class TestLocate:
         assert np.all(tri[1500:1500 + len(v)] >= 0)
         assert np.allclose(bary, ref_bary, rtol=0.0, atol=1e-12)
 
-    def test_memory_bounded_in_crowded_buckets(self):
-        # the junction bucket of the level-1 eps = 0.1 mesh holds thousands
-        # of graded cells, so tube points meet that many candidates each
-        mesh = M.refine(M.build_dumbbell_mesh(RunConfig().mesh_config(0.1)))
-        disc = fem.Discretization(mesh)
+    def test_memory_bounded_in_crowded_buckets(self, sweep_mesh_01):
+        # 20 000 tube points of the level-1 eps = 0.1 mesh: the (point,
+        # candidate) pairs are tested in batches, so the memory stays
+        # bounded however many points and candidates a bucket holds
+        disc = fem.Discretization(sweep_mesh_01)
         rng = np.random.default_rng(3)
         x1 = rng.uniform(0.0, 1.0, 20000)
         rho = rng.uniform(0.0, 0.1, 20000)
