@@ -307,47 +307,51 @@ def _assemble_form(disc: Discretization, kind: str,
     """kind 'stiffness' or 'mass'; coeff(x1, rho) multiplies the integrand.
 
     Each form is one matrix product of per-cell quadrature factors with a
-    reference table built from the rule (Kirby & Logg, ACM TOMS 2006):
-    mass local[t, ij] = sum_q wfac[t, q] shp[q, i] shp[q, j]; stiffness
-    local[t, ij] = sum_(q,k,l) wfac[t, q] B[t, k, l] dshp[q, i, k]
-    dshp[q, j, l], with B[t] the Gram matrix of the cell's barycentric
-    gradients."""
+    reference table built from the rule (Kirby & Logg, ACM TOMS 2006), for
+    the 21 entries i <= j of each symmetric 6 x 6 block: mass local[t, ij]
+    = sum_q wfac[t, q] shp[q, i] shp[q, j]; stiffness local[t, ij] =
+    sum_(q,kl) wfac[t, q] B[t, kl] (dshp[q, i, k] dshp[q, j, l] +
+    dshp[q, i, l] dshp[q, j, k] if k < l), over the 6 entries k <= l of B[t],
+    the Gram matrix of the cell's barycentric gradients.  Both triangles of
+    a block are taken from the same 21 numbers, so the block is bitwise
+    symmetric."""
     degree = 4 if kind == "stiffness" else 6
     bary, wts = _dunavant(degree)
     shp, dshp = _p2_shapes(bary)
-    nq, nloc = shp.shape
+    nloc = shp.shape[1]
+    # the pairs i <= j, row by row, and the pair of each entry of a block
+    i, j = np.triu_indices(nloc)
+    pos = np.empty((nloc, nloc), dtype=np.intp)
+    pos[i, j] = pos[j, i] = np.arange(len(i))
 
     p = disc.mesh.vertices[disc.mesh.triangles]
     # a WeightModel only where its annuli reach: the same cells are kept
-    keep = (coeff.support(p) if isinstance(coeff, WeightModel)
-            else np.ones(len(p), dtype=bool))
-    # physical quadrature points: (ncell, q, 2)
-    qpts = bary @ p[keep]
-    cvals = np.ones(qpts.shape[:2])
-    if coeff is not None and len(qpts):
-        cvals = np.asarray(coeff(qpts[..., 0], qpts[..., 1]), dtype=float)
-        keep[keep] = live = np.any(cvals != 0.0, axis=1)
-        qpts, cvals = qpts[live], cvals[live]
-    rho_m = qpts[..., 1] ** disc.measure_exponent
-
-    cells = disc.cells[keep]
-    wfac = (wts[None, :] * rho_m * cvals) * disc.area[keep, None]
+    idx = (np.flatnonzero(coeff.support(p)) if isinstance(coeff, WeightModel)
+           else np.arange(len(p)))
+    p = p[idx]
+    rho = p[..., 1] @ bary.T  # (t, q)
+    cvals = 1.0
+    if coeff is not None and len(p):
+        cvals = np.asarray(coeff(p[..., 0] @ bary.T, rho), dtype=float)
+        live = np.any(cvals != 0.0, axis=1)
+        idx, rho, cvals = idx[live], rho[live], cvals[live]
+    wfac = (wts * rho ** disc.measure_exponent * cvals) * disc.area[idx, None]
 
     if kind == "mass":
-        table = (shp[:, :, None] * shp[:, None, :]).reshape(nq, nloc * nloc)
-        local = wfac @ table
+        local = wfac @ (shp[:, i] * shp[:, j])
     else:
-        table = np.einsum("qik,qjl->qklij", dshp, dshp).reshape(
-            nq * 9, nloc * nloc)
-        bg = disc.bgrads[keep]
-        gram = bg @ np.swapaxes(bg, 1, 2)  # (t, 3, 3)
-        local = (wfac[:, :, None] * gram.reshape(-1, 1, 9)).reshape(
-            -1, nq * 9) @ table
-    local = local.reshape(-1, nloc, nloc)
-    # enforce bitwise symmetry (a matrix product's summation order is not
-    # symmetric in i and j)
-    local = 0.5 * (local + np.swapaxes(local, 1, 2))
+        k, l = np.triu_indices(3)
+        di, dj = dshp[:, i], dshp[:, j]  # (q, 21, 3)
+        table = di[..., k] * dj[..., l] + (k < l) * di[..., l] * dj[..., k]
+        table = table.swapaxes(1, 2).reshape(-1, len(i))  # (q * 6, 21)
+        bg = disc.bgrads[idx]
+        gram = bg[:, k, 0] * bg[:, l, 0] + bg[:, k, 1] * bg[:, l, 1]
+        local = (wfac[:, :, None] * gram[:, None, :]).reshape(
+            len(idx), -1) @ table
+    local = np.take(local, pos.ravel(), axis=1)
 
+    # int32 node ids, which COO keeps; int64 ones it scans and copies
+    cells = disc.cells[idx].astype(np.int32)
     rows = np.repeat(cells, nloc, axis=1).ravel()
     cols = np.tile(cells, (1, nloc)).ravel()
     mat = sp.coo_matrix((local.ravel(), (rows, cols)),
@@ -369,16 +373,12 @@ def assemble_load(disc: Discretization, f: Callable) -> np.ndarray:
     """Load vector int f v rho^m (degree-6 rule)."""
     bary, wts = _dunavant(6)
     shp = _p2_shapes(bary)[0]
-    area = disc.area
     p = disc.mesh.vertices[disc.mesh.triangles]
-    qpts = np.einsum("qk,tkd->tqd", bary, p)
-    rho_m = qpts[..., 1] ** disc.measure_exponent
-    fvals = np.asarray(f(qpts[..., 0], qpts[..., 1]), dtype=float)
-    wfac = (wts[None, :] * rho_m * fvals) * area[:, None]
-    local = np.einsum("tq,qi->ti", wfac, shp)
-    out = np.zeros(disc.n_nodes)
-    np.add.at(out, disc.cells.ravel(), local.ravel())
-    return out
+    x1, rho = p[..., 0] @ bary.T, p[..., 1] @ bary.T
+    fvals = np.asarray(f(x1, rho), dtype=float)
+    wfac = (wts * rho ** disc.measure_exponent * fvals) * disc.area[:, None]
+    return np.bincount(disc.cells.ravel(), weights=(wfac @ shp).ravel(),
+                       minlength=disc.n_nodes)
 
 
 @dataclass
@@ -484,8 +484,13 @@ def factor(A: sp.spmatrix):
     solves were no slower.  Larger values are not safe: relax = 80,
     panel_size = 40 corrupted the heap (a segfault or a glibc abort) on the
     eps = 0.3 sweep operator and on the Ubar operator under scipy
-    1.17.1."""
-    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+    1.17.1.
+
+    A CSR matrix goes to SuperLU as its transpose, a CSC view of the same
+    arrays, which is A itself because A is symmetric: no copy is made (the
+    copy took 3.95 ms on the eps = 0.1 operator, 2-core Xeon)."""
+    return spla.splu(A.T if A.format == "csr" else sp.csc_matrix(A),
+                     permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.0, relax=1, panel_size=1,
                      options={"SymmetricMode": True})
 

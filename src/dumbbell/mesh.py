@@ -230,78 +230,93 @@ def _radial_extension(r_in: float, r_out: float, h: float, q: float,
 # Block assembly
 # ----------------------------------------------------------------------------
 
-class _Builder:
-    """Accumulates vertices (deduplicated by exact coordinates) and
-    triangles from structured blocks."""
+def _split_quads(xy: np.ndarray, quads: np.ndarray) -> np.ndarray:
+    """Triangles (2 per quad, in quad order) of the quads a-b-c-d (rows of
+    `quads`), each split along its shorter diagonal, a-c on a tie.  Ring
+    quads of a polar block are isosceles trapezoids, whose diagonals tie in
+    exact arithmetic, so the squares are libm pow, the rounding that picks
+    those splits; x*x rounds differently often enough to flip some."""
+    a, b, c, d = quads.T
+    ac = np.float_power(xy[c] - xy[a], 2.0)
+    bd = np.float_power(xy[d] - xy[b], 2.0)
+    short_ac = (ac[:, 0] + ac[:, 1] <= bd[:, 0] + bd[:, 1])[:, None]
+    first = np.where(short_ac, quads[:, [0, 1, 2]], quads[:, [0, 1, 3]])
+    second = np.where(short_ac, quads[:, [0, 2, 3]], quads[:, [1, 2, 3]])
+    return np.stack([first, second], axis=1).reshape(-1, 3)
 
-    def __init__(self):
-        self.coords: list[tuple[float, float]] = []
-        self.index: dict[tuple[float, float], int] = {}
-        self.triangles: list[tuple[int, int, int]] = []
 
-    def vertex(self, x: float, rho: float) -> int:
-        if abs(rho) < _SNAP:
-            rho = 0.0
-        key = (x, rho)
-        idx = self.index.get(key)
-        if idx is None:
-            idx = len(self.coords)
-            self.index[key] = idx
-            self.coords.append(key)
-        return idx
+def _orient(xy: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Drop the triangles of zero area and order the others positively."""
+    pa, pb, pc = xy[tris[:, 0]], xy[tris[:, 1]], xy[tris[:, 2]]
+    area2 = ((pb[:, 0] - pa[:, 0]) * (pc[:, 1] - pa[:, 1])
+             - (pc[:, 0] - pa[:, 0]) * (pb[:, 1] - pa[:, 1]))
+    tris = tris[area2 != 0.0]
+    flip = area2[area2 != 0.0] < 0.0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    return tris
 
-    def tri(self, a: int, b: int, c: int):
-        (xa, ya), (xb, yb), (xc, yc) = (self.coords[a], self.coords[b],
-                                        self.coords[c])
-        area2 = (xb - xa) * (yc - ya) - (xc - xa) * (yb - ya)
-        if area2 == 0.0:
-            return
-        if area2 < 0.0:
-            b, c = c, b
-        self.triangles.append((a, b, c))
 
-    def quad(self, a: int, b: int, c: int, d: int):
-        """Split quad a-b-c-d along its shorter diagonal."""
-        (xa, ya), (xc, yc) = self.coords[a], self.coords[c]
-        (xb, yb), (xd, yd) = self.coords[b], self.coords[d]
-        if (xc - xa) ** 2 + (yc - ya) ** 2 <= (xd - xb) ** 2 + (yd - yb) ** 2:
-            self.tri(a, b, c)
-            self.tri(a, c, d)
-        else:
-            self.tri(a, b, d)
-            self.tri(b, c, d)
+def _quads(ids: np.ndarray) -> np.ndarray:
+    """Corners a-b-c-d of the cells of a vertex-id grid (i, j), i outer:
+    (i, j), (i+1, j), (i+1, j+1), (i, j+1)."""
+    return np.stack([ids[:-1, :-1], ids[1:, :-1], ids[1:, 1:], ids[:-1, 1:]],
+                    axis=-1).reshape(-1, 4)
 
-    def add_tensor_block(self, xs: np.ndarray, rhos: np.ndarray):
-        ids = [[self.vertex(float(x), float(r)) for r in rhos] for x in xs]
-        for i in range(len(xs) - 1):
-            for j in range(len(rhos) - 1):
-                self.quad(ids[i][j], ids[i + 1][j],
-                          ids[i + 1][j + 1], ids[i][j + 1])
 
-    def add_polar_block(self, center: float, radii: np.ndarray,
-                        theta_a: float, theta_b: float, n_theta: int):
-        """Quarter-disk block: fan around (center, 0) plus ring quads.
-        theta measured from the positive x1 direction."""
-        thetas = np.linspace(theta_a, theta_b, n_theta + 1)
-        cos = np.cos(thetas)
-        sin = np.sin(thetas)
-        cos[np.abs(cos) < _SNAP] = 0.0
-        sin[np.abs(sin) < _SNAP] = 0.0
-        if radii[0] != 0.0:
-            raise ValueError("polar block radii must start at 0")
-        c = self.vertex(center, 0.0)
-        rings = [[self.vertex(center + float(r * cos[j]), float(r * sin[j]))
-                  for j in range(n_theta + 1)] for r in radii[1:]]
-        for j in range(n_theta):
-            self.tri(c, rings[0][j], rings[0][j + 1])
-        for i in range(len(rings) - 1):
-            for j in range(n_theta):
-                self.quad(rings[i][j], rings[i + 1][j],
-                          rings[i + 1][j + 1], rings[i][j + 1])
+def _snapped(x: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """(n, 2) points (x1, rho), rho within _SNAP of the axis put on it."""
+    xy = np.stack([x, rho], axis=-1).reshape(-1, 2)
+    xy[np.abs(xy[:, 1]) < _SNAP, 1] = 0.0
+    return xy
 
-    def finish(self):
-        return (np.asarray(self.coords, dtype=float),
-                np.asarray(self.triangles, dtype=np.int64))
+
+def _tensor_block(xs: np.ndarray, rhos: np.ndarray):
+    """Vertices of the grid xs x rhos (x outer) and its triangles, in
+    block-local vertex ids."""
+    x, rho = np.meshgrid(xs, rhos, indexing="ij")
+    xy = _snapped(x, rho)
+    ids = np.arange(len(xy)).reshape(len(xs), len(rhos))
+    return xy, _orient(xy, _split_quads(xy, _quads(ids)))
+
+
+def _polar_block(center: float, radii: np.ndarray, theta_a: float,
+                 theta_b: float, n_theta: int):
+    """Quarter-disk block: the center, then ring by ring its vertices, and
+    its triangles, the fan around (center, 0) first and then the ring quads
+    ring by ring.  theta measured from the positive x1 direction."""
+    thetas = np.linspace(theta_a, theta_b, n_theta + 1)
+    cos = np.cos(thetas)
+    sin = np.sin(thetas)
+    cos[np.abs(cos) < _SNAP] = 0.0
+    sin[np.abs(sin) < _SNAP] = 0.0
+    if radii[0] != 0.0:
+        raise ValueError("polar block radii must start at 0")
+    r = radii[1:, None]
+    xy = np.vstack([[center, 0.0], _snapped(center + r * cos, r * sin)])
+    rings = 1 + np.arange(len(r) * (n_theta + 1)).reshape(len(r), -1)
+    fan = np.stack([np.zeros(n_theta, dtype=np.int64), rings[0, :-1],
+                    rings[0, 1:]], axis=1)
+    tris = np.vstack([fan, _split_quads(xy, _quads(rings))])
+    return xy, _orient(xy, tris)
+
+
+def _merge(blocks):
+    """One vertex and triangle array from blocks (xy, tris): vertices with
+    equal (x1, rho) become one, numbered in order of first appearance."""
+    xy = np.vstack([b[0] for b in blocks])
+    offsets = np.cumsum([0] + [len(b[0]) for b in blocks[:-1]])
+    tris = np.vstack([b[1] + off for b, off in zip(blocks, offsets)])
+    order = np.lexsort((xy[:, 1], xy[:, 0]))
+    s = xy[order]
+    new = np.r_[True, np.any(s[1:] != s[:-1], axis=1)]
+    # each group's smallest index is its first appearance
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    by_first = np.argsort(first)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[by_first] = np.arange(len(first))
+    ids = np.empty(len(xy), dtype=np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return xy[first[by_first]], ids[tris]
 
 
 def _boundary_edges(triangles: np.ndarray):
@@ -318,30 +333,22 @@ def _boundary_edges(triangles: np.ndarray):
 def _classify(vertices, edges, centers, r_out, inflow_x=None,
               tube_trunc_x=None):
     """Tag boundary edges geometrically.  centers: x1-coordinates of the
-    polar-block centers present in this mesh."""
+    polar-block centers present in this mesh.  An edge takes the first tag
+    that fits, in the order axis, inflow, tube truncation, truncation arc,
+    and is a Dirichlet wall otherwise."""
     tol = 1e-9
-    tags = []
-    for a, b in edges:
-        pa, pb = vertices[a], vertices[b]
-        if pa[1] == 0.0 and pb[1] == 0.0:
-            tags.append("axis")
-            continue
-        if inflow_x is not None and abs(pa[0] - inflow_x) < tol \
-                and abs(pb[0] - inflow_x) < tol:
-            tags.append("inflow")
-            continue
-        if tube_trunc_x is not None and abs(pa[0] - tube_trunc_x) < tol \
-                and abs(pb[0] - tube_trunc_x) < tol:
-            tags.append("truncation")
-            continue
-        on_arc = False
-        for c in centers:
-            ra = math.hypot(pa[0] - c, pa[1])
-            rb = math.hypot(pb[0] - c, pb[1])
-            if abs(ra - r_out) < tol and abs(rb - r_out) < tol:
-                on_arc = True
-                break
-        tags.append("truncation" if on_arc else "dirichlet_wall")
+    pa, pb = vertices[edges[:, 0]], vertices[edges[:, 1]]
+    tags = np.full(len(edges), "dirichlet_wall", dtype=object)
+    # the rules from last to first, so the first that fits is written last
+    on_arc = np.zeros(len(edges), dtype=bool)
+    for c in centers:
+        on_arc |= ((np.abs(np.hypot(pa[:, 0] - c, pa[:, 1]) - r_out) < tol)
+                   & (np.abs(np.hypot(pb[:, 0] - c, pb[:, 1]) - r_out) < tol))
+    tags[on_arc] = "truncation"
+    for x, tag in ((tube_trunc_x, "truncation"), (inflow_x, "inflow")):
+        if x is not None:
+            tags[(np.abs(pa[:, 0] - x) < tol) & (np.abs(pb[:, 0] - x) < tol)] = tag
+    tags[(pa[:, 1] == 0.0) & (pb[:, 1] == 0.0)] = "axis"
     return tags
 
 
@@ -373,11 +380,10 @@ def build_dumbbell_mesh(cfg: MeshConfig) -> MeridianMesh:
     radii = _disk_radii(cfg, rho_grid, r_fine=5.5)
     nt = _n_theta(cfg)
 
-    b = _Builder()
-    b.add_polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt)
-    b.add_tensor_block(x_grid, rho_grid)
-    b.add_polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)
-    vertices, triangles = b.finish()
+    vertices, triangles = _merge([
+        _polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt),
+        _tensor_block(x_grid, rho_grid),
+        _polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)])
     edges = _boundary_edges(triangles)
     tags = _classify(vertices, edges, centers=(0.0, 1.0), r_out=cfg.r_out)
     params = {"eps": eps, "r_out": cfg.r_out, "tube_radius": eps,
@@ -393,7 +399,6 @@ def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
         raise ValueError(f"unknown domain kind {kind!r}; "
                          f"expected one of {PROFILE_KINDS}")
     nt = _n_theta(cfg)
-    b = _Builder()
     inflow_x = None
     tube_trunc_x = None
     params = {"r_out": cfg.r_out, "h0": cfg.h0, "dimension": cfg.dimension}
@@ -403,10 +408,10 @@ def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
             [0.0], _radial_extension(0.0, cfg.r_out, cfg.h0, cfg.q, 0,
                                      r_fine=5.5)[1:]])
         if kind == "HalfPlus":
-            b.add_polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)
+            blocks = [_polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)]
             centers = (1.0,)
         else:
-            b.add_polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt)
+            blocks = [_polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt)]
             centers = (0.0,)
     else:
         h_rho = min(cfg.h0, 1.0 / 8.0)
@@ -419,8 +424,8 @@ def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
             x0 = 1.0 - cfg.tube_length
             x_grid = _graded_nodes(x0, 1.0, cfg.h0, cfg.q, cfg.levels,
                                    grade_b=True)
-            b.add_tensor_block(x_grid, rho_grid)
-            b.add_polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)
+            blocks = [_tensor_block(x_grid, rho_grid),
+                      _polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)]
             centers = (1.0,)
             tube_trunc_x = x0
             params["tube_span"] = (x0, 1.0)
@@ -430,14 +435,14 @@ def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
             x1 = cfg.tube_length
             x_grid = _graded_nodes(0.0, x1, cfg.h0, cfg.q, cfg.levels,
                                    grade_a=True)
-            b.add_polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt)
-            b.add_tensor_block(x_grid, rho_grid)
+            blocks = [_polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt),
+                      _tensor_block(x_grid, rho_grid)]
             centers = (0.0,)
             inflow_x = x1
             params["tube_span"] = (0.0, x1)
         params["tube_radius"] = 1.0
 
-    vertices, triangles = b.finish()
+    vertices, triangles = _merge(blocks)
     edges = _boundary_edges(triangles)
     tags = _classify(vertices, edges, centers, cfg.r_out,
                      inflow_x=inflow_x, tube_trunc_x=tube_trunc_x)

@@ -96,6 +96,8 @@ class RunConfig:
             raise ValueError("every ktilde must be positive")
         if self.sweep_level < 0 or self.profile_level < 0:
             raise ValueError("refinement levels must be non-negative")
+        if self.jobs < 1:
+            raise ValueError(f"jobs={self.jobs} must be at least 1")
         self.weight()  # rejects a negative amplitude
         return self
 

@@ -19,9 +19,8 @@ from lanczos_oracle import lanczos_pairs
 
 def half_disk_mesh(n_rad, n_theta):
     """Unit half-disk about the origin (test harness for the Bessel oracle)."""
-    b = M._Builder()
-    b.add_polar_block(0.0, np.linspace(0, 1, n_rad + 1), 0.0, math.pi, n_theta)
-    v, t = b.finish()
+    v, t = M._merge([M._polar_block(0.0, np.linspace(0, 1, n_rad + 1),
+                                    0.0, math.pi, n_theta)])
     edges = M._boundary_edges(t)
     tags = M._classify(v, edges, centers=(0.0,), r_out=1.0)
     return M.MeridianMesh(v, t, edges, tags, "HalfMinus",
@@ -164,14 +163,22 @@ class TestAssembly:
 
     def test_p2_forms_match_a_per_cell_loop(self):
         # reference: a Python loop over cells and quadrature points of the
-        # degree-6 rule, exact for both P2 integrands with measure rho
+        # degree-6 rule, exact for the P2 integrands with measure rho^m;
+        # N = 4 takes the rho^m branch with m = 2
+        for dimension in (3, 4):
+            self.check_forms_against_a_per_cell_loop(dimension)
+
+    @staticmethod
+    def check_forms_against_a_per_cell_loop(dimension):
         m = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.3, r_out=8.0,
-                                               levels=2))
+                                               levels=2, dimension=dimension))
         disc = fem.Discretization(m)
         weight = fem.WeightModel()
+        load = lambda x1, rho: np.cos(x1) + rho
         bary, wts = fem._dunavant(6)
         shp, dshp = fem._p2_shapes(bary)
         rows, cols, kvals, mvals = [], [], [], []
+        fvec = np.zeros(disc.n_nodes)
         for tri, cell in zip(m.triangles, disc.cells):
             p = m.vertices[tri]
             jac = np.column_stack([p[1] - p[0], p[2] - p[0]])
@@ -182,10 +189,11 @@ class TestAssembly:
             m_loc = np.zeros((6, 6))
             for q in range(len(wts)):
                 x1, rho = bary[q] @ p
-                dv = wts[q] * area * rho
+                dv = wts[q] * area * rho ** (dimension - 2)
                 g = dshp[q] @ bg
                 k_loc += dv * (g @ g.T)
                 m_loc += dv * weight(x1, rho) * np.outer(shp[q], shp[q])
+                fvec[cell] += dv * load(x1, rho) * shp[q]
             rows.append(np.repeat(cell, 6))
             cols.append(np.tile(cell, 6))
             kvals.append(k_loc.ravel())
@@ -199,6 +207,8 @@ class TestAssembly:
                                 shape=shape).tocsr()
             top = np.abs(ref.data).max()
             assert np.abs((assembled - ref).data).max() <= 1e-13 * top
+        got = fem.assemble_load(disc, load)
+        assert np.abs(got - fvec).max() <= 1e-13 * np.abs(fvec).max()
 
 
 class TestSolveDirichlet:
@@ -408,6 +418,32 @@ class TestFactor:
         b = np.random.default_rng(5).standard_normal(A.shape[0])
         x = lu.solve(b)
         assert np.linalg.norm(A @ x - b) < 1e-12 * np.linalg.norm(b)
+
+    def test_factored_operators_are_symmetric(self, monkeypatch):
+        # factor hands a CSR matrix to SuperLU as its transpose, which is
+        # the same matrix only because every operator lu() factors, K,
+        # K - sigma M_p with a WeightModel and a clamped subsystem, is
+        # bitwise symmetric
+        m = M.build_dumbbell_mesh(M.MeshConfig(h0=0.3, eps=0.3, r_out=8.0,
+                                               levels=2))
+        disc = fem.Discretization(m)
+        sysd = fem.assemble(disc, fem.WeightModel())
+        shifted = sysd.shifted(0.5)
+        clamped = shifted.clamped(np.flatnonzero(disc.nodes[:, 0] < -3.0))
+        factored = []
+        factor = fem.factor
+        monkeypatch.setattr(fem, "factor",
+                            lambda A: factored.append(A) or factor(A))
+        for system in (sysd, shifted, clamped):
+            system.lu()
+        assert len(factored) == 3
+        rng = np.random.default_rng(3)
+        for A in factored:
+            assert A.format == "csr" and (A != A.T).nnz == 0
+            lu, ref = factor(A), factor(A.tocsc())
+            assert np.array_equal(lu.perm_c, ref.perm_c)
+            b = rng.standard_normal(A.shape[0])
+            assert np.array_equal(lu.solve(b), ref.solve(b))
 
     def test_repeated_factors_keep_the_heap_intact(self):
         # SuperLU in scipy 1.17.1 corrupts the heap on these operators at

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+import mesh_builder_oracle as oracle
 from dumbbell import mesh as M
 
 
@@ -196,6 +198,44 @@ class TestRefine:
         m = M.refine(small_dumbbell(levels=2))
         keys = {(x, r) for x, r in map(tuple, m.vertices)}
         assert (0.0, 0.2) in keys and (1.0, 0.2) in keys
+
+
+# the oracle grid: every eps, h0, r_out and grading depth 0-8 appears
+ORACLE_EPS = (0.45, 0.3, 0.1, 0.03, 0.01, 0.004)
+ORACLE_H0 = (0.1, 0.15, 0.3)
+ORACLE_R_OUT = (8.0, 12.0, 24.0)
+
+
+def oracle_configs(kind):
+    """h0 x eps for the dumbbell, h0 x r_out for the profile domains, with
+    the grading depth (and, for the dumbbell, r_out) cycling along."""
+    if kind == "dumbbell":
+        for n, (h0, eps) in enumerate(itertools.product(ORACLE_H0,
+                                                         ORACLE_EPS)):
+            yield M.MeshConfig(h0=h0, eps=eps, levels=n % 9,
+                               r_out=ORACLE_R_OUT[n // 2 % 3])
+    else:
+        for n, (h0, r_out) in enumerate(itertools.product(ORACLE_H0,
+                                                           ORACLE_R_OUT)):
+            yield M.MeshConfig(h0=h0, levels=n, r_out=r_out)
+
+
+class TestBuilderOracle:
+    @pytest.mark.parametrize("kind", ("dumbbell",) + M.PROFILE_KINDS)
+    def test_matches_the_cell_by_cell_builder(self, kind):
+        for cfg in oracle_configs(kind):
+            if kind == "dumbbell":
+                got, ref = (M.build_dumbbell_mesh(cfg),
+                            oracle.build_dumbbell_mesh(cfg))
+            else:
+                got, ref = (M.build_profile_mesh(kind, cfg),
+                            oracle.build_profile_mesh(kind, cfg))
+            for name in ("vertices", "triangles", "edges"):
+                a, b = getattr(got, name), getattr(ref, name)
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
+                    (name, cfg)
+            assert got.edge_tags.tolist() == ref.edge_tags.tolist(), cfg
+            assert got.params == ref.params and got.domain_kind == kind
 
 
 class TestEdgeTable:

@@ -69,6 +69,8 @@ class TestRunConfig:
         {"a_minus": -0.5},
         {"sweep_level": -1},
         {"profile_level": -1},
+        {"jobs": 0},
+        {"jobs": -1},
     ])
     def test_rejects_out_of_range_fields(self, bad):
         with pytest.raises(ValueError):
@@ -520,6 +522,13 @@ class TestCLI:
             assert cli.main(["profiles", "--config", str(cfg)]) == 1
             err = capsys.readouterr().err
             assert "error:" in err and key in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_bad_jobs_fails_before_profile_stage(self, jobs, monkeypatch,
+                                                 tmp_path, capsys):
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        assert cli.main(["sweep", "--jobs", jobs, "--out", str(tmp_path)]) == 1
+        assert "jobs" in capsys.readouterr().err
 
     def test_bad_eps_fails_before_profile_stage(self, monkeypatch,
                                                 tmp_path, capsys):
