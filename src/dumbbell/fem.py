@@ -4,8 +4,9 @@ All forms carry the meridian volume measure rho^(N-2) drho dx1 (the constant
 angular factor omega_(N-2) is omitted consistently; it cancels in every
 eigenvalue, Rayleigh quotient and normalized field).  P2 triangles on a
 MeridianMesh, Dirichlet conditions by elimination to a reduced SPD system,
-one sparse factorization helper for every SPD matrix, and shifted inverse
-iteration for the ground state, the package's only eigen algorithm.  An
+one sparse factorization helper for every SPD matrix, and the ground state
+by shift-invert Rayleigh-Ritz with an inverse-iteration polish, the
+package's only eigen algorithm.  An
 AssembledSystem is the one place that reduces, factors and solves a
 Dirichlet problem: it carries its shift and factors K - shift M_p once, so
 every eigen step and load solve on it reuses that factor.
@@ -561,12 +562,65 @@ class EigenPair:
 
 
 def eigen_smallest(system: AssembledSystem, steps: int) -> EigenPair:
-    """Ground pair of K u = l M_p u from a cold start: `refine_eigenpair`
-    from the all-ones vector on the system's own factor.  The all-ones
-    vector overlaps the positive ground state, so the iteration cannot
-    start orthogonal to it, and a fixed start gives the same result in
-    every process."""
-    return refine_eigenpair(system, np.ones(len(system.free)), steps)
+    """Ground pair of K u = l M_p u from a cold start: shift-invert
+    Rayleigh-Ritz, then the two extended-precision steps of
+    `refine_eigenpair`, all on the system's factor of A = K - sigma M_p.
+
+    `steps` (at least 3) counts solve rounds as in `refine_eigenpair`:
+    `steps - 2` Krylov solves A y = M_p v grow an M_p-orthonormal basis
+    from the all-ones vector to `steps - 1` vectors, and the last two
+    rounds polish the Ritz vector with two solves each.  Gram-Schmidt runs
+    twice against the stored M_p v of each basis vector, so its
+    coefficients are the projection T of A^-1 M_p onto the basis and no
+    inner product costs a sparse product.  The largest eigenvalue of T is
+    the Ritz value of 1/(lam1 - sigma); its Ritz vector enters the polish
+    multiplied by A^-1 M_p, which the solves already hold, so it spans the
+    whole basis and drops the part of the all-ones start outside the range
+    of A^-1 M_p.  (A projection of A itself, which takes K times the
+    all-ones vector, Rayleigh quotient 115 lam1 on the u0 system, stalled
+    near 1e-12 of max|u0| there and drifted to 2e-10 at 40 steps.)  A new
+    vector whose M_p-norm falls below 1e-12 of its norm before
+    orthogonalization means the basis spans an invariant subspace, and the
+    basis stops growing there.  The all-ones vector overlaps the positive
+    ground state, so the basis cannot miss it, and a fixed start gives the
+    same result in every process."""
+    if steps < 3:
+        raise ValueError(f"steps={steps}: eigen_smallest needs a Krylov "
+                         "solve and the two polish steps")
+    if system.Mp.nnz == 0:
+        raise ValueError("weighted mass is identically zero")
+    Mp, lu = system.Mp, system.lu()
+    V = np.empty((steps - 1, len(system.free)))
+    MV = np.empty_like(V)
+    H = np.zeros((steps - 1, steps - 2))
+    v = np.ones(V.shape[1])
+    Mv = Mp @ v
+    norm = math.sqrt(v @ Mv)
+    V[0], MV[0] = v / norm, Mv / norm
+    k = 1
+    for j in range(steps - 2):
+        y = lu.solve(MV[j])
+        c = MV[:k] @ y
+        y -= c @ V[:k]
+        c2 = MV[:k] @ y
+        y -= c2 @ V[:k]
+        H[:k, j] = c + c2
+        My = Mp @ y
+        beta = math.sqrt(max(y @ My, 0.0))
+        if beta <= 1e-12 * math.hypot(np.linalg.norm(H[:k, j]), beta):
+            break
+        H[k, j] = beta
+        V[k], MV[k] = y / beta, My / beta
+        k += 1
+    # j + 1 solves; the basis holds one vector more, or as many after a break
+    T = H[:j + 1, :j + 1]
+    _, S = np.linalg.eigh(0.5 * (T + T.T))
+    ritz = (H[:k, :j + 1] @ S[:, -1]) @ V[:k]
+    # freed before the polish copies K and M_p to long double: held, the
+    # basis raised the peak RSS of the profile stage by about 1.3 MB and
+    # of an eps = 0.3, 0.1 sweep by 4-5 MB
+    del V, MV
+    return refine_eigenpair(system, ritz, 2)
 
 
 def refine_eigenpair(system: AssembledSystem, start: np.ndarray,

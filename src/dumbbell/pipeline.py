@@ -77,6 +77,13 @@ class RunConfig:
     jobs: int = 1
 
     def validate(self) -> "RunConfig":
+        for name in ("dimension", "fit_points", "sweep_level",
+                     "profile_level", "grade_levels", "jobs"):
+            value = getattr(self, name)
+            # bool is an int subclass; a float count fails deep in a solve
+            if isinstance(value, bool) or not isinstance(value,
+                                                         (int, np.integer)):
+                raise ValueError(f"{name}={value!r} must be an integer")
         sweep = tuple(float(e) for e in self.eps_sweep)
         if len(sweep) < 2:
             raise ValueError("sweep needs at least two eps values")
@@ -274,8 +281,9 @@ def _restricted_reference(system: fem.AssembledSystem,
     own iteration.  The pair is returned without its subsystem, so that
     the subsystem's factor is freed before the full operator is factored."""
     left = np.nonzero(system.disc.nodes[:, 0] <= 1.0 + 1e-14)[0]
-    # on D+ lam2/lam1 = 2.38, so each step at sigma = 0.99 lam_k0 contracts
-    # by about 0.007, and the Rayleigh quotient error squares that
+    # on D+ lam2/lam1 = 2.38, so a plain step at sigma = 0.99 lam_k0
+    # contracts by about 0.007, and the Rayleigh quotient error squares
+    # that; 4 steps are 2 Krylov solves and the polish, 6 solves
     sub = system.clamped(left).shifted(0.99 * lam_k0)
     return fem.eigen_smallest(sub, 4)
 
@@ -490,9 +498,28 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        return cls(d["config_hash"], d["config"],
-                   ProfileConstants.from_dict(d["constants"]),
-                   d["sweep"], d["verdicts"])
+        """The record a `to_dict` blob holds; a blob that lacks a key, or
+        a sweep entry without its eps or ratios, raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError("a record is a JSON object")
+        keys = ("config_hash", "config", "constants", "sweep", "verdicts")
+        missing = [k for k in keys if k not in d]
+        if missing:
+            raise ValueError(f"record lacks {', '.join(missing)}")
+        if not isinstance(d["sweep"], list):
+            raise ValueError("record sweep is not a list")
+        for i, entry in enumerate(d["sweep"]):
+            lacking = [k for k in ("eps", "ratios")
+                       if not isinstance(entry, dict) or k not in entry]
+            if lacking:
+                raise ValueError(f"sweep entry {i} lacks "
+                                 f"{', '.join(lacking)}")
+        try:
+            constants = ProfileConstants.from_dict(d["constants"])
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"record constants malformed: {exc}") from exc
+        return cls(d["config_hash"], d["config"], constants, d["sweep"],
+                   d["verdicts"])
 
     def series(self, name: str):
         """(eps list, value list) for a named ratio series."""

@@ -97,7 +97,9 @@ def compute_u0(cfg: MeshConfig, level: int = 0,
     d0 is read from v(r) = int_{S+} u0(e1 + r theta) Psi+ dsigma, which
     equals Upsilon_N d0 r for r inside the weight-free ball, so
     v(r)/(Upsilon_N r) is averaged over r = 0.5, 1, 2 with the spread kept as
-    a resolution diagnostic.
+    a resolution diagnostic.  The pair is `fem.eigen_smallest` with 12
+    steps on the factor of K: 10 Krylov solves, then the two-step polish
+    of 2 solves each, 14 solves in all.
     """
     weight = fem.WeightModel() if weight is None else weight
     if weight.a_plus <= 0:
@@ -105,10 +107,13 @@ def compute_u0(cfg: MeshConfig, level: int = 0,
     mesh = _maybe_refine(build_profile_mesh("HalfPlus", cfg), level)
     disc = fem.Discretization(mesh)
     system = fem.assemble(disc, weight)
-    # unshifted, on the factor of K: each step contracts the other
-    # components by lam1/lam2 ~ 0.42, and 0.42^40 < 1e-15 leaves nothing of
-    # the all-ones start but the ground state
-    pair = fem.mass_normalize(system, fem.eigen_smallest(system, 40))
+    # unshifted, on the factor of K.  Relative to max|u0|, the Ritz vector
+    # before the polish is off 40 plain inverse-iteration steps (lam1/lam2
+    # ~ 0.42, so 0.42^38 < 1e-14) by 2.5e-9 with 9 basis vectors, 7e-11
+    # with 10, 1.7e-12 with 11 and 5e-14 with 12.  12 steps (11 vectors)
+    # end within 1.5e-14 of them after the polish, with lam_k0, d0 and
+    # d0_spread bitwise equal; 8 steps stay 7e-8 off
+    pair = fem.mass_normalize(system, fem.eigen_smallest(system, 12))
 
     n = disc.dimension
     ups = cs.upsilon(n)
@@ -193,8 +198,8 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
     and the solve.  With the row and column permutations equal, its LU is
     a congruence of the operator, so by Sylvester's law of inertia all
     pivots of U positive certifies lam_k0 < lambda_1(D-) (twice the D+ one
-    by the weight construction); inverse iteration on the same factor then
-    gives lambda_1(D-), and lam_k0 must stay below 0.8 of it.
+    by the weight construction); `fem.eigen_smallest` on the same factor
+    then gives lambda_1(D-), and lam_k0 must stay below 0.8 of it.
     """
     mesh = _maybe_refine(build_profile_mesh("HalfMinus", cfg), level)
     disc = fem.Discretization(mesh)
@@ -211,8 +216,9 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
             "lambda_1(D-); weight misconfigured")
     if system.Mp.nnz:
         # lambda_1(D-) = 2 lam_k0 and lambda_2/lambda_1 = 2.38 as on D+,
-        # so each step at sigma = lam_k0 contracts by about 0.27; with no
-        # weight on D- there is no weighted spectrum and no gap to check
+        # so a plain step at sigma = lam_k0 contracts by about 0.27; 6 steps
+        # are 4 Krylov solves and the polish, 8 solves; with no weight on
+        # D- there is no weighted spectrum and no gap to check
         lam_minus = fem.eigen_smallest(system, 6).lam
         if lam_k0 > 0.8 * lam_minus:
             raise ValueError(

@@ -50,9 +50,15 @@ def test_only_fem_reduces_factors_and_solves():
 
 
 def test_one_eigen_algorithm():
-    """Every ground pair comes from inverse iteration in `fem`
-    (`eigen_smallest`, `refine_eigenpair`): no module runs ARPACK, builds
-    an implicit operator for it or calls another iterative eigensolver."""
+    """Every ground pair comes from `fem` (`eigen_smallest`'s Rayleigh-Ritz
+    cold start, `refine_eigenpair`'s inverse iteration): no module runs
+    ARPACK, builds an implicit operator for it or calls another iterative
+    eigensolver, and the one dense `eigh` is the projection in
+    `eigen_smallest`."""
+    import inspect
+
+    from dumbbell import fem
+
     src = Path(__file__).resolve().parents[1] / "src" / "dumbbell"
     pattern = re.compile(r"eigsh|LinearOperator|lobpcg")
     offenders = [f"{path.name}:{i}"
@@ -60,3 +66,8 @@ def test_one_eigen_algorithm():
                  for i, line in enumerate(path.read_text().splitlines(), 1)
                  if pattern.search(line)]
     assert not offenders
+    dense = re.compile(r"\beigh\(")
+    calls = sum(len(dense.findall(path.read_text()))
+                for path in src.glob("*.py"))
+    assert calls == 1
+    assert dense.search(inspect.getsource(fem.eigen_smallest))

@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -25,6 +26,15 @@ def half_disk_mesh(n_rad, n_theta):
     tags = M._classify(v, edges, centers=(0.0,), r_out=1.0)
     return M.MeridianMesh(v, t, edges, tags, "HalfMinus",
                           {"r_out": 1.0, "dimension": 3})
+
+
+def counting_solves(system):
+    """Route the system's solves through a stub of its factor; returns the
+    list that gains one entry a solve."""
+    lu, solves = system.lu(), []
+    system._lu = SimpleNamespace(
+        solve=lambda b: solves.append(1) or lu.solve(b))
+    return solves
 
 
 def rayleigh(system, pair):
@@ -400,6 +410,49 @@ class TestEigen:
         with pytest.raises(ValueError):
             fem.eigen_smallest(sysd, 40)
 
+    def test_needs_a_krylov_solve_and_the_polish(self):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
+        for steps in (0, 2):
+            with pytest.raises(ValueError, match="steps"):
+                fem.eigen_smallest(sysd, steps)
+
+    def test_more_steps_than_free_dofs(self):
+        # six free nodes in the weight annulus: the sixth Krylov solve
+        # lands in the span of the basis, which stops growing there
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
+        x1, rho = sysd.disc.nodes[sysd.free].T
+        keep = sysd.free[np.argsort(np.hypot(x1 - 5.5, rho - 0.5))[:6]]
+        tiny = sysd.clamped(np.setdiff1d(sysd.free, keep))
+        solves = counting_solves(tiny)
+        pair = fem.eigen_smallest(tiny, 12)
+        assert len(solves) == 6 + 4
+        mu, X = sla.eigh(tiny.Mp.toarray(), tiny.K.toarray())
+        assert pair.lam == pytest.approx(1.0 / mu[-1], rel=1e-13)
+        u, x = pair.field.values[tiny.free], X[:, -1]
+        u = u / math.sqrt(u @ (tiny.Mp @ u))
+        x = x * (np.sign(x @ (tiny.Mp @ u)) / math.sqrt(x @ (tiny.Mp @ x)))
+        assert np.max(np.abs(u - x)) <= 1e-12 * np.max(np.abs(x))
+
+    def test_start_already_an_eigenvector(self):
+        # K = L + lam D with L a path-graph Laplacian (L 1 = 0) and Mp = D:
+        # the all-ones start is the ground state, and the first Krylov
+        # solve adds nothing to the basis
+        n, lam = 8, 0.7
+        d = np.random.default_rng(1).uniform(0.5, 2.0, n)
+        L = sp.diags([np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
+                      -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1])
+        K, Mp = (L + lam * sp.diags(d)).tocsr(), sp.diags(d).tocsr()
+        sysd = fem.AssembledSystem(SimpleNamespace(n_nodes=n), K, Mp, K, Mp,
+                                   np.arange(n), np.empty(0, dtype=np.int64))
+        solves = counting_solves(sysd)
+        pair = fem.eigen_smallest(sysd, 12)
+        assert len(solves) == 1 + 4
+        assert pair.lam == pytest.approx(lam, rel=1e-14)
+        u = pair.field.values
+        assert np.max(np.abs(u / u[0] - 1.0)) <= 1e-14
+
 
 class TestFactor:
     def test_supernode_settings_keep_pivots_and_fill(self):
@@ -498,10 +551,7 @@ class TestRefineEigenpair:
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         shifted = sysd.shifted(0.5)
-        lu = shifted.lu()
-        solves = []
-        shifted._lu = SimpleNamespace(
-            solve=lambda b: solves.append(1) or lu.solve(b))
+        solves = counting_solves(shifted)
         # one solve a plain step, two for each of the last two steps
         for steps, count in ((0, 0), (1, 2), (2, 4), (6, 8)):
             solves.clear()

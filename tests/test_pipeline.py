@@ -71,6 +71,14 @@ class TestRunConfig:
         {"profile_level": -1},
         {"jobs": 0},
         {"jobs": -1},
+        {"fit_points": 13.5},
+        {"fit_points": 13.0},
+        {"sweep_level": 0.5},
+        {"profile_level": True},
+        {"grade_levels": 8.0},
+        {"jobs": 1.5},
+        {"dimension": 3.0},
+        {"dimension": False},
     ])
     def test_rejects_out_of_range_fields(self, bad):
         with pytest.raises(ValueError):
@@ -238,18 +246,36 @@ class TestProfileCache:
         assert not (tmp_path / "cache").exists()
 
 
+class _CountingLU:
+    """A SuperLU factor that counts its solves."""
+
+    def __init__(self, lu, solves):
+        self._lu, self._solves = lu, solves
+
+    def solve(self, b):
+        self._solves.append(b.shape)
+        return self._lu.solve(b)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
 def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
     # K on D+ (the u0 iteration), the two harmonic solves, and
-    # K - lam_k0 M_p on D- (the Ubar guard and solve); no ARPACK run
-    factored, arpack = [], []
+    # K - lam_k0 M_p on D- (the Ubar guard and solve); no ARPACK run.
+    # Solves: u0 14 (10 Krylov, 4 polish), Phi 1, PhiHat 1, the Ubar
+    # guard 8 (4 Krylov, 4 polish) and Ubar 1
+    factored, arpack, solves = [], [], []
     splu, eigsh = fem.spla.splu, fem.spla.eigsh
     monkeypatch.setattr(fem.spla, "splu", lambda A, **kw:
-                        factored.append(A.shape) or splu(A, **kw))
+                        factored.append(A.shape)
+                        or _CountingLU(splu(A, **kw), solves))
     monkeypatch.setattr(fem.spla, "eigsh", lambda *a, **kw:
                         arpack.append(a) or eigsh(*a, **kw))
     pl.run_profiles(pl.RunConfig(out_dir=str(tmp_path), cache=False,
                                  **COARSE))
     assert len(factored) == 4
+    assert len(solves) == 25
     assert arpack == []
 
 
@@ -496,6 +522,27 @@ class TestCLI:
         assert cli.main(["verify", "/nonexistent/record.json"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blob, named", [
+        ({"config_hash": "x"}, "config"),
+        ([], "object"),
+        ({"config_hash": "x", "config": {}, "constants": {}, "verdicts": {},
+          "sweep": 5}, "sweep"),
+        ({"config_hash": "x", "config": {}, "constants": {}, "verdicts": {},
+          "sweep": [{"eps": 0.3, "ratios": {}}, {"eps": 0.2}]}, "ratios"),
+        ({"config_hash": "x", "config": {}, "constants": {}, "verdicts": {},
+          "sweep": [{"ratios": {}}]}, "eps"),
+        ({"config_hash": "x", "config": {}, "constants": {"d0": 1.0},
+          "verdicts": {}, "sweep": []}, "constants"),
+    ])
+    def test_malformed_record_is_execution_error(self, blob, named,
+                                                 tmp_path, capsys):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(blob))
+        assert cli.main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and named in err
+        assert "Traceback" not in err
+
     def test_overflow_is_execution_error(self, tmp_path, capsys):
         rec = synthetic_record([(0.3, 1.15), (0.2, 1.1)])
         rec.sweep[-1]["b_defect"] = ScaledAmplitude.from_float(
@@ -529,6 +576,18 @@ class TestCLI:
         monkeypatch.setattr(pl, "run_profiles", unreachable)
         assert cli.main(["sweep", "--jobs", jobs, "--out", str(tmp_path)]) == 1
         assert "jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("fit_points", 13.5),
+                                            ("sweep_level", 0.5)])
+    def test_fractional_count_fails_before_profile_stage(
+            self, key, value, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert cli.main(["sweep", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
 
     def test_bad_eps_fails_before_profile_stage(self, monkeypatch,
                                                 tmp_path, capsys):

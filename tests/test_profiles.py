@@ -8,6 +8,7 @@ from dumbbell import cross_section as cs
 from dumbbell import fem
 from dumbbell import profiles as P
 from dumbbell.mesh import MeshConfig
+from dumbbell.pipeline import RunConfig
 
 CFG = MeshConfig(h0=0.2, levels=6, r_out=12.0, tube_length=10.0)
 MODE = cs.disk_ground_mode(3)
@@ -126,6 +127,30 @@ class TestPhi:
     def test_outside_evaluation_is_nan(self, phi_pack):
         sol, _ = phi_pack
         assert math.isnan(sol(1.0 + CFG.r_out + 1.0, 0.5))
+
+
+def test_u0_steps_reproduce_the_long_iteration(monkeypatch):
+    """compute_u0's 12 steps on the default u0 system give the pair of 40
+    steps to rounding; 8 steps do not, so the choice is not slack."""
+    seen = []
+    eigen = fem.eigen_smallest
+    monkeypatch.setattr(fem, "eigen_smallest", lambda system, steps:
+                        seen.append((system, steps)) or eigen(system, steps))
+    cfg = RunConfig()
+    P.compute_u0(cfg.mesh_config(), cfg.profile_level, cfg.weight())
+    [(system, steps)] = seen
+    assert steps == 12
+
+    def pair(steps):
+        return fem.mass_normalize(system, eigen(system, steps))
+
+    ref = pair(40)
+    scale = np.max(np.abs(ref.field.values))
+    for steps, close in ((12, True), (8, False)):
+        got = pair(steps)
+        err = np.max(np.abs(got.field.values - ref.field.values)) / scale
+        assert (abs(got.lam / ref.lam - 1.0) <= 1e-15
+                and err <= 1e-12) == close, (steps, err)
 
 
 def test_harmonic_profiles_assemble_stiffness_once(monkeypatch):
