@@ -24,13 +24,15 @@ def _build_config(args) -> pl.RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"{args.config} does not hold a JSON object")
         unknown = sorted(set(base) - {f.name for f in fields(pl.RunConfig)})
         if unknown:
             raise ValueError(f"unknown config key(s) in {args.config}: "
                              f"{', '.join(unknown)}")
-    for f in fields(pl.RunConfig):
-        if isinstance(f.default, tuple) and f.name in base:
-            base[f.name] = tuple(base[f.name])
+    # a JSON list becomes the tuple field; validate rejects anything else
+    if isinstance(base.get("eps_sweep"), list):
+        base["eps_sweep"] = tuple(base["eps_sweep"])
     if getattr(args, "eps", None):
         base["eps_sweep"] = tuple(args.eps)
     if getattr(args, "levels", None) is not None:

@@ -22,7 +22,6 @@ __all__ = [
     "bessel_j_scaled",
     "bessel_first_zeros",
     "disk_ground_mode",
-    "disk_second_mode",
     "sphere_surface_area",
     "upsilon",
     "project_sphere",
@@ -153,11 +152,6 @@ def disk_ground_mode(n: int = 3) -> CrossSectionMode:
     """Radial ground mode of the unit (N-1)-ball: lambda1 = j_(nu,1)^2 with
     nu = (N-3)/2, psi1 ~ r^-nu J_nu(sqrt(lambda1) r)."""
     return _disk_mode(n, 1)
-
-
-def disk_second_mode(n: int = 3) -> CrossSectionMode:
-    """Second radial Dirichlet mode (orthogonality test helper)."""
-    return _disk_mode(n, 2)
 
 
 # ----------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field as dfield
@@ -53,6 +54,11 @@ __all__ = [
 # Configuration
 # ----------------------------------------------------------------------------
 
+def _is_real(value) -> bool:
+    """A JSON or numpy number; bool is an int subclass and is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     dimension: int = 3
@@ -60,52 +66,49 @@ class RunConfig:
     a_plus: float = 1.0
     a_minus: float = 0.5
     h0: float = 0.15
-    grade_q: float = 0.5
     grade_levels: int = 8
     r_out: float = 12.0
-    tube_length: float = 10.0
     # a class constant, not a field, only for perfbench's problem_size
     order: ClassVar[int] = 2
     profile_level: int = 1
     sweep_level: int = 1
-    fit_window: tuple = (0.55, 0.85)
-    fit_points: int = 13
-    x0_list: tuple = (0.3, 0.5, 0.7)
-    ktilde_list: tuple = (0.5, 1.0, 1.5)
     out_dir: str = "runs"
     cache: bool = True
     jobs: int = 1
 
     def validate(self) -> "RunConfig":
-        for name in ("dimension", "fit_points", "sweep_level",
-                     "profile_level", "grade_levels", "jobs"):
+        counts = {"dimension": 3, "sweep_level": 0, "profile_level": 0,
+                  "grade_levels": 0, "jobs": 1}
+        for name, least in counts.items():
             value = getattr(self, name)
-            # bool is an int subclass; a float count fails deep in a solve
-            if isinstance(value, bool) or not isinstance(value,
-                                                         (int, np.integer)):
-                raise ValueError(f"{name}={value!r} must be an integer")
-        sweep = tuple(float(e) for e in self.eps_sweep)
-        if len(sweep) < 2:
-            raise ValueError("sweep needs at least two eps values")
+            # a float count fails deep in a solve
+            if isinstance(value, bool) or not isinstance(
+                    value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name}={value!r} must be an integer "
+                                 f">= {least}")
+        for name in ("a_plus", "a_minus", "h0", "r_out"):
+            value = getattr(self, name)
+            # MeshConfig's range checks let NaN and infinity through
+            if not (_is_real(value) and math.isfinite(value)):
+                raise ValueError(f"{name}={value!r} must be a finite number")
+        sweep = self.eps_sweep
+        if not (isinstance(sweep, tuple) and len(sweep) >= 2
+                and all(map(_is_real, sweep))):
+            raise ValueError(f"eps_sweep={sweep!r} must list at least two "
+                             "eps values")
         if any(b >= a for a, b in zip(sweep, sweep[1:])):
             raise ValueError("eps sweep must be strictly decreasing")
-        if not all(0 < e < 0.5 for e in sweep):
-            raise ValueError("every eps must lie in (0, 0.5)")
-        lo, hi = self.fit_window
-        if not (0 < lo < hi < 1):
-            raise ValueError("fit_window must sit inside the tube: "
-                             "0 < lo < hi < 1")
-        if not all(0 < x0 < 1 for x0 in self.x0_list):
-            raise ValueError("every x0 must lie inside the tube, in (0, 1)")
-        if self.fit_points < 4:
-            raise ValueError("fit_points must be at least 4")
-        if not all(k > 0 for k in self.ktilde_list):
-            raise ValueError("every ktilde must be positive")
-        if self.sweep_level < 0 or self.profile_level < 0:
-            raise ValueError("refinement levels must be non-negative")
-        if self.jobs < 1:
-            raise ValueError(f"jobs={self.jobs} must be at least 1")
-        self.weight()  # rejects a negative amplitude
+        self.mesh_config().validate()
+        for eps in sweep:
+            self.mesh_config(eps).validate(need_eps=True)
+        # D- mirrors D+ with the weight scaled by a_minus/a_plus, so
+        # lambda_1(D-) = lam_k0 a_plus/a_minus (measured 2.0000000757 lam_k0
+        # at the defaults), and Ubar's shift lam_k0 stays at most 0.8 of it
+        if not (self.a_plus > 0 and 0 <= self.a_minus <= 0.8 * self.a_plus):
+            raise ValueError(
+                f"weight a_plus={self.a_plus}, a_minus={self.a_minus}: Ubar "
+                "needs a_plus > 0 and 0 <= a_minus <= 0.8 a_plus, so that "
+                "lam_k0 <= 0.8 lambda_1(D-)")
         return self
 
     def canonical(self) -> dict:
@@ -123,10 +126,8 @@ class RunConfig:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def mesh_config(self, eps: float | None = None) -> MeshConfig:
-        return MeshConfig(h0=self.h0, q=self.grade_q,
-                          levels=self.grade_levels, r_out=self.r_out,
-                          eps=0.2 if eps is None else eps,
-                          tube_length=self.tube_length,
+        return MeshConfig(h0=self.h0, levels=self.grade_levels,
+                          r_out=self.r_out, eps=0.2 if eps is None else eps,
                           dimension=self.dimension)
 
     def weight(self) -> fem.WeightModel:
@@ -199,7 +200,7 @@ def _compute_profiles(cfg: RunConfig, level: int) -> ProfileSet:
         ("PhiHat", lambda: prof.compute_PhiHat(mc, level)),
         # Ubar's shift is the u0 eigenvalue
         ("Ubar", lambda: prof.compute_Ubar(mc, weight, out["u0"][1], level,
-                                           ktilde=cfg.ktilde_list)))
+                                           ktilde=_KTILDE_LIST)))
     for name, solve in stages:
         try:
             out[name] = solve()
@@ -288,7 +289,12 @@ def _restricted_reference(system: fem.AssembledSystem,
     return fem.eigen_smallest(sub, 4)
 
 
-# radii of the spherical fit in D-; those inside the tube radius are skipped
+# readout geometry: the right-window fit sections, the R2 stations x0, the
+# ktilde radii of R5 and the normalized blow-ups, and the radii of the
+# spherical fit in D- (those inside the tube radius are skipped)
+_FIT_WINDOW, _FIT_POINTS = (0.55, 0.85), 13
+_X0_LIST = (0.3, 0.5, 0.7)
+_KTILDE_LIST = (0.5, 1.0, 1.5)
 _SPHERICAL_RADII = (0.3, 0.5, 0.8, 1.2, 2.0)
 
 
@@ -330,7 +336,7 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
                          f"reference lambda_ref = {lam_ref!r}")
 
     # growing-mode amplitude A from the right tube window
-    ts = np.linspace(cfg.fit_window[0], cfg.fit_window[1], cfg.fit_points)
+    ts = np.linspace(*_FIT_WINDOW, _FIT_POINTS)
     fit = ch.fit_channel_mode(
         [(t, cs.project_section(u.evaluate, t, eps, mode)) for t in ts],
         eps, sl1)
@@ -348,7 +354,7 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
     if track == "direct":
         # section masses, kept scaled
         ht_x0 = {x0: ScaledAmplitude.from_float(
-            ch.htilde(u.evaluate, x0, eps, n)[0]) for x0 in cfg.x0_list}
+            ch.htilde(u.evaluate, x0, eps, n)[0]) for x0 in _X0_LIST}
         ht_eps = ScaledAmplitude.from_float(
             ch.htilde(u.evaluate, eps, eps, n)[0])
 
@@ -373,7 +379,7 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
         left = {"R4": (sph.d / (n * eps ** (n - 1)))
                 / ((-con.c_phihat * con.c_hat) * ht_eps.sqrt().to_float())}
         big = con.c_phihat * kd0cphi
-        for kt in cfg.ktilde_list:
+        for kt in _KTILDE_LIST:
             amp = ScaledAmplitude.from_float(math.sqrt(
                 cs.half_sphere_mass(u.evaluate, 0.0, kt, -1, n))).scale_exp(
                     sl1 / eps - n * math.log(eps))
@@ -403,7 +409,7 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
 
         x1_in, rho_in = _annulus_samples(0.0, (0.6, 1.0, 1.4), -1)
         norm_dev = {}
-        for kt in cfg.ktilde_list:
+        for kt in _KTILDE_LIST:
             view = almgren.blowup(u.evaluate, "Normalized", eps, ktilde=kt,
                                   dimension=n)
             ref = lambda a, b, _k=kt: pset.ubar(a, b) / math.sqrt(
@@ -423,7 +429,7 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
         # the left side is not read: section masses from the propagated
         # tube amplitude, and no left-side ratios
         ht_x0 = {}
-        for x0 in cfg.x0_list:
+        for x0 in _X0_LIST:
             amp = ch.propagate(fit, x0)
             ht_x0[x0] = amp * amp
         ht_eps = sqrt_ht_eps_c * sqrt_ht_eps_c
@@ -433,7 +439,7 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
     # ratio series entries
     sqrt_ht_eps = ht_eps.sqrt()
     ratios = {"R1": pair.lam / lam_ref}
-    for x0 in cfg.x0_list:
+    for x0 in _X0_LIST:
         amp = ht_x0[x0].sqrt().scale_exp(-sl1 * (x0 - 1.0) / eps)
         ratios[f"R2[x0={x0:g}]"] = (amp / (eps * kd0cphi)).to_float()
     ratios["R3"] = (sqrt_ht_eps.scale_exp(sl1 / eps)
@@ -498,8 +504,10 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        """The record a `to_dict` blob holds; a blob that lacks a key, or
-        a sweep entry without its eps or ratios, raises ValueError."""
+        """The record a `to_dict` blob holds.  A blob that lacks a key, or
+        a sweep entry without a numeric eps and an object of numeric
+        ratios, or with a `b_defect` but not two amplitudes `b_defect` and
+        `b_cascade`, raises ValueError."""
         if not isinstance(d, dict):
             raise ValueError("a record is a JSON object")
         keys = ("config_hash", "config", "constants", "sweep", "verdicts")
@@ -509,11 +517,16 @@ class RunRecord:
         if not isinstance(d["sweep"], list):
             raise ValueError("record sweep is not a list")
         for i, entry in enumerate(d["sweep"]):
-            lacking = [k for k in ("eps", "ratios")
-                       if not isinstance(entry, dict) or k not in entry]
-            if lacking:
-                raise ValueError(f"sweep entry {i} lacks "
-                                 f"{', '.join(lacking)}")
+            try:
+                if not (_is_real(entry["eps"])
+                        and all(map(_is_real, entry["ratios"].values()))):
+                    raise TypeError("eps and every ratio must be numbers")
+                if "b_defect" in entry:
+                    ScaledAmplitude.from_dict(entry["b_defect"])
+                    ScaledAmplitude.from_dict(entry["b_cascade"])
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise ValueError(f"sweep entry {i} malformed: "
+                                 f"{type(exc).__name__}: {exc}") from exc
         try:
             constants = ProfileConstants.from_dict(d["constants"])
         except (KeyError, TypeError, AttributeError) as exc:

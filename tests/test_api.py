@@ -1,3 +1,4 @@
+import ast
 import importlib
 import re
 from pathlib import Path
@@ -71,3 +72,39 @@ def test_one_eigen_algorithm():
                 for path in src.glob("*.py"))
     assert calls == 1
     assert dense.search(inspect.getsource(fem.eigen_smallest))
+
+
+def _references(path):
+    """Names, attributes and imported names a source file uses, and its
+    string constants (the benchmark tracer names its targets by string),
+    leaving out the file's own `__all__` list."""
+    tree = ast.parse(path.read_text())
+    exported = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in stmt.targets)
+                for node in ast.walk(stmt.value)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and id(node) not in exported:
+            yield node.value
+
+
+def test_public_names_have_a_caller_outside_tests():
+    """Every name a module exports is used by package or benchmark code,
+    not only by tests: a public helper that only tests call belongs in
+    the tests."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [*(root / "src" / "dumbbell").glob("*.py"),
+             *(root / "perfbench").glob("*.py")]
+    used = {ref for path in paths if not path.name.startswith("test_")
+            for ref in _references(path)}
+    unused = [f"{name}.{export}" for name in MODULES
+              for export in importlib.import_module(f"dumbbell.{name}").__all__
+              if export not in used]
+    assert not unused

@@ -133,7 +133,7 @@ class TestModeFit:
         """A second-transverse-mode admixture is the physical fit error
         model; the relative residual must track its e^(-(k2-k1)w) scale."""
         eps = 0.25
-        mode2 = cs.disk_second_mode(3)
+        mode2 = cs._disk_mode(3, 2)
         k1, k2 = SL1 / eps, mode2.sqrt_lambda1 / eps
         ts = np.linspace(0.55, 0.85, 13)
         ys = [(t, math.exp(k1 * (t - 1)) + 0.3 * math.exp(k2 * (t - 1)))

@@ -164,7 +164,7 @@ class TestProjections:
 
     def test_section_orthogonality_second_mode(self):
         mode = cs.disk_ground_mode(3)
-        mode2 = cs.disk_second_mode(3)
+        mode2 = cs._disk_mode(3, 2)
         eps = 0.3
 
         def fld(x1, rho):

@@ -14,7 +14,7 @@ from dumbbell import pipeline as pl
 from dumbbell.scaled import ScaledAmplitude
 
 COARSE = dict(eps_sweep=(0.3, 0.2), h0=0.2, grade_levels=6,
-              profile_level=0, sweep_level=0, fit_points=9)
+              profile_level=0, sweep_level=0)
 
 
 def synthetic_record(values_by_eps, name="R3"):
@@ -57,28 +57,33 @@ class TestRunConfig:
     @pytest.mark.parametrize("bad", [
         {"eps_sweep": (0.6, 0.3)},
         {"eps_sweep": (0.3, -0.1)},
-        {"x0_list": (0.3, 1.0)},
-        {"x0_list": (0.0,)},
-        {"fit_window": (0.85, 0.55)},
-        {"fit_window": (0.0, 0.4)},
-        {"fit_window": (0.1, 1.2)},
-        {"fit_window": (0.4, 0.4)},
-        {"fit_points": 3},
-        {"ktilde_list": (0.5, 0.0)},
-        {"ktilde_list": (-1.0,)},
         {"a_minus": -0.5},
         {"sweep_level": -1},
         {"profile_level": -1},
         {"jobs": 0},
         {"jobs": -1},
-        {"fit_points": 13.5},
-        {"fit_points": 13.0},
         {"sweep_level": 0.5},
         {"profile_level": True},
         {"grade_levels": 8.0},
         {"jobs": 1.5},
         {"dimension": 3.0},
         {"dimension": False},
+        # the weight rule: lam_k0 at most 0.8 lambda_1(D-)
+        {"a_minus": 0.9},
+        {"a_plus": 0.0},
+        # mesh parameters, through MeshConfig.validate
+        {"h0": 0.0},
+        {"r_out": 6.0},
+        {"dimension": 2},
+        # a non-number, or a bool, where a number belongs
+        {"a_minus": "x"},
+        {"a_plus": True},
+        {"h0": "0.15"},
+        {"r_out": None},
+        {"eps_sweep": (0.3, "0.1")},
+        {"eps_sweep": 0.3},
+        {"h0": math.nan},
+        {"r_out": math.inf},
     ])
     def test_rejects_out_of_range_fields(self, bad):
         with pytest.raises(ValueError):
@@ -262,9 +267,8 @@ class _CountingLU:
 
 def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
     # K on D+ (the u0 iteration), the two harmonic solves, and
-    # K - lam_k0 M_p on D- (the Ubar guard and solve); no ARPACK run.
-    # Solves: u0 14 (10 Krylov, 4 polish), Phi 1, PhiHat 1, the Ubar
-    # guard 8 (4 Krylov, 4 polish) and Ubar 1
+    # K - lam_k0 M_p on D- (the Ubar inertia guard and solve); no ARPACK
+    # run.  Solves: u0 14 (10 Krylov, 4 polish), Phi 1, PhiHat 1, Ubar 1
     factored, arpack, solves = [], [], []
     splu, eigsh = fem.spla.splu, fem.spla.eigsh
     monkeypatch.setattr(fem.spla, "splu", lambda A, **kw:
@@ -275,7 +279,7 @@ def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
     pl.run_profiles(pl.RunConfig(out_dir=str(tmp_path), cache=False,
                                  **COARSE))
     assert len(factored) == 4
-    assert len(solves) == 25
+    assert len(solves) == 17
     assert arpack == []
 
 
@@ -447,14 +451,14 @@ class TestSweep:
         assert entry["junction_probes"] == {}
         ratios = entry["ratios"]
         assert set(ratios) == {"R1", "R3"} | {f"R2[x0={x0:g}]"
-                                              for x0 in cfg.x0_list}
+                                              for x0 in pl._X0_LIST}
         for name, v in ratios.items():
             assert math.isfinite(v) and abs(v - 1.0) < 0.15, (name, v)
         sl1 = cs.disk_ground_mode(cfg.dimension).sqrt_lambda1
         fit = ch.ModeFit.from_coefficients(
             0.09, sl1, ScaledAmplitude.from_dict(entry["fit"]["A"]),
             ScaledAmplitude.from_dict(entry["fit"]["B"]))
-        for x0 in cfg.x0_list:
+        for x0 in pl._X0_LIST:
             amp = ch.propagate(fit, x0)
             assert entry["htilde_x0"][repr(x0)] == (amp * amp).to_dict()
 
@@ -543,6 +547,67 @@ class TestCLI:
         assert err.startswith("error:") and named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("kind, bad", [
+        pytest.param("record", lambda e: e.pop("b_cascade"),
+                     id="record-no-b_cascade"),
+        pytest.param("record", lambda e: e.update(b_defect={"sign": 1}),
+                     id="record-bad-b_defect"),
+        pytest.param("record", lambda e: e["ratios"].update(R3="1.1"),
+                     id="record-string-ratio"),
+        pytest.param("record", lambda e: e["ratios"].update(R3=None),
+                     id="record-null-ratio"),
+        pytest.param("record", lambda e: e.update(eps="0.2"),
+                     id="record-string-eps"),
+        pytest.param("record", lambda e: e.update(ratios=[1.1]),
+                     id="record-list-ratios"),
+        pytest.param("config", [1, 2], id="config-list"),
+        pytest.param("config", {"eps_sweep": 0.3}, id="config-scalar-eps"),
+        pytest.param("config", {"a_minus": "x"}, id="config-string-weight"),
+        pytest.param("config", {"h0": "0.15"}, id="config-string-h0"),
+    ])
+    def test_malformed_file_is_execution_error(self, kind, bad, tmp_path,
+                                               monkeypatch, capsys):
+        # a record edited in one entry, or a config file, that fails with
+        # `error:` and exit 1 instead of a traceback
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        path = tmp_path / "in.json"
+        if kind == "record":
+            rec = synthetic_record([(0.3, 1.15), (0.2, 1.1)])
+            one = ScaledAmplitude.from_float(1.0).to_dict()
+            for entry in rec.sweep:
+                entry.update(b_defect=one, b_cascade=one)
+            rec.verdicts = pl.verify(rec)
+            blob = rec.to_dict()
+            path.write_text(json.dumps(blob))
+            assert cli.main(["verify", str(path)]) == 0
+            bad(blob["sweep"][-1])
+            path.write_text(json.dumps(blob))
+            argv = ["verify", str(path)]
+        else:
+            path.write_text(json.dumps(bad))
+            argv = ["profiles", "--config", str(path)]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+    def test_weight_inside_the_gap_margin_fails_before_any_factorization(
+            self, monkeypatch, tmp_path, capsys):
+        # lam_k0 = 0.9/0.8 of 0.8 lambda_1(D-): the operator K - lam_k0 M_p
+        # on D- is still SPD, so no pivot would catch it
+        monkeypatch.setattr(fem.spla, "splu", unreachable)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a_minus": 0.9}))
+        assert cli.main(["profiles", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "a_minus" in err
+        with pytest.raises(ValueError, match="lambda_1"):
+            pl.run_profiles(pl.RunConfig(a_minus=0.9, cache=False))
+        # the margin itself is allowed
+        pl.RunConfig(a_minus=0.8).validate()
+
     def test_overflow_is_execution_error(self, tmp_path, capsys):
         rec = synthetic_record([(0.3, 1.15), (0.2, 1.1)])
         rec.sweep[-1]["b_defect"] = ScaledAmplitude.from_float(
@@ -577,7 +642,7 @@ class TestCLI:
         assert cli.main(["sweep", "--jobs", jobs, "--out", str(tmp_path)]) == 1
         assert "jobs" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("fit_points", 13.5),
+    @pytest.mark.parametrize("key, value", [("grade_levels", 8.5),
                                             ("sweep_level", 0.5)])
     def test_fractional_count_fails_before_profile_stage(
             self, key, value, monkeypatch, tmp_path, capsys):

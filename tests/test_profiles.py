@@ -7,7 +7,7 @@ import pytest
 from dumbbell import cross_section as cs
 from dumbbell import fem
 from dumbbell import profiles as P
-from dumbbell.mesh import MeshConfig
+from dumbbell.mesh import MeshConfig, build_profile_mesh
 from dumbbell.pipeline import RunConfig
 
 CFG = MeshConfig(h0=0.2, levels=6, r_out=12.0, tube_length=10.0)
@@ -256,8 +256,7 @@ class TestUbar:
 
     def test_no_weight_on_d_minus_skips_the_gap_guard(self):
         """A weight that vanishes on D- leaves no weighted spectrum there:
-        the guard has no gap to check and computes no NaN, and the solve
-        is the zero-weight one."""
+        the solve computes no NaN and is the zero-weight one."""
         cfg = MeshConfig(h0=0.35, r_out=8.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -284,19 +283,19 @@ class TestUbar:
             P.compute_Ubar(CFG, fem.WeightModel(), 5.0 * lam,
                            level=0)
 
-    def test_spectral_gap_guard_inside_the_margin(self, u0_pack,
-                                                  monkeypatch):
-        # 0.8 lambda_1(D-) < 1.8 lam_k0 < lambda_1(D-): the operator is SPD,
-        # so only the guard eigenvalue, by inverse iteration on the solve's
-        # factor and without ARPACK, can catch it
-        def unreachable(*args, **kwargs):
-            raise AssertionError("Ubar's guard runs no ARPACK")
-
-        monkeypatch.setattr(fem.spla, "eigsh", unreachable)
+    def test_left_spectrum_mirrors_the_right(self, u0_pack):
+        """RunConfig.validate's weight rule rests on D- mirroring D+:
+        lambda_1(D-) = lam_k0 a_plus/a_minus, so the shift keeps its
+        margin without an eigen solve on D-."""
         _, lam, _ = u0_pack
-        with pytest.raises(ValueError, match="too close"):
-            P.compute_Ubar(CFG, fem.WeightModel(), 1.8 * lam,
-                           level=0)
+        for a_minus in (0.5, 0.8):
+            mesh = build_profile_mesh("HalfMinus", CFG)
+            system = fem.assemble(fem.Discretization(mesh),
+                                  fem.WeightModel(1.0, a_minus))
+            lam_minus = fem.eigen_smallest(system, 12).lam
+            # 2.0e-7 off here: the mirrored mesh splits its ring quads on
+            # other diagonals, so the two discretizations differ slightly
+            assert lam_minus * a_minus == pytest.approx(lam, rel=1e-6)
 
     def test_remainder_is_smooth_at_origin(self, ubar_pack):
         """All the singularity lives in the carried part: the finite
