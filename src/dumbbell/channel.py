@@ -113,14 +113,6 @@ def fit_channel_mode(samples, eps: float, sqrt_lambda1: float) -> ModeFit:
     M = np.stack([np.exp(k * (ts - t_hi)), np.exp(-k * (ts - t_lo))], axis=1)
     yn = ys / yscale
     coef, _, _, _ = np.linalg.lstsq(M, yn, rcond=None)
-    # one refinement pass with the residual taken in extended precision:
-    # the dominated coefficient sits ~5 decades below the signal here and
-    # plain double lstsq loses its last digits
-    Ml = M.astype(np.longdouble)
-    for _ in range(2):
-        r = np.asarray(yn.astype(np.longdouble) - Ml @ coef, dtype=float)
-        delta, _, _, _ = np.linalg.lstsq(M, r, rcond=None)
-        coef = coef + delta
     misfit = M @ coef - yn
     resid_abs = float(np.linalg.norm(misfit) / math.sqrt(len(ts)))
     residual = float(np.linalg.norm(misfit) / np.linalg.norm(ys / yscale))

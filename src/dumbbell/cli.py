@@ -115,7 +115,12 @@ def main(argv=None) -> int:
                        help="override the eps sweep")
         p.add_argument("--levels", type=int,
                        help="mesh refinement level for all solves")
-        p.add_argument("--jobs", type=int, help="worker count")
+        if name == "sweep":
+            p.add_argument("--jobs", type=int,
+                           help="threads that solve the eps entries; each "
+                           "thread that factors keeps its own memory, so "
+                           "the default sweep at 2 peaks at about 1.6 "
+                           "times the memory of 1")
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="re-check verdicts on a stored record")

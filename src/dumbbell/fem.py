@@ -5,9 +5,10 @@ angular factor omega_(N-2) is omitted consistently; it cancels in every
 eigenvalue, Rayleigh quotient and normalized field).  P2 triangles on a
 MeridianMesh, Dirichlet conditions by elimination to a reduced SPD system,
 one sparse factorization helper for every SPD matrix, and the ground state
-by shift-invert Rayleigh-Ritz with an inverse-iteration polish, the
-package's only eigen algorithm.  An
-AssembledSystem is the one place that reduces, factors and solves a
+by shift-invert Rayleigh-Ritz with a float64 inverse-iteration polish, the
+package's only eigen algorithm, at one solve a step: u0 takes 12 solves,
+a sweep entry 10 (4 for the restricted reference, 6 for the full pair).
+An AssembledSystem is the one place that reduces, factors and solves a
 Dirichlet problem: it carries its shift and factors K - shift M_p once, so
 every eigen step and load solve on it reuses that factor.
 """
@@ -563,22 +564,22 @@ class EigenPair:
 
 def eigen_smallest(system: AssembledSystem, steps: int) -> EigenPair:
     """Ground pair of K u = l M_p u from a cold start: shift-invert
-    Rayleigh-Ritz, then the two extended-precision steps of
-    `refine_eigenpair`, all on the system's factor of A = K - sigma M_p.
+    Rayleigh-Ritz, then two inverse-iteration steps of `refine_eigenpair`,
+    all on the system's factor of A = K - sigma M_p.
 
-    `steps` (at least 3) counts solve rounds as in `refine_eigenpair`:
-    `steps - 2` Krylov solves A y = M_p v grow an M_p-orthonormal basis
-    from the all-ones vector to `steps - 1` vectors, and the last two
-    rounds polish the Ritz vector with two solves each.  Gram-Schmidt runs
-    twice against the stored M_p v of each basis vector, so its
-    coefficients are the projection T of A^-1 M_p onto the basis and no
-    inner product costs a sparse product.  The largest eigenvalue of T is
-    the Ritz value of 1/(lam1 - sigma); its Ritz vector enters the polish
-    multiplied by A^-1 M_p, which the solves already hold, so it spans the
-    whole basis and drops the part of the all-ones start outside the range
-    of A^-1 M_p.  (A projection of A itself, which takes K times the
-    all-ones vector, Rayleigh quotient 115 lam1 on the u0 system, stalled
-    near 1e-12 of max|u0| there and drifted to 2e-10 at 40 steps.)  A new
+    `steps` (at least 3) counts solves: `steps - 2` Krylov solves
+    A y = M_p v grow an M_p-orthonormal basis from the all-ones vector to
+    `steps - 1` vectors, and the last two polish the Ritz vector.
+    Gram-Schmidt runs twice against the stored M_p v of each basis vector,
+    so its coefficients are the projection T of A^-1 M_p onto the basis
+    and no inner product costs a sparse product.  The largest eigenvalue
+    of T is the Ritz value of 1/(lam1 - sigma); its Ritz vector enters the
+    polish multiplied by A^-1 M_p, which the solves already hold, so it
+    spans the whole basis and drops the part of the all-ones start outside
+    the range of A^-1 M_p.  (A projection of A itself, which takes K times
+    the all-ones vector, Rayleigh quotient 115 lam1 on the u0 system,
+    stalled near 1e-12 of max|u0| there and drifted to 2e-10 at 40
+    steps.)  A new
     vector whose M_p-norm falls below 1e-12 of its norm before
     orthogonalization means the basis spans an invariant subspace, and the
     basis stops growing there.  The all-ones vector overlaps the positive
@@ -616,53 +617,45 @@ def eigen_smallest(system: AssembledSystem, steps: int) -> EigenPair:
     T = H[:j + 1, :j + 1]
     _, S = np.linalg.eigh(0.5 * (T + T.T))
     ritz = (H[:k, :j + 1] @ S[:, -1]) @ V[:k]
-    # freed before the polish copies K and M_p to long double: held, the
-    # basis raised the peak RSS of the profile stage by about 1.3 MB and
-    # of an eps = 0.3, 0.1 sweep by 4-5 MB
+    # the basis (2 (steps - 1) vectors) is freed before the polish, whose
+    # Rayleigh quotient copies K and M_p to long double
     del V, MV
     return refine_eigenpair(system, ritz, 2)
 
 
 def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
                      steps: int) -> EigenPair:
-    """Shifted inverse iteration: plain steps, then two extended-precision
-    steps.
+    """Shifted inverse iteration in float64.
 
     Iterates on the factor `system.lu()` of K - sigma M_p, sigma being
     `system.shift`, and makes no factorization of its own.  From the
-    free-node vector `start`, runs exactly `steps` iterations, each
-    contracting the other eigencomponents by (lam1 - sigma)/(lam2 - sigma)
-    or better, and M_p-normalizes after each.  All but the last two are
-    plain float64 steps, one solve of (K - sigma M_p) y = M_p u each: they
-    remove the other modes.  The last two (or `steps`, if fewer) add one
-    correction solve against the long-double residual, which fixes the
-    last digits of components many orders below the peak (the left body of
-    a dumbbell eigenvector) rather than drowning them.  The returned
-    eigenvalue is the K/M_p Rayleigh quotient of the returned vector."""
+    free-node vector `start`, runs exactly `steps` iterations, each one
+    solve of (K - sigma M_p) y = M_p u that contracts the other
+    eigencomponents by (lam1 - sigma)/(lam2 - sigma) or better, followed
+    by M_p-normalization.  The LU solve of this SPD operator is accurate
+    component by component (Skeel, Math. Comp. 1980), so components many
+    orders below the peak (the left body of a dumbbell eigenvector) keep
+    their digits without iterative refinement: against two long-double
+    refinement steps (tests/extended_polish_oracle.py) every sweep
+    lam_eps and lam_ref stayed bitwise equal.  The returned eigenvalue is
+    the K/M_p Rayleigh quotient of the returned vector, and the residual
+    its relative residual, both taken in long double: a float64 quotient
+    moved lam by up to 1.2e-14."""
     if system.Mp.nnz == 0:
         raise ValueError("weighted mass is identically zero")
     lu = system.lu()
-    plain = max(steps - 2, 0)
     u = np.asarray(start, dtype=float)
-    for _ in range(plain):
+    for _ in range(steps):
         y = lu.solve(system.Mp @ u)
         u = y / np.sqrt(y @ (system.Mp @ y))
-    Kl = system.K.astype(np.longdouble)
-    Ml = system.Mp.astype(np.longdouble)
-    Al = Kl - np.longdouble(system.shift) * Ml
-    u = u.astype(np.longdouble)
-    for _ in range(steps - plain):
-        rhs = np.asarray(Ml @ u, dtype=float)
-        y = lu.solve(rhs).astype(np.longdouble)
-        corr = lu.solve(rhs - np.asarray(Al @ y, dtype=float))
-        y = y + corr.astype(np.longdouble)
-        u = y / np.sqrt(y @ (Ml @ y))
-    Ku, Mu = Kl @ u, Ml @ u
-    lam = (u @ Ku) / (u @ Mu)
+    ul = u.astype(np.longdouble)
+    Ku = system.K.astype(np.longdouble) @ ul
+    Mu = system.Mp.astype(np.longdouble) @ ul
+    lam = (ul @ Ku) / (ul @ Mu)
     r = Ku - lam * Mu
     res = float(np.sqrt(r @ r) / np.sqrt(Ku @ Ku))
-    full = system.expand(np.asarray(u, dtype=float))
-    return EigenPair(float(lam), FieldSolution(system.disc, full), res)
+    return EigenPair(float(lam), FieldSolution(system.disc, system.expand(u)),
+                     res)
 
 
 def mass_normalize(system: AssembledSystem, pair: EigenPair) -> EigenPair:

@@ -264,9 +264,8 @@ def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
     # carries an O(1) share of the left-body mode (lam2 ~ 2 lam_k0) and
     # would need 0.01^steps <= 1e-24, 12 steps; the restricted eigenvector
     # is zero on x1 <= 1 and lacks only the left tail, about 1e-15 of the
-    # peak, so 0.01^steps <= 1e-9 gives 5 steps, and 6 keep a x100 margin;
-    # the last two of them carry the extended-precision correction that
-    # fixes those 9 digits
+    # peak, so 0.01^steps <= 1e-9 gives 5 steps, and 6 keep a x100 margin:
+    # 6 float64 solves, whose LU keeps those 9 digits without refinement
     pair = fem.refine_eigenpair(system.shifted(0.99 * lam_k0),
                                 ref.field.values[system.free], 6)
     pair = fem.mass_normalize(system, pair)
@@ -284,7 +283,7 @@ def _restricted_reference(system: fem.AssembledSystem,
     left = np.nonzero(system.disc.nodes[:, 0] <= 1.0 + 1e-14)[0]
     # on D+ lam2/lam1 = 2.38, so a plain step at sigma = 0.99 lam_k0
     # contracts by about 0.007, and the Rayleigh quotient error squares
-    # that; 4 steps are 2 Krylov solves and the polish, 6 solves
+    # that; 4 steps are 2 Krylov solves and the 2-solve polish, 4 solves
     sub = system.clamped(left).shifted(0.99 * lam_k0)
     return fem.eigen_smallest(sub, 4)
 

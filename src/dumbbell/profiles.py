@@ -98,8 +98,8 @@ def compute_u0(cfg: MeshConfig, level: int = 0,
     equals Upsilon_N d0 r for r inside the weight-free ball, so
     v(r)/(Upsilon_N r) is averaged over r = 0.5, 1, 2 with the spread kept as
     a resolution diagnostic.  The pair is `fem.eigen_smallest` with 12
-    steps on the factor of K: 10 Krylov solves, then the two-step polish
-    of 2 solves each, 14 solves in all.
+    steps on the factor of K: 10 Krylov solves, then two polish steps of
+    one solve each, 12 solves in all.
     """
     weight = fem.WeightModel() if weight is None else weight
     if weight.a_plus <= 0:
@@ -111,8 +111,7 @@ def compute_u0(cfg: MeshConfig, level: int = 0,
     # before the polish is off 40 plain inverse-iteration steps (lam1/lam2
     # ~ 0.42, so 0.42^38 < 1e-14) by 2.5e-9 with 9 basis vectors, 7e-11
     # with 10, 1.7e-12 with 11 and 5e-14 with 12.  12 steps (11 vectors)
-    # end within 1.5e-14 of them after the polish, with lam_k0, d0 and
-    # d0_spread bitwise equal; 8 steps stay 7e-8 off
+    # end within 1.5e-14 of them after the polish; 8 steps stay 7e-8 off
     pair = fem.mass_normalize(system, fem.eigen_smallest(system, 12))
 
     n = disc.dimension

@@ -427,7 +427,7 @@ class TestEigen:
         tiny = sysd.clamped(np.setdiff1d(sysd.free, keep))
         solves = counting_solves(tiny)
         pair = fem.eigen_smallest(tiny, 12)
-        assert len(solves) == 6 + 4
+        assert len(solves) == 6 + 2
         mu, X = sla.eigh(tiny.Mp.toarray(), tiny.K.toarray())
         assert pair.lam == pytest.approx(1.0 / mu[-1], rel=1e-13)
         u, x = pair.field.values[tiny.free], X[:, -1]
@@ -448,7 +448,7 @@ class TestEigen:
                                    np.arange(n), np.empty(0, dtype=np.int64))
         solves = counting_solves(sysd)
         pair = fem.eigen_smallest(sysd, 12)
-        assert len(solves) == 1 + 4
+        assert len(solves) == 1 + 2
         assert pair.lam == pytest.approx(lam, rel=1e-14)
         u = pair.field.values
         assert np.max(np.abs(u / u[0] - 1.0)) <= 1e-14
@@ -552,8 +552,8 @@ class TestRefineEigenpair:
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         shifted = sysd.shifted(0.5)
         solves = counting_solves(shifted)
-        # one solve a plain step, two for each of the last two steps
-        for steps, count in ((0, 0), (1, 2), (2, 4), (6, 8)):
+        # one solve a step
+        for steps, count in ((0, 0), (1, 1), (2, 2), (6, 6)):
             solves.clear()
             fem.refine_eigenpair(shifted, np.ones(len(sysd.free)), steps)
             assert len(solves) == count

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from dumbbell import cross_section as cs
 from dumbbell import fem
 from dumbbell import pipeline as pl
 from dumbbell.scaled import ScaledAmplitude
+from extended_polish_oracle import extended_refine_eigenpair
 
 COARSE = dict(eps_sweep=(0.3, 0.2), h0=0.2, grade_levels=6,
               profile_level=0, sweep_level=0)
@@ -268,7 +270,7 @@ class _CountingLU:
 def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
     # K on D+ (the u0 iteration), the two harmonic solves, and
     # K - lam_k0 M_p on D- (the Ubar inertia guard and solve); no ARPACK
-    # run.  Solves: u0 14 (10 Krylov, 4 polish), Phi 1, PhiHat 1, Ubar 1
+    # run.  Solves: u0 12 (10 Krylov, 2 polish), Phi 1, PhiHat 1, Ubar 1
     factored, arpack, solves = [], [], []
     splu, eigsh = fem.spla.splu, fem.spla.eigsh
     monkeypatch.setattr(fem.spla, "splu", lambda A, **kw:
@@ -279,7 +281,7 @@ def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
     pl.run_profiles(pl.RunConfig(out_dir=str(tmp_path), cache=False,
                                  **COARSE))
     assert len(factored) == 4
-    assert len(solves) == 17
+    assert len(solves) == 15
     assert arpack == []
 
 
@@ -355,8 +357,7 @@ class TestSweep:
             self, coarse_pset, monkeypatch):
         # the hot path: one shifted factor for the dumbbell eigenpair, one
         # for the restricted reference, and one stiffness matrix for both;
-        # 6 steps on the first and 4 on the second, one solve a plain step
-        # and two for each of the last two, extended-precision steps
+        # 6 steps on the first and 4 on the second, one solve a step
         factored, assembled, solves = [], [], []
         factor, assemble = fem.factor, fem.assemble_stiffness
 
@@ -378,7 +379,7 @@ class TestSweep:
                         coarse_pset)
         assert len(factored) == 2
         assert len(assembled) == 1
-        assert len(solves) == (4 + 2 * 2) + (2 + 2 * 2)
+        assert len(solves) == 6 + 4
 
     def test_eigenvalue_above_restricted_reference_fails_entry(
             self, coarse_pset, monkeypatch):
@@ -417,6 +418,38 @@ class TestSweep:
         u, v = pair.field.values[left], deep.field.values[left]
         assert np.max(np.abs(u - v)) <= 1e-11 * np.max(np.abs(v))
         assert pair.lam == pytest.approx(deep.lam, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("eps", [0.1, 0.09])
+    def test_float64_polish_matches_the_extended_oracle(
+            self, eps, coarse_pset, monkeypatch):
+        # the deepest direct eps and a cascade one: the float64 steps keep
+        # the digits that the long-double polish kept, where the entry
+        # reads them.  Both eigenvalues come out bitwise equal here, and
+        # the projections within 4e-14 (2.4e-12 on the default mesh down
+        # to eps = 0.004)
+        cfg = pl.RunConfig(cache=False, **COARSE)
+        lam_k0 = coarse_pset.constants.lam_k0
+        pair, lam_ref = pl._dumbbell_eigenpair(cfg, eps, lam_k0)
+        monkeypatch.setattr(fem, "refine_eigenpair",
+                            extended_refine_eigenpair)
+        oracle, oracle_ref = pl._dumbbell_eigenpair(cfg, eps, lam_k0)
+        assert pair.lam == pytest.approx(oracle.lam, rel=1e-15, abs=0)
+        assert lam_ref == pytest.approx(oracle_ref, rel=1e-15, abs=0)
+        # R7 of the eigenvalue law divides by this gap
+        assert lam_ref - pair.lam == pytest.approx(oracle_ref - oracle.lam,
+                                                   rel=1e-6, abs=0)
+        n = cfg.dimension
+        mode = cs.disk_ground_mode(n)
+        probes = [(cs.project_section, (t, eps, mode))
+                  for t in np.linspace(*pl._FIT_WINDOW, pl._FIT_POINTS)]
+        if eps >= 0.1:
+            probes += [(cs.project_sphere, (0.0, r, -1, n))
+                       for r in pl._SPHERICAL_RADII if r > eps]
+        for project, args in probes:
+            got = project(pair.field.evaluate, *args)
+            want = project(oracle.field.evaluate, *args)
+            assert got == pytest.approx(want, rel=1e-9, abs=0), (
+                project.__name__, args[:2])
 
     def test_sample_counts_recorded(self, coarse_record):
         _, rec, _ = coarse_record
@@ -500,6 +533,34 @@ class TestSweep:
         assert "error" in rec.sweep[0]
         assert "synthetic failure" in rec.sweep[0]["error"]
         assert "error" not in rec.sweep[1]
+
+    def test_two_jobs_give_the_one_job_record(self, coarse_record,
+                                              coarse_pset):
+        cfg, rec, _ = coarse_record
+        two = pl.run_sweep(dataclasses.replace(cfg, jobs=2), coarse_pset)
+        assert json.dumps(two.to_dict()) == json.dumps(rec.to_dict())
+
+    def test_worker_exception_becomes_an_error_entry(
+            self, coarse_record, coarse_pset, monkeypatch):
+        cfg, rec, _ = coarse_record
+        solved = {entry["eps"]: entry for entry in rec.sweep}
+        threads = set()
+
+        def flaky(cfg_, eps, pset_):
+            threads.add(threading.current_thread())
+            if eps == 0.3:
+                raise RuntimeError("synthetic failure")
+            return solved[eps]
+
+        monkeypatch.setattr(pl, "_sweep_entry", flaky)
+        two = pl.run_sweep(dataclasses.replace(cfg, jobs=2), coarse_pset)
+        assert threading.main_thread() not in threads
+        assert two.sweep == [{"eps": 0.3,
+                              "error": "RuntimeError: synthetic failure",
+                              "ratios": {}}, solved[0.2]]
+        assert two.verdicts["sweep_errors"]["eps"] == [0.3]
+        assert not two.verdicts["sweep_errors"]["pass"]
+        assert not two.verdicts["overall_pass"]
 
 
 class TestCLI:
@@ -641,6 +702,14 @@ class TestCLI:
         monkeypatch.setattr(pl, "run_profiles", unreachable)
         assert cli.main(["sweep", "--jobs", jobs, "--out", str(tmp_path)]) == 1
         assert "jobs" in capsys.readouterr().err
+
+    def test_profiles_takes_no_jobs_flag(self, monkeypatch, capsys):
+        # the profile stage runs in one thread whatever `jobs` says
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["profiles", "--jobs", "2"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("grade_levels", 8.5),
                                             ("sweep_level", 0.5)])
