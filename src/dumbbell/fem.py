@@ -189,7 +189,7 @@ class Discretization:
         if order != 2:
             raise ValueError("P2 is the only element")
         self.mesh = mesh
-        self.dimension = mesh.params["dimension"]
+        self.dimension = mesh.dimension
         self.measure_exponent = self.dimension - 2
 
         # midside node of edge k is node nv + k
@@ -214,11 +214,9 @@ class Discretization:
         return np.unique(np.concatenate([edges.ravel(), mids]))
 
     def dirichlet_tags(self) -> tuple[str, ...]:
-        """Tags that carry essential conditions by default: everything
-        present in the mesh except the symmetry axis."""
-        present = set(self.mesh.edge_tags)
-        return tuple(t for t in ("dirichlet_wall", "truncation", "inflow")
-                     if t in present)
+        """Tags that carry essential conditions: every boundary edge off
+        the symmetry axis."""
+        return ("dirichlet",)
 
     # -- point location -------------------------------------------------------
 

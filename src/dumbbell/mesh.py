@@ -17,9 +17,11 @@ Meshes are block structured: polar blocks for the truncated half-balls
 tensor-product block for the tube.  The tube's rho-grid is reused as the
 innermost radial grid of the adjacent polar block, so the blocks share
 vertices exactly and the merged mesh is conforming by construction.
-Geometric grading (ratio q, depth L) is applied toward the re-entrant
-junction corners.  Boundary edges are tagged geometrically after merging:
-``axis``, ``truncation``, ``inflow``, ``dirichlet_wall``.
+Geometric grading (ratio 1/2, depth L) is applied toward the re-entrant
+junction corners.  Boundary edges are tagged after merging by one rule: an
+edge is ``axis`` when both of its ends have rho = 0 (the symmetry axis, a
+natural boundary), and ``dirichlet`` otherwise.  Walls, far-field arcs and
+tube ends all carry Dirichlet data, so the solvers need no finer split.
 """
 
 from __future__ import annotations
@@ -41,9 +43,14 @@ __all__ = [
 ]
 
 PROFILE_KINDS = ("PhiDomain", "PhiHatDomain", "HalfPlus", "HalfMinus")
-BOUNDARY_TAGS = ("dirichlet_wall", "axis", "truncation", "inflow")
+BOUNDARY_TAGS = ("axis", "dirichlet")
 
 _SNAP = 1e-13
+# geometric grading ratio toward the re-entrant corners
+_GRADE_Q = 0.5
+# computational length of the unit-radius profile tubes: the tube modes
+# decay like exp(-sqrt(lambda_1) |x1|), e^-24 over that length for N = 3
+_TUBE_LENGTH = 10.0
 
 
 @dataclass(frozen=True)
@@ -51,23 +58,18 @@ class MeshConfig:
     """Build parameters shared by all domain kinds.
 
     h0: target element size away from corners and coarsening zones.
-    q, levels: geometric grading ratio / depth toward re-entrant corners.
+    levels: grading depth toward re-entrant corners.
     r_out: truncation radius of the half-ball blocks.
-    eps: dumbbell tube radius.
-    tube_length: computational length of the unit-radius profile tubes.
+    eps: dumbbell tube radius; the profile domains have none.
     """
 
     h0: float = 0.15
-    q: float = 0.5
     levels: int = 8
     r_out: float = 12.0
-    eps: float = 0.2
-    tube_length: float = 10.0
+    eps: float | None = None
     dimension: int = 3
 
-    def validate(self, need_eps: bool = False) -> None:
-        if not (0.0 < self.q < 1.0):
-            raise ValueError(f"grading ratio q={self.q} outside (0, 1)")
+    def validate(self) -> None:
         if self.levels < 0:
             raise ValueError("grading depth must be >= 0")
         if self.r_out <= 6.0:
@@ -78,28 +80,24 @@ class MeshConfig:
             raise ValueError("h0 must be positive")
         if self.dimension < 3:
             raise ValueError("dimension must be >= 3")
-        if need_eps and not (0.0 < self.eps < 0.5):
+        if self.eps is not None and not (0.0 < self.eps < 0.5):
             raise ValueError(f"eps={self.eps} outside (0, 0.5)")
-        if self.tube_length < 8.0:
-            raise ValueError("tube_length must be >= 8 (far-field decay)")
 
 
 class MeridianMesh:
     """Immutable conforming triangulation of a meridian domain.
 
     vertices: (n, 2) float array of (x1, rho); triangles: (m, 3) int array,
-    positively oriented; edges/edge_tags: tagged boundary edges.
+    positively oriented; edges/edge_tags: tagged boundary edges;
+    dimension: N of the solid of revolution the meridian domain sweeps out.
     """
 
-    def __init__(self, vertices, triangles, edges, edge_tags, domain_kind,
-                 params, level=0):
+    def __init__(self, vertices, triangles, edges, edge_tags, dimension):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         self.edges = np.ascontiguousarray(edges, dtype=np.int64)
         self.edge_tags = np.asarray(edge_tags, dtype=object)
-        self.domain_kind = str(domain_kind)
-        self.params = dict(params)
-        self.level = int(level)
+        self.dimension = int(dimension)
         for arr in (self.vertices, self.triangles, self.edges):
             arr.setflags(write=False)
         self._validate()
@@ -330,26 +328,19 @@ def _boundary_edges(triangles: np.ndarray):
     return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
-def _classify(vertices, edges, centers, r_out, inflow_x=None,
-              tube_trunc_x=None):
-    """Tag boundary edges geometrically.  centers: x1-coordinates of the
-    polar-block centers present in this mesh.  An edge takes the first tag
-    that fits, in the order axis, inflow, tube truncation, truncation arc,
-    and is a Dirichlet wall otherwise."""
-    tol = 1e-9
-    pa, pb = vertices[edges[:, 0]], vertices[edges[:, 1]]
-    tags = np.full(len(edges), "dirichlet_wall", dtype=object)
-    # the rules from last to first, so the first that fits is written last
-    on_arc = np.zeros(len(edges), dtype=bool)
-    for c in centers:
-        on_arc |= ((np.abs(np.hypot(pa[:, 0] - c, pa[:, 1]) - r_out) < tol)
-                   & (np.abs(np.hypot(pb[:, 0] - c, pb[:, 1]) - r_out) < tol))
-    tags[on_arc] = "truncation"
-    for x, tag in ((tube_trunc_x, "truncation"), (inflow_x, "inflow")):
-        if x is not None:
-            tags[(np.abs(pa[:, 0] - x) < tol) & (np.abs(pb[:, 0] - x) < tol)] = tag
-    tags[(pa[:, 1] == 0.0) & (pb[:, 1] == 0.0)] = "axis"
-    return tags
+def _classify(vertices, edges):
+    """Tag boundary edges: ``axis`` when both ends have rho = 0,
+    ``dirichlet`` otherwise."""
+    on_axis = (vertices[edges, 1] == 0.0).all(axis=1)
+    return np.where(on_axis, "axis", "dirichlet")
+
+
+def _meridian_mesh(blocks, dimension: int) -> MeridianMesh:
+    """Merge the blocks (xy, tris) and tag the boundary of the result."""
+    vertices, triangles = _merge(blocks)
+    edges = _boundary_edges(triangles)
+    return MeridianMesh(vertices, triangles, edges,
+                        _classify(vertices, edges), dimension)
 
 
 def _n_theta(cfg: MeshConfig) -> int:
@@ -357,7 +348,7 @@ def _n_theta(cfg: MeshConfig) -> int:
 
 
 def _disk_radii(cfg: MeshConfig, inner: np.ndarray, r_fine: float) -> np.ndarray:
-    ext = _radial_extension(float(inner[-1]), cfg.r_out, cfg.h0, cfg.q,
+    ext = _radial_extension(float(inner[-1]), cfg.r_out, cfg.h0, _GRADE_Q,
                             cfg.levels, r_fine)
     return np.concatenate([inner, ext[1:]])
 
@@ -369,27 +360,22 @@ def _disk_radii(cfg: MeshConfig, inner: np.ndarray, r_fine: float) -> np.ndarray
 def build_dumbbell_mesh(cfg: MeshConfig) -> MeridianMesh:
     """Meridian mesh of the truncated dumbbell: half-ball of radius r_out
     left of x1=0, tube [0,1] x [0,eps], mirrored half-ball right of x1=1."""
-    cfg.validate(need_eps=True)
+    cfg.validate()
     eps = cfg.eps
+    if eps is None:
+        raise ValueError("the dumbbell mesh needs a tube radius eps")
     h_rho = min(cfg.h0, eps / 8.0)
-    rho_grid = _graded_nodes(0.0, eps, h_rho, cfg.q, cfg.levels,
+    rho_grid = _graded_nodes(0.0, eps, h_rho, _GRADE_Q, cfg.levels,
                              grade_b=True, h_ref=cfg.h0)
-    x_grid = _graded_nodes(0.0, 1.0, min(cfg.h0, eps / 2.5), cfg.q,
+    x_grid = _graded_nodes(0.0, 1.0, min(cfg.h0, eps / 2.5), _GRADE_Q,
                            cfg.levels, grade_a=True, grade_b=True,
                            h_ref=cfg.h0)
     radii = _disk_radii(cfg, rho_grid, r_fine=5.5)
     nt = _n_theta(cfg)
-
-    vertices, triangles = _merge([
+    return _meridian_mesh([
         _polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt),
         _tensor_block(x_grid, rho_grid),
-        _polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)])
-    edges = _boundary_edges(triangles)
-    tags = _classify(vertices, edges, centers=(0.0, 1.0), r_out=cfg.r_out)
-    params = {"eps": eps, "r_out": cfg.r_out, "tube_radius": eps,
-              "tube_span": (0.0, 1.0), "h0": cfg.h0,
-              "dimension": cfg.dimension}
-    return MeridianMesh(vertices, triangles, edges, tags, "dumbbell", params)
+        _polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)], cfg.dimension)
 
 
 def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
@@ -399,54 +385,32 @@ def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
         raise ValueError(f"unknown domain kind {kind!r}; "
                          f"expected one of {PROFILE_KINDS}")
     nt = _n_theta(cfg)
-    inflow_x = None
-    tube_trunc_x = None
-    params = {"r_out": cfg.r_out, "h0": cfg.h0, "dimension": cfg.dimension}
-
     if kind in ("HalfPlus", "HalfMinus"):
         radii = np.concatenate([
-            [0.0], _radial_extension(0.0, cfg.r_out, cfg.h0, cfg.q, 0,
+            [0.0], _radial_extension(0.0, cfg.r_out, cfg.h0, _GRADE_Q, 0,
                                      r_fine=5.5)[1:]])
         if kind == "HalfPlus":
             blocks = [_polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)]
-            centers = (1.0,)
         else:
             blocks = [_polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt)]
-            centers = (0.0,)
     else:
         h_rho = min(cfg.h0, 1.0 / 8.0)
-        rho_grid = _graded_nodes(0.0, 1.0, h_rho, cfg.q, cfg.levels,
+        rho_grid = _graded_nodes(0.0, 1.0, h_rho, _GRADE_Q, cfg.levels,
                                  grade_b=True, h_ref=cfg.h0)
         radii = _disk_radii(cfg, rho_grid, r_fine=5.5)
         if kind == "PhiDomain":
-            # half-space right of x1=1 plus tube of radius 1 to its left;
-            # far tube end truncated with homogeneous data
-            x0 = 1.0 - cfg.tube_length
-            x_grid = _graded_nodes(x0, 1.0, cfg.h0, cfg.q, cfg.levels,
-                                   grade_b=True)
+            # half-space right of x1=1 plus tube of radius 1 to its left
+            x_grid = _graded_nodes(1.0 - _TUBE_LENGTH, 1.0, cfg.h0, _GRADE_Q,
+                                   cfg.levels, grade_b=True)
             blocks = [_tensor_block(x_grid, rho_grid),
                       _polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)]
-            centers = (1.0,)
-            tube_trunc_x = x0
-            params["tube_span"] = (x0, 1.0)
         else:
-            # half-space left of x1=0 plus tube of radius 1 to its right;
-            # data imposed on the inflow face at x1 = tube_length
-            x1 = cfg.tube_length
-            x_grid = _graded_nodes(0.0, x1, cfg.h0, cfg.q, cfg.levels,
-                                   grade_a=True)
+            # half-space left of x1=0 plus tube of radius 1 to its right
+            x_grid = _graded_nodes(0.0, _TUBE_LENGTH, cfg.h0, _GRADE_Q,
+                                   cfg.levels, grade_a=True)
             blocks = [_polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt),
                       _tensor_block(x_grid, rho_grid)]
-            centers = (0.0,)
-            inflow_x = x1
-            params["tube_span"] = (0.0, x1)
-        params["tube_radius"] = 1.0
-
-    vertices, triangles = _merge(blocks)
-    edges = _boundary_edges(triangles)
-    tags = _classify(vertices, edges, centers, cfg.r_out,
-                     inflow_x=inflow_x, tube_trunc_x=tube_trunc_x)
-    return MeridianMesh(vertices, triangles, edges, tags, kind, params)
+    return _meridian_mesh(blocks, cfg.dimension)
 
 
 def refine(mesh: MeridianMesh) -> MeridianMesh:
@@ -463,4 +427,4 @@ def refine(mesh: MeridianMesh) -> MeridianMesh:
     new_edges = np.stack([mesh.edges[:, 0], m, m, mesh.edges[:, 1]],
                          axis=1).reshape(-1, 2)
     return MeridianMesh(verts, tris, new_edges, np.repeat(mesh.edge_tags, 2),
-                        mesh.domain_kind, mesh.params, mesh.level + 1)
+                        mesh.dimension)

@@ -98,9 +98,8 @@ class RunConfig:
                              "eps values")
         if any(b >= a for a, b in zip(sweep, sweep[1:])):
             raise ValueError("eps sweep must be strictly decreasing")
-        self.mesh_config().validate()
         for eps in sweep:
-            self.mesh_config(eps).validate(need_eps=True)
+            self.mesh_config(eps).validate()
         # D- mirrors D+ with the weight scaled by a_minus/a_plus, so
         # lambda_1(D-) = lam_k0 a_plus/a_minus (measured 2.0000000757 lam_k0
         # at the defaults), and Ubar's shift lam_k0 stays at most 0.8 of it
@@ -127,8 +126,7 @@ class RunConfig:
 
     def mesh_config(self, eps: float | None = None) -> MeshConfig:
         return MeshConfig(h0=self.h0, levels=self.grade_levels,
-                          r_out=self.r_out, eps=0.2 if eps is None else eps,
-                          dimension=self.dimension)
+                          r_out=self.r_out, eps=eps, dimension=self.dimension)
 
     def weight(self) -> fem.WeightModel:
         return fem.WeightModel(self.a_plus, self.a_minus)
@@ -579,11 +577,12 @@ def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
 
 
 def _classify(eps, devs) -> str:
-    """Trend of a deviation series by log-log slope (deviation vs eps)."""
+    """Trend of a deviation series by log-log slope (deviation vs eps);
+    "single" when fewer than two points give a slope."""
     pairs = [(e, d) for e, d in zip(eps, devs)
              if d is not None and np.isfinite(d) and d > 0]
     if len(pairs) < 2:
-        return "flat"
+        return "single"
     x = np.log([e for e, _ in pairs])
     y = np.log([d for _, d in pairs])
     slope = float(np.polyfit(x, y, 1)[0])

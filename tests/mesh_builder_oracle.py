@@ -7,10 +7,13 @@ triangle at a time through a dictionary keyed by (x1, rho), and tags the
 boundary one edge at a time, which is slower but independent of that
 bookkeeping.  `build_dumbbell_mesh` and `build_profile_mesh` here take the
 same configs as their namesakes in `mesh` and must return the same arrays,
-bit for bit.
+bit for bit.  The classifier keeps the finer split of the boundary into
+axis, inflow face, truncation (arcs and the far tube end) and walls; every
+tag but `axis` is a Dirichlet edge of the package's mesh.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -114,13 +117,21 @@ def classify(vertices, edges, centers, r_out, inflow_x=None,
     return tags
 
 
+def _mesh(vertices, triangles, edges, tags, cfg):
+    """The arrays and dimension a MeridianMesh holds, with the oracle's
+    tags."""
+    return SimpleNamespace(vertices=vertices, triangles=triangles,
+                           edges=edges, edge_tags=tags,
+                           dimension=cfg.dimension)
+
+
 def build_dumbbell_mesh(cfg):
-    cfg.validate(need_eps=True)
+    cfg.validate()
     eps = cfg.eps
     h_rho = min(cfg.h0, eps / 8.0)
-    rho_grid = M._graded_nodes(0.0, eps, h_rho, cfg.q, cfg.levels,
+    rho_grid = M._graded_nodes(0.0, eps, h_rho, 0.5, cfg.levels,
                                grade_b=True, h_ref=cfg.h0)
-    x_grid = M._graded_nodes(0.0, 1.0, min(cfg.h0, eps / 2.5), cfg.q,
+    x_grid = M._graded_nodes(0.0, 1.0, min(cfg.h0, eps / 2.5), 0.5,
                              cfg.levels, grade_a=True, grade_b=True,
                              h_ref=cfg.h0)
     radii = M._disk_radii(cfg, rho_grid, r_fine=5.5)
@@ -133,11 +144,7 @@ def build_dumbbell_mesh(cfg):
     vertices, triangles = b.finish()
     edges = M._boundary_edges(triangles)
     tags = classify(vertices, edges, centers=(0.0, 1.0), r_out=cfg.r_out)
-    params = {"eps": eps, "r_out": cfg.r_out, "tube_radius": eps,
-              "tube_span": (0.0, 1.0), "h0": cfg.h0,
-              "dimension": cfg.dimension}
-    return M.MeridianMesh(vertices, triangles, edges, tags, "dumbbell",
-                          params)
+    return _mesh(vertices, triangles, edges, tags, cfg)
 
 
 def build_profile_mesh(kind, cfg):
@@ -146,11 +153,10 @@ def build_profile_mesh(kind, cfg):
     b = Builder()
     inflow_x = None
     tube_trunc_x = None
-    params = {"r_out": cfg.r_out, "h0": cfg.h0, "dimension": cfg.dimension}
 
     if kind in ("HalfPlus", "HalfMinus"):
         radii = np.concatenate([
-            [0.0], M._radial_extension(0.0, cfg.r_out, cfg.h0, cfg.q, 0,
+            [0.0], M._radial_extension(0.0, cfg.r_out, cfg.h0, 0.5, 0,
                                        r_fine=5.5)[1:]])
         if kind == "HalfPlus":
             b.add_polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)
@@ -160,31 +166,28 @@ def build_profile_mesh(kind, cfg):
             centers = (0.0,)
     else:
         h_rho = min(cfg.h0, 1.0 / 8.0)
-        rho_grid = M._graded_nodes(0.0, 1.0, h_rho, cfg.q, cfg.levels,
+        rho_grid = M._graded_nodes(0.0, 1.0, h_rho, 0.5, cfg.levels,
                                    grade_b=True, h_ref=cfg.h0)
         radii = M._disk_radii(cfg, rho_grid, r_fine=5.5)
         if kind == "PhiDomain":
-            x0 = 1.0 - cfg.tube_length
-            x_grid = M._graded_nodes(x0, 1.0, cfg.h0, cfg.q, cfg.levels,
+            x0 = 1.0 - 10.0
+            x_grid = M._graded_nodes(x0, 1.0, cfg.h0, 0.5, cfg.levels,
                                      grade_b=True)
             b.add_tensor_block(x_grid, rho_grid)
             b.add_polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)
             centers = (1.0,)
             tube_trunc_x = x0
-            params["tube_span"] = (x0, 1.0)
         else:
-            x1 = cfg.tube_length
-            x_grid = M._graded_nodes(0.0, x1, cfg.h0, cfg.q, cfg.levels,
+            x1 = 10.0
+            x_grid = M._graded_nodes(0.0, x1, cfg.h0, 0.5, cfg.levels,
                                      grade_a=True)
             b.add_polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt)
             b.add_tensor_block(x_grid, rho_grid)
             centers = (0.0,)
             inflow_x = x1
-            params["tube_span"] = (0.0, x1)
-        params["tube_radius"] = 1.0
 
     vertices, triangles = b.finish()
     edges = M._boundary_edges(triangles)
     tags = classify(vertices, edges, centers, cfg.r_out,
                     inflow_x=inflow_x, tube_trunc_x=tube_trunc_x)
-    return M.MeridianMesh(vertices, triangles, edges, tags, kind, params)
+    return _mesh(vertices, triangles, edges, tags, cfg)

@@ -12,6 +12,18 @@ def tagged_nodes(m, tag):
     return np.unique(m.tagged_edges(tag).ravel())
 
 
+def on_arc(p, centers, r_out=12.0):
+    """Whether the points p (..., 2) lie on a truncation arc."""
+    return np.any([np.abs(np.hypot(p[..., 0] - c, p[..., 1]) - r_out) < 1e-9
+                   for c in centers], axis=0)
+
+
+def dirichlet_off_arc(m, centers):
+    """Dirichlet edges that are not on a truncation arc."""
+    e = m.tagged_edges("dirichlet")
+    return e[~on_arc(m.vertices[e], centers).all(axis=1)]
+
+
 def tag_length(m, tag):
     e = m.tagged_edges(tag)
     d = m.vertices[e[:, 1]] - m.vertices[e[:, 0]]
@@ -47,7 +59,7 @@ class TestDumbbellGeometry:
     def test_tube_wall_length(self):
         m = small_dumbbell()
         v = m.vertices
-        wall = m.tagged_edges("dirichlet_wall")
+        wall = m.tagged_edges("dirichlet")
         on_tube = [(a, b) for a, b in wall
                    if abs(v[a, 1] - 0.2) < 1e-13 and abs(v[b, 1] - 0.2) < 1e-13
                    and -1e-13 <= v[a, 0] <= 1 + 1e-13]
@@ -58,7 +70,7 @@ class TestDumbbellGeometry:
         m = small_dumbbell()
         v = m.vertices
         eps = 0.2
-        for a, b in m.tagged_edges("dirichlet_wall"):
+        for a, b in dirichlet_off_arc(m, centers=(0.0, 1.0)):
             for p in (v[a], v[b]):
                 on_left_face = abs(p[0]) < 1e-14 and p[1] >= eps - 1e-14
                 on_right_face = abs(p[0] - 1) < 1e-14 and p[1] >= eps - 1e-14
@@ -85,7 +97,7 @@ class TestDumbbellGeometry:
         assert (1.0, 0.2) in keys
 
     def test_grading_smallest_element(self):
-        m = small_dumbbell(levels=6, q=0.5)
+        m = small_dumbbell(levels=6)
         target = 0.2 * 0.5**6
         smallest = min_edge_per_triangle(m).min()
         assert target / 2 <= smallest <= target * 2
@@ -113,46 +125,54 @@ class TestDumbbellGeometry:
         with pytest.raises(ValueError):
             small_dumbbell(r_out=5.0)
         with pytest.raises(ValueError):
-            small_dumbbell(q=1.5)
-        with pytest.raises(ValueError):
-            M.build_profile_mesh("PhiHatDomain",
-                                 M.MeshConfig(h0=0.25, tube_length=4.0))
+            small_dumbbell(eps=None)
         with pytest.raises(ValueError):
             M.build_profile_mesh("NoSuchDomain", M.MeshConfig(h0=0.25))
 
 
 class TestProfileDomains:
     def test_phihat_inflow_face(self):
-        cfg = M.MeshConfig(h0=0.25, levels=4, tube_length=10.0)
-        m = M.build_profile_mesh("PhiHatDomain", cfg)
-        inflow = m.tagged_edges("inflow")
-        assert len(inflow) > 0
-        pts = m.vertices[np.unique(inflow.ravel())]
-        assert np.all(np.abs(pts[:, 0] - 10.0) < 1e-12)
+        m = M.build_profile_mesh("PhiHatDomain",
+                                 M.MeshConfig(h0=0.25, levels=4))
+        e = m.tagged_edges("dirichlet")
+        face = e[(np.abs(m.vertices[e, 0] - 10.0) < 1e-12).all(axis=1)]
+        assert len(face) > 0
+        pts = m.vertices[np.unique(face.ravel())]
         assert pts[:, 1].min() == pytest.approx(0.0, abs=1e-14)
         assert pts[:, 1].max() == pytest.approx(1.0, abs=1e-14)
+        d = m.vertices[face[:, 1]] - m.vertices[face[:, 0]]
+        assert np.hypot(d[:, 0], d[:, 1]).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_phi_domain_tube_truncation(self):
-        cfg = M.MeshConfig(h0=0.25, levels=4, tube_length=10.0)
-        m = M.build_profile_mesh("PhiDomain", cfg)
-        assert len(m.tagged_edges("inflow")) == 0
-        trunc = m.tagged_edges("truncation")
-        pts = m.vertices[np.unique(trunc.ravel())]
-        on_tube_end = np.abs(pts[:, 0] + 9.0) < 1e-12
-        on_arc = np.abs(np.hypot(pts[:, 0] - 1.0, pts[:, 1]) - 12.0) < 1e-9
-        assert np.all(on_tube_end | on_arc)
-        assert on_tube_end.any() and on_arc.any()
+        m = M.build_profile_mesh("PhiDomain",
+                                 M.MeshConfig(h0=0.25, levels=4))
+        pts = m.vertices[m.tagged_edges("dirichlet")]
+        on_tube_end = (np.abs(pts[..., 0] + 9.0) < 1e-12).all(axis=1)
+        arc = on_arc(pts, (1.0,)).all(axis=1)
+        # the rest is the tube wall rho = 1 and the wall x1 = 1 above it
+        tube_wall = (np.abs(pts[..., 1] - 1.0) < 1e-12).all(axis=1)
+        face = ((np.abs(pts[..., 0] - 1.0) < 1e-12)
+                & (pts[..., 1] >= 1.0 - 1e-12)).all(axis=1)
+        assert np.all(on_tube_end | arc | tube_wall | face)
+        assert on_tube_end.any() and arc.any()
+        end = pts[on_tube_end]
+        assert end[..., 1].min() == pytest.approx(0.0, abs=1e-14)
+        assert end[..., 1].max() == pytest.approx(1.0, abs=1e-14)
 
     def test_halfplus_truncation_arc(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.25))
-        pts = m.vertices[tagged_nodes(m, "truncation")]
-        r = np.hypot(pts[:, 0] - 1.0, pts[:, 1])
-        assert np.all(np.abs(r - 12.0) < 1e-9)
-        assert np.all(pts[:, 0] >= 1.0 - 1e-13)
+        pts = m.vertices[m.tagged_edges("dirichlet")]
+        arc = on_arc(pts, (1.0,)).all(axis=1)
+        assert arc.any()
+        assert np.all(pts[arc][..., 0] >= 1.0 - 1e-13)
+        # every other Dirichlet edge is on the wall x1 = 1
+        assert np.all(np.abs(pts[~arc][..., 0] - 1.0) < 1e-13)
 
     def test_halfminus_wall(self):
         m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.25))
-        pts = m.vertices[tagged_nodes(m, "dirichlet_wall")]
+        wall = dirichlet_off_arc(m, centers=(0.0,))
+        assert len(wall) > 0
+        pts = m.vertices[np.unique(wall.ravel())]
         assert np.all(np.abs(pts[:, 0]) < 1e-13)
 
     @pytest.mark.parametrize("kind", M.PROFILE_KINDS)
@@ -169,7 +189,6 @@ class TestRefine:
         m2 = M.refine(m1)
         assert len(m1.triangles) == 4 * len(m.triangles)
         assert len(m2.triangles) == 16 * len(m.triangles)
-        assert m2.level == 2
 
     def test_vertex_growth_factor(self):
         m = M.build_profile_mesh("PhiDomain", M.MeshConfig(h0=0.3, levels=2))
@@ -234,8 +253,11 @@ class TestBuilderOracle:
                 a, b = getattr(got, name), getattr(ref, name)
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
                     (name, cfg)
-            assert got.edge_tags.tolist() == ref.edge_tags.tolist(), cfg
-            assert got.params == ref.params and got.domain_kind == kind
+            # the oracle keeps the finer split of the Dirichlet boundary
+            tags = ["axis" if t == "axis" else "dirichlet"
+                    for t in ref.edge_tags]
+            assert got.edge_tags.tolist() == tags, cfg
+            assert got.dimension == ref.dimension == cfg.dimension
 
 
 class TestEdgeTable:

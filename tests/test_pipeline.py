@@ -115,6 +115,18 @@ class TestVerify:
         assert not v["R3"]["pass"]
         assert not v["overall_pass"]
 
+    def test_single_point_series(self):
+        # a direct-only ratio in a sweep with one direct eps has no slope:
+        # it is labelled "single" and passes only at the floor
+        # (R6 is itself the deviation)
+        for value, passes in ((0.0134, False), (0.002, True)):
+            rec = synthetic_record([(0.1, value), (0.05, 0.0)], name="R6")
+            del rec.sweep[1]["ratios"]["R6"]
+            v = pl.verify(rec)
+            assert v["R6"]["verdict"] == "single"
+            assert v["R6"]["at_floor"] is passes
+            assert v["R6"]["pass"] is passes
+
     def test_diverging_series_fails(self):
         rec = synthetic_record([(0.3, 1.01), (0.2, 1.1), (0.1, 1.4)])
         v = pl.verify(rec)

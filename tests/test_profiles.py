@@ -10,7 +10,7 @@ from dumbbell import profiles as P
 from dumbbell.mesh import MeshConfig, build_profile_mesh
 from dumbbell.pipeline import RunConfig
 
-CFG = MeshConfig(h0=0.2, levels=6, r_out=12.0, tube_length=10.0)
+CFG = MeshConfig(h0=0.2, levels=6, r_out=12.0)
 MODE = cs.disk_ground_mode(3)
 UPS = cs.upsilon(3)
 
@@ -160,7 +160,7 @@ def test_harmonic_profiles_assemble_stiffness_once(monkeypatch):
     assemble = fem.assemble_stiffness
     monkeypatch.setattr(fem, "assemble_stiffness",
                         lambda disc: calls.append(disc) or assemble(disc))
-    cfg = MeshConfig(h0=0.5, levels=3, r_out=8.0, tube_length=8.0)
+    cfg = MeshConfig(h0=0.5, levels=3, r_out=8.0)
     P.compute_Phi(cfg)
     assert len(calls) == 1
     P.compute_PhiHat(cfg)
