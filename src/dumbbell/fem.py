@@ -207,11 +207,20 @@ class Discretization:
 
     def boundary_nodes(self, *tags: str) -> np.ndarray:
         """Sorted node indices, vertices and midside nodes, lying on
-        boundary edges with any of the given tags."""
-        edges = np.concatenate([self.mesh.tagged_edges(t) for t in tags]
-                               + [np.empty((0, 2), dtype=np.int64)])
-        mids = len(self.mesh.vertices) + self._edges.index(edges)
-        return np.unique(np.concatenate([edges.ravel(), mids]))
+        boundary edges with any of the given tags.  A boundary edge has
+        one adjacent triangle; it is ``axis`` when both of its ends have
+        rho = 0 (the symmetry axis, a natural boundary) and ``dirichlet``
+        otherwise: walls, far-field arcs and tube ends all carry Dirichlet
+        data."""
+        unknown = set(tags) - {"axis", "dirichlet"}
+        if unknown:
+            raise ValueError(f"unknown boundary tags {sorted(unknown)}")
+        ends = self._edges.edges
+        on_axis = (self.mesh.vertices[ends, 1] == 0.0).all(axis=1)
+        wanted = np.where(on_axis, "axis" in tags, "dirichlet" in tags)
+        k = np.flatnonzero((self._edges.counts == 1) & wanted)
+        return np.unique(np.concatenate([ends[k].ravel(),
+                                         len(self.mesh.vertices) + k]))
 
     def dirichlet_tags(self) -> tuple[str, ...]:
         """Tags that carry essential conditions: every boundary edge off

@@ -18,10 +18,10 @@ tensor-product block for the tube.  The tube's rho-grid is reused as the
 innermost radial grid of the adjacent polar block, so the blocks share
 vertices exactly and the merged mesh is conforming by construction.
 Geometric grading (ratio 1/2, depth L) is applied toward the re-entrant
-junction corners.  Boundary edges are tagged after merging by one rule: an
-edge is ``axis`` when both of its ends have rho = 0 (the symmetry axis, a
-natural boundary), and ``dirichlet`` otherwise.  Walls, far-field arcs and
-tube ends all carry Dirichlet data, so the solvers need no finer split.
+junction corners.  A mesh is its vertices, triangles and N and stores no
+boundary: `fem.Discretization.boundary_nodes` reads the boundary edges off
+its own edge table and applies the one rule, ``axis`` when both ends have
+rho = 0 (the symmetry axis, a natural boundary) and ``dirichlet`` otherwise.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ __all__ = [
 ]
 
 PROFILE_KINDS = ("PhiDomain", "PhiHatDomain", "HalfPlus", "HalfMinus")
-BOUNDARY_TAGS = ("axis", "dirichlet")
 
 _SNAP = 1e-13
 # geometric grading ratio toward the re-entrant corners
@@ -88,42 +87,25 @@ class MeridianMesh:
     """Immutable conforming triangulation of a meridian domain.
 
     vertices: (n, 2) float array of (x1, rho); triangles: (m, 3) int array,
-    positively oriented; edges/edge_tags: tagged boundary edges;
-    dimension: N of the solid of revolution the meridian domain sweeps out.
+    positively oriented; dimension: N of the solid of revolution the
+    meridian domain sweeps out.
     """
 
-    def __init__(self, vertices, triangles, edges, edge_tags, dimension):
+    def __init__(self, vertices, triangles, dimension):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
-        self.edges = np.ascontiguousarray(edges, dtype=np.int64)
-        self.edge_tags = np.asarray(edge_tags, dtype=object)
         self.dimension = int(dimension)
-        for arr in (self.vertices, self.triangles, self.edges):
+        for arr in (self.vertices, self.triangles):
             arr.setflags(write=False)
-        self._validate()
-
-    def _validate(self):
-        v, t = self.vertices, self.triangles
-        if np.any(v[:, 1] < -_SNAP):
+        if np.any(self.vertices[:, 1] < -_SNAP):
             raise ValueError("vertex with negative rho")
         if np.any(self.signed_areas() <= 0.0):
             raise ValueError("non-positively-oriented triangle")
-        bad = {tag for tag in self.edge_tags if tag not in BOUNDARY_TAGS}
-        if bad:
-            raise ValueError(f"unknown boundary tags {sorted(bad)}")
-
-    # -- geometry queries ---------------------------------------------------
 
     def signed_areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
         return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
                       - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-
-    def tagged_edges(self, tag: str) -> np.ndarray:
-        if tag not in BOUNDARY_TAGS:
-            raise ValueError(f"unknown tag {tag!r}")
-        mask = self.edge_tags == tag
-        return self.edges[mask]
 
 
 class EdgeTable(NamedTuple):
@@ -136,19 +118,6 @@ class EdgeTable(NamedTuple):
     edges: np.ndarray
     side_edge: np.ndarray
     counts: np.ndarray
-
-    def index(self, pairs) -> np.ndarray:
-        """Edge indices of the given vertex pairs, in either orientation."""
-        pairs = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-                        axis=1)
-        n = int(self.edges.max()) + 1 if len(self.edges) else 1
-        keys = self.edges[:, 0] * n + self.edges[:, 1]
-        order = np.argsort(keys)
-        pos = np.searchsorted(keys[order], pairs[:, 0] * n + pairs[:, 1])
-        found = order[np.minimum(pos, len(order) - 1)]
-        if not np.array_equal(self.edges[found], pairs):
-            raise ValueError("vertex pair is not an edge of the triangulation")
-        return found
 
 
 def edge_table(triangles) -> EdgeTable:
@@ -317,30 +286,15 @@ def _merge(blocks):
     return xy[first[by_first]], ids[tris]
 
 
-def _boundary_edges(triangles: np.ndarray):
-    """Edges with one adjacent triangle, sorted lexicographically."""
+def _meridian_mesh(blocks, dimension: int) -> MeridianMesh:
+    """Merge the blocks (xy, tris) into one conforming mesh."""
+    vertices, triangles = _merge(blocks)
     table = edge_table(triangles)
     bad = table.edges[table.counts > 2]
     if len(bad):
         raise ValueError("non-conforming edges shared by >2 triangles: "
                          f"{bad[:5].tolist()}")
-    edges = table.edges[table.counts == 1]
-    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-
-
-def _classify(vertices, edges):
-    """Tag boundary edges: ``axis`` when both ends have rho = 0,
-    ``dirichlet`` otherwise."""
-    on_axis = (vertices[edges, 1] == 0.0).all(axis=1)
-    return np.where(on_axis, "axis", "dirichlet")
-
-
-def _meridian_mesh(blocks, dimension: int) -> MeridianMesh:
-    """Merge the blocks (xy, tris) and tag the boundary of the result."""
-    vertices, triangles = _merge(blocks)
-    edges = _boundary_edges(triangles)
-    return MeridianMesh(vertices, triangles, edges,
-                        _classify(vertices, edges), dimension)
+    return MeridianMesh(vertices, triangles, dimension)
 
 
 def _n_theta(cfg: MeshConfig) -> int:
@@ -414,8 +368,7 @@ def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
 
 
 def refine(mesh: MeridianMesh) -> MeridianMesh:
-    """Uniform red refinement: every triangle into 4 via edge midpoints;
-    boundary edges split in place with tags inherited."""
+    """Uniform red refinement: every triangle into 4 via edge midpoints."""
     table = edge_table(mesh.triangles)
     v = mesh.vertices
     verts = np.vstack([v, 0.5 * (v[table.edges[:, 0]] + v[table.edges[:, 1]])])
@@ -423,8 +376,4 @@ def refine(mesh: MeridianMesh) -> MeridianMesh:
     mab, mbc, mca = (len(v) + table.side_edge).T
     tris = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
                     axis=1).reshape(-1, 3)
-    m = len(v) + table.index(mesh.edges)
-    new_edges = np.stack([mesh.edges[:, 0], m, m, mesh.edges[:, 1]],
-                         axis=1).reshape(-1, 2)
-    return MeridianMesh(verts, tris, new_edges, np.repeat(mesh.edge_tags, 2),
-                        mesh.dimension)
+    return MeridianMesh(verts, tris, mesh.dimension)

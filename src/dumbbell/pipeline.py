@@ -600,7 +600,8 @@ def verify(record: RunRecord) -> dict:
     final deviation is under its guard (5% for R1, 15% for the
     asymptotic series).  A series whose deviations never rise above the
     discretization floor has converged before the sweep began; its slope
-    is mesh noise and it passes regardless of the trend label.  A sweep
+    is mesh noise and it passes regardless of the trend label.  A series
+    with a non-finite value (NaN or inf) fails, wherever it sits.  A sweep
     with an errored entry, or with fewer than the two eps entries a
     config must have, fails under `sweep_errors`."""
     tol = {"R1": 0.05, "R2": 0.15, "R3": 0.15, "R4": 0.15, "R5": 0.15,
@@ -616,9 +617,11 @@ def verify(record: RunRecord) -> dict:
         devs = [abs(v - 1.0) if base != "R6" else v for v in vs]
         verdict = _classify(es, devs)
         final = devs[-1] if devs else float("nan")
-        finite = [d for d in devs if d is not None and np.isfinite(d)]
-        at_floor = bool(finite) and max(finite) < floor
-        ok = np.isfinite(final) and final < tol.get(base, 0.15) \
+        # a non-finite point fails the series: the trend and the floor
+        # would be read off the points that remain
+        finite = bool(devs) and bool(np.isfinite(devs).all())
+        at_floor = finite and max(devs) < floor
+        ok = finite and final < tol.get(base, 0.15) \
             and (verdict == "converging" or at_floor)
         out[name] = {
             "formula": _FORMULAS.get(base, ""),

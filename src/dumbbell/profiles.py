@@ -68,7 +68,6 @@ class ProfileSolution:
     """Remainder field plus closed-form carried part; calling the object
     evaluates the total profile."""
 
-    kind: str
     field: fem.FieldSolution
     carried: Callable
     metadata: dict = dfield(default_factory=dict)
@@ -122,7 +121,7 @@ def compute_u0(cfg: MeshConfig, level: int = 0,
     d0 = float(samples.mean())
     spread = float(np.ptp(samples) / abs(d0)) if d0 != 0 else math.inf
     meta = {"d0_spread": spread, "eigen_residual": pair.residual}
-    sol = ProfileSolution("U0", pair.field, lambda x1, rho: 0.0 * x1, meta)
+    sol = ProfileSolution(pair.field, lambda x1, rho: 0.0 * x1, meta)
     return sol, pair.lam, d0
 
 
@@ -138,7 +137,7 @@ def _harmonic_profile(domain: str, cfg: MeshConfig, level: int,
     mesh = _maybe_refine(build_profile_mesh(domain, cfg), level)
     disc = fem.Discretization(mesh)
     sol = fem.solve_dirichlet(disc, lift=lift)
-    return ProfileSolution(domain.removesuffix("Domain"), sol, lift)
+    return ProfileSolution(sol, lift)
 
 
 def compute_Phi(cfg: MeshConfig, level: int = 0):
@@ -231,7 +230,7 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
         return kernel(x1, rho) * (d2 - (n - 1) * d1 / np.where(r == 0, np.inf, r))
 
     remainder = system.solve(fem.assemble_load(disc, commutator))
-    profile = ProfileSolution("Ubar", remainder, carried)
+    profile = ProfileSolution(remainder, carried)
     norms = {float(k): cs.half_sphere_mass(profile, 0.0, float(k), -1, n)
              for k in ktilde}
     return profile, norms

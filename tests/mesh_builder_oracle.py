@@ -3,17 +3,19 @@
 The package's `mesh` builds each structured block as arrays: one vertex
 grid and one quad-index grid per block, with shared vertices merged by
 exact coordinates afterwards.  This builder adds one vertex, quad and
-triangle at a time through a dictionary keyed by (x1, rho), and tags the
-boundary one edge at a time, which is slower but independent of that
-bookkeeping.  `build_dumbbell_mesh` and `build_profile_mesh` here take the
-same configs as their namesakes in `mesh` and must return the same arrays,
-bit for bit.  The classifier keeps the finer split of the boundary into
-axis, inflow face, truncation (arcs and the far tube end) and walls; every
-tag but `axis` is a Dirichlet edge of the package's mesh.
+triangle at a time through a dictionary keyed by (x1, rho), and finds and
+tags the boundary one edge at a time, which is slower but independent of
+that bookkeeping.  `build_dumbbell_mesh` and `build_profile_mesh` here take
+the same configs as their namesakes in `mesh` and return plain arrays
+(vertices, triangles, boundary edges, tags); the vertices and triangles
+must equal the package's bit for bit.  The classifier keeps the finer
+split of the boundary into axis, inflow face, truncation (arcs and the far
+tube end) and walls; every tag but `axis` is a Dirichlet edge of the
+package's `fem.Discretization`.
 """
 
 import math
-from types import SimpleNamespace
+from collections import Counter
 
 import numpy as np
 
@@ -117,12 +119,13 @@ def classify(vertices, edges, centers, r_out, inflow_x=None,
     return tags
 
 
-def _mesh(vertices, triangles, edges, tags, cfg):
-    """The arrays and dimension a MeridianMesh holds, with the oracle's
-    tags."""
-    return SimpleNamespace(vertices=vertices, triangles=triangles,
-                           edges=edges, edge_tags=tags,
-                           dimension=cfg.dimension)
+def boundary_edges(triangles):
+    """Edges that belong to a single triangle, smaller vertex first,
+    sorted lexicographically."""
+    counts = Counter(tuple(sorted((tri[k], tri[(k + 1) % 3])))
+                     for tri in triangles.tolist() for k in range(3))
+    return np.array(sorted(e for e, c in counts.items() if c == 1),
+                    dtype=np.int64)
 
 
 def build_dumbbell_mesh(cfg):
@@ -142,9 +145,9 @@ def build_dumbbell_mesh(cfg):
     b.add_tensor_block(x_grid, rho_grid)
     b.add_polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)
     vertices, triangles = b.finish()
-    edges = M._boundary_edges(triangles)
+    edges = boundary_edges(triangles)
     tags = classify(vertices, edges, centers=(0.0, 1.0), r_out=cfg.r_out)
-    return _mesh(vertices, triangles, edges, tags, cfg)
+    return vertices, triangles, edges, tags
 
 
 def build_profile_mesh(kind, cfg):
@@ -187,7 +190,7 @@ def build_profile_mesh(kind, cfg):
             inflow_x = x1
 
     vertices, triangles = b.finish()
-    edges = M._boundary_edges(triangles)
+    edges = boundary_edges(triangles)
     tags = classify(vertices, edges, centers, cfg.r_out,
                     inflow_x=inflow_x, tube_trunc_x=tube_trunc_x)
-    return _mesh(vertices, triangles, edges, tags, cfg)
+    return vertices, triangles, edges, tags

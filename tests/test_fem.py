@@ -22,8 +22,7 @@ def half_disk_mesh(n_rad, n_theta):
     """Unit half-disk about the origin (test harness for the Bessel oracle)."""
     v, t = M._merge([M._polar_block(0.0, np.linspace(0, 1, n_rad + 1),
                                     0.0, math.pi, n_theta)])
-    edges = M._boundary_edges(t)
-    return M.MeridianMesh(v, t, edges, M._classify(v, edges), 3)
+    return M.MeridianMesh(v, t, 3)
 
 
 def counting_solves(system):
@@ -158,9 +157,7 @@ class TestAssembly:
 
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         tris = np.array([[0, 1, 2]])
-        edges = np.array([[0, 1], [1, 2], [2, 0]])
-        tags = ["axis", "dirichlet", "dirichlet"]
-        mesh1 = M.MeridianMesh(verts, tris, edges, tags, 3)
+        mesh1 = M.MeridianMesh(verts, tris, 3)
         disc = fem.Discretization(mesh1)
         local = np.ix_(disc.cells[0], disc.cells[0])
         K = fem.assemble_stiffness(disc).toarray()[local]
@@ -716,7 +713,7 @@ class TestLocate:
                       [2.0, 0.0], [2.5, 0.0], [2.0, 1.0],
                       [3.0, 0.0], [3.5, 0.0], [3.0, 1.0]])
         t = np.arange(12).reshape(4, 3)
-        mesh = M.MeridianMesh(v, t, np.empty((0, 2)), [], 3)
+        mesh = M.MeridianMesh(v, t, 3)
         pts = np.array([[0.5 + 2e-12, 0.5]])
         tri, _ = fem.Discretization(mesh).locate(pts[:, 0], pts[:, 1])
         assert tri.tolist() == [0]

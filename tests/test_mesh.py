@@ -5,11 +5,21 @@ import numpy as np
 import pytest
 
 import mesh_builder_oracle as oracle
+from dumbbell import fem
 from dumbbell import mesh as M
 
 
+def tagged_edges(m, tag):
+    """Boundary edges with the tag, read off the Discretization: edge k
+    carries it when its midside node, n_vertices + k, is a node of the
+    tag's boundary."""
+    edges = M.edge_table(m.triangles).edges
+    mids = len(m.vertices) + np.arange(len(edges))
+    return edges[np.isin(mids, fem.Discretization(m).boundary_nodes(tag))]
+
+
 def tagged_nodes(m, tag):
-    return np.unique(m.tagged_edges(tag).ravel())
+    return np.unique(tagged_edges(m, tag).ravel())
 
 
 def on_arc(p, centers, r_out=12.0):
@@ -20,12 +30,12 @@ def on_arc(p, centers, r_out=12.0):
 
 def dirichlet_off_arc(m, centers):
     """Dirichlet edges that are not on a truncation arc."""
-    e = m.tagged_edges("dirichlet")
+    e = tagged_edges(m, "dirichlet")
     return e[~on_arc(m.vertices[e], centers).all(axis=1)]
 
 
 def tag_length(m, tag):
-    e = m.tagged_edges(tag)
+    e = tagged_edges(m, tag)
     d = m.vertices[e[:, 1]] - m.vertices[e[:, 0]]
     return np.hypot(d[:, 0], d[:, 1]).sum()
 
@@ -59,7 +69,7 @@ class TestDumbbellGeometry:
     def test_tube_wall_length(self):
         m = small_dumbbell()
         v = m.vertices
-        wall = m.tagged_edges("dirichlet")
+        wall = tagged_edges(m, "dirichlet")
         on_tube = [(a, b) for a, b in wall
                    if abs(v[a, 1] - 0.2) < 1e-13 and abs(v[b, 1] - 0.2) < 1e-13
                    and -1e-13 <= v[a, 0] <= 1 + 1e-13]
@@ -107,7 +117,6 @@ class TestDumbbellGeometry:
         assert np.all(m.signed_areas() > 0)
         counts = M.edge_table(m.triangles).counts
         assert np.all((counts == 1) | (counts == 2))
-        assert np.sum(counts == 1) == len(m.edges)
 
     def test_quality_outside_graded_layers(self):
         m = small_dumbbell(levels=8)
@@ -134,7 +143,7 @@ class TestProfileDomains:
     def test_phihat_inflow_face(self):
         m = M.build_profile_mesh("PhiHatDomain",
                                  M.MeshConfig(h0=0.25, levels=4))
-        e = m.tagged_edges("dirichlet")
+        e = tagged_edges(m, "dirichlet")
         face = e[(np.abs(m.vertices[e, 0] - 10.0) < 1e-12).all(axis=1)]
         assert len(face) > 0
         pts = m.vertices[np.unique(face.ravel())]
@@ -146,7 +155,7 @@ class TestProfileDomains:
     def test_phi_domain_tube_truncation(self):
         m = M.build_profile_mesh("PhiDomain",
                                  M.MeshConfig(h0=0.25, levels=4))
-        pts = m.vertices[m.tagged_edges("dirichlet")]
+        pts = m.vertices[tagged_edges(m, "dirichlet")]
         on_tube_end = (np.abs(pts[..., 0] + 9.0) < 1e-12).all(axis=1)
         arc = on_arc(pts, (1.0,)).all(axis=1)
         # the rest is the tube wall rho = 1 and the wall x1 = 1 above it
@@ -161,7 +170,7 @@ class TestProfileDomains:
 
     def test_halfplus_truncation_arc(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.25))
-        pts = m.vertices[m.tagged_edges("dirichlet")]
+        pts = m.vertices[tagged_edges(m, "dirichlet")]
         arc = on_arc(pts, (1.0,)).all(axis=1)
         assert arc.any()
         assert np.all(pts[arc][..., 0] >= 1.0 - 1e-13)
@@ -202,7 +211,7 @@ class TestRefine:
     def test_tag_arc_lengths_preserved(self):
         m = small_dumbbell(levels=3)
         m1 = M.refine(m)
-        for tag in M.BOUNDARY_TAGS:
+        for tag in ("axis", "dirichlet"):
             assert tag_length(m1, tag) == pytest.approx(
                 tag_length(m, tag), abs=1e-12)
 
@@ -249,15 +258,21 @@ class TestBuilderOracle:
             else:
                 got, ref = (M.build_profile_mesh(kind, cfg),
                             oracle.build_profile_mesh(kind, cfg))
-            for name in ("vertices", "triangles", "edges"):
-                a, b = getattr(got, name), getattr(ref, name)
-                assert a.shape == b.shape and a.tobytes() == b.tobytes(), \
-                    (name, cfg)
-            # the oracle keeps the finer split of the Dirichlet boundary
-            tags = ["axis" if t == "axis" else "dirichlet"
-                    for t in ref.edge_tags]
-            assert got.edge_tags.tolist() == tags, cfg
-            assert got.dimension == ref.dimension == cfg.dimension
+            for a, b in zip((got.vertices, got.triangles), ref[:2]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), cfg
+            assert got.dimension == cfg.dimension
+            # the oracle keeps the finer split of the Dirichlet boundary;
+            # its edges, mapped to axis or dirichlet, give the node sets
+            edges, tags = ref[2], np.array(ref[3])
+            number = {e: k for k, e in enumerate(
+                map(tuple, M.edge_table(got.triangles).edges.tolist()))}
+            disc = fem.Discretization(got)
+            for tag in ("axis", "dirichlet"):
+                want = edges[(tags == "axis") == (tag == "axis")]
+                mids = [len(got.vertices) + number[e]
+                        for e in map(tuple, want.tolist())]
+                assert np.array_equal(disc.boundary_nodes(tag), np.unique(
+                    np.concatenate([want.ravel(), mids]))), (tag, cfg)
 
 
 class TestEdgeTable:
@@ -268,9 +283,6 @@ class TestEdgeTable:
                                          [2, 3], [3, 4], [2, 4]]
         assert table.side_edge.tolist() == [[0, 1, 2], [1, 3, 4], [5, 6, 4]]
         assert table.counts.tolist() == [1, 2, 1, 1, 2, 1, 1]
-        assert table.index([[3, 1], [4, 2]]).tolist() == [3, 6]
-        with pytest.raises(ValueError):
-            table.index([[0, 3]])
 
     def test_boundary_edges_match_brute_force(self):
         m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.6))
@@ -280,10 +292,28 @@ class TestEdgeTable:
                 key = tuple(sorted((tri[k], tri[(k + 1) % 3])))
                 counts[key] = counts.get(key, 0) + 1
         brute = sorted(e for e, c in counts.items() if c == 1)
-        assert M._boundary_edges(m.triangles).tolist() == [list(e) for e in brute]
         table = M.edge_table(m.triangles)
+        assert sorted(map(tuple, table.edges[table.counts == 1].tolist())) \
+            == brute
         assert dict(zip(map(tuple, table.edges.tolist()),
                         table.counts.tolist())) == counts
+
+
+def test_non_conforming_blocks_rejected():
+    # the unit square split along 0-2, merged with a copy of its first
+    # triangle: the diagonal is shared by three triangles
+    square = (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+              np.array([[0, 1, 2], [0, 2, 3]]))
+    copy = (square[0][:3], np.array([[0, 1, 2]]))
+    assert len(M._meridian_mesh([square], 3).triangles) == 2
+    with pytest.raises(ValueError, match="shared by >2 triangles"):
+        M._meridian_mesh([square, copy], 3)
+
+
+def test_unknown_boundary_tag_rejected():
+    disc = fem.Discretization(small_dumbbell())
+    with pytest.raises(ValueError, match="unknown boundary tags"):
+        disc.boundary_nodes("wall")
 
 
 def test_immutability():

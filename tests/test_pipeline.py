@@ -147,6 +147,23 @@ class TestVerify:
         assert v["R3"]["at_floor"]
         assert v["R3"]["pass"]
 
+    def test_nan_inside_a_floor_series_fails(self):
+        # the finite points sit under the floor, but the NaN one was never
+        # measured: the series cannot pass at the floor
+        rec = synthetic_record([(0.3, 1.001), (0.2, math.nan), (0.1, 1.002)])
+        v = pl.verify(rec)
+        assert not v["R3"]["at_floor"]
+        assert not v["R3"]["pass"]
+        assert not v["overall_pass"]
+
+    def test_nan_inside_a_converging_series_fails(self):
+        rec = synthetic_record([(0.3, 1.2), (0.2, math.nan), (0.15, 1.05),
+                                (0.1, 1.01)])
+        v = pl.verify(rec)
+        assert v["R3"]["verdict"] == "converging"
+        assert not v["R3"]["pass"]
+        assert not v["overall_pass"]
+
     def test_r1_uses_tighter_guard(self):
         rec = synthetic_record([(0.3, 1.30), (0.2, 1.20), (0.1, 1.10)],
                                name="R1")
