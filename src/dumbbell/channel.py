@@ -65,7 +65,6 @@ def hminus(field, t: float, dimension: int = 3) -> float:
 class ModeFit:
     """Coefficients of field ~ A e^(k(t-1)) + B e^(-k(t-1)), k = sqrt_l1/eps.
 
-    C = -2 sqrt_l1 B / eps is stored as constructed from B, never refitted.
     `b_resolved` is False when the window cannot distinguish B from the
     least-squares noise floor; B is then an exact zero, not a noise value.
     """
@@ -74,19 +73,9 @@ class ModeFit:
     sqrt_lambda1: float
     A: ScaledAmplitude
     B: ScaledAmplitude
-    C: ScaledAmplitude
     window: tuple
     residual: float
-    b_resolved: bool = True
-
-    @classmethod
-    def from_coefficients(cls, eps: float, sqrt_lambda1: float,
-                          A: ScaledAmplitude, B: ScaledAmplitude,
-                          window=(0.0, 1.0), residual: float = 0.0,
-                          b_resolved: bool = True) -> "ModeFit":
-        C = B * ScaledAmplitude.from_float(-2.0 * sqrt_lambda1 / eps)
-        return cls(eps, sqrt_lambda1, A, B, C, tuple(window), residual,
-                   b_resolved)
+    b_resolved: bool
 
 
 def fit_channel_mode(samples, eps: float, sqrt_lambda1: float) -> ModeFit:
@@ -126,9 +115,8 @@ def fit_channel_mode(samples, eps: float, sqrt_lambda1: float) -> ModeFit:
         B = ScaledAmplitude.from_float(b_sh).scale_exp(k * (t_lo - 1.0))
     else:
         B = ScaledAmplitude.zero()
-    return ModeFit.from_coefficients(eps, sqrt_lambda1, A, B,
-                                     window=(t_lo, t_hi), residual=residual,
-                                     b_resolved=b_resolved)
+    return ModeFit(eps, sqrt_lambda1, A, B, (t_lo, t_hi), residual,
+                   b_resolved)
 
 
 def propagate(fit: ModeFit, t: float) -> ScaledAmplitude:

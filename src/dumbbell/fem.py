@@ -433,17 +433,10 @@ class AssembledSystem:
                        Mp=self.Mp_full[free][:, free].tocsr(),
                        free=free, fixed=fixed, _lu=None)
 
-    def solve(self, load: np.ndarray, data=None) -> "FieldSolution":
-        """Solve (K - shift M_p) u = load on the free nodes with u = data
-        on the fixed ones (zero by default).  `load` is full-length and
-        `data` holds the values at `fixed` (or one constant); it is lifted
-        into the reduced load by products with the full matrices.  The
-        field carries the relative residual of the reduced solve."""
-        values = np.zeros(self.disc.n_nodes)
-        if data is not None:
-            values[self.fixed] = data
-            load = load - (self.K_full @ values
-                           - self.shift * (self.Mp_full @ values))
+    def solve(self, load: np.ndarray) -> "FieldSolution":
+        """Solve (K - shift M_p) u = load on the free nodes with u = 0 on
+        the fixed ones; `load` is full-length.  The field carries the
+        relative residual of the reduced solve."""
         rhs = load[self.free]
         try:
             lu = self.lu()
@@ -452,10 +445,9 @@ class AssembledSystem:
                 f"singular factorization after Dirichlet elimination ({exc}); "
                 "check boundary tags and shifts") from exc
         u = lu.solve(rhs)
-        values[self.free] = u
         r = self.K @ u - self.shift * (self.Mp @ u) - rhs
         resid = np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300)
-        return FieldSolution(self.disc, values, residual=float(resid))
+        return FieldSolution(self.disc, self.expand(u), residual=float(resid))
 
     def expand(self, reduced: np.ndarray) -> np.ndarray:
         full = np.zeros(self.disc.n_nodes)
@@ -536,26 +528,13 @@ class FieldSolution:
         return float(out[0]) if scalar and out.size == 1 else out
 
 
-def solve_dirichlet(disc: Discretization, data=0.0,
-                    rhs: Callable | None = None,
-                    lift: Callable | None = None) -> FieldSolution:
-    """Solve -div(rho^m grad u) = rho^m f with u = data on the nodes of
-    `disc.dirichlet_tags()`; the axis is always natural.
-
-    `data` is a callable(x1, rho) or a constant.  With a closed-form
-    carried part lift(x1, rho), the returned field is the remainder w of
-    the solution I(lift) + w: the load gains -K I(lift), I being nodal
-    interpolation, and the data apply to w.
-    """
+def solve_dirichlet(disc: Discretization, lift: Callable) -> FieldSolution:
+    """The remainder w of the harmonic field I(lift) + w, I being nodal
+    interpolation: -div(rho^m grad w) = div(rho^m grad I(lift)) with w = 0
+    on the Dirichlet nodes (the axis is always natural), so the load is
+    -K I(lift) and the boundary values are those of the lift."""
     system = assemble(disc, WeightModel.zero())
-    F = np.zeros(disc.n_nodes)
-    if rhs is not None:
-        F += assemble_load(disc, rhs)
-    if lift is not None:
-        F -= system.K_full @ lift(disc.nodes[:, 0], disc.nodes[:, 1])
-    if callable(data):
-        data = data(*disc.nodes[system.fixed].T)
-    return system.solve(F, data)
+    return system.solve(-(system.K_full @ lift(*disc.nodes.T)))
 
 
 # ----------------------------------------------------------------------------
@@ -667,7 +646,7 @@ def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
 
 def mass_normalize(system: AssembledSystem, pair: EigenPair) -> EigenPair:
     """Scale so int p u^2 rho^m = 1 and fix the sign so that the weighted
-    mean is positive."""
+    mean is positive; the field carries the pair's residual."""
     v = pair.field.values
     m = float(v @ (system.Mp_full @ v))
     if m <= 0:
@@ -675,4 +654,5 @@ def mass_normalize(system: AssembledSystem, pair: EigenPair) -> EigenPair:
     v = v / math.sqrt(m)
     if float(np.ones_like(v) @ (system.Mp_full @ v)) < 0:
         v = -v
-    return EigenPair(pair.lam, FieldSolution(system.disc, v), pair.residual)
+    return EigenPair(pair.lam, FieldSolution(system.disc, v, pair.residual),
+                     pair.residual)

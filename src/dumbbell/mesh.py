@@ -121,7 +121,8 @@ class EdgeTable(NamedTuple):
 
 
 def edge_table(triangles) -> EdgeTable:
-    """Number the undirected edges of a triangle array (see EdgeTable)."""
+    """Number the undirected edges of a triangle array (see EdgeTable); an
+    edge of more than two triangles raises ValueError."""
     tri = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     nxt = tri[:, [1, 2, 0]]
     lo = np.minimum(tri, nxt).ravel()
@@ -135,7 +136,11 @@ def edge_table(triangles) -> EdgeTable:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     edges = np.stack([lo[first[order]], hi[first[order]]], axis=1)
-    return EdgeTable(edges, rank[inverse].reshape(-1, 3), counts[order])
+    counts = counts[order]
+    if np.any(counts > 2):
+        raise ValueError("non-conforming edges shared by >2 triangles: "
+                         f"{edges[counts > 2][:5].tolist()}")
+    return EdgeTable(edges, rank[inverse].reshape(-1, 3), counts)
 
 
 # ----------------------------------------------------------------------------
@@ -286,17 +291,6 @@ def _merge(blocks):
     return xy[first[by_first]], ids[tris]
 
 
-def _meridian_mesh(blocks, dimension: int) -> MeridianMesh:
-    """Merge the blocks (xy, tris) into one conforming mesh."""
-    vertices, triangles = _merge(blocks)
-    table = edge_table(triangles)
-    bad = table.edges[table.counts > 2]
-    if len(bad):
-        raise ValueError("non-conforming edges shared by >2 triangles: "
-                         f"{bad[:5].tolist()}")
-    return MeridianMesh(vertices, triangles, dimension)
-
-
 def _n_theta(cfg: MeshConfig) -> int:
     return max(6, int(math.ceil(0.5 * math.pi / (cfg.h0 / 2.0))))
 
@@ -326,10 +320,10 @@ def build_dumbbell_mesh(cfg: MeshConfig) -> MeridianMesh:
                            h_ref=cfg.h0)
     radii = _disk_radii(cfg, rho_grid, r_fine=5.5)
     nt = _n_theta(cfg)
-    return _meridian_mesh([
+    return MeridianMesh(*_merge([
         _polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt),
         _tensor_block(x_grid, rho_grid),
-        _polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)], cfg.dimension)
+        _polar_block(1.0, radii, 0.0, 0.5 * math.pi, nt)]), cfg.dimension)
 
 
 def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
@@ -364,7 +358,7 @@ def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
                                    cfg.levels, grade_a=True)
             blocks = [_polar_block(0.0, radii, 0.5 * math.pi, math.pi, nt),
                       _tensor_block(x_grid, rho_grid)]
-    return _meridian_mesh(blocks, cfg.dimension)
+    return MeridianMesh(*_merge(blocks), cfg.dimension)
 
 
 def refine(mesh: MeridianMesh) -> MeridianMesh:

@@ -20,7 +20,7 @@ part through a smooth cutoff:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,11 +66,12 @@ def smoothstep_d2(r, r0: float, r1: float):
 @dataclass
 class ProfileSolution:
     """Remainder field plus closed-form carried part; calling the object
-    evaluates the total profile."""
+    evaluates the total profile.  Each `compute_*` returns one with a dict
+    of its named constants, and the residual of its solve rides on
+    `field.residual`."""
 
     field: fem.FieldSolution
     carried: Callable
-    metadata: dict = dfield(default_factory=dict)
 
     def __call__(self, x1, rho):
         rem = self.field.evaluate(x1, rho)
@@ -88,10 +89,10 @@ def _maybe_refine(mesh: MeridianMesh, level: int) -> MeridianMesh:
 # u0 and d0
 # ----------------------------------------------------------------------------
 
-def compute_u0(cfg: MeshConfig, level: int = 0,
-               weight: fem.WeightModel | None = None):
+def compute_u0(cfg: MeshConfig, level: int, weight: fem.WeightModel):
     """First eigenpair of -Du = lam p u on the truncated right half-space,
-    normalized to unit weighted mass and positive sign.
+    normalized to unit weighted mass and positive sign; the constants are
+    its eigenvalue `lam_k0`, `d0` and `d0_spread`.
 
     d0 is read from v(r) = int_{S+} u0(e1 + r theta) Psi+ dsigma, which
     equals Upsilon_N d0 r for r inside the weight-free ball, so
@@ -100,7 +101,6 @@ def compute_u0(cfg: MeshConfig, level: int = 0,
     steps on the factor of K: 10 Krylov solves, then two polish steps of
     one solve each, 12 solves in all.
     """
-    weight = fem.WeightModel() if weight is None else weight
     if weight.a_plus <= 0:
         raise ValueError("u0 needs a positive weight amplitude on D+")
     mesh = _maybe_refine(build_profile_mesh("HalfPlus", cfg), level)
@@ -120,9 +120,8 @@ def compute_u0(cfg: MeshConfig, level: int = 0,
         for r in (0.5, 1.0, 2.0)])
     d0 = float(samples.mean())
     spread = float(np.ptp(samples) / abs(d0)) if d0 != 0 else math.inf
-    meta = {"d0_spread": spread, "eigen_residual": pair.residual}
-    sol = ProfileSolution(pair.field, lambda x1, rho: 0.0 * x1, meta)
-    return sol, pair.lam, d0
+    return (ProfileSolution(pair.field, lambda x1, rho: 0.0 * x1),
+            {"lam_k0": pair.lam, "d0": d0, "d0_spread": spread})
 
 
 # ----------------------------------------------------------------------------
@@ -136,12 +135,12 @@ def _harmonic_profile(domain: str, cfg: MeshConfig, level: int,
     (the axis stays natural)."""
     mesh = _maybe_refine(build_profile_mesh(domain, cfg), level)
     disc = fem.Discretization(mesh)
-    sol = fem.solve_dirichlet(disc, lift=lift)
-    return ProfileSolution(sol, lift)
+    return ProfileSolution(fem.solve_dirichlet(disc, lift), lift)
 
 
-def compute_Phi(cfg: MeshConfig, level: int = 0):
-    """Harmonic profile growing like (x1-1)+ in D+, decaying in the tube.
+def compute_Phi(cfg: MeshConfig, level: int):
+    """Harmonic profile growing like (x1-1)+ in D+, decaying in the tube;
+    the constant `c_phi` is its ground-mode coefficient at the tube exit.
 
     Carried part chi(|x-e1|) (x1-1)+ with chi = 0 for |x-e1| <= 1 and 1
     for |x-e1| >= 2; the remainder gets homogeneous data everywhere, so
@@ -152,14 +151,15 @@ def compute_Phi(cfg: MeshConfig, level: int = 0):
         return smoothstep(r, 1.0, 2.0) * np.maximum(x1 - 1.0, 0.0)
 
     profile = _harmonic_profile("PhiDomain", cfg, level, lift)
-    c_phi = cs.project_section(profile, 1.0, 1.0,
-                               cs.disk_ground_mode(cfg.dimension))
-    return profile, c_phi
+    return profile, {"c_phi": cs.project_section(
+        profile, 1.0, 1.0, cs.disk_ground_mode(cfg.dimension))}
 
 
-def compute_PhiHat(cfg: MeshConfig, level: int = 0):
+def compute_PhiHat(cfg: MeshConfig, level: int):
     """Harmonic profile on D- plus the unit tube, growing like the tube
-    mode h(x1, rho) = e^(sqrt(lambda1) x1) psi1(rho).
+    mode h(x1, rho) = e^(sqrt(lambda1) x1) psi1(rho).  The constants are
+    its unit-sphere coefficient `c_phihat`, its section mass `m_phihat`
+    and its ground-mode coefficient `a0_phihat` at the tube entrance.
 
     Carried part chi(x1) h with chi ramping over 0.5 <= x1 <= 2, so the
     remainder vanishes on the inflow face (PhiHat = h there), on the walls
@@ -174,9 +174,10 @@ def compute_PhiHat(cfg: MeshConfig, level: int = 0):
         return np.where(rho <= 1.0, val, 0.0)
 
     profile = _harmonic_profile("PhiHatDomain", cfg, level, lift)
-    c_phihat = cs.project_sphere(profile, 0.0, 1.0, -1, n)
-    m_phihat = cs.section_mass(profile, 1.0, 1.0, n)
-    return profile, c_phihat, m_phihat
+    return profile, {
+        "c_phihat": cs.project_sphere(profile, 0.0, 1.0, -1, n),
+        "m_phihat": cs.section_mass(profile, 1.0, 1.0, n),
+        "a0_phihat": cs.project_section(profile, 0.0, 1.0, mode)}
 
 
 # ----------------------------------------------------------------------------
@@ -184,9 +185,10 @@ def compute_PhiHat(cfg: MeshConfig, level: int = 0):
 # ----------------------------------------------------------------------------
 
 def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
-                 level: int = 0, ktilde=(0.5, 1.0, 1.5)):
+                 level: int, ktilde):
     """Solution of -Du = lam_k0 p u on D- with singular part exactly
-    -x1/(Upsilon_N |x|^N) at the origin.
+    -x1/(Upsilon_N |x|^N) at the origin; the constant `norm_gamma` maps
+    each radius in `ktilde` to the half-sphere mass of Ubar there.
 
     With S0 the singular kernel and chi a decreasing cutoff (1 inside
     |x| < 1, 0 outside |x| > 2), S0 is harmonic and p chi S0 = 0, so the
@@ -231,6 +233,6 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
 
     remainder = system.solve(fem.assemble_load(disc, commutator))
     profile = ProfileSolution(remainder, carried)
-    norms = {float(k): cs.half_sphere_mass(profile, 0.0, float(k), -1, n)
-             for k in ktilde}
-    return profile, norms
+    return profile, {"norm_gamma": {
+        float(k): cs.half_sphere_mass(profile, 0.0, float(k), -1, n)
+        for k in ktilde}}

@@ -132,8 +132,7 @@ def test_criterion_04_profile_identity_residuals(pset):
 
     # Step-1 identity on PhiHat: vhat(h)/h^(1-N) = vhat(1); the residual
     # is dominated by domain truncation, hence the wide domain here
-    wide, _, _ = P.compute_PhiHat(MeshConfig(h0=0.2, levels=6, r_out=32.0),
-                                  level=0)
+    wide, _ = P.compute_PhiHat(MeshConfig(h0=0.2, levels=6, r_out=32.0), 0)
     w1 = cs.project_sphere(wide, 0.0, 1.0, -1)
     for h in (2.0, 3.0):
         wh = cs.project_sphere(wide, 0.0, h, -1)
@@ -252,21 +251,12 @@ def test_criterion_10_smallness_claims(record):
     assert all(b < a for a, b in zip(growth_logs, growth_logs[1:]))
     assert decreasing_or_floor(a_devs, FLOORS["ratios"])
 
-    # C = -2 sqrt(lambda1) B / eps: exact by construction in every fit,
-    # and reproduced by an independent derivative-form estimate
+    # the defect estimate of B is reproduced by an independent
+    # derivative-form estimate
     worst = 0.0
     for entry in record.sweep:
         eps = entry["eps"]
         k = SL1 / eps
-        B = ScaledAmplitude.from_dict(entry["fit"]["B"])
-        C = ScaledAmplitude.from_dict(entry["fit"]["C"])
-        if B.is_zero():
-            assert C.is_zero()
-        else:
-            expect = B * ScaledAmplitude.from_float(-2.0 * SL1 / eps)
-            assert (C.sign, C.exponent, C.mantissa) == \
-                (expect.sign, expect.exponent, expect.mantissa)
-
         # derivative-form fit at the junction probes, with the exact
         # central-difference factor sinh(kh)/(kh) of the mode model
         probes = {float(t): v for t, v in entry["junction_probes"].items()}
@@ -277,10 +267,8 @@ def test_criterion_10_smallness_claims(record):
         grow_dot = k * s * A.scale_exp(k * (t - 1.0)).to_float()
         b_deriv = (grow_dot - ydot) / (k * s) * math.exp(k * (t - 1.0))
         b_defect = ScaledAmplitude.from_dict(entry["b_defect"]).to_float()
-        # both C estimates share the -2 sqrt(l1)/eps factor, so comparing
-        # the B values compares the C values; the fit uncertainty is the
-        # scatter of the single-probe defect estimates, and the
-        # derivative form reweights those same probes
+        # the fit uncertainty is the scatter of the single-probe defect
+        # estimates, and the derivative form reweights those same probes
         singles = [(probes[tp] - A.scale_exp(k * (tp - 1.0)).to_float())
                    * math.exp(k * (tp - 1.0)) for tp in sorted(probes)]
         scatter = (max(singles) - min(singles)) / abs(b_defect)
@@ -289,5 +277,5 @@ def test_criterion_10_smallness_claims(record):
         assert dev < bound, (eps, dev, bound)
         worst = max(worst, dev)
     report(10, f"|B| e^(2 sqrt(l1)(1-x0)/eps)/eps strictly decreasing; "
-               f"|A/(eps d0 c_Phi) - 1| floor-monotone; derivative-form C "
+               f"|A/(eps d0 c_Phi) - 1| floor-monotone; derivative-form B "
                f"within residual bound (worst {worst:.2e})")

@@ -9,7 +9,7 @@ from dumbbell import fem
 from dumbbell import profiles as P
 from dumbbell.mesh import (MeshConfig, build_dumbbell_mesh, build_profile_mesh,
                            refine)
-from dumbbell.pipeline import RunConfig, _dumbbell_eigenpair
+from dumbbell.pipeline import RunConfig, _KTILDE_LIST, _dumbbell_eigenpair
 from lanczos_oracle import lanczos_pairs
 from masked_energy_oracle import masked_energy
 
@@ -38,8 +38,8 @@ def halfminus_wide():
 @pytest.fixture(scope="module")
 def ubar_pack():
     cfg = MeshConfig(h0=0.2, levels=6, r_out=12.0)
-    _, lam, _ = P.compute_u0(cfg, level=0)
-    ub, _ = P.compute_Ubar(cfg, fem.WeightModel(), lam, level=0)
+    lam = P.compute_u0(cfg, 0, fem.WeightModel())[1]["lam_k0"]
+    ub, _ = P.compute_Ubar(cfg, fem.WeightModel(), lam, 0, _KTILDE_LIST)
     return ub, lam
 
 
@@ -80,7 +80,8 @@ class TestFrequencyExterior:
     def test_poincare_lower_bound(self):
         mesh = build_profile_mesh("HalfMinus", MeshConfig(h0=0.2, levels=4))
         disc = fem.Discretization(mesh)
-        v = fem.solve_dirichlet(disc, rhs=lambda x1, rho: np.ones_like(x1))
+        v = fem.assemble(disc, fem.WeightModel.zero()).solve(
+            fem.assemble_load(disc, lambda x1, rho: np.ones_like(x1)))
         tr = A.frequency_exterior(v, None, 0.0, [0.5, 1.0, 2.0])
         assert np.all(tr.N >= 2.0 * (1.0 - 1e-3))
 
@@ -224,7 +225,9 @@ class TestMaskedEnergy:
 def sweep_pair():
     """The level-1 eps = 0.3 sweep eigenpair and its discretization."""
     cfg = RunConfig()
-    _, lam_k0, _ = P.compute_u0(cfg.mesh_config(), level=cfg.profile_level)
+    _, found = P.compute_u0(cfg.mesh_config(), cfg.profile_level,
+                            cfg.weight())
+    lam_k0 = found["lam_k0"]
     pair, _ = _dumbbell_eigenpair(cfg, 0.3, lam_k0)
     return pair.field.disc, pair.field.values, pair.lam
 

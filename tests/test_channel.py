@@ -97,17 +97,6 @@ class TestModeFit:
         assert fit.b_resolved
         assert fit.residual < 1e-12
 
-    def test_c_relation_held_exactly(self):
-        eps = 0.2
-        ts = np.linspace(0.4, 0.6, 9)
-        fit = C.fit_channel_mode(self.synth(3.0, 5.0, eps, ts), eps, SL1)
-        expect = fit.B * ScaledAmplitude.from_float(-2.0 * SL1 / eps)
-        assert fit.C.sign == expect.sign
-        assert fit.C.exponent == expect.exponent
-        assert fit.C.mantissa == expect.mantissa
-        assert fit.C.to_float() == pytest.approx(-2 * SL1 * 5.0 / eps,
-                                                 rel=1e-12)
-
     def test_pure_growing_flags_b(self):
         eps = 0.2
         ts = np.linspace(0.55, 0.85, 13)
@@ -117,7 +106,6 @@ class TestModeFit:
             assert abs(fit.B.to_float()) < 1e-12 * 2.0
         else:
             assert fit.B.is_zero()
-            assert fit.C.is_zero()
 
     def test_deep_one_mode_window_never_fakes_b(self):
         """B at its physical e^(-2 sqrt(l1)/eps) scale is far below the
@@ -165,26 +153,27 @@ class TestModeFit:
                                eps, SL1)
 
 
+def mode_fit(eps, A, B):
+    return C.ModeFit(eps, SL1, A, B, (0.0, 1.0), 0.0, True)
+
+
 class TestPropagate:
     def test_endpoint_is_sum(self):
-        fit = C.ModeFit.from_coefficients(
-            0.2, SL1, ScaledAmplitude.from_float(3.0),
-            ScaledAmplitude.from_float(5.0))
+        fit = mode_fit(0.2, ScaledAmplitude.from_float(3.0),
+                       ScaledAmplitude.from_float(5.0))
         assert C.propagate(fit, 1.0).to_float() == pytest.approx(8.0, rel=1e-14)
 
     def test_extreme_exponent_exact(self):
-        fit = C.ModeFit.from_coefficients(
-            0.01, SL1, ScaledAmplitude.from_float(1.0),
-            ScaledAmplitude.zero())
+        fit = mode_fit(0.01, ScaledAmplitude.from_float(1.0),
+                       ScaledAmplitude.zero())
         out = C.propagate(fit, 0.0)
         assert out.sign == 1
         assert out.log_abs == pytest.approx(-SL1 / 0.01, rel=1e-14)
         assert -SL1 / 0.01 == pytest.approx(-240.4825557695773, abs=1e-10)
 
     def test_no_overflow_at_tiny_eps(self):
-        fit = C.ModeFit.from_coefficients(
-            1e-6, SL1, ScaledAmplitude.from_float(2.0),
-            ScaledAmplitude.from_float(1.0))
+        fit = mode_fit(1e-6, ScaledAmplitude.from_float(2.0),
+                       ScaledAmplitude.from_float(1.0))
         out = C.propagate(fit, 0.0)
         # the decaying-mode term dominates by e^(2 sqrt(l1)/eps)
         assert out.log_abs == pytest.approx(SL1 / 1e-6 + math.log(1.0),

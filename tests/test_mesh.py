@@ -305,9 +305,11 @@ def test_non_conforming_blocks_rejected():
     square = (np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
               np.array([[0, 1, 2], [0, 2, 3]]))
     copy = (square[0][:3], np.array([[0, 1, 2]]))
-    assert len(M._meridian_mesh([square], 3).triangles) == 2
-    with pytest.raises(ValueError, match="shared by >2 triangles"):
-        M._meridian_mesh([square, copy], 3)
+    assert len(M.refine(M.MeridianMesh(*M._merge([square]), 3)).triangles) == 8
+    bad = M.MeridianMesh(*M._merge([square, copy]), 3)
+    for use in (M.refine, fem.Discretization):
+        with pytest.raises(ValueError, match="shared by >2 triangles"):
+            use(bad)
 
 
 def test_unknown_boundary_tag_rejected():

@@ -164,6 +164,19 @@ class TestVerify:
         assert not v["R3"]["pass"]
         assert not v["overall_pass"]
 
+    def test_nan_inside_cascade_b_fails(self):
+        # a zero defect amplitude reads NaN; the final ratio is in range
+        rec = synthetic_record([(0.3, 1.001), (0.1, 1.002)])
+        bc = ScaledAmplitude.from_float(2.0).scale_exp(-30.0)
+        defects = (ScaledAmplitude.zero(), bc * ScaledAmplitude.from_float(1.05))
+        for entry, bd in zip(rec.sweep, defects):
+            entry["b_defect"], entry["b_cascade"] = bd.to_dict(), bc.to_dict()
+        v = pl.verify(rec)["cascade_B"]
+        assert math.isnan(v["values"][0])
+        assert v["values"][1] == pytest.approx(1.05)
+        assert not v["pass"]
+        assert not pl.verify(rec)["overall_pass"]
+
     def test_r1_uses_tighter_guard(self):
         rec = synthetic_record([(0.3, 1.30), (0.2, 1.20), (0.1, 1.10)],
                                name="R1")
@@ -517,18 +530,19 @@ class TestSweep:
         for name, v in ratios.items():
             assert math.isfinite(v) and abs(v - 1.0) < 0.15, (name, v)
         sl1 = cs.disk_ground_mode(cfg.dimension).sqrt_lambda1
-        fit = ch.ModeFit.from_coefficients(
-            0.09, sl1, ScaledAmplitude.from_dict(entry["fit"]["A"]),
-            ScaledAmplitude.from_dict(entry["fit"]["B"]))
+        f = entry["fit"]
+        fit = ch.ModeFit(0.09, sl1, ScaledAmplitude.from_dict(f["A"]),
+                         ScaledAmplitude.from_dict(f["B"]), tuple(f["window"]),
+                         f["residual"], f["b_resolved"])
         for x0 in pl._X0_LIST:
             amp = ch.propagate(fit, x0)
             assert entry["htilde_x0"][repr(x0)] == (amp * amp).to_dict()
 
     def test_failed_profile_stage_is_named(self, monkeypatch):
-        monkeypatch.setattr(pl.prof, "compute_u0",
-                            lambda *a, **k: (None, 1.0, 1.0))
+        monkeypatch.setattr(pl.prof, "compute_u0", lambda *a, **k: (
+            None, {"lam_k0": 1.0, "d0": 1.0, "d0_spread": 0.0}))
         monkeypatch.setattr(pl.prof, "compute_Phi",
-                            lambda *a, **k: (None, 1.0))
+                            lambda *a, **k: (None, {"c_phi": 1.0}))
 
         def broken(*args, **kwargs):
             raise ValueError("synthetic failure")
@@ -536,7 +550,33 @@ class TestSweep:
         monkeypatch.setattr(pl.prof, "compute_PhiHat", broken)
         with pytest.raises(RuntimeError,
                            match="profile stage 'PhiHat' failed: synthetic"):
-            pl._compute_profiles(pl.RunConfig(**COARSE), 0)
+            pl._compute_profiles(pl.RunConfig(**COARSE))
+
+    def test_each_constant_comes_from_one_solve(self, monkeypatch):
+        # the stage merges the solves' dicts, so a key that two solves
+        # returned would keep only the last value
+        keys = []
+
+        def recording(solve):
+            def run(*args):
+                profile, found = solve(*args)
+                keys.append(set(found))
+                return profile, found
+            return run
+
+        for name in ("compute_u0", "compute_Phi", "compute_PhiHat",
+                     "compute_Ubar"):
+            monkeypatch.setattr(pl.prof, name,
+                                recording(getattr(pl.prof, name)))
+        pset = pl._compute_profiles(pl.RunConfig(**COARSE))
+        merged = set().union(*keys)
+        assert len(keys) == 4 and sum(map(len, keys)) == len(merged)
+        assert merged | {"level"} == {
+            f.name for f in dataclasses.fields(pl.ProfileConstants)}
+        # each profile's residual rides on its field, u0's included
+        assert 0 < pset.u0.field.residual < 1e-9
+        assert all(p.field.residual < 1e-9
+                   for p in (pset.phi, pset.phihat, pset.ubar))
 
     def test_profile_constants_rejected_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(pl, "run_profiles", unreachable)

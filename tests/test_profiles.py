@@ -8,7 +8,7 @@ from dumbbell import cross_section as cs
 from dumbbell import fem
 from dumbbell import profiles as P
 from dumbbell.mesh import MeshConfig, build_profile_mesh
-from dumbbell.pipeline import RunConfig
+from dumbbell.pipeline import RunConfig, _KTILDE_LIST
 
 CFG = MeshConfig(h0=0.2, levels=6, r_out=12.0)
 MODE = cs.disk_ground_mode(3)
@@ -17,23 +17,23 @@ UPS = cs.upsilon(3)
 
 @pytest.fixture(scope="module")
 def u0_pack():
-    return P.compute_u0(CFG, level=0)
+    return P.compute_u0(CFG, 0, fem.WeightModel())
 
 
 @pytest.fixture(scope="module")
 def phi_pack():
-    return P.compute_Phi(CFG, level=0)
+    return P.compute_Phi(CFG, 0)
 
 
 @pytest.fixture(scope="module")
 def phihat_pack():
-    return P.compute_PhiHat(CFG, level=0)
+    return P.compute_PhiHat(CFG, 0)
 
 
 @pytest.fixture(scope="module")
 def ubar_pack(u0_pack):
-    _, lam, _ = u0_pack
-    return P.compute_Ubar(CFG, fem.WeightModel(), lam, level=0)
+    return P.compute_Ubar(CFG, fem.WeightModel(), u0_pack[1]["lam_k0"], 0,
+                          _KTILDE_LIST)
 
 
 class TestSmoothstep:
@@ -60,30 +60,30 @@ class TestSmoothstep:
 
 class TestU0:
     def test_eigenvalue_positive_and_resolved(self, u0_pack):
-        sol, lam, d0 = u0_pack
-        assert lam > 0
-        assert sol.metadata["eigen_residual"] < 1e-9
+        sol, found = u0_pack
+        assert found["lam_k0"] > 0
+        assert sol.field.residual < 1e-9
 
     def test_d0_is_radius_independent(self, u0_pack):
-        sol, _, d0 = u0_pack
+        _, found = u0_pack
         # the sphere projection is exactly linear in r inside the
         # weight-free ball, so the three samples must agree tightly
-        assert d0 > 0
-        assert sol.metadata["d0_spread"] < 1e-8
+        assert found["d0"] > 0
+        assert found["d0_spread"] < 1e-8
 
     def test_positive_orientation(self, u0_pack):
-        sol, _, _ = u0_pack
+        sol, _ = u0_pack
         assert sol(5.5, 0.5) > 0
 
     def test_eigenvalue_decreases_with_domain(self, u0_pack):
-        _, lam12, _ = u0_pack
-        _, lam16, _ = P.compute_u0(
-            MeshConfig(h0=0.2, levels=6, r_out=16.0), level=0)
-        assert lam16 < lam12
+        lam12 = u0_pack[1]["lam_k0"]
+        _, found = P.compute_u0(MeshConfig(h0=0.2, levels=6, r_out=16.0), 0,
+                                fem.WeightModel())
+        assert found["lam_k0"] < lam12
 
     def test_rejects_dead_weight(self):
         with pytest.raises(ValueError):
-            P.compute_u0(CFG, weight=fem.WeightModel(0.0, 0.5))
+            P.compute_u0(CFG, 0, fem.WeightModel(0.0, 0.5))
 
 
 class TestPhi:
@@ -102,7 +102,8 @@ class TestPhi:
             assert lhs == pytest.approx(UPS - v1, rel=1.5e-3)
 
     def test_tube_decay_is_pure_ground_mode(self, phi_pack):
-        sol, c_phi = phi_pack
+        sol, found = phi_pack
+        c_phi = found["c_phi"]
         k = MODE.sqrt_lambda1
         for depth in (0.5, 1.0, 2.0):
             proj = cs.project_section(sol, 1.0 - depth, 1.0, MODE)
@@ -120,9 +121,8 @@ class TestPhi:
         assert np.all(sol(xs, np.full_like(xs, 0.7)) > 0)
 
     def test_c_phi_stable_under_refinement(self, phi_pack):
-        _, c0 = phi_pack
-        _, c1 = P.compute_Phi(CFG, level=1)
-        assert c1 == pytest.approx(c0, rel=1e-2)
+        _, found = P.compute_Phi(CFG, 1)
+        assert found["c_phi"] == pytest.approx(phi_pack[1]["c_phi"], rel=1e-2)
 
     def test_outside_evaluation_is_nan(self, phi_pack):
         sol, _ = phi_pack
@@ -161,9 +161,9 @@ def test_harmonic_profiles_assemble_stiffness_once(monkeypatch):
     monkeypatch.setattr(fem, "assemble_stiffness",
                         lambda disc: calls.append(disc) or assemble(disc))
     cfg = MeshConfig(h0=0.5, levels=3, r_out=8.0)
-    P.compute_Phi(cfg)
+    P.compute_Phi(cfg, 0)
     assert len(calls) == 1
-    P.compute_PhiHat(cfg)
+    P.compute_PhiHat(cfg, 0)
     assert len(calls) == 2
 
 
@@ -172,7 +172,7 @@ class TestPhiHat:
         """The inflow condition pins the growing tube-mode coefficient to 1;
         reading it back from a deep section is an end-to-end consistency
         check of lift, solve and projection."""
-        sol, _, _ = phihat_pack
+        sol, _ = phihat_pack
         k = MODE.sqrt_lambda1
         c_grow = math.exp(-4.0 * k) * cs.project_section(sol, 4.0, 1.0, MODE)
         assert c_grow == pytest.approx(1.0, rel=1e-3)
@@ -181,7 +181,7 @@ class TestPhiHat:
         """The ground-mode section coefficient solves a''= lambda1 a exactly
         in the tube, so a(h) is determined by the growing coefficient and
         a(0) alone."""
-        sol, _, _ = phihat_pack
+        sol, _ = phihat_pack
         k = MODE.sqrt_lambda1
         c_grow = math.exp(-4.0 * k) * cs.project_section(sol, 4.0, 1.0, MODE)
         a0 = cs.project_section(sol, 0.0, 1.0, MODE)
@@ -195,14 +195,14 @@ class TestPhiHat:
         exactly like h^(1-N); the residual is set by domain truncation, so
         a wide domain is used here."""
         cfg = MeshConfig(h0=0.2, levels=6, r_out=32.0)
-        sol, _, _ = P.compute_PhiHat(cfg, level=0)
+        sol, _ = P.compute_PhiHat(cfg, 0)
         v1 = cs.project_sphere(sol, 0.0, 1.0, -1)
         for h in (1.5, 2.0, 3.0):
             vh = cs.project_sphere(sol, 0.0, h, -1)
             assert vh * h ** 2 == pytest.approx(v1, rel=1e-3)
 
     def test_dominates_the_pure_mode(self, phihat_pack):
-        sol, _, _ = phihat_pack
+        sol, _ = phihat_pack
         k = MODE.sqrt_lambda1
         xs = np.linspace(0.5, 8.0, 16)
         rho = np.full_like(xs, 0.4)
@@ -210,13 +210,12 @@ class TestPhiHat:
         assert np.all(sol(xs, rho) >= pure * (1.0 - 1e-3))
 
     def test_section_mass_is_one_mode_dominated(self, phihat_pack):
-        sol, _, m = phihat_pack
+        sol, found = phihat_pack
         a1 = cs.project_section(sol, 1.0, 1.0, MODE)
-        assert m == pytest.approx(a1 ** 2, rel=5e-3)
+        assert found["m_phihat"] == pytest.approx(a1 ** 2, rel=5e-3)
 
     def test_positive_junction_projection(self, phihat_pack):
-        _, c_phihat, _ = phihat_pack
-        assert c_phihat > 0
+        assert phihat_pack[1]["c_phihat"] > 0
 
 
 class TestUbar:
@@ -246,8 +245,8 @@ class TestUbar:
     def test_zero_weight_reduces_to_kernel(self):
         """With p = 0 the exact solution is the harmonic kernel itself (up
         to the small domain-truncation correction)."""
-        sol, _ = P.compute_Ubar(CFG, fem.WeightModel.zero(), 1.3,
-                                level=0)
+        sol, _ = P.compute_Ubar(CFG, fem.WeightModel.zero(), 1.3, 0,
+                                _KTILDE_LIST)
         for r in (0.5, 1.5):
             x1, rho = -r / math.sqrt(2), r / math.sqrt(2)
             exact = -x1 / (UPS * r ** 3)
@@ -260,16 +259,16 @@ class TestUbar:
         cfg = MeshConfig(h0=0.35, r_out=8.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            sol, norms = P.compute_Ubar(cfg, fem.WeightModel(1.0, 0.0), 1.3,
-                                        level=0)
-        ref, _ = P.compute_Ubar(cfg, fem.WeightModel.zero(), 1.3,
-                                level=0)
+            sol, found = P.compute_Ubar(cfg, fem.WeightModel(1.0, 0.0), 1.3,
+                                        0, _KTILDE_LIST)
+        ref, _ = P.compute_Ubar(cfg, fem.WeightModel.zero(), 1.3, 0,
+                                _KTILDE_LIST)
         assert np.allclose(sol.field.values, ref.field.values,
                            rtol=1e-12, atol=0)
-        assert all(np.isfinite(v) for v in norms.values())
+        assert all(np.isfinite(v) for v in found["norm_gamma"].values())
 
     def test_surface_norms_scale_like_kernel(self, ubar_pack):
-        _, norms = ubar_pack
+        norms = ubar_pack[1]["norm_gamma"]
         # near the origin Ubar ~ r^-2 Psi-, whose half-sphere mass is
         # exactly k^-2 (Psi- is surface-normalized)
         assert 0.5 ** 2 * norms[0.5] == pytest.approx(1.0, rel=2e-2)
@@ -278,16 +277,16 @@ class TestUbar:
 
     def test_spectral_gap_guard(self, u0_pack):
         # 5 lam_k0 lies above lambda_1(D-) = 2 lam_k0: a negative pivot
-        _, lam, _ = u0_pack
+        lam = u0_pack[1]["lam_k0"]
         with pytest.raises(ValueError):
-            P.compute_Ubar(CFG, fem.WeightModel(), 5.0 * lam,
-                           level=0)
+            P.compute_Ubar(CFG, fem.WeightModel(), 5.0 * lam, 0,
+                           _KTILDE_LIST)
 
     def test_left_spectrum_mirrors_the_right(self, u0_pack):
         """RunConfig.validate's weight rule rests on D- mirroring D+:
         lambda_1(D-) = lam_k0 a_plus/a_minus, so the shift keeps its
         margin without an eigen solve on D-."""
-        _, lam, _ = u0_pack
+        lam = u0_pack[1]["lam_k0"]
         for a_minus in (0.5, 0.8):
             mesh = build_profile_mesh("HalfMinus", CFG)
             system = fem.assemble(fem.Discretization(mesh),
