@@ -7,7 +7,8 @@ MeridianMesh, Dirichlet conditions by elimination to a reduced SPD system,
 one sparse factorization helper for every SPD matrix, and the ground state
 by shift-invert Rayleigh-Ritz with a float64 inverse-iteration polish, the
 package's only eigen algorithm, at one solve a step: u0 takes 12 solves,
-a sweep entry 10 (4 for the restricted reference, 6 for the full pair).
+a sweep entry 7 (3 for the restricted reference, 4 for the full pair, each
+shifted 1e-3 below an eigenvalue known beforehand).
 An AssembledSystem is the one place that reduces, factors and solves a
 Dirichlet problem: it carries its shift and factors K - shift M_p once, so
 every eigen step and load solve on it reuses that factor.
@@ -626,7 +627,14 @@ def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
     lam_eps and lam_ref stayed bitwise equal.  The returned eigenvalue is
     the K/M_p Rayleigh quotient of the returned vector, and the residual
     its relative residual, both taken in long double: a float64 quotient
-    moved lam by up to 1.2e-14."""
+    moved lam by up to 1.2e-14.  The field carries that residual.
+
+    A Rayleigh quotient at or below sigma raises ValueError: then
+    u^T (K - sigma M_p) u <= 0, which proves the factored operator
+    indefinite, sigma at or above the ground eigenvalue.  The check reads
+    only the quotient, so every shifted iteration gets it for free; an
+    iterate drawn to a mode above sigma passes it, and a caller that knows
+    a bound on the ground eigenvalue checks that bound itself."""
     if system.Mp.nnz == 0:
         raise ValueError("weighted mass is identically zero")
     lu = system.lu()
@@ -638,10 +646,14 @@ def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
     Ku = system.K.astype(np.longdouble) @ ul
     Mu = system.Mp.astype(np.longdouble) @ ul
     lam = (ul @ Ku) / (ul @ Mu)
+    if not lam > system.shift:
+        raise ValueError(f"Rayleigh quotient {float(lam)!r} is not above the "
+                         f"shift {system.shift!r}: K - shift M_p is not "
+                         "positive definite")
     r = Ku - lam * Mu
     res = float(np.sqrt(r @ r) / np.sqrt(Ku @ Ku))
-    return EigenPair(float(lam), FieldSolution(system.disc, system.expand(u)),
-                     res)
+    return EigenPair(float(lam),
+                     FieldSolution(system.disc, system.expand(u), res), res)
 
 
 def mass_normalize(system: AssembledSystem, pair: EigenPair) -> EigenPair:

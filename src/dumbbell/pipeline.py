@@ -236,6 +236,35 @@ def run_profiles(cfg: RunConfig, return_fields: bool = False):
 # Per-eps solve
 # ----------------------------------------------------------------------------
 
+# Both sweep iterations shift to (1 - _SHIFT_OFFSET) times an eigenvalue
+# known beforehand, just below their target: the restricted reference to
+# lam_k0 (lam_ref/lam_k0 - 1 measured at most 2.7e-7), the full pair to
+# lam_ref (lam_eps <= lam_ref by min-max, lam_ref - lam_eps measured
+# 2.7e-5 lam_ref at eps = 0.3 and 9.2e-5 at eps = 0.45, about 1.3e-4 by the
+# law lam_ref - lam_eps ~ eps^N d0^2 m_Phi for every eps < 0.5).  So
+# K - sigma M_p stays SPD, lam1 - sigma is about 1e-3 lam1 or less, and a
+# step contracts the next mode (lam2 >= 2 lam_k0: the left body's ground
+# mode, or the second mode of D+ at 2.38 lam_k0) by (lam1 - sigma)/
+# (lam2 - sigma) <= about 1e-3 (Parlett, The Symmetric Eigenvalue Problem,
+# ch. 4).  A Rayleigh quotient at or below sigma raises in
+# fem.refine_eigenpair, and _sweep_entry's lam_eps <= lam_ref guard
+# catches an iterate drawn to a higher mode.
+_SHIFT_OFFSET = 1e-3
+# eigen_smallest steps for the restricted reference: 1 Krylov solve and the
+# 2-solve polish.  The cold all-ones start overlaps the D+ modes at O(1);
+# the Ritz vector of the 2-vector basis and two steps at <= 1e-3 each left
+# a vector error of 2e-10 of the peak against 12 steps (eps = 0.3 and 0.1),
+# and the Rayleigh quotient error squares it: lam_ref came out bitwise equal
+_REFERENCE_STEPS = 3
+# refine_eigenpair steps for the full pair from the restricted
+# eigenvector, which is zero on x1 <= 1 and lacks only the left tail,
+# about 1e-15 of the peak; the left-body entries need 9 more digits, so
+# 1e-3^steps <= 1e-9 gives 3 steps and the 4th keeps a x1000 margin.
+# Against 6 steps at sigma = 0.99 lam_k0 the worst R6 ratio (eps = 0.1)
+# moved 3.5e-7 at 2 steps, 3.5e-10 at 3 and 1.5e-12 at 4
+_EIGENPAIR_STEPS = 4
+
+
 def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
     """The mass-normalized ground pair of the dumbbell and the eigenvalue
     lambda_ref of its restricted reference."""
@@ -245,18 +274,11 @@ def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
     disc = fem.Discretization(mesh)
     system = fem.assemble(disc, cfg.weight())
     ref = _restricted_reference(system, lam_k0)
-    # lam_eps sits just below lam_k0 (lam_eps/lam_k0 - 1 measured -2.7e-5 at
-    # eps = 0.3 and -9.2e-5 at eps = 0.45), so sigma = 0.99 lam_k0 keeps
-    # K - sigma M_p SPD, and each step contracts the other components by
-    # (lam1 - sigma)/(lam2 - sigma) ~ 0.01.  The left-body entries sit 15
-    # decades below the peak and need 9 more digits.  The all-ones start
-    # carries an O(1) share of the left-body mode (lam2 ~ 2 lam_k0) and
-    # would need 0.01^steps <= 1e-24, 12 steps; the restricted eigenvector
-    # is zero on x1 <= 1 and lacks only the left tail, about 1e-15 of the
-    # peak, so 0.01^steps <= 1e-9 gives 5 steps, and 6 keep a x100 margin:
-    # 6 float64 solves, whose LU keeps those 9 digits without refinement
-    pair = fem.refine_eigenpair(system.shifted(0.99 * lam_k0),
-                                ref.field.values[system.free], 6)
+    # float64 solves, whose LU keeps the left body's digits without
+    # refinement
+    pair = fem.refine_eigenpair(
+        system.shifted((1 - _SHIFT_OFFSET) * ref.lam),
+        ref.field.values[system.free], _EIGENPAIR_STEPS)
     pair = fem.mass_normalize(system, pair)
     return pair, ref.lam
 
@@ -270,11 +292,8 @@ def _restricted_reference(system: fem.AssembledSystem,
     own iteration.  The pair is returned without its subsystem, so that
     the subsystem's factor is freed before the full operator is factored."""
     left = np.nonzero(system.disc.nodes[:, 0] <= 1.0 + 1e-14)[0]
-    # on D+ lam2/lam1 = 2.38, so a plain step at sigma = 0.99 lam_k0
-    # contracts by about 0.007, and the Rayleigh quotient error squares
-    # that; 4 steps are 2 Krylov solves and the 2-solve polish, 4 solves
-    sub = system.clamped(left).shifted(0.99 * lam_k0)
-    return fem.eigen_smallest(sub, 4)
+    sub = system.clamped(left).shifted((1 - _SHIFT_OFFSET) * lam_k0)
+    return fem.eigen_smallest(sub, _REFERENCE_STEPS)
 
 
 # readout geometry: the right-window fit sections, the R2 stations x0, the

@@ -279,3 +279,12 @@ def test_criterion_10_smallness_claims(record):
     report(10, f"|B| e^(2 sqrt(l1)(1-x0)/eps)/eps strictly decreasing; "
                f"|A/(eps d0 c_Phi) - 1| floor-monotone; derivative-form B "
                f"within residual bound (worst {worst:.2e})")
+
+
+def test_sweep_verdicts_pass(record):
+    # the verdicts `dumbbell sweep` prints and `dumbbell verify` re-checks,
+    # on the default sweep rather than a synthetic record
+    failed = [name for name, v in record.verdicts.items()
+              if name != "overall_pass" and not v["pass"]]
+    assert record.verdicts["overall_pass"], failed
+    print(f"[overall] PASS: {len(record.verdicts) - 1} series pass verify")

@@ -562,6 +562,16 @@ class TestRefineEigenpair:
                                      once.field.values[sysd.free], 2)
         assert abs(twice.lam - once.lam) / once.lam < 1e-14
 
+    def test_shift_above_the_ground_eigenvalue_raises(self):
+        # K - sigma M_p is indefinite; lam2/lam1 = 2.38 on D+, so the
+        # iterate tends to the ground mode, whose quotient lies below sigma
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
+        pair = lanczos_pairs(sysd, tol=1e-8)[0]
+        with pytest.raises(ValueError, match="not above the shift"):
+            fem.refine_eigenpair(sysd.shifted(1.05 * pair.lam),
+                                 pair.field.values[sysd.free], 2)
+
     def test_residual_non_increasing(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())

@@ -12,6 +12,7 @@ from dumbbell import cli
 from dumbbell import cross_section as cs
 from dumbbell import fem
 from dumbbell import pipeline as pl
+from dumbbell.mesh import build_dumbbell_mesh
 from dumbbell.scaled import ScaledAmplitude
 from extended_polish_oracle import extended_refine_eigenpair
 
@@ -399,7 +400,7 @@ class TestSweep:
             self, coarse_pset, monkeypatch):
         # the hot path: one shifted factor for the dumbbell eigenpair, one
         # for the restricted reference, and one stiffness matrix for both;
-        # 6 steps on the first and 4 on the second, one solve a step
+        # 4 steps on the first and 3 on the second, one solve a step
         factored, assembled, solves = [], [], []
         factor, assemble = fem.factor, fem.assemble_stiffness
 
@@ -421,7 +422,15 @@ class TestSweep:
                         coarse_pset)
         assert len(factored) == 2
         assert len(assembled) == 1
-        assert len(solves) == 6 + 4
+        assert len(solves) == 4 + 3
+
+    def test_restricted_reference_field_carries_its_residual(
+            self, coarse_pset):
+        cfg = pl.RunConfig(cache=False, **COARSE)
+        disc = fem.Discretization(build_dumbbell_mesh(cfg.mesh_config(0.3)))
+        system = fem.assemble(disc, cfg.weight())
+        ref = pl._restricted_reference(system, coarse_pset.constants.lam_k0)
+        assert ref.field.residual == ref.residual > 0
 
     def test_eigenvalue_above_restricted_reference_fails_entry(
             self, coarse_pset, monkeypatch):
@@ -440,11 +449,11 @@ class TestSweep:
     def test_warm_start_reaches_the_left_body(self, coarse_pset,
                                               monkeypatch):
         # eps = 0.1 is the deepest direct-track eps: there the left body
-        # sits furthest below the peak.  The 6-step iterate must agree with
+        # sits furthest below the peak.  The 4-step iterate must agree with
         # a 12-step one from the same start where R4-R6 read it.  The left
-        # error falls by 0.01 a step and measures 3e-14 at 6 steps on this
-        # mesh, 3e-12 at 5 and 3e-10 at 4, so 1e-11 of the left peak
-        # catches a cut to 4 steps
+        # error falls by 1e-3 a step and measures 3e-14 at 4 steps on this
+        # mesh, 3e-11 at 3 and 3e-8 at 2, so 1e-11 of the left peak
+        # catches a cut to 3 steps
         calls = []
         refine = fem.refine_eigenpair
         monkeypatch.setattr(fem, "refine_eigenpair",
