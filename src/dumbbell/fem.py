@@ -111,21 +111,17 @@ class WeightModel:
 
 def _dunavant(degree: int):
     if degree <= 4:
-        a1, w1 = 0.445948490915965, 0.223381589678011
-        a2, w2 = 0.091576213509771, 0.109951743655322
-        pts, wts = [], []
-        for a, w in ((a1, w1), (a2, w2)):
-            for perm in ((a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a)):
-                pts.append(perm)
-                wts.append(w)
+        orbits = ((0.445948490915965, 0.223381589678011),
+                  (0.091576213509771, 0.109951743655322))
     else:
-        g1, w1 = 0.249286745170910, 0.116786275726379
-        g2, w2 = 0.063089014491502, 0.050844906370207
-        pts, wts = [], []
-        for a, w in ((g1, w1), (g2, w2)):
-            for perm in ((a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a)):
-                pts.append(perm)
-                wts.append(w)
+        orbits = ((0.249286745170910, 0.116786275726379),
+                  (0.063089014491502, 0.050844906370207))
+    pts, wts = [], []
+    for a, w in orbits:
+        for perm in ((a, a, 1 - 2 * a), (a, 1 - 2 * a, a), (1 - 2 * a, a, a)):
+            pts.append(perm)
+            wts.append(w)
+    if degree > 4:
         b, c = 0.310352451033785, 0.053145049844816
         a = 1.0 - b - c
         w3 = 0.082851075618374

@@ -1,5 +1,5 @@
-"""Sweep orchestration: profile constants, per-eps dumbbell solves, ratio
-series, trend verdicts and persistence.
+"""Sweep orchestration: profile constants, per-eps dumbbell solves and
+ratio series; `record` judges and writes the record they make.
 
 The verification is two-track.  Every entry reads the eigenpair, the
 restricted reference eigenvalue, the right-window tube fit, the cascade
@@ -16,14 +16,12 @@ coefficient against the one measured next to the left junction.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field as dfield
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import ClassVar
 
@@ -35,29 +33,22 @@ from . import cross_section as cs
 from . import fem
 from . import profiles as prof
 from .mesh import MeshConfig, build_dumbbell_mesh, refine
+# emit and load_record are re-exported for perfbench/run.py
+from .record import (ProfileConstants, RunRecord, _check_decreasing,
+                     _is_real, emit, load_record, verify)
 from .scaled import ScaledAmplitude
 
 __all__ = [
     "RunConfig",
-    "ProfileConstants",
     "ProfileSet",
-    "RunRecord",
     "run_profiles",
     "run_sweep",
-    "verify",
-    "emit",
-    "load_record",
 ]
 
 
 # ----------------------------------------------------------------------------
 # Configuration
 # ----------------------------------------------------------------------------
-
-def _is_real(value) -> bool:
-    """A JSON or numpy number; bool is an int subclass and is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -96,8 +87,7 @@ class RunConfig:
                 and all(map(_is_real, sweep))):
             raise ValueError(f"eps_sweep={sweep!r} must list at least two "
                              "eps values")
-        if any(b >= a for a, b in zip(sweep, sweep[1:])):
-            raise ValueError("eps sweep must be strictly decreasing")
+        _check_decreasing(sweep)
         for eps in sweep:
             self.mesh_config(eps).validate()
         # D- mirrors D+ with the weight scaled by a_minus/a_plus, so
@@ -115,9 +105,8 @@ class RunConfig:
         for k, v in d.items():
             if isinstance(v, tuple):
                 d[k] = list(v)
-        d.pop("out_dir")
-        d.pop("jobs")
-        d.pop("cache")
+        for io_field in ("out_dir", "jobs", "cache"):
+            d.pop(io_field)
         return d
 
     def hash(self) -> str:
@@ -135,46 +124,6 @@ class RunConfig:
 # ----------------------------------------------------------------------------
 # Profile stage
 # ----------------------------------------------------------------------------
-
-@dataclass
-class ProfileConstants:
-    """Scalar outputs of the four profile solves.
-
-    c_hat = 1/sqrt(m_phihat) normalizes PhiHat to unit section mass at the
-    junction; phihat0 is the ground-mode coefficient of the normalized
-    profile at the tube entrance."""
-
-    lam_k0: float
-    d0: float
-    d0_spread: float
-    c_phi: float
-    c_phihat: float
-    m_phihat: float
-    a0_phihat: float
-    norm_gamma: dict
-    level: int
-
-    @property
-    def c_hat(self) -> float:
-        return 1.0 / math.sqrt(self.m_phihat)
-
-    @property
-    def phihat0(self) -> float:
-        return self.a0_phihat * self.c_hat
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["norm_gamma"] = {repr(float(k)): v
-                           for k, v in self.norm_gamma.items()}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProfileConstants":
-        d = dict(d)
-        d["norm_gamma"] = {float(k): float(v)
-                           for k, v in d["norm_gamma"].items()}
-        return cls(**d)
-
 
 @dataclass
 class ProfileSet:
@@ -479,77 +428,8 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
 
 
 # ----------------------------------------------------------------------------
-# Sweep and verdicts
+# Sweep
 # ----------------------------------------------------------------------------
-
-_FORMULAS = {
-    "R1": "lam_eps / lam_k0(restricted right half)",
-    "R2": "eps^-1 exp(-sqrt(l1)(x0-1)/eps) sqrt(Htilde(x0)) / (d0 c_Phi)",
-    "R3": "eps^-1 exp(sqrt(l1)/eps) sqrt(Htilde(eps)) "
-          "/ (d0 c_Phi sqrt(m_PhiHat))",
-    "R4": "[d_eps/(N eps^(N-1) sqrt(Htilde(eps)))] "
-          "/ (-c_PhiHat/sqrt(m_PhiHat))",
-    "R5": "exp(sqrt(l1)/eps) eps^-N sqrt(int_{Gamma-_kt} u^2 dsigma) "
-          "/ (sqrt(normGamma_Ubar(kt)) c_PhiHat c_Phi d0)",
-    "R6": "sup_{0.5<=|x|<=1.5} |exp(sqrt(l1)/eps) u/eps^N "
-          "- c_PhiHat c_Phi d0 Ubar| / sup|...Ubar|",
-}
-
-
-@dataclass
-class RunRecord:
-    config_hash: str
-    config: dict
-    constants: ProfileConstants
-    sweep: list
-    verdicts: dict = dfield(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {"config_hash": self.config_hash, "config": self.config,
-                "constants": self.constants.to_dict(), "sweep": self.sweep,
-                "verdicts": self.verdicts}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        """The record a `to_dict` blob holds.  A blob that lacks a key, or
-        a sweep entry without a numeric eps and an object of numeric
-        ratios, or with a `b_defect` but not two amplitudes `b_defect` and
-        `b_cascade`, raises ValueError."""
-        if not isinstance(d, dict):
-            raise ValueError("a record is a JSON object")
-        keys = ("config_hash", "config", "constants", "sweep", "verdicts")
-        missing = [k for k in keys if k not in d]
-        if missing:
-            raise ValueError(f"record lacks {', '.join(missing)}")
-        if not isinstance(d["sweep"], list):
-            raise ValueError("record sweep is not a list")
-        for i, entry in enumerate(d["sweep"]):
-            try:
-                if not (_is_real(entry["eps"])
-                        and all(map(_is_real, entry["ratios"].values()))):
-                    raise TypeError("eps and every ratio must be numbers")
-                if "b_defect" in entry:
-                    ScaledAmplitude.from_dict(entry["b_defect"])
-                    ScaledAmplitude.from_dict(entry["b_cascade"])
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise ValueError(f"sweep entry {i} malformed: "
-                                 f"{type(exc).__name__}: {exc}") from exc
-        try:
-            constants = ProfileConstants.from_dict(d["constants"])
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise ValueError(f"record constants malformed: {exc}") from exc
-        return cls(d["config_hash"], d["config"], constants, d["sweep"],
-                   d["verdicts"])
-
-    def series(self, name: str):
-        """(eps list, value list) for a named ratio series."""
-        es, vs = [], []
-        for entry in self.sweep:
-            if name in entry["ratios"]:
-                es.append(entry["eps"])
-                vs.append(entry["ratios"][name])
-        return es, vs
-
 
 def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
     """Sweep `cfg.eps_sweep`; `constants` is the ProfileSet to reuse, or
@@ -563,244 +443,20 @@ def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
         raise TypeError("run_sweep needs a ProfileSet or None as "
                         f"constants, not {type(constants).__name__}")
 
-    sweep = [None] * len(cfg.eps_sweep)
-
-    def work(i_eps):
-        i, eps = i_eps
+    def work(eps):
         try:
-            return i, _sweep_entry(cfg, float(eps), pset)
+            return _sweep_entry(cfg, float(eps), pset)
         except Exception as exc:
-            return i, {"eps": float(eps), "error": f"{type(exc).__name__}: {exc}",
-                       "ratios": {}}
+            return {"eps": float(eps), "error": f"{type(exc).__name__}: {exc}",
+                    "ratios": {}}
 
+    # both maps yield the entries in sweep order
     if cfg.jobs > 1:
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            for i, entry in pool.map(work, enumerate(cfg.eps_sweep)):
-                sweep[i] = entry
+            sweep = list(pool.map(work, cfg.eps_sweep))
     else:
-        for i, entry in map(work, enumerate(cfg.eps_sweep)):
-            sweep[i] = entry
+        sweep = list(map(work, cfg.eps_sweep))
 
     record = RunRecord(cfg.hash(), cfg.canonical(), pset.constants, sweep)
     record.verdicts = verify(record)
     return record
-
-
-def _classify(eps, devs) -> str:
-    """Trend of a deviation series by log-log slope (deviation vs eps);
-    "single" when fewer than two points give a slope."""
-    pairs = [(e, d) for e, d in zip(eps, devs)
-             if d is not None and np.isfinite(d) and d > 0]
-    if len(pairs) < 2:
-        return "single"
-    x = np.log([e for e, _ in pairs])
-    y = np.log([d for _, d in pairs])
-    slope = float(np.polyfit(x, y, 1)[0])
-    if slope > 0.1:
-        return "converging"
-    if slope < -0.1:
-        return "diverging"
-    return "flat"
-
-
-def verify(record: RunRecord) -> dict:
-    """Classify every ratio series and decide the overall verdict.
-
-    A series passes when its deviation-from-1 trend is converging and the
-    final deviation is under its guard (5% for R1, 15% for the
-    asymptotic series).  A series whose deviations never rise above the
-    discretization floor has converged before the sweep began; its slope
-    is mesh noise and it passes regardless of the trend label.  A series,
-    cascade_B too, with a non-finite value fails, wherever it sits.  A sweep
-    with an errored entry, or with fewer than the two eps entries a
-    config must have, fails under `sweep_errors`."""
-    tol = {"R1": 0.05, "R2": 0.15, "R3": 0.15, "R4": 0.15, "R5": 0.15,
-           "R6": 0.15}
-    floor = 5e-3
-    names = sorted({k for entry in record.sweep
-                    for k in entry.get("ratios", {})})
-    out = {}
-    overall = True
-    for name in names:
-        base = name.split("[")[0]
-        es, vs = record.series(name)
-        devs = [abs(v - 1.0) if base != "R6" else v for v in vs]
-        verdict = _classify(es, devs)
-        final = devs[-1] if devs else float("nan")
-        # a non-finite point fails the series: the trend and the floor
-        # would be read off the points that remain
-        finite = bool(devs) and bool(np.isfinite(devs).all())
-        at_floor = finite and max(devs) < floor
-        ok = finite and final < tol.get(base, 0.15) \
-            and (verdict == "converging" or at_floor)
-        out[name] = {
-            "formula": _FORMULAS.get(base, ""),
-            "eps": es,
-            "values": vs,
-            "deviations": devs,
-            "verdict": verdict,
-            "final_deviation": final,
-            "at_floor": at_floor,
-            "pass": bool(ok),
-        }
-        overall = overall and ok
-
-    # cascade consistency: the decaying-mode coefficient reconstructed
-    # from the propagated amplitude and the left-junction transfer
-    # constants must match the one measured by defect next to the
-    # junction, within a factor 3 at the smallest direct eps
-    pairs = []
-    for entry in record.sweep:
-        if entry.get("track") != "direct" or "b_defect" not in entry:
-            continue
-        bd = ScaledAmplitude.from_dict(entry["b_defect"])
-        bc = ScaledAmplitude.from_dict(entry["b_cascade"])
-        r = (bd / bc).to_float() if not (bd.is_zero() or bc.is_zero()) \
-            else float("nan")
-        pairs.append((entry["eps"], r))
-    if pairs:
-        final = pairs[-1][1]
-        ok = bool(np.isfinite([r for _, r in pairs]).all()
-                  and 1.0 / 3.0 < final < 3.0)
-        out["cascade_B"] = {
-            "formula": "B(defect at t=0.05) "
-                       "/ [(phihat0 - c_hat) sqrt(Htilde(eps)) "
-                       "exp(-sqrt(l1)/eps)]",
-            "eps": [e for e, _ in pairs],
-            "values": [r for _, r in pairs],
-            "deviations": [abs(r - 1.0) for _, r in pairs],
-            "verdict": "converging" if ok else "flat",
-            "final_deviation": abs(final - 1.0),
-            "at_floor": False,
-            "pass": ok,
-        }
-        overall = overall and ok
-
-    # an errored entry is missing from every series above, so the series
-    # verdicts cannot see it; the sweep fails as incomplete, and so does a
-    # sweep of fewer than two eps, which has no trend to classify
-    errored = [e for e in record.sweep if "error" in e]
-    if errored or len(record.sweep) < 2:
-        out["sweep_errors"] = {
-            "formula": "at least two eps entries, each solved without error",
-            "eps": [e["eps"] for e in errored],
-            "values": [math.nan] * len(errored),
-            "deviations": [math.nan] * len(errored),
-            "errors": [e["error"] for e in errored],
-            "verdict": "errored",
-            "final_deviation": math.nan,
-            "at_floor": False,
-            "pass": False,
-        }
-        overall = False
-    out["overall_pass"] = bool(overall)
-    return out
-
-
-# ----------------------------------------------------------------------------
-# Persistence
-# ----------------------------------------------------------------------------
-
-def emit(record: RunRecord, out_dir: str,
-         formats=("json", "csv", "svg")) -> list:
-    """Write the record and per-series tables/plots; returns paths.  An
-    unknown format raises ValueError before anything is written."""
-    unknown = sorted(set(formats) - {"json", "csv", "svg"})
-    if unknown:
-        raise ValueError(f"unknown report format(s): {', '.join(unknown)}")
-    os.makedirs(out_dir, exist_ok=True)
-    paths = []
-    if "json" in formats:
-        p = os.path.join(out_dir, "record.json")
-        with open(p, "w") as fh:
-            json.dump(record.to_dict(), fh, indent=1)
-        paths.append(p)
-    names = [k for k in record.verdicts if k != "overall_pass"]
-    groups: dict = {}
-    for name in names:
-        groups.setdefault(name.split("[")[0], []).append(name)
-    if "csv" in formats:
-        for base, members in groups.items():
-            p = os.path.join(out_dir, f"{base}.csv")
-            with open(p, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["series", "eps", "value", "deviation"])
-                for m in members:
-                    v = record.verdicts[m]
-                    for e, val, dev in zip(v["eps"], v["values"],
-                                           v["deviations"]):
-                        w.writerow([m, repr(e), repr(val), repr(dev)])
-            paths.append(p)
-    if "svg" in formats:
-        for base, members in groups.items():
-            p = os.path.join(out_dir, f"{base}.svg")
-            _write_svg(p, base, {m: record.verdicts[m] for m in members})
-            paths.append(p)
-    return paths
-
-
-def _write_svg(path: str, title: str, series: dict):
-    """Log-linear convergence plot: eps on a log axis, one polyline per
-    series variant."""
-    W, H, ml, mr, mt, mb = 640, 420, 70, 20, 40, 50
-    pts_all = [(e, v) for s in series.values()
-               for e, v in zip(s["eps"], s["values"]) if np.isfinite(v)]
-    if not pts_all:
-        xs = [0.1, 0.3]
-        ys = [0.0, 1.0]
-    else:
-        xs = [math.log10(e) for e, _ in pts_all]
-        ys = [v for _, v in pts_all]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    if x1 - x0 < 1e-12:
-        x0, x1 = x0 - 0.5, x1 + 0.5
-    if y1 - y0 < 1e-12:
-        y0, y1 = y0 - 0.5, y1 + 0.5
-    pad = 0.05 * (y1 - y0)
-    y0, y1 = y0 - pad, y1 + pad
-
-    def X(e):
-        return ml + (math.log10(e) - x0) / (x1 - x0) * (W - ml - mr)
-
-    def Y(v):
-        return H - mb - (v - y0) / (y1 - y0) * (H - mt - mb)
-
-    colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e"]
-    lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<text x="{W/2:.0f}" y="24" text-anchor="middle" '
-        f'font-size="16">{title}</text>',
-        f'<line x1="{ml}" y1="{H-mb}" x2="{W-mr}" y2="{H-mb}" '
-        'stroke="black"/>',
-        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{H-mb}" stroke="black"/>',
-        f'<text x="{W/2:.0f}" y="{H-12}" text-anchor="middle" '
-        'font-size="12">eps (log scale)</text>',
-    ]
-    for j, (name, s) in enumerate(sorted(series.items())):
-        pts = [(e, v) for e, v in zip(s["eps"], s["values"])
-               if np.isfinite(v)]
-        if not pts:
-            continue
-        col = colors[j % len(colors)]
-        poly = " ".join(f"{X(e):.2f},{Y(v):.2f}" for e, v in pts)
-        lines.append(f'<polyline points="{poly}" fill="none" '
-                     f'stroke="{col}" stroke-width="1.5"/>')
-        for e, v in pts:
-            lines.append(f'<circle cx="{X(e):.2f}" cy="{Y(v):.2f}" r="3" '
-                         f'fill="{col}"/>')
-        lines.append(f'<text x="{W-mr-4}" y="{mt+14*(j+1)}" '
-                     f'text-anchor="end" font-size="11" '
-                     f'fill="{col}">{name}</text>')
-    for v in np.linspace(y0, y1, 5):
-        lines.append(f'<text x="{ml-6}" y="{Y(v)+4:.1f}" text-anchor="end" '
-                     f'font-size="10">{v:.4g}</text>')
-    lines.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_record(path: str) -> RunRecord:
-    with open(path) as fh:
-        return RunRecord.from_dict(json.load(fh))

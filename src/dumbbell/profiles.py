@@ -79,10 +79,10 @@ class ProfileSolution:
                                   np.asarray(rho, dtype=float))
 
 
-def _maybe_refine(mesh: MeridianMesh, level: int) -> MeridianMesh:
+def _discretization(mesh: MeridianMesh, level: int) -> fem.Discretization:
     for _ in range(level):
         mesh = refine(mesh)
-    return mesh
+    return fem.Discretization(mesh)
 
 
 # ----------------------------------------------------------------------------
@@ -103,8 +103,7 @@ def compute_u0(cfg: MeshConfig, level: int, weight: fem.WeightModel):
     """
     if weight.a_plus <= 0:
         raise ValueError("u0 needs a positive weight amplitude on D+")
-    mesh = _maybe_refine(build_profile_mesh("HalfPlus", cfg), level)
-    disc = fem.Discretization(mesh)
+    disc = _discretization(build_profile_mesh("HalfPlus", cfg), level)
     system = fem.assemble(disc, weight)
     # unshifted, on the factor of K.  Relative to max|u0|, the Ritz vector
     # before the polish is off 40 plain inverse-iteration steps (lam1/lam2
@@ -133,8 +132,7 @@ def _harmonic_profile(domain: str, cfg: MeshConfig, level: int,
     """Harmonic profile on a profile domain: the closed-form lift plus a
     finite element remainder that vanishes on the domain's Dirichlet edges
     (the axis stays natural)."""
-    mesh = _maybe_refine(build_profile_mesh(domain, cfg), level)
-    disc = fem.Discretization(mesh)
+    disc = _discretization(build_profile_mesh(domain, cfg), level)
     return ProfileSolution(fem.solve_dirichlet(disc, lift), lift)
 
 
@@ -201,8 +199,7 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
     lam_k0 <= 0.8 lambda_1(D-) is `RunConfig.validate`'s weight rule:
     D- mirrors D+, so lambda_1(D-) = lam_k0 a_plus/a_minus.
     """
-    mesh = _maybe_refine(build_profile_mesh("HalfMinus", cfg), level)
-    disc = fem.Discretization(mesh)
+    disc = _discretization(build_profile_mesh("HalfMinus", cfg), level)
     n = disc.dimension
     ups = cs.upsilon(n)
     system = fem.assemble(disc, weight).shifted(lam_k0)

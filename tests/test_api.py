@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 MODULES = ["almgren", "channel", "cli", "cross_section", "fem", "mesh",
-           "pipeline", "profiles", "scaled"]
+           "pipeline", "profiles", "record", "scaled"]
 
 
 @pytest.mark.parametrize("name", MODULES)

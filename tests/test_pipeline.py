@@ -2,7 +2,9 @@ import dataclasses
 import json
 import math
 import os
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from dumbbell import cli
 from dumbbell import cross_section as cs
 from dumbbell import fem
 from dumbbell import pipeline as pl
+from dumbbell import record as rd
 from dumbbell.mesh import build_dumbbell_mesh
 from dumbbell.scaled import ScaledAmplitude
 from extended_polish_oracle import extended_refine_eigenpair
@@ -203,6 +206,24 @@ class TestVerify:
         assert cli.main(["verify", str(tmp_path / "record.json")]) == 2
         assert "sweep_errors: errored" in capsys.readouterr().out
 
+    def test_series_without_a_rule_is_an_error(self, tmp_path, capsys):
+        # these values would pass a 15 % trend rule; no rule is made up
+        rec = synthetic_record([(0.3, 1.15), (0.2, 1.1), (0.1, 1.05)],
+                               name="R9")
+        with pytest.raises(ValueError, match=r"'R9' has no verdict rule"):
+            pl.verify(rec)
+        pl.emit(rec, str(tmp_path), formats=("json",))
+        assert cli.main(["verify", str(tmp_path / "record.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "R9" in err
+
+    def test_every_rule_is_named_in_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## What is verified")[1].split("\n## ")[0]
+        missing = [family for family in rd._RULES
+                   if not re.search(rf"`{re.escape(family)}\b", section)]
+        assert not missing
+
     @pytest.mark.parametrize("eps", [(), (0.1,)])
     def test_sweep_of_fewer_than_two_eps_fails(self, eps, tmp_path, capsys):
         # one eps has no trend, and an empty sweep has no series at all
@@ -363,6 +384,11 @@ class TestSweep:
         assert {"R1", "R3", "R4", "R6"} <= names
         assert any(n.startswith("R2[") for n in names)
         assert any(n.startswith("R5[") for n in names)
+        # each verdict names the row of the rule table that judged it
+        assert set(rec.verdicts) == names | {"cascade_B", "overall_pass"}
+        for name, v in rec.verdicts.items():
+            if name != "overall_pass":
+                assert v["rule"] == rd._RULES[name.split("[")[0]][0], name
 
     def test_ratios_near_one(self, coarse_record):
         _, rec, _ = coarse_record
@@ -676,6 +702,12 @@ class TestCLI:
           "sweep": [{"ratios": {}}]}, "eps"),
         ({"config_hash": "x", "config": {}, "constants": {"d0": 1.0},
           "verdicts": {}, "sweep": []}, "constants"),
+        # read in sweep order, this series would end at eps = 0.3
+        (synthetic_record([(e, 1.0 + 0.5 * e) for e in (0.1, 0.2, 0.3)])
+         .to_dict(), "strictly decreasing"),
+        # two points at one eps give no slope
+        (synthetic_record([(0.2, 1.001)] * 2).to_dict(),
+         "strictly decreasing"),
     ])
     def test_malformed_record_is_execution_error(self, blob, named,
                                                  tmp_path, capsys):
