@@ -10,8 +10,9 @@ package's only eigen algorithm, at one solve a step: u0 takes 12 solves,
 a sweep entry 7 (3 for the restricted reference, 4 for the full pair, each
 shifted 1e-3 below an eigenvalue known beforehand).
 An AssembledSystem is the one place that reduces, factors and solves a
-Dirichlet problem: it carries its shift and factors K - shift M_p once, so
-every eigen step and load solve on it reuses that factor.
+Dirichlet problem: it holds only the free-node K and M_p, carries its
+shift and factors K - shift M_p once, so every eigen step and load solve
+on it reuses that factor.
 """
 
 from __future__ import annotations
@@ -81,10 +82,6 @@ class WeightModel:
         # so gating by side keeps p smooth on every computational domain
         return (self.a_plus * _bump(2.0 * (rp - 4.5)) * (x1 > 1.0)
                 + self.a_minus * _bump(2.0 * (rm - 4.5)) * (x1 < 0.0))
-
-    @classmethod
-    def zero(cls) -> "WeightModel":
-        return cls(0.0, 0.0)
 
     def support(self, tri):
         """Mask of the triangles (T, 3, 2) whose bounding box reaches a
@@ -389,10 +386,9 @@ def assemble_load(disc: Discretization, f: Callable) -> np.ndarray:
 
 @dataclass
 class AssembledSystem:
-    """Stiffness and weighted mass with Dirichlet elimination bookkeeping.
+    """Stiffness K and weighted mass M_p on the free nodes, with the
+    Dirichlet elimination bookkeeping.
 
-    K, Mp are the reduced (free-node) matrices used by the solvers;
-    K_full/Mp_full keep all nodes for lifting, norms and diagnostics.
     `shift` is the sigma of the operator K - sigma M_p that `lu` factors,
     which is SPD only for sigma below the smallest weighted eigenvalue;
     the factor pivots on the diagonal, so a larger sigma shows as a
@@ -401,8 +397,6 @@ class AssembledSystem:
     disc: Discretization
     K: sp.csr_matrix
     Mp: sp.csr_matrix
-    K_full: sp.csr_matrix
-    Mp_full: sp.csr_matrix
     free: np.ndarray
     fixed: np.ndarray
     shift: float = 0.0
@@ -421,14 +415,13 @@ class AssembledSystem:
         return replace(self, shift=float(shift), _lu=None)
 
     def clamped(self, nodes: np.ndarray) -> "AssembledSystem":
-        """The system with `nodes` fixed as well, reduced from the same
-        full matrices, with the same shift and no factor yet."""
-        fixed = np.union1d(self.fixed, nodes)
-        free = np.setdiff1d(np.arange(self.K_full.shape[0]), fixed,
-                            assume_unique=True)
-        return replace(self, K=self.K_full[free][:, free].tocsr(),
-                       Mp=self.Mp_full[free][:, free].tocsr(),
-                       free=free, fixed=fixed, _lu=None)
+        """The system with `nodes` fixed as well, reduced from its own
+        free-node matrices, with the same shift and no factor yet."""
+        keep = np.flatnonzero(~np.isin(self.free, nodes))
+        return replace(self, K=self.K[keep][:, keep].tocsr(),
+                       Mp=self.Mp[keep][:, keep].tocsr(),
+                       free=self.free[keep],
+                       fixed=np.union1d(self.fixed, nodes), _lu=None)
 
     def solve(self, load: np.ndarray) -> "FieldSolution":
         """Solve (K - shift M_p) u = load on the free nodes with u = 0 on
@@ -452,16 +445,21 @@ class AssembledSystem:
         return full
 
 
+def _dirichlet_system(disc: Discretization, K_full: sp.csr_matrix,
+                      Mp_full: sp.csr_matrix) -> AssembledSystem:
+    """The system of the all-node forms, reduced once to the nodes off the
+    boundary tags of `Discretization.dirichlet_tags()`."""
+    nodes = np.arange(disc.n_nodes)
+    return AssembledSystem(disc, K_full, Mp_full, nodes, nodes[:0]).clamped(
+        disc.boundary_nodes(*disc.dirichlet_tags()))
+
+
 def assemble(disc: Discretization,
              weight: WeightModel | Callable) -> AssembledSystem:
     """Assemble K (SPD on free nodes) and M_p (PSD) for -Du = l p u, with
     Dirichlet conditions on `Discretization.dirichlet_tags()`."""
-    K_full = assemble_stiffness(disc)
-    Mp_full = assemble_mass(disc, coeff=weight)
-    nodes = np.arange(disc.n_nodes)
-    unclamped = AssembledSystem(disc, K_full, Mp_full, K_full, Mp_full,
-                                nodes, nodes[:0])
-    return unclamped.clamped(disc.boundary_nodes(*disc.dirichlet_tags()))
+    return _dirichlet_system(disc, assemble_stiffness(disc),
+                             assemble_mass(disc, coeff=weight))
 
 
 def factor(A: sp.spmatrix):
@@ -506,9 +504,6 @@ class FieldSolution:
         self.values = np.asarray(values, dtype=float)
         self.residual = float(residual)
 
-    def __call__(self, x1, rho):
-        return self.evaluate(x1, rho)
-
     def evaluate(self, x1, rho):
         """Field values at the points; NaN outside the mesh."""
         x1 = np.asarray(x1, dtype=float)
@@ -529,9 +524,11 @@ def solve_dirichlet(disc: Discretization, lift: Callable) -> FieldSolution:
     """The remainder w of the harmonic field I(lift) + w, I being nodal
     interpolation: -div(rho^m grad w) = div(rho^m grad I(lift)) with w = 0
     on the Dirichlet nodes (the axis is always natural), so the load is
-    -K I(lift) and the boundary values are those of the lift."""
-    system = assemble(disc, WeightModel.zero())
-    return system.solve(-(system.K_full @ lift(*disc.nodes.T)))
+    -K I(lift), formed with the all-node K before its reduction, and the
+    boundary values are those of the lift; no mass form is assembled."""
+    K = assemble_stiffness(disc)
+    system = _dirichlet_system(disc, K, sp.csr_matrix(K.shape))
+    return system.solve(-(K @ lift(*disc.nodes.T)))
 
 
 # ----------------------------------------------------------------------------
@@ -540,9 +537,10 @@ def solve_dirichlet(disc: Discretization, lift: Callable) -> FieldSolution:
 
 @dataclass
 class EigenPair:
+    """An eigenvalue and its vector, which carries the pair's residual."""
+
     lam: float
     field: FieldSolution
-    residual: float
 
 
 def eigen_smallest(system: AssembledSystem, steps: int) -> EigenPair:
@@ -562,12 +560,11 @@ def eigen_smallest(system: AssembledSystem, steps: int) -> EigenPair:
     the range of A^-1 M_p.  (A projection of A itself, which takes K times
     the all-ones vector, Rayleigh quotient 115 lam1 on the u0 system,
     stalled near 1e-12 of max|u0| there and drifted to 2e-10 at 40
-    steps.)  A new
-    vector whose M_p-norm falls below 1e-12 of its norm before
-    orthogonalization means the basis spans an invariant subspace, and the
-    basis stops growing there.  The all-ones vector overlaps the positive
-    ground state, so the basis cannot miss it, and a fixed start gives the
-    same result in every process."""
+    steps.)  A new vector whose M_p-norm falls below 1e-12 of its norm
+    before orthogonalization means the basis spans an invariant subspace,
+    and the basis stops growing there.  The all-ones vector overlaps the
+    positive ground state, so the basis cannot miss it, and a fixed start
+    gives the same result in every process."""
     if steps < 3:
         raise ValueError(f"steps={steps}: eigen_smallest needs a Krylov "
                          "solve and the two polish steps")
@@ -620,10 +617,11 @@ def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
     orders below the peak (the left body of a dumbbell eigenvector) keep
     their digits without iterative refinement: against two long-double
     refinement steps (tests/extended_polish_oracle.py) every sweep
-    lam_eps and lam_ref stayed bitwise equal.  The returned eigenvalue is
-    the K/M_p Rayleigh quotient of the returned vector, and the residual
-    its relative residual, both taken in long double: a float64 quotient
-    moved lam by up to 1.2e-14.  The field carries that residual.
+    lam_eps and lam_ref stayed bitwise equal.  The last step leaves
+    u^T M_p u = 1 (int p u^2 rho^m = 1), and the sign of u makes 1^T M_p u
+    positive, at steps = 0 too.  The eigenvalue is the K/M_p Rayleigh
+    quotient of u, and the field's residual its relative residual, both
+    taken in long double: a float64 quotient moved lam by up to 1.2e-14.
 
     A Rayleigh quotient at or below sigma raises ValueError: then
     u^T (K - sigma M_p) u <= 0, which proves the factored operator
@@ -648,19 +646,8 @@ def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
                          "positive definite")
     r = Ku - lam * Mu
     res = float(np.sqrt(r @ r) / np.sqrt(Ku @ Ku))
+    if Mu.sum() < 0:
+        u = -u
     return EigenPair(float(lam),
-                     FieldSolution(system.disc, system.expand(u), res), res)
+                     FieldSolution(system.disc, system.expand(u), res))
 
-
-def mass_normalize(system: AssembledSystem, pair: EigenPair) -> EigenPair:
-    """Scale so int p u^2 rho^m = 1 and fix the sign so that the weighted
-    mean is positive; the field carries the pair's residual."""
-    v = pair.field.values
-    m = float(v @ (system.Mp_full @ v))
-    if m <= 0:
-        raise ValueError("field has no weighted mass")
-    v = v / math.sqrt(m)
-    if float(np.ones_like(v) @ (system.Mp_full @ v)) < 0:
-        v = -v
-    return EigenPair(pair.lam, FieldSolution(system.disc, v, pair.residual),
-                     pair.residual)

@@ -50,6 +50,10 @@ __all__ = [
 # Configuration
 # ----------------------------------------------------------------------------
 
+# the smallest eps of the direct track, the only one that reads R4-R6
+_DIRECT_EPS = 0.1
+
+
 @dataclass(frozen=True)
 class RunConfig:
     dimension: int = 3
@@ -90,6 +94,10 @@ class RunConfig:
         _check_decreasing(sweep)
         for eps in sweep:
             self.mesh_config(eps).validate()
+        # a trend needs two points, so R4-R6 need two direct-track eps
+        if sum(eps >= _DIRECT_EPS for eps in sweep) < 2:
+            raise ValueError(f"eps_sweep={sweep!r} needs at least two eps >= "
+                             f"{_DIRECT_EPS:g} for R4-R6 to have a trend")
         # D- mirrors D+ with the weight scaled by a_minus/a_plus, so
         # lambda_1(D-) = lam_k0 a_plus/a_minus (measured 2.0000000757 lam_k0
         # at the defaults), and Ubar's shift lam_k0 stays at most 0.8 of it
@@ -225,11 +233,9 @@ def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
     ref = _restricted_reference(system, lam_k0)
     # float64 solves, whose LU keeps the left body's digits without
     # refinement
-    pair = fem.refine_eigenpair(
+    return fem.refine_eigenpair(
         system.shifted((1 - _SHIFT_OFFSET) * ref.lam),
-        ref.field.values[system.free], _EIGENPAIR_STEPS)
-    pair = fem.mass_normalize(system, pair)
-    return pair, ref.lam
+        ref.field.values[system.free], _EIGENPAIR_STEPS), ref.lam
 
 
 def _restricted_reference(system: fem.AssembledSystem,
@@ -256,12 +262,9 @@ _SPHERICAL_RADII = (0.3, 0.5, 0.8, 1.2, 2.0)
 
 def _annulus_samples(center: float, radii, side: int, n_phi: int = 25):
     a, b = (0.0, 0.5 * math.pi) if side > 0 else (0.5 * math.pi, math.pi)
-    phis = np.linspace(a + 1e-3, b - 1e-3, n_phi)
-    pts_x, pts_r = [], []
-    for r in radii:
-        pts_x.append(center + r * np.cos(phis))
-        pts_r.append(r * np.sin(phis))
-    return np.concatenate(pts_x), np.concatenate(pts_r)
+    phi = np.tile(np.linspace(a + 1e-3, b - 1e-3, n_phi), len(radii))
+    r = np.repeat(radii, n_phi)
+    return center + r * np.cos(phi), r * np.sin(phi)
 
 
 def _sup_window(samples: dict, window: str, view, reference, x1, rho):
@@ -281,7 +284,7 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
     n = cfg.dimension
     mode = cs.disk_ground_mode(n)
     sl1 = mode.sqrt_lambda1
-    track = "direct" if eps >= 0.1 else "cascade"
+    track = "direct" if eps >= _DIRECT_EPS else "cascade"
 
     pair, lam_ref = _dumbbell_eigenpair(cfg, eps, con.lam_k0)
     u = pair.field
@@ -408,7 +411,7 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
         "track": track,
         "lam_eps": pair.lam,
         "lam_ref": lam_ref,
-        "eigen_residual": pair.residual,
+        "eigen_residual": pair.field.residual,
         "fit": {"A": fit.A.to_dict(), "B": fit.B.to_dict(),
                 "window": list(fit.window), "residual": fit.residual,
                 "b_resolved": bool(fit.b_resolved)},

@@ -110,7 +110,7 @@ def compute_u0(cfg: MeshConfig, level: int, weight: fem.WeightModel):
     # ~ 0.42, so 0.42^38 < 1e-14) by 2.5e-9 with 9 basis vectors, 7e-11
     # with 10, 1.7e-12 with 11 and 5e-14 with 12.  12 steps (11 vectors)
     # end within 1.5e-14 of them after the polish; 8 steps stay 7e-8 off
-    pair = fem.mass_normalize(system, fem.eigen_smallest(system, 12))
+    pair = fem.eigen_smallest(system, 12)
 
     n = disc.dimension
     ups = cs.upsilon(n)

@@ -19,7 +19,8 @@ def extended_refine_eigenpair(system: fem.AssembledSystem, start: np.ndarray,
     """`steps` inverse-iteration steps on `system.lu()`, the last two (or
     all, if fewer) with one long-double correction solve each; the
     eigenvalue and residual are those of the returned vector, in long
-    double."""
+    double.  Like `fem.refine_eigenpair`, it returns the vector signed so
+    that its weighted sum 1^T M_p u is positive."""
     lu = system.lu()
     plain = max(steps - 2, 0)
     u = np.asarray(start, dtype=float)
@@ -40,5 +41,7 @@ def extended_refine_eigenpair(system: fem.AssembledSystem, start: np.ndarray,
     lam = (u @ Ku) / (u @ Mu)
     r = Ku - lam * Mu
     res = float(np.sqrt(r @ r) / np.sqrt(Ku @ Ku))
+    if Mu.sum() < 0:
+        u = -u
     full = system.expand(np.asarray(u, dtype=float))
-    return fem.EigenPair(float(lam), fem.FieldSolution(system.disc, full), res)
+    return fem.EigenPair(float(lam), fem.FieldSolution(system.disc, full, res))

@@ -29,7 +29,6 @@ def lanczos_pairs(system: fem.AssembledSystem, count: int = 1,
         v = vecs[:, idx]
         r = system.K @ v - lam * (system.Mp @ v)
         rel = np.linalg.norm(r) / np.linalg.norm(system.K @ v)
-        pairs.append(fem.EigenPair(
-            float(lam), fem.FieldSolution(system.disc, system.expand(v)),
-            float(rel)))
+        pairs.append(fem.EigenPair(float(lam), fem.FieldSolution(
+            system.disc, system.expand(v), float(rel))))
     return pairs

@@ -94,9 +94,9 @@ class TestAssembly:
             raise AssertionError("the zero weight was evaluated")
         monkeypatch.setattr(fem.WeightModel, "__call__", never)
         m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.5, r_out=8.0))
-        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel.zero())
-        assert sysd.Mp_full.nnz == 0
-        assert sysd.Mp.nnz == 0
+        disc = fem.Discretization(m)
+        assert fem.assemble_mass(disc, fem.WeightModel(0.0, 0.0)).nnz == 0
+        assert fem.assemble(disc, fem.WeightModel(0.0, 0.0)).Mp.nnz == 0
 
     @pytest.mark.parametrize("domain", ["HalfPlus", "HalfMinus", "dumbbell"])
     def test_weight_model_mass_matches_a_plain_callable(self, domain,
@@ -219,9 +219,10 @@ def poisson(disc, f, exact):
     """-Delta u = f with u = exact on the Dirichlet nodes, by the path of
     Ubar's remainder: the lift I(exact) moves the data into the load, and
     the solve returns the remainder, which is zero there."""
-    system = fem.assemble(disc, fem.WeightModel.zero())
+    system = fem.assemble(disc, fem.WeightModel(0.0, 0.0))
     lift = exact(*disc.nodes.T)
-    w = system.solve(fem.assemble_load(disc, f) - system.K_full @ lift)
+    w = system.solve(fem.assemble_load(disc, f)
+                     - fem.assemble_stiffness(disc) @ lift)
     return fem.FieldSolution(disc, w.values + lift, w.residual)
 
 
@@ -269,6 +270,18 @@ class TestSolveDirichlet:
         assert np.abs(sol.values).max() <= 1e-10 * scale
         assert sol.residual < 1e-12
 
+    def test_assembles_no_mass_form(self, monkeypatch):
+        # the harmonic solve needs only the stiffness: its lift load is
+        # formed from the all-node K before the reduction
+        def never(*args, **kwargs):
+            raise AssertionError("solve_dirichlet assembled a mass form")
+        monkeypatch.setattr(fem, "assemble_mass", never)
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
+        disc = fem.Discretization(m)
+        sol = fem.solve_dirichlet(disc, lambda x, r: x)
+        assert np.abs(sol.values).max() <= 1e-10 * 8.0
+        assert sol.residual < 1e-12
+
     def test_self_convergence_poisson(self):
         # solve -Delta u = 1 on the dumbbell and compare energy-norm changes
         # across refinements: change should shrink by >= 1.5 per level
@@ -305,8 +318,13 @@ class TestAssembledSystem:
         free = np.setdiff1d(np.arange(disc.n_nodes), fixed)
         assert np.array_equal(sub.fixed, fixed)
         assert np.array_equal(sub.free, free)
-        assert (sub.K != sysd.K_full[free][:, free]).nnz == 0
-        assert (sub.Mp != sysd.Mp_full[free][:, free]).nnz == 0
+        # a reduction of the reduced matrices is one reduction of the
+        # independently assembled all-node forms, bit for bit
+        for got, full in ((sub.K, fem.assemble_stiffness(disc)),
+                          (sub.Mp, fem.assemble_mass(disc, fem.WeightModel()))):
+            want = full[free][:, free].tocsr()
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
         assert sub.shift == 0.01 and sub._lu is None
 
 
@@ -383,15 +401,16 @@ class TestEigen:
     def test_matches_the_lanczos_oracle(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-        ref = fem.mass_normalize(sysd, lanczos_pairs(sysd, tol=1e-14)[0])
-        got = fem.mass_normalize(sysd, fem.eigen_smallest(sysd, 40))
+        ref = lanczos_pairs(sysd, tol=1e-14)[0]
+        got = fem.eigen_smallest(sysd, 40)
         assert got.lam == pytest.approx(ref.lam, rel=1e-12)
-        u, v = got.field.values, ref.field.values
+        u, v = got.field.values[sysd.free], ref.field.values[sysd.free]
+        v = v * (np.sign(v @ (sysd.Mp @ u)) / math.sqrt(v @ (sysd.Mp @ v)))
         assert np.max(np.abs(u - v)) <= 1e-10 * np.max(np.abs(v))
 
     def test_zero_mass_raises(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
-        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel.zero())
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel(0.0, 0.0))
         with pytest.raises(ValueError):
             fem.eigen_smallest(sysd, 40)
 
@@ -429,7 +448,7 @@ class TestEigen:
         L = sp.diags([np.r_[1.0, 2.0 * np.ones(n - 2), 1.0],
                       -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1])
         K, Mp = (L + lam * sp.diags(d)).tocsr(), sp.diags(d).tocsr()
-        sysd = fem.AssembledSystem(SimpleNamespace(n_nodes=n), K, Mp, K, Mp,
+        sysd = fem.AssembledSystem(SimpleNamespace(n_nodes=n), K, Mp,
                                    np.arange(n), np.empty(0, dtype=np.int64))
         solves = counting_solves(sysd)
         pair = fem.eigen_smallest(sysd, 12)
@@ -578,7 +597,26 @@ class TestRefineEigenpair:
         pair = lanczos_pairs(sysd, tol=1e-8)[0]
         refined = fem.refine_eigenpair(sysd.shifted(0.99 * pair.lam),
                                        pair.field.values[sysd.free], 4)
-        assert refined.residual <= pair.residual * (1 + 1e-12)
+        assert refined.field.residual <= pair.field.residual * (1 + 1e-12)
+
+    def test_negated_start_returns_the_normalized_positive_pair(self):
+        # inverse iteration keeps the sign of its start; the returned pair
+        # has u^T M_p u = 1 from the last step and 1^T M_p u > 0, the sign
+        # fixed at steps = 0 too
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
+        pair = lanczos_pairs(sysd, tol=1e-8)[0]
+        start = pair.field.values[sysd.free]
+        start = -3.0 * start * np.sign(start @ (sysd.Mp @ np.ones_like(start)))
+        shifted = sysd.shifted(0.99 * pair.lam)
+        for steps in (0, 2):
+            refined = fem.refine_eigenpair(shifted, start, steps)
+            u = refined.field.values[sysd.free]
+            assert np.sum(sysd.Mp @ u) > 0
+            if steps:
+                assert u @ (sysd.Mp @ u) == pytest.approx(1.0, rel=1e-14)
+            else:
+                assert np.array_equal(u, -start)
 
     def test_eigenvalue_is_rayleigh_quotient_of_vector(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
@@ -611,7 +649,7 @@ class TestRefineEigenpair:
         class _Stub:
             n_nodes = n
 
-        sysd = fem.AssembledSystem(_Stub(), K, Mp, K, Mp,
+        sysd = fem.AssembledSystem(_Stub(), K, Mp,
                                    np.arange(n), np.empty(0, dtype=np.int64))
         # a perturbed start unshifted, and the sweep's all-ones start
         # shifted to 0.99 lam
@@ -625,14 +663,15 @@ class TestRefineEigenpair:
 
 
 def test_mass_normalize():
+    # eigen_smallest ends in refine_eigenpair, which returns the pair
+    # normalized to int p u^2 rho^m = 1 and with a positive weighted mean
     m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
     sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
     pair = fem.eigen_smallest(sysd, 40)
-    normed = fem.mass_normalize(sysd, pair)
-    v = normed.field.values
-    assert v @ (sysd.Mp_full @ v) == pytest.approx(1.0, rel=1e-12)
+    v = pair.field.values[sysd.free]
+    assert v @ (sysd.Mp @ v) == pytest.approx(1.0, rel=1e-12)
     # ground state positive where the weight lives
-    assert normed.field.evaluate(5.5, 0.3) > 0
+    assert pair.field.evaluate(5.5, 0.3) > 0
 
 
 def test_field_evaluation_and_gradient():

@@ -54,7 +54,7 @@ class TestRunConfig:
 
     def test_small_eps_validates(self):
         # eps < 0.1 runs the cascade track; no flag gates it
-        pl.RunConfig(eps_sweep=(0.1, 0.01)).validate()
+        pl.RunConfig(eps_sweep=(0.15, 0.1, 0.01)).validate()
 
     def test_single_eps_rejected(self):
         with pytest.raises(ValueError):
@@ -456,7 +456,13 @@ class TestSweep:
         disc = fem.Discretization(build_dumbbell_mesh(cfg.mesh_config(0.3)))
         system = fem.assemble(disc, cfg.weight())
         ref = pl._restricted_reference(system, coarse_pset.constants.lam_k0)
-        assert ref.field.residual == ref.residual > 0
+        # the relative residual of the pair on the clamped subsystem
+        sub = system.clamped(np.flatnonzero(disc.nodes[:, 0] <= 1.0 + 1e-14))
+        u = ref.field.values[sub.free]
+        Ku = sub.K @ u
+        rel = np.linalg.norm(Ku - ref.lam * (sub.Mp @ u)) / np.linalg.norm(Ku)
+        assert ref.field.residual == pytest.approx(rel, rel=1e-3)
+        assert ref.field.residual > 0
 
     def test_eigenvalue_above_restricted_reference_fails_entry(
             self, coarse_pset, monkeypatch):
@@ -490,7 +496,7 @@ class TestSweep:
         pair, _ = pl._dumbbell_eigenpair(cfg, 0.1,
                                          coarse_pset.constants.lam_k0)
         system, start = calls[-1]
-        deep = fem.mass_normalize(system, refine(system, start, 12))
+        deep = refine(system, start, 12)
         left = pair.field.disc.nodes[:, 0] < -0.5
         u, v = pair.field.values[left], deep.field.values[left]
         assert np.max(np.abs(u - v)) <= 1e-11 * np.max(np.abs(v))
@@ -839,6 +845,16 @@ class TestCLI:
         assert cli.main(["sweep", "--eps", "0.6", "0.3",
                          "--out", str(tmp_path)]) == 1
         assert "eps" in capsys.readouterr().err
+
+    def test_one_direct_eps_fails_before_profile_stage(self, monkeypatch,
+                                                       tmp_path, capsys):
+        # R4-R6 are read only at eps >= 0.1, so with one such eps their
+        # trend would be judged "single"; the sweep is refused unsolved
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        assert cli.main(["sweep", "--eps", "0.1", "0.05", "0.02", "0.01",
+                         "0.004", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "R4-R6" in err
 
     def test_report_from_record(self, tmp_path, capsys):
         rec = synthetic_record([(0.3, 1.1), (0.2, 1.05)])
