@@ -117,10 +117,10 @@ def main(argv=None) -> int:
                        help="mesh refinement level for all solves")
         if name == "sweep":
             p.add_argument("--jobs", type=int,
-                           help="threads that solve the eps entries; each "
-                           "thread that factors keeps its own memory, so "
-                           "the default sweep at 2 peaks at about 1.6 "
-                           "times the memory of 1")
+                           help="threads that solve the eps entries, "
+                           "each entry on two threads already; on two "
+                           "cores the default sweep at 2 gains little over "
+                           "1 and peaks at about 1.3 times its memory")
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="re-check verdicts on a stored record")

@@ -7,17 +7,29 @@ MeridianMesh, Dirichlet conditions by elimination to a reduced SPD system,
 one sparse factorization helper for every SPD matrix, and the ground state
 by shift-invert Rayleigh-Ritz with a float64 inverse-iteration polish, the
 package's only eigen algorithm, at one solve a step: u0 takes 12 solves,
-a sweep entry 7 (3 for the restricted reference, 4 for the full pair, each
-shifted 1e-3 below an eigenvalue known beforehand).
+a sweep entry 7 (3 for the restricted reference, 4 for the full pair, both
+shifted 1e-3 below the profile eigenvalue lam_k0).
 An AssembledSystem is the one place that reduces, factors and solves a
 Dirichlet problem: it holds only the free-node K and M_p, carries its
 shift and factors K - shift M_p once, so every eigen step and load solve
-on it reuses that factor.
+on it reuses that factor.  `factor_alongside` factors one system while a
+helper thread runs an independent task, the sweep's restricted reference,
+whose own factor is made, used and freed on that helper: a SuperLU factor
+freed on another thread than the one that made it keeps its memory (an
+eps = 0.3 sweep factor made on a helper and dropped on the main thread
+grew RSS from 88 to 383 MB in 8 rounds, against a flat 98 MB when the
+helper dropped it).  The process keeps one malloc arena, so that the
+helper holds none of its own: the eps = 0.3 and 0.1 sweep peaked at
+215-219 MB with the helper's arena and 196-199 MB without, against
+188 MB with no helper (perfbench's `sweep_direct`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import threading
+import traceback
 from dataclasses import dataclass, field as dfield, replace
 from typing import Callable
 
@@ -35,10 +47,25 @@ __all__ = [
     "EigenPair",
     "assemble",
     "factor",
+    "factor_alongside",
     "solve_dirichlet",
     "eigen_smallest",
     "refine_eigenpair",
 ]
+
+
+# The process keeps one malloc arena, so that factor_alongside's helper
+# threads hold none of their own: M_ARENA_MAX is glibc's mallopt parameter
+# (malloc.h), and a libc without mallopt keeps its own arena policy
+_M_ARENA_MAX = -8
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):
+    pass
+else:
+    _mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    _mallopt.restype = ctypes.c_int
+    _mallopt(_M_ARENA_MAX, 1)
 
 
 # ----------------------------------------------------------------------------
@@ -406,9 +433,11 @@ class AssembledSystem:
         """Factor of K - shift M_p (of K itself at shift 0), made on the
         first call and kept."""
         if self._lu is None:
-            self._lu = factor(self.K - self.shift * self.Mp if self.shift
-                              else self.K)
+            self._lu = factor(self._operator())
         return self._lu
+
+    def _operator(self) -> sp.csr_matrix:
+        return self.K - self.shift * self.Mp if self.shift else self.K
 
     def shifted(self, shift: float) -> "AssembledSystem":
         """The same system with another shift and no factor yet."""
@@ -443,6 +472,38 @@ class AssembledSystem:
         full = np.zeros(self.disc.n_nodes)
         full[self.free] = reduced
         return full
+
+
+def factor_alongside(system: AssembledSystem, task: Callable):
+    """Run `task()` on a helper thread while the calling thread factors
+    `system`, keeping the factor as its `lu()`; returns the task's result,
+    or raises its exception, once both are done.
+
+    The task must not touch `system`'s factor, and should free whatever
+    factor it makes before it returns, so that each SuperLU factor lives
+    and dies on one thread.  The calling thread factors through `factor`
+    and calls nothing else of this package while the helper runs, so that
+    calls of the package made on one thread at a time stay nested.  A
+    failed task's frames are cleared on the helper, so its locals, a
+    factor among them, are not freed on the calling thread."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = task()
+        except BaseException as exc:
+            traceback.clear_frames(exc.__traceback__)
+            out["error"] = exc
+
+    helper = threading.Thread(target=run, name="factor_alongside")
+    helper.start()
+    try:
+        system._lu = factor(system._operator())
+    finally:
+        helper.join()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 def _dirichlet_system(disc: Discretization, K_full: sp.csr_matrix,

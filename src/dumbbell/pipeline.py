@@ -193,19 +193,20 @@ def run_profiles(cfg: RunConfig, return_fields: bool = False):
 # Per-eps solve
 # ----------------------------------------------------------------------------
 
-# Both sweep iterations shift to (1 - _SHIFT_OFFSET) times an eigenvalue
-# known beforehand, just below their target: the restricted reference to
-# lam_k0 (lam_ref/lam_k0 - 1 measured at most 2.7e-7), the full pair to
-# lam_ref (lam_eps <= lam_ref by min-max, lam_ref - lam_eps measured
-# 2.7e-5 lam_ref at eps = 0.3 and 9.2e-5 at eps = 0.45, about 1.3e-4 by the
-# law lam_ref - lam_eps ~ eps^N d0^2 m_Phi for every eps < 0.5).  So
-# K - sigma M_p stays SPD, lam1 - sigma is about 1e-3 lam1 or less, and a
-# step contracts the next mode (lam2 >= 2 lam_k0: the left body's ground
-# mode, or the second mode of D+ at 2.38 lam_k0) by (lam1 - sigma)/
-# (lam2 - sigma) <= about 1e-3 (Parlett, The Symmetric Eigenvalue Problem,
-# ch. 4).  A Rayleigh quotient at or below sigma raises in
-# fem.refine_eigenpair, and _sweep_entry's lam_eps <= lam_ref guard
-# catches an iterate drawn to a higher mode.
+# Both sweep iterations shift to (1 - _SHIFT_OFFSET) lam_k0, known before
+# the entry starts, so neither factor waits for the other's eigenvalue.
+# lam_ref/lam_k0 - 1 is measured at most 2.7e-7, and lam_eps <= lam_ref by
+# min-max with lam_ref - lam_eps measured 2.7e-5 lam_ref at eps = 0.3 and
+# 9.2e-5 at eps = 0.45, about 1.3e-4 by the law lam_ref - lam_eps ~ eps^N
+# d0^2 m_Phi for every eps < 0.5.  So sigma = (1 - 1e-3) lam_k0 <=
+# (1 - 1e-3)(1 + 2.7e-7) lam_ref < lam_eps <= lam_ref: K - sigma M_p stays
+# SPD on both spaces, lam1 - sigma is about 1e-3 lam1 or less, and a step
+# contracts the next mode (lam2 >= 2 lam_k0: the left body's ground mode,
+# or the second mode of D+ at 2.38 lam_k0) by (lam1 - sigma)/(lam2 - sigma)
+# <= about 1e-3 (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  A
+# Rayleigh quotient at or below sigma raises in fem.refine_eigenpair, and
+# _sweep_entry's lam_eps <= lam_ref guard catches an iterate drawn to a
+# higher mode.
 _SHIFT_OFFSET = 1e-3
 # eigen_smallest steps for the restricted reference: 1 Krylov solve and the
 # 2-solve polish.  The cold all-ones start overlaps the D+ modes at O(1);
@@ -230,12 +231,15 @@ def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
         mesh = refine(mesh)
     disc = fem.Discretization(mesh)
     system = fem.assemble(disc, cfg.weight())
-    ref = _restricted_reference(system, lam_k0)
+    # the two shifted operators are independent: the full one is factored
+    # here while a helper thread solves the restricted reference
+    full = system.shifted((1 - _SHIFT_OFFSET) * lam_k0)
+    ref = fem.factor_alongside(
+        full, lambda: _restricted_reference(system, lam_k0))
     # float64 solves, whose LU keeps the left body's digits without
     # refinement
-    return fem.refine_eigenpair(
-        system.shifted((1 - _SHIFT_OFFSET) * ref.lam),
-        ref.field.values[system.free], _EIGENPAIR_STEPS), ref.lam
+    return fem.refine_eigenpair(full, ref.field.values[system.free],
+                                _EIGENPAIR_STEPS), ref.lam
 
 
 def _restricted_reference(system: fem.AssembledSystem,
@@ -245,7 +249,8 @@ def _restricted_reference(system: fem.AssembledSystem,
     so the eigenvalue comparison is free of independent-mesh bias.  Its
     eigenvector, zero on the clamped nodes, is the start of the sweep's
     own iteration.  The pair is returned without its subsystem, so that
-    the subsystem's factor is freed before the full operator is factored."""
+    the subsystem's factor is freed on the thread that made it when this
+    returns."""
     left = np.nonzero(system.disc.nodes[:, 0] <= 1.0 + 1e-14)[0]
     sub = system.clamped(left).shifted((1 - _SHIFT_OFFSET) * lam_k0)
     return fem.eigen_smallest(sub, _REFERENCE_STEPS)

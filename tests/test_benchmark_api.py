@@ -9,12 +9,14 @@ benchmark, so the calls are exercised here against the real package.
 import importlib
 import os
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import dumbbell
 from dumbbell import cross_section, fem, mesh, pipeline  # noqa: F401
+from test_pipeline import COARSE
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
 
@@ -64,3 +66,49 @@ def test_problem_size(bench, workload, tmp_path):
     assert sizes
     for label, size in sizes.items():
         assert size["cells"] > 0 and size["free_dofs"] > 0, label
+
+
+
+def test_traced_sweep_keeps_its_spans_nested(bench, tmp_path, monkeypatch):
+    # the tracer keeps one span stack, so while an entry's helper thread
+    # makes traced calls the entry's own thread must make none.  Barriers
+    # hold the entry's factorization open across the helper's traced one;
+    # a traced call around the entry's factorization then closes out of
+    # order, which raises in it and fails the entry
+    _, spans = bench
+    cfg = pipeline.RunConfig(cache=False, jobs=1, out_dir=str(tmp_path),
+                             **COARSE)
+    pset = pipeline.run_profiles(cfg, return_fields=True)
+    plain = pipeline.run_sweep(cfg, pset)
+    meet = threading.Barrier(2, timeout=60).wait
+    factor, reference = fem.factor, pipeline._restricted_reference
+
+    def gated_factor(A):
+        if threading.current_thread() is threading.main_thread():
+            meet()  # the helper has begun the reference
+            meet()  # the helper is inside its traced factorization
+            lu = factor(A)
+            meet()  # the helper may factor now
+            return lu
+        meet()
+        meet()
+        return factor(A)
+
+    def gated_reference(*args):
+        meet()
+        return reference(*args)
+
+    monkeypatch.setattr(fem, "factor", gated_factor)
+    monkeypatch.setattr(pipeline, "_restricted_reference", gated_reference)
+    tracer = spans.Tracer()
+    tracer.install(dumbbell)
+    try:
+        traced = pipeline.run_sweep(cfg, pset)
+    finally:
+        tracer.uninstall()
+    assert [e.get("error") for e in traced.sweep] == [None, None]
+    assert all(end is not None for _, _, end, _, _ in tracer.spans)
+    # the restricted reference's eigen solve, one per entry, is traced
+    assert [s[0] for s in tracer.spans].count("fem.eigsh") == 2
+    assert ([e["ratios"] for e in traced.sweep]
+            == [e["ratios"] for e in plain.sweep])

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -502,11 +503,40 @@ class TestFactor:
             b = rng.standard_normal(A.shape[0])
             assert np.array_equal(lu.solve(b), ref.solve(b))
 
+    def test_factor_alongside_returns_the_task_and_keeps_the_factor(self):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
+        shifted = sysd.shifted(0.5)
+        threads = []
+        b = np.random.default_rng(7).standard_normal(len(sysd.free))
+        x = fem.factor_alongside(
+            shifted, lambda: threads.append(threading.current_thread())
+            or fem.factor(sysd.K).solve(b))
+        assert threads[0] is not threading.current_thread()
+        assert np.array_equal(x, fem.factor(sysd.K).solve(b))
+        assert np.array_equal(shifted.lu().solve(b),
+                              fem.factor(sysd.K - 0.5 * sysd.Mp).solve(b))
+
+    def test_factor_alongside_raises_the_task_error_after_the_factor(self):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
+        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
+        before = threading.active_count()
+
+        def broken():
+            raise ValueError("synthetic task failure")
+
+        with pytest.raises(ValueError, match="synthetic task failure"):
+            fem.factor_alongside(sysd, broken)
+        assert threading.active_count() == before
+        assert sysd._lu is not None
+
     def test_repeated_factors_keep_the_heap_intact(self):
         # SuperLU in scipy 1.17.1 corrupts the heap on these operators at
         # relax = 80, panel_size = 40; MALLOC_CHECK_=3 makes glibc abort
-        # the child at the first corrupt free
+        # the child at the first corrupt free.  The second loop runs two
+        # factorizations at once, as each sweep entry does
         script = textwrap.dedent("""
+            import numpy as np
             from dumbbell import fem, mesh as M
             from dumbbell.pipeline import RunConfig
 
@@ -525,6 +555,13 @@ class TestFactor:
                 for _ in range(3):
                     lu = fem.factor(A)
                     del lu
+                b = np.ones(A.shape[0])
+                for _ in range(3):
+                    shifted = system.shifted(shift)
+                    x = fem.factor_alongside(
+                        shifted, lambda: fem.factor(A).solve(b))
+                    assert np.array_equal(x, shifted.lu().solve(b))
+                    del shifted
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(fem.__file__)))
         path = os.pathsep.join(filter(None, [src,

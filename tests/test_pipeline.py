@@ -672,6 +672,23 @@ class TestSweep:
         assert not two.verdicts["sweep_errors"]["pass"]
         assert not two.verdicts["overall_pass"]
 
+    def test_failed_reference_fails_its_entry_and_ends_its_helper(
+            self, coarse_pset, monkeypatch):
+        # the restricted reference runs on a helper thread while the entry
+        # factors its full operator; its exception reaches the entry, and
+        # the helper is joined before the entry ends
+        def broken(system, lam_k0):
+            raise RuntimeError("synthetic reference failure")
+
+        monkeypatch.setattr(pl, "_restricted_reference", broken)
+        before = threading.active_count()
+        rec = pl.run_sweep(pl.RunConfig(cache=False, **COARSE), coarse_pset)
+        assert threading.active_count() == before
+        assert [e["error"] for e in rec.sweep] == [
+            "RuntimeError: synthetic reference failure"] * 2
+        assert not rec.verdicts["sweep_errors"]["pass"]
+        assert not rec.verdicts["overall_pass"]
+
 
 class TestCLI:
     def test_cross_section(self, capsys):
