@@ -13,8 +13,10 @@ An AssembledSystem is the one place that reduces, factors and solves a
 Dirichlet problem: it holds only the free-node K and M_p, carries its
 shift and factors K - shift M_p once, so every eigen step and load solve
 on it reuses that factor.  `factor_alongside` factors one system while a
-helper thread runs an independent task, the sweep's restricted reference,
-whose own factor is made, used and freed on that helper: a SuperLU factor
+helper thread runs an independent task: in a sweep entry the restricted
+reference, in the profile stage all of u0 (beside Phi's factor) and
+Ubar's assembly (beside PhiHat's).  A task's own factor is made, used
+and freed on that helper: a SuperLU factor
 freed on another thread than the one that made it keeps its memory (an
 eps = 0.3 sweep factor made on a helper and dropped on the main thread
 grew RSS from 88 to 383 MB in 8 rounds, against a flat 98 MB when the
@@ -477,22 +479,28 @@ class AssembledSystem:
 def factor_alongside(system: AssembledSystem, task: Callable):
     """Run `task()` on a helper thread while the calling thread factors
     `system`, keeping the factor as its `lu()`; returns the task's result,
-    or raises its exception, once both are done.
+    or raises its exception, once both are done.  Its two callers are a
+    sweep entry (`pipeline._dumbbell_eigenpair`) and the profile stage,
+    through `solve_dirichlet`.
 
     The task must not touch `system`'s factor, and should free whatever
     factor it makes before it returns, so that each SuperLU factor lives
     and dies on one thread.  The calling thread factors through `factor`
     and calls nothing else of this package while the helper runs, so that
     calls of the package made on one thread at a time stay nested.  A
-    failed task's frames are cleared on the helper, so its locals, a
-    factor among them, are not freed on the calling thread."""
+    failed task's frames, those of every exception in its chain, are
+    cleared on the helper, so its locals, a factor among them, are not
+    freed on the calling thread."""
     out = {}
 
     def run():
         try:
             out["value"] = task()
         except BaseException as exc:
-            traceback.clear_frames(exc.__traceback__)
+            cause = exc
+            while cause is not None:
+                traceback.clear_frames(cause.__traceback__)
+                cause = cause.__cause__ or cause.__context__
             out["error"] = exc
 
     helper = threading.Thread(target=run, name="factor_alongside")
@@ -581,14 +589,20 @@ class FieldSolution:
         return float(out[0]) if scalar and out.size == 1 else out
 
 
-def solve_dirichlet(disc: Discretization, lift: Callable) -> FieldSolution:
+def solve_dirichlet(disc: Discretization, lift: Callable,
+                    beside: Callable) -> FieldSolution:
     """The remainder w of the harmonic field I(lift) + w, I being nodal
     interpolation: -div(rho^m grad w) = div(rho^m grad I(lift)) with w = 0
     on the Dirichlet nodes (the axis is always natural), so the load is
     -K I(lift), formed with the all-node K before its reduction, and the
-    boundary values are those of the lift; no mass form is assembled."""
+    boundary values are those of the lift; no mass form is assembled.
+
+    `beside()` runs on a helper thread while the reduced K is factored
+    (`factor_alongside`); its result is dropped and its exception raised
+    before the solve."""
     K = assemble_stiffness(disc)
     system = _dirichlet_system(disc, K, sp.csr_matrix(K.shape))
+    factor_alongside(system, beside)
     return system.solve(-(K @ lift(*disc.nodes.T)))
 
 

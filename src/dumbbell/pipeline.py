@@ -144,25 +144,43 @@ class ProfileSet:
     constants: ProfileConstants
 
 
+class _StageError(RuntimeError):
+    """A profile stage's failure, already named after its stage."""
+
+
 def _compute_profiles(cfg: RunConfig) -> ProfileSet:
+    """The four profiles in two overlapped pairs: the main thread factors
+    Phi's stiffness while a helper thread solves all of u0, then PhiHat's
+    while the helper assembles Ubar's system and load.  Ubar's shifted
+    factor waits for lam_k0 and is made on the main thread; beside the
+    whole of Ubar, PhiHat's factor would share the peak with Ubar's and
+    with the L and U copies its inertia read keeps.  Each factor is made,
+    used and freed on one thread, and a helper's failure keeps its own
+    stage's name."""
     mc, level, weight = cfg.mesh_config(), cfg.profile_level, cfg.weight()
-    values, solved = {}, []
-    stages = (
-        ("u0", lambda: prof.compute_u0(mc, level, weight)),
-        ("Phi", lambda: prof.compute_Phi(mc, level)),
-        ("PhiHat", lambda: prof.compute_PhiHat(mc, level)),
-        # Ubar's shift is the u0 eigenvalue
-        ("Ubar", lambda: prof.compute_Ubar(mc, weight, values["lam_k0"],
-                                           level, _KTILDE_LIST)))
-    for name, solve in stages:
+    out = {}
+
+    def stage(name, solve):
         try:
-            profile, found = solve()
+            out[name] = solve()
+        except _StageError:
+            raise
         except Exception as exc:
-            raise RuntimeError(
+            raise _StageError(
                 f"profile stage {name!r} failed: {exc}") from exc
-        solved.append(profile)
-        values.update(found)
-    return ProfileSet(*solved, ProfileConstants(level=level, **values))
+
+    # the inner stages run on the helper, beside the outer factorization
+    stage("Phi", lambda: prof.compute_Phi(mc, level, lambda: stage(
+        "u0", lambda: prof.compute_u0(mc, level, weight))))
+    stage("PhiHat", lambda: prof.compute_PhiHat(mc, level, lambda: stage(
+        "Ubar", lambda: prof.assemble_Ubar(mc, weight, level))))
+    # Ubar's shift is the u0 eigenvalue; its solve replaces its assembly
+    stage("Ubar", lambda: prof.compute_Ubar(
+        out["Ubar"], out["u0"][1]["lam_k0"], _KTILDE_LIST))
+    solved = [out[name] for name in ("u0", "Phi", "PhiHat", "Ubar")]
+    values = {k: v for _, found in solved for k, v in found.items()}
+    return ProfileSet(*(profile for profile, _ in solved),
+                      ProfileConstants(level=level, **values))
 
 
 def run_profiles(cfg: RunConfig, return_fields: bool = False):

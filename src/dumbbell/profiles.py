@@ -15,6 +15,11 @@ part through a smooth cutoff:
 * Ubar  solves -Du = lam_k0 p u on D- with the prescribed singularity
         -x1/(Upsilon_N |x|^N) at the origin, singular coefficient exactly 1:
         remainder solves the shifted problem (K - lam_k0 M_p) w = commutator.
+
+Phi and PhiHat take a task to run on a helper thread while their
+stiffness is factored (`fem.factor_alongside`); Ubar comes in two halves,
+`assemble_Ubar`, which needs no lam_k0 and can be such a task, and
+`compute_Ubar`, the shifted factor and solve.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ __all__ = [
     "compute_u0",
     "compute_Phi",
     "compute_PhiHat",
+    "assemble_Ubar",
     "compute_Ubar",
 ]
 
@@ -128,17 +134,19 @@ def compute_u0(cfg: MeshConfig, level: int, weight: fem.WeightModel):
 # ----------------------------------------------------------------------------
 
 def _harmonic_profile(domain: str, cfg: MeshConfig, level: int,
-                      lift: Callable) -> ProfileSolution:
+                      lift: Callable, beside: Callable) -> ProfileSolution:
     """Harmonic profile on a profile domain: the closed-form lift plus a
     finite element remainder that vanishes on the domain's Dirichlet edges
-    (the axis stays natural)."""
+    (the axis stays natural).  `beside()` runs on a helper thread while
+    the stiffness is factored (`fem.solve_dirichlet`)."""
     disc = _discretization(build_profile_mesh(domain, cfg), level)
-    return ProfileSolution(fem.solve_dirichlet(disc, lift), lift)
+    return ProfileSolution(fem.solve_dirichlet(disc, lift, beside), lift)
 
 
-def compute_Phi(cfg: MeshConfig, level: int):
+def compute_Phi(cfg: MeshConfig, level: int, beside: Callable):
     """Harmonic profile growing like (x1-1)+ in D+, decaying in the tube;
     the constant `c_phi` is its ground-mode coefficient at the tube exit.
+    `beside()` runs on a helper thread while the stiffness is factored.
 
     Carried part chi(|x-e1|) (x1-1)+ with chi = 0 for |x-e1| <= 1 and 1
     for |x-e1| >= 2; the remainder gets homogeneous data everywhere, so
@@ -148,16 +156,17 @@ def compute_Phi(cfg: MeshConfig, level: int):
         r = np.hypot(x1 - 1.0, rho)
         return smoothstep(r, 1.0, 2.0) * np.maximum(x1 - 1.0, 0.0)
 
-    profile = _harmonic_profile("PhiDomain", cfg, level, lift)
+    profile = _harmonic_profile("PhiDomain", cfg, level, lift, beside)
     return profile, {"c_phi": cs.project_section(
         profile, 1.0, 1.0, cs.disk_ground_mode(cfg.dimension))}
 
 
-def compute_PhiHat(cfg: MeshConfig, level: int):
+def compute_PhiHat(cfg: MeshConfig, level: int, beside: Callable):
     """Harmonic profile on D- plus the unit tube, growing like the tube
     mode h(x1, rho) = e^(sqrt(lambda1) x1) psi1(rho).  The constants are
     its unit-sphere coefficient `c_phihat`, its section mass `m_phihat`
     and its ground-mode coefficient `a0_phihat` at the tube entrance.
+    `beside()` runs on a helper thread while the stiffness is factored.
 
     Carried part chi(x1) h with chi ramping over 0.5 <= x1 <= 2, so the
     remainder vanishes on the inflow face (PhiHat = h there), on the walls
@@ -171,7 +180,7 @@ def compute_PhiHat(cfg: MeshConfig, level: int):
             * mode.psi1(np.minimum(rho, 1.0))
         return np.where(rho <= 1.0, val, 0.0)
 
-    profile = _harmonic_profile("PhiHatDomain", cfg, level, lift)
+    profile = _harmonic_profile("PhiHatDomain", cfg, level, lift, beside)
     return profile, {
         "c_phihat": cs.project_sphere(profile, 0.0, 1.0, -1, n),
         "m_phihat": cs.section_mass(profile, 1.0, 1.0, n),
@@ -182,27 +191,57 @@ def compute_PhiHat(cfg: MeshConfig, level: int):
 # Ubar
 # ----------------------------------------------------------------------------
 
-def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
-                 level: int, ktilde):
-    """Solution of -Du = lam_k0 p u on D- with singular part exactly
-    -x1/(Upsilon_N |x|^N) at the origin; the constant `norm_gamma` maps
-    each radius in `ktilde` to the half-sphere mass of Ubar there.
+def _ubar_kernel(x1, rho, n: int):
+    """The singular part -x1/(Upsilon_N |x|^N) of Ubar, zero at 0."""
+    r = np.hypot(x1, rho)
+    r = np.where(r == 0, np.inf, r)
+    return -x1 / (cs.upsilon(n) * r ** n)
+
+
+def assemble_Ubar(cfg: MeshConfig, weight: fem.WeightModel,
+                  level: int) -> tuple[fem.AssembledSystem, np.ndarray]:
+    """The half of Ubar that needs no lam_k0: the unshifted system on D-
+    and the commutator load, as `compute_Ubar` takes them.
 
     With S0 the singular kernel and chi a decreasing cutoff (1 inside
     |x| < 1, 0 outside |x| > 2), S0 is harmonic and p chi S0 = 0, so the
-    remainder solves (K - lam_k0 M_p) w = commutator with
-    Delta(chi S0) = S0 (chi'' - (N-1) chi'/|x|) supported on the cutoff
-    annulus.  One factor of K - lam_k0 M_p serves the spectral-gap guard
-    and the solve.  With the row and column permutations equal, its LU is
-    a congruence of the operator, so by Sylvester's law of inertia all
-    pivots of U positive certifies lam_k0 < lambda_1(D-).  The margin
-    lam_k0 <= 0.8 lambda_1(D-) is `RunConfig.validate`'s weight rule:
-    D- mirrors D+, so lambda_1(D-) = lam_k0 a_plus/a_minus.
-    """
+    remainder's load is the commutator Delta(chi S0) = S0 (chi'' - (N-1)
+    chi'/|x|), supported on the cutoff annulus."""
     disc = _discretization(build_profile_mesh("HalfMinus", cfg), level)
     n = disc.dimension
-    ups = cs.upsilon(n)
-    system = fem.assemble(disc, weight).shifted(lam_k0)
+
+    def commutator(x1, rho):
+        r = np.hypot(x1, rho)
+        # chi(r) = smoothstep(2 - r, 0, 1): chain rule flips odd derivatives
+        d1 = -smoothstep_d1(2.0 - r, 0.0, 1.0)
+        d2 = smoothstep_d2(2.0 - r, 0.0, 1.0)
+        return _ubar_kernel(x1, rho, n) * (
+            d2 - (n - 1) * d1 / np.where(r == 0, np.inf, r))
+
+    return fem.assemble(disc, weight), fem.assemble_load(disc, commutator)
+
+
+def compute_Ubar(assembled: tuple[fem.AssembledSystem, np.ndarray],
+                 lam_k0: float, ktilde):
+    """Solution of -Du = lam_k0 p u on D- with singular part exactly
+    -x1/(Upsilon_N |x|^N) at the origin, from the system and load of
+    `assemble_Ubar`; the constant `norm_gamma` maps each radius in
+    `ktilde` to the half-sphere mass of Ubar there.
+
+    The remainder solves (K - lam_k0 M_p) w = commutator.  One factor of
+    K - lam_k0 M_p serves the spectral-gap guard and the solve.  With the
+    row and column permutations equal, its LU is a congruence of the
+    operator, so by Sylvester's law of inertia all pivots of U positive
+    certifies lam_k0 < lambda_1(D-).  The margin lam_k0 <= 0.8
+    lambda_1(D-) is `RunConfig.validate`'s weight rule: D- mirrors D+, so
+    lambda_1(D-) = lam_k0 a_plus/a_minus.  Reading the pivots makes
+    SuperLU keep L and U as CSC copies on the factor (12.5 MB at the
+    default level 1 under scipy 1.17.1), so the factor is dropped right
+    after the solve, before the half-sphere read-outs.
+    """
+    unshifted, load = assembled
+    system = unshifted.shifted(lam_k0)
+    n = system.disc.dimension
     lu = system.lu()
     if not np.array_equal(lu.perm_r, lu.perm_c):
         raise RuntimeError("shifted factor pivoted off the diagonal; its "
@@ -211,24 +250,13 @@ def compute_Ubar(cfg: MeshConfig, weight: fem.WeightModel, lam_k0: float,
         raise ValueError(
             f"spectral gap violated: shift {lam_k0:.6g} is not below "
             "lambda_1(D-); weight misconfigured")
-
-    def kernel(x1, rho):
-        r = np.hypot(x1, rho)
-        r = np.where(r == 0, np.inf, r)
-        return -x1 / (ups * r ** n)
+    remainder = system.solve(load)
+    del lu, system
 
     def carried(x1, rho):
         r = np.hypot(x1, rho)
-        return smoothstep(2.0 - r, 0.0, 1.0) * kernel(x1, rho)
+        return smoothstep(2.0 - r, 0.0, 1.0) * _ubar_kernel(x1, rho, n)
 
-    def commutator(x1, rho):
-        r = np.hypot(x1, rho)
-        # chi(r) = smoothstep(2 - r, 0, 1): chain rule flips odd derivatives
-        d1 = -smoothstep_d1(2.0 - r, 0.0, 1.0)
-        d2 = smoothstep_d2(2.0 - r, 0.0, 1.0)
-        return kernel(x1, rho) * (d2 - (n - 1) * d1 / np.where(r == 0, np.inf, r))
-
-    remainder = system.solve(fem.assemble_load(disc, commutator))
     profile = ProfileSolution(remainder, carried)
     return profile, {"norm_gamma": {
         float(k): cs.half_sphere_mass(profile, 0.0, float(k), -1, n)

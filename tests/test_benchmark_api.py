@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import dumbbell
-from dumbbell import cross_section, fem, mesh, pipeline  # noqa: F401
+from dumbbell import cross_section, fem, mesh, pipeline, profiles  # noqa: F401
 from test_pipeline import COARSE
 
 PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
@@ -112,3 +112,52 @@ def test_traced_sweep_keeps_its_spans_nested(bench, tmp_path, monkeypatch):
     assert [s[0] for s in tracer.spans].count("fem.eigsh") == 2
     assert ([e["ratios"] for e in traced.sweep]
             == [e["ratios"] for e in plain.sweep])
+
+
+def test_traced_profile_stage_keeps_its_spans_nested(bench, tmp_path,
+                                                     monkeypatch):
+    # u0 runs on a helper thread while the main thread factors Phi's
+    # stiffness, and Ubar's assembly while it factors PhiHat's; the main
+    # thread makes no traced call meanwhile.  Barriers hold Phi's
+    # factorization open across the helper's traced u0 factorization, as
+    # in the sweep test above
+    _, spans = bench
+    cfg = pipeline.RunConfig(cache=False, jobs=1, out_dir=str(tmp_path),
+                             **COARSE)
+    plain = pipeline.run_profiles(cfg)
+    meet = threading.Barrier(2, timeout=60).wait
+    factor, u0 = fem.factor, profiles.compute_u0
+    on_main = []
+
+    def gated_factor(A):
+        if threading.current_thread() is not threading.main_thread():
+            meet()
+            meet()
+            return factor(A)
+        on_main.append(A.shape)
+        if len(on_main) > 1:  # PhiHat's and Ubar's
+            return factor(A)
+        meet()  # the helper has begun u0
+        meet()  # the helper is inside its traced factorization
+        lu = factor(A)
+        meet()  # the helper may factor now
+        return lu
+
+    def gated_u0(*args):
+        meet()
+        return u0(*args)
+
+    monkeypatch.setattr(fem, "factor", gated_factor)
+    monkeypatch.setattr(profiles, "compute_u0", gated_u0)
+    tracer = spans.Tracer()
+    tracer.install(dumbbell)
+    try:
+        traced = pipeline.run_profiles(cfg)
+    finally:
+        tracer.uninstall()
+    assert len(on_main) == 3
+    assert all(end is not None for _, _, end, _, _ in tracer.spans)
+    names = [s[0] for s in tracer.spans]
+    assert [names.count(f"profiles.{p}") for p in
+            ("u0", "phi", "phihat", "ubar")] == [1, 1, 1, 1]
+    assert traced.to_dict() == plain.to_dict()

@@ -266,7 +266,7 @@ class TestSolveDirichlet:
         m = M.refine(M.build_profile_mesh(kind,
                                           M.MeshConfig(h0=0.6, r_out=8.0)))
         disc = fem.Discretization(m)
-        sol = fem.solve_dirichlet(disc, lift)
+        sol = fem.solve_dirichlet(disc, lift, lambda: None)
         scale = np.abs(lift(disc.nodes[:, 0], disc.nodes[:, 1])).max()
         assert np.abs(sol.values).max() <= 1e-10 * scale
         assert sol.residual < 1e-12
@@ -279,7 +279,7 @@ class TestSolveDirichlet:
         monkeypatch.setattr(fem, "assemble_mass", never)
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
         disc = fem.Discretization(m)
-        sol = fem.solve_dirichlet(disc, lambda x, r: x)
+        sol = fem.solve_dirichlet(disc, lambda x, r: x, lambda: None)
         assert np.abs(sol.values).max() <= 1e-10 * 8.0
         assert sol.residual < 1e-12
 
@@ -518,17 +518,32 @@ class TestFactor:
                               fem.factor(sysd.K - 0.5 * sysd.Mp).solve(b))
 
     def test_factor_alongside_raises_the_task_error_after_the_factor(self):
+        # the task's error wraps a cause, as a named profile stage does;
+        # the cause's frame holds a local that must be freed on the helper
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         before = threading.active_count()
+        freed = []
+
+        class Held:
+            def __del__(self):
+                freed.append(threading.current_thread())
+
+        def failing():
+            held = Held()  # noqa: F841
+            raise ValueError("synthetic cause")
 
         def broken():
-            raise ValueError("synthetic task failure")
+            try:
+                failing()
+            except ValueError as exc:
+                raise RuntimeError("synthetic task failure") from exc
 
-        with pytest.raises(ValueError, match="synthetic task failure"):
+        with pytest.raises(RuntimeError, match="synthetic task failure"):
             fem.factor_alongside(sysd, broken)
         assert threading.active_count() == before
         assert sysd._lu is not None
+        assert len(freed) == 1 and freed[0] is not threading.current_thread()
 
     def test_repeated_factors_keep_the_heap_intact(self):
         # SuperLU in scipy 1.17.1 corrupts the heap on these operators at

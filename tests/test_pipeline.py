@@ -318,34 +318,52 @@ class TestProfileCache:
 
 
 class _CountingLU:
-    """A SuperLU factor that counts its solves."""
+    """A SuperLU factor that logs to `events` the thread that makes it,
+    each solve's and the one that frees it."""
 
-    def __init__(self, lu, solves):
-        self._lu, self._solves = lu, solves
+    def __init__(self, lu, events):
+        self._lu, self._events = lu, events
+        events.append(("made", threading.current_thread()))
 
     def solve(self, b):
-        self._solves.append(b.shape)
+        self._events.append(("solve", threading.current_thread()))
         return self._lu.solve(b)
 
     def __getattr__(self, name):
         return getattr(self._lu, name)
 
+    def __del__(self):
+        self._events.append(("freed", threading.current_thread()))
+
 
 def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
     # K on D+ (the u0 iteration), the two harmonic solves, and
     # K - lam_k0 M_p on D- (the Ubar inertia guard and solve); no ARPACK
-    # run.  Solves: u0 12 (10 Krylov, 2 polish), Phi 1, PhiHat 1, Ubar 1
-    factored, arpack, solves = [], [], []
+    # run.  Solves: u0 12 (10 Krylov, 2 polish), Phi 1, PhiHat 1, Ubar 1.
+    # A SuperLU factor freed on another thread than its own keeps its
+    # memory, so each is made, solved on and freed by one thread: u0's by
+    # the helper, the other three by the main thread
+    lives, arpack = [], []
     splu, eigsh = fem.spla.splu, fem.spla.eigsh
-    monkeypatch.setattr(fem.spla, "splu", lambda A, **kw:
-                        factored.append(A.shape)
-                        or _CountingLU(splu(A, **kw), solves))
+
+    def counted(A, **kw):
+        events = []
+        lives.append(events)
+        return _CountingLU(splu(A, **kw), events)
+
+    monkeypatch.setattr(fem.spla, "splu", counted)
     monkeypatch.setattr(fem.spla, "eigsh", lambda *a, **kw:
                         arpack.append(a) or eigsh(*a, **kw))
     pl.run_profiles(pl.RunConfig(out_dir=str(tmp_path), cache=False,
                                  **COARSE))
-    assert len(factored) == 4
-    assert len(solves) == 15
+    owners = []
+    for events in lives:
+        kinds = [kind for kind, _ in events]
+        assert kinds[0] == "made" and kinds[-1] == "freed", kinds
+        assert len({thread for _, thread in events}) == 1
+        owners.append((events[0][1] is threading.main_thread(),
+                       kinds.count("solve")))
+    assert sorted(owners) == [(False, 12), (True, 1), (True, 1), (True, 1)]
     assert arpack == []
 
 
@@ -582,8 +600,6 @@ class TestSweep:
     def test_failed_profile_stage_is_named(self, monkeypatch):
         monkeypatch.setattr(pl.prof, "compute_u0", lambda *a, **k: (
             None, {"lam_k0": 1.0, "d0": 1.0, "d0_spread": 0.0}))
-        monkeypatch.setattr(pl.prof, "compute_Phi",
-                            lambda *a, **k: (None, {"c_phi": 1.0}))
 
         def broken(*args, **kwargs):
             raise ValueError("synthetic failure")
@@ -592,6 +608,27 @@ class TestSweep:
         with pytest.raises(RuntimeError,
                            match="profile stage 'PhiHat' failed: synthetic"):
             pl._compute_profiles(pl.RunConfig(**COARSE))
+
+    @pytest.mark.parametrize("name, solve", [("u0", "compute_u0"),
+                                             ("Ubar", "assemble_Ubar")])
+    def test_failed_helper_stage_keeps_its_name(self, name, solve,
+                                                monkeypatch):
+        # u0 and Ubar's assembly fail on the helper thread, beside Phi's
+        # and PhiHat's factorizations: the error names the helper's stage,
+        # and the helper is joined before the stage fails
+        monkeypatch.setattr(pl.prof, "compute_u0", lambda *a, **k: (
+            None, {"lam_k0": 1.0, "d0": 1.0, "d0_spread": 0.0}))
+        monkeypatch.setattr(pl.prof, "compute_Ubar", unreachable)
+
+        def broken(*args, **kwargs):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(pl.prof, solve, broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError,
+                           match=f"^profile stage '{name}' failed: synthetic"):
+            pl._compute_profiles(pl.RunConfig(**COARSE))
+        assert threading.active_count() == before
 
     def test_each_constant_comes_from_one_solve(self, monkeypatch):
         # the stage merges the solves' dicts, so a key that two solves
@@ -837,7 +874,8 @@ class TestCLI:
         assert "jobs" in capsys.readouterr().err
 
     def test_profiles_takes_no_jobs_flag(self, monkeypatch, capsys):
-        # the profile stage runs in one thread whatever `jobs` says
+        # `jobs` maps sweep entries only: the profile stage always runs on
+        # the main thread and one helper
         monkeypatch.setattr(pl, "run_profiles", unreachable)
         with pytest.raises(SystemExit) as exit_:
             cli.main(["profiles", "--jobs", "2"])
