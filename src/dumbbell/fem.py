@@ -14,16 +14,17 @@ Dirichlet problem: it holds only the free-node K and M_p, carries its
 shift and factors K - shift M_p once, so every eigen step and load solve
 on it reuses that factor.  `factor_alongside` factors one system while a
 helper thread runs an independent task: in a sweep entry the restricted
-reference, in the profile stage all of u0 (beside Phi's factor) and
-Ubar's assembly (beside PhiHat's).  A task's own factor is made, used
-and freed on that helper: a SuperLU factor
-freed on another thread than the one that made it keeps its memory (an
-eps = 0.3 sweep factor made on a helper and dropped on the main thread
-grew RSS from 88 to 383 MB in 8 rounds, against a flat 98 MB when the
-helper dropped it).  The process keeps one malloc arena, so that the
-helper holds none of its own: the eps = 0.3 and 0.1 sweep peaked at
-215-219 MB with the helper's arena and 196-199 MB without, against
-188 MB with no helper (perfbench's `sweep_direct`).
+reference and then, in a one-job sweep, the previous entry's readouts;
+in the profile stage all of u0 (beside Phi's factor) and Ubar's assembly
+(beside PhiHat's).  A task's own factor is made, used and freed on that
+helper: a SuperLU factor freed on another thread than the one that made
+it keeps its memory (an eps = 0.3 sweep factor made on a helper and
+dropped on the main thread grew RSS from 88 to 383 MB in 8 rounds,
+against a flat 98 MB when the helper dropped it).  The process keeps one
+malloc arena, so that the helper holds none of its own: the eps = 0.3
+and 0.1 sweep peaked at 215-219 MB with the helper's arena and
+196-199 MB without, against 188 MB with no helper (perfbench's
+`sweep_direct`).
 """
 
 from __future__ import annotations
@@ -480,8 +481,10 @@ def factor_alongside(system: AssembledSystem, task: Callable):
     """Run `task()` on a helper thread while the calling thread factors
     `system`, keeping the factor as its `lu()`; returns the task's result,
     or raises its exception, once both are done.  Its two callers are a
-    sweep entry (`pipeline._dumbbell_eigenpair`) and the profile stage,
-    through `solve_dirichlet`.
+    sweep entry (`pipeline._dumbbell_eigenpair`, whose task solves the
+    restricted reference and then, in a one-job sweep, runs the previous
+    entry's readouts, which factor nothing) and the profile stage, through
+    `solve_dirichlet`.
 
     The task must not touch `system`'s factor, and should free whatever
     factor it makes before it returns, so that each SuperLU factor lives

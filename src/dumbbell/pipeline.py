@@ -23,7 +23,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -223,8 +223,8 @@ def run_profiles(cfg: RunConfig, return_fields: bool = False):
 # or the second mode of D+ at 2.38 lam_k0) by (lam1 - sigma)/(lam2 - sigma)
 # <= about 1e-3 (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  A
 # Rayleigh quotient at or below sigma raises in fem.refine_eigenpair, and
-# _sweep_entry's lam_eps <= lam_ref guard catches an iterate drawn to a
-# higher mode.
+# _dumbbell_eigenpair's lam_eps <= lam_ref guard catches an iterate drawn
+# to a higher mode.
 _SHIFT_OFFSET = 1e-3
 # eigen_smallest steps for the restricted reference: 1 Krylov solve and the
 # 2-solve polish.  The cold all-ones start overlaps the D+ modes at O(1);
@@ -241,23 +241,37 @@ _REFERENCE_STEPS = 3
 _EIGENPAIR_STEPS = 4
 
 
-def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
-    """The mass-normalized ground pair of the dumbbell and the eigenvalue
-    lambda_ref of its restricted reference."""
+def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float,
+                        then: Callable = lambda: None):
+    """An entry's eigen phase: the mass-normalized ground pair of the
+    dumbbell and the eigenvalue lambda_ref of its restricted reference.
+    The full operator is factored on the calling thread while a helper
+    thread solves the reference and then runs `then()`, which must not
+    raise; in a one-job sweep that is the previous entry's readouts."""
     mesh = build_dumbbell_mesh(cfg.mesh_config(eps))
     for _ in range(cfg.sweep_level):
         mesh = refine(mesh)
     disc = fem.Discretization(mesh)
     system = fem.assemble(disc, cfg.weight())
-    # the two shifted operators are independent: the full one is factored
-    # here while a helper thread solves the restricted reference
     full = system.shifted((1 - _SHIFT_OFFSET) * lam_k0)
-    ref = fem.factor_alongside(
-        full, lambda: _restricted_reference(system, lam_k0))
+
+    def beside():
+        try:
+            return _restricted_reference(system, lam_k0)
+        finally:
+            then()
+
+    ref = fem.factor_alongside(full, beside)
     # float64 solves, whose LU keeps the left body's digits without
     # refinement
-    return fem.refine_eigenpair(full, ref.field.values[system.free],
-                                _EIGENPAIR_STEPS), ref.lam
+    pair = fem.refine_eigenpair(full, ref.field.values[system.free],
+                                _EIGENPAIR_STEPS)
+    # the restricted space is a subspace of the sweep space, so by min-max
+    # lam_eps <= lam_ref; a larger lam_eps is an iterate on the wrong mode
+    if pair.lam > ref.lam * (1 + 1e-12):
+        raise ValueError(f"lambda_eps = {pair.lam!r} exceeds the restricted "
+                         f"reference lambda_ref = {ref.lam!r}")
+    return pair, ref.lam
 
 
 def _restricted_reference(system: fem.AssembledSystem,
@@ -303,19 +317,21 @@ def _sup_window(samples: dict, window: str, view, reference, x1, rho):
 
 
 def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
+    """One entry of the record: its eigen phase, then its readouts."""
+    return _entry_readouts(cfg, pset, eps, *_dumbbell_eigenpair(
+        cfg, eps, pset.constants.lam_k0))
+
+
+def _entry_readouts(cfg: RunConfig, pset: ProfileSet, eps: float,
+                    pair: fem.EigenPair, lam_ref: float) -> dict:
+    """An entry's readout phase: everything the record reads off the
+    eigenpair.  It factors and solves nothing."""
     con = pset.constants
     n = cfg.dimension
     mode = cs.disk_ground_mode(n)
     sl1 = mode.sqrt_lambda1
     track = "direct" if eps >= _DIRECT_EPS else "cascade"
-
-    pair, lam_ref = _dumbbell_eigenpair(cfg, eps, con.lam_k0)
     u = pair.field
-    # the restricted space is a subspace of the sweep space, so by min-max
-    # lam_eps <= lam_ref; a larger lam_eps is an iterate on the wrong mode
-    if pair.lam > lam_ref * (1 + 1e-12):
-        raise ValueError(f"lambda_eps = {pair.lam!r} exceeds the restricted "
-                         f"reference lambda_ref = {lam_ref!r}")
 
     # growing-mode amplitude A from the right tube window
     ts = np.linspace(*_FIT_WINDOW, _FIT_POINTS)
@@ -457,6 +473,48 @@ def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
 # Sweep
 # ----------------------------------------------------------------------------
 
+def _error(exc: Exception) -> dict:
+    """The keys an entry that raised `exc` gets after its eps."""
+    return {"error": f"{type(exc).__name__}: {exc}", "ratios": {}}
+
+
+def _fill(entry: dict, solve: Callable) -> None:
+    """Add the keys of `solve()`'s entry to `entry`, which holds its eps,
+    or those of its exception's error."""
+    try:
+        entry.update(solve())
+    except Exception as exc:
+        entry.update(_error(exc))
+
+
+def _pipelined_sweep(cfg: RunConfig, pset: ProfileSet) -> list:
+    """The entries in two stages: while entry i's full operator is
+    factored on this thread, the helper thread of its eigen phase solves
+    its restricted reference and then runs entry i-1's readouts.  The
+    last entry's readouts run after the loop, and an entry whose eigen
+    phase fails before its helper starts runs them itself.  Each entry's
+    exception becomes its own error."""
+    sweep, pending = [], []
+
+    def readouts():
+        while pending:
+            entry, eigen = pending.pop()
+            _fill(entry, lambda: _entry_readouts(cfg, pset, entry["eps"],
+                                                 *eigen))
+
+    for eps in map(float, cfg.eps_sweep):
+        entry = {"eps": eps}
+        sweep.append(entry)
+        try:
+            pending.append((entry, _dumbbell_eigenpair(
+                cfg, eps, pset.constants.lam_k0, readouts)))
+        except Exception as exc:
+            entry.update(_error(exc))
+            readouts()
+    readouts()
+    return sweep
+
+
 def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
     """Sweep `cfg.eps_sweep`; `constants` is the ProfileSet to reuse, or
     None to solve the profiles first."""
@@ -469,19 +527,18 @@ def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
         raise TypeError("run_sweep needs a ProfileSet or None as "
                         f"constants, not {type(constants).__name__}")
 
-    def work(eps):
-        try:
-            return _sweep_entry(cfg, float(eps), pset)
-        except Exception as exc:
-            return {"eps": float(eps), "error": f"{type(exc).__name__}: {exc}",
-                    "ratios": {}}
-
-    # both maps yield the entries in sweep order
     if cfg.jobs > 1:
+        # each worker runs whole entries, its factors on its own thread;
+        # the map yields them in sweep order
+        def work(eps):
+            entry = {"eps": eps}
+            _fill(entry, lambda: _sweep_entry(cfg, eps, pset))
+            return entry
+
         with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            sweep = list(pool.map(work, cfg.eps_sweep))
+            sweep = list(pool.map(work, map(float, cfg.eps_sweep)))
     else:
-        sweep = list(map(work, cfg.eps_sweep))
+        sweep = _pipelined_sweep(cfg, pset)
 
     record = RunRecord(cfg.hash(), cfg.canonical(), pset.constants, sweep)
     record.verdicts = verify(record)

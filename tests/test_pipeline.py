@@ -21,6 +21,10 @@ from extended_polish_oracle import extended_refine_eigenpair
 
 COARSE = dict(eps_sweep=(0.3, 0.2), h0=0.2, grade_levels=6,
               profile_level=0, sweep_level=0)
+# three eps, so that the middle entry of a one-job sweep has neighbours on
+# both sides: its readouts run beside the third entry's factorization
+# while its own factorization ran beside the first entry's readouts
+COARSE3 = dict(COARSE, eps_sweep=(0.3, 0.25, 0.2))
 
 
 def synthetic_record(values_by_eps, name="R3"):
@@ -664,18 +668,17 @@ class TestSweep:
             pl.run_sweep(pl.RunConfig(**COARSE), constants)
 
     def test_failed_entry_keeps_sweep_alive(self, monkeypatch, tmp_path):
+        # a one-job sweep runs each entry's eigen phase, not _sweep_entry
         cfg = pl.RunConfig(out_dir=str(tmp_path), **COARSE)
         pset = pl.run_profiles(cfg, return_fields=True)
-        calls = {"n": 0}
-        orig = pl._sweep_entry
+        orig = pl._dumbbell_eigenpair
 
-        def flaky(cfg_, eps, pset_):
-            calls["n"] += 1
+        def flaky(cfg_, eps, *args):
             if eps == 0.3:
                 raise RuntimeError("synthetic failure")
-            return orig(cfg_, eps, pset_)
+            return orig(cfg_, eps, *args)
 
-        monkeypatch.setattr(pl, "_sweep_entry", flaky)
+        monkeypatch.setattr(pl, "_dumbbell_eigenpair", flaky)
         rec = pl.run_sweep(cfg, pset)
         assert "error" in rec.sweep[0]
         assert "synthetic failure" in rec.sweep[0]["error"]
@@ -725,6 +728,110 @@ class TestSweep:
             "RuntimeError: synthetic reference failure"] * 2
         assert not rec.verdicts["sweep_errors"]["pass"]
         assert not rec.verdicts["overall_pass"]
+
+
+@pytest.fixture(scope="module")
+def coarse3_record(tmp_path_factory, coarse_pset):
+    out = str(tmp_path_factory.mktemp("sweep3"))
+    cfg = pl.RunConfig(out_dir=out, **COARSE3)
+    record = pl.run_sweep(cfg, coarse_pset)
+    pl.emit(record, out)
+    return cfg, record, out
+
+
+class TestPipelinedSweep:
+    """A one-job sweep runs entry i's readouts on the helper thread of
+    entry i+1's eigen phase, after that entry's restricted reference."""
+
+    def test_two_jobs_give_the_one_job_record_byte_for_byte(
+            self, coarse3_record, coarse_pset, tmp_path):
+        cfg, rec, out = coarse3_record
+        assert [e.get("error") for e in rec.sweep] == [None] * 3
+        two = pl.run_sweep(dataclasses.replace(cfg, jobs=2), coarse_pset)
+        pl.emit(two, str(tmp_path))
+        assert ((tmp_path / "record.json").read_bytes()
+                == (Path(out) / "record.json").read_bytes())
+
+    def test_readout_failure_on_the_helper_is_its_own_entrys_error(
+            self, coarse3_record, coarse_pset, monkeypatch):
+        cfg, rec, _ = coarse3_record
+        readouts, threads = pl._entry_readouts, {}
+
+        def flaky(cfg_, pset_, eps, *eigen):
+            threads[eps] = threading.current_thread()
+            if eps == 0.3:
+                raise RuntimeError("synthetic readout failure")
+            return readouts(cfg_, pset_, eps, *eigen)
+
+        monkeypatch.setattr(pl, "_entry_readouts", flaky)
+        before = threading.active_count()
+        got = pl.run_sweep(cfg, coarse_pset)
+        assert threading.active_count() == before
+        # the first two entries' readouts ran beside the next entry's
+        # factorization, the last entry's on the main thread after it
+        assert [threads[e] is threading.main_thread()
+                for e in cfg.eps_sweep] == [False, False, True]
+        assert got.sweep == [{"eps": 0.3, "error": "RuntimeError: synthetic "
+                              "readout failure", "ratios": {}}] + rec.sweep[1:]
+
+    @pytest.mark.parametrize("phase", ["mesh", "reference", "polish"])
+    def test_eigen_failure_keeps_the_previous_readouts(
+            self, phase, coarse3_record, coarse_pset, monkeypatch):
+        # the middle entry fails before its helper starts (its mesh), on
+        # its helper (its restricted reference) or after it (its full
+        # pair's polish); the first entry's readouts run either way, and
+        # only the middle entry carries the error
+        cfg, rec, _ = coarse3_record
+        # the reference's own polish runs on the helper, uncounted
+        target, name, on_main = {
+            "mesh": (pl, "build_dumbbell_mesh", True),
+            "reference": (pl, "_restricted_reference", False),
+            "polish": (fem, "refine_eigenpair", True)}[phase]
+        original, calls = getattr(target, name), []
+
+        def flaky(*args):
+            if (threading.current_thread() is threading.main_thread()) \
+                    == on_main:
+                calls.append(1)
+                if len(calls) == 2:
+                    raise RuntimeError(f"synthetic {phase} failure")
+            return original(*args)
+
+        readouts, threads = pl._entry_readouts, []
+        monkeypatch.setattr(pl, "_entry_readouts", lambda *args: (
+            threads.append(threading.current_thread()) or readouts(*args)))
+        monkeypatch.setattr(target, name, flaky)
+        before = threading.active_count()
+        got = pl.run_sweep(cfg, coarse_pset)
+        assert threading.active_count() == before
+        # a failed reference still leaves the first readouts on its helper
+        assert (threads[0] is threading.main_thread()) == (phase == "mesh")
+        assert got.sweep == [rec.sweep[0], {
+            "eps": 0.25, "error": f"RuntimeError: synthetic {phase} failure",
+            "ratios": {}}, rec.sweep[2]]
+
+    def test_each_factor_lives_on_one_thread(self, coarse_pset, monkeypatch):
+        # a SuperLU factor freed on another thread than its own keeps its
+        # memory: every full factor is made, solved on (4 steps) and freed
+        # by the main thread, every reference factor (3 steps) by a helper
+        lives, factor = [], fem.factor
+
+        def counted(A):
+            events = []
+            lives.append(events)
+            return _CountingLU(factor(A), events)
+
+        monkeypatch.setattr(fem, "factor", counted)
+        rec = pl.run_sweep(pl.RunConfig(cache=False, **COARSE3), coarse_pset)
+        assert [e.get("error") for e in rec.sweep] == [None] * 3
+        owners = []
+        for events in lives:
+            kinds = [kind for kind, _ in events]
+            assert kinds[0] == "made" and kinds[-1] == "freed", kinds
+            assert len({thread for _, thread in events}) == 1
+            owners.append((events[0][1] is threading.main_thread(),
+                           kinds.count("solve")))
+        assert sorted(owners) == [(False, 3)] * 3 + [(True, 4)] * 3
 
 
 class TestCLI:
