@@ -118,10 +118,11 @@ def main(argv=None) -> int:
         if name == "sweep":
             p.add_argument("--jobs", type=int,
                            help="threads that solve whole eps entries; at "
-                           "1 a helper thread already runs beside each "
-                           "factorization. On two cores the default sweep "
-                           "took 2.5 s at 2 against 2.9 s at 1, peaking at "
-                           "255 MB against 187 MB (medians of 16 runs)")
+                           "1 a worker thread already factors each entry "
+                           "while the main thread builds the next one. On "
+                           "two cores the default sweep took 2.9 s at 2 "
+                           "against 3.0 s at 1, peaking at 216 MB against "
+                           "190 MB (medians of 8 alternated runs)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="re-check verdicts on a stored record")

@@ -13,18 +13,20 @@ An AssembledSystem is the one place that reduces, factors and solves a
 Dirichlet problem: it holds only the free-node K and M_p, carries its
 shift and factors K - shift M_p once, so every eigen step and load solve
 on it reuses that factor.  `factor_alongside` factors one system while a
-helper thread runs an independent task: in a sweep entry the restricted
-reference and then, in a one-job sweep, the previous entry's readouts;
-in the profile stage all of u0 (beside Phi's factor) and Ubar's assembly
-(beside PhiHat's).  A task's own factor is made, used and freed on that
-helper: a SuperLU factor freed on another thread than the one that made
-it keeps its memory (an eps = 0.3 sweep factor made on a helper and
-dropped on the main thread grew RSS from 88 to 383 MB in 8 rounds,
-against a flat 98 MB when the helper dropped it).  The process keeps one
-malloc arena, so that the helper holds none of its own: the eps = 0.3
-and 0.1 sweep peaked at 215-219 MB with the helper's arena and
-196-199 MB without, against 188 MB with no helper (perfbench's
-`sweep_direct`).
+helper thread runs an independent task, in the profile stage all of u0
+(beside Phi's factor) and Ubar's assembly (beside PhiHat's).  A sweep
+entry's full pair comes from `refine_on_own_factor`, which a one-job
+sweep runs on its worker thread: the factor is made, used and freed in
+that one call.  Every factor is made, used and freed on one thread: a
+SuperLU factor freed on another thread than the one that made it keeps
+its memory (an eps = 0.3 sweep factor made on a helper and dropped on
+the main thread grew RSS from 88 to 383 MB in 8 rounds, against a flat
+98 MB when the helper dropped it), so a failure's frames, which hold
+the factor among their locals, are cleared on the thread that made it
+(`clear_frames`).  The process keeps one malloc arena, so that a second
+thread holds none of its own: the eps = 0.3 and 0.1 sweep peaked at
+215-219 MB with the helper's arena and 196-199 MB without, against
+188 MB with no helper (perfbench's `sweep_direct`).
 """
 
 from __future__ import annotations
@@ -51,16 +53,24 @@ __all__ = [
     "assemble",
     "factor",
     "factor_alongside",
+    "clear_frames",
     "solve_dirichlet",
     "eigen_smallest",
     "refine_eigenpair",
+    "refine_on_own_factor",
 ]
 
 
-# The process keeps one malloc arena, so that factor_alongside's helper
-# threads hold none of their own: M_ARENA_MAX is glibc's mallopt parameter
-# (malloc.h), and a libc without mallopt keeps its own arena policy
-_M_ARENA_MAX = -8
+# The process keeps one malloc arena, so that a second thread holds none
+# of its own: M_ARENA_MAX is glibc's mallopt parameter (malloc.h), and a
+# libc without mallopt keeps its own arena policy.  M_MMAP_THRESHOLD is
+# fixed at 8 MiB: glibc's dynamic threshold rises to 32 MB after the first
+# large free, and the freed assembly arrays of each sweep entry then stay
+# resident in the heap.  The default one-job `dumbbell sweep` peaked at a
+# median 188.8 MB with this threshold and 195.9 MB with the dynamic one;
+# at 1 MiB the eps = 0.3 and 0.1 sweep ran 6-31 % slower (4 alternated
+# in-process pairs), as the mapped arrays fault their pages in again
+_M_ARENA_MAX, _M_MMAP_THRESHOLD = -8, -3
 try:
     _mallopt = ctypes.CDLL(None).mallopt
 except (AttributeError, OSError, TypeError):
@@ -69,6 +79,7 @@ else:
     _mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     _mallopt.restype = ctypes.c_int
     _mallopt(_M_ARENA_MAX, 1)
+    _mallopt(_M_MMAP_THRESHOLD, 8 << 20)
 
 
 # ----------------------------------------------------------------------------
@@ -480,30 +491,25 @@ class AssembledSystem:
 def factor_alongside(system: AssembledSystem, task: Callable):
     """Run `task()` on a helper thread while the calling thread factors
     `system`, keeping the factor as its `lu()`; returns the task's result,
-    or raises its exception, once both are done.  Its two callers are a
-    sweep entry (`pipeline._dumbbell_eigenpair`, whose task solves the
-    restricted reference and then, in a one-job sweep, runs the previous
-    entry's readouts, which factor nothing) and the profile stage, through
-    `solve_dirichlet`.
+    or raises its exception, once both are done.  Its one caller is the
+    profile stage, through `solve_dirichlet`: u0 beside Phi's factor, and
+    Ubar's assembly beside PhiHat's.
 
     The task must not touch `system`'s factor, and should free whatever
     factor it makes before it returns, so that each SuperLU factor lives
     and dies on one thread.  The calling thread factors through `factor`
     and calls nothing else of this package while the helper runs, so that
     calls of the package made on one thread at a time stay nested.  A
-    failed task's frames, those of every exception in its chain, are
-    cleared on the helper, so its locals, a factor among them, are not
-    freed on the calling thread."""
+    failed task's frames are cleared on the helper (`clear_frames`), so
+    its locals, a factor among them, are not freed on the calling
+    thread."""
     out = {}
 
     def run():
         try:
             out["value"] = task()
         except BaseException as exc:
-            cause = exc
-            while cause is not None:
-                traceback.clear_frames(cause.__traceback__)
-                cause = cause.__cause__ or cause.__context__
+            clear_frames(exc)
             out["error"] = exc
 
     helper = threading.Thread(target=run, name="factor_alongside")
@@ -515,6 +521,16 @@ def factor_alongside(system: AssembledSystem, task: Callable):
     if "error" in out:
         raise out["error"]
     return out["value"]
+
+
+def clear_frames(exc: BaseException) -> None:
+    """Clear the finished frames of `exc` and of every exception in its
+    chain, so that their locals, a SuperLU factor among them, are freed
+    now, on the calling thread, and not on whichever thread drops the
+    exception last."""
+    while exc is not None:
+        traceback.clear_frames(exc.__traceback__)
+        exc = exc.__cause__ or exc.__context__
 
 
 def _dirichlet_system(disc: Discretization, K_full: sp.csr_matrix,
@@ -676,7 +692,7 @@ def eigen_smallest(system: AssembledSystem, steps: int) -> EigenPair:
     _, S = np.linalg.eigh(0.5 * (T + T.T))
     ritz = (H[:k, :j + 1] @ S[:, -1]) @ V[:k]
     # the basis (2 (steps - 1) vectors) is freed before the polish, whose
-    # Rayleigh quotient copies K and M_p to long double
+    # Rayleigh quotient copies rows of K and M_p to long double
     del V, MV
     return refine_eigenpair(system, ritz, 2)
 
@@ -707,16 +723,66 @@ def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
     only the quotient, so every shifted iteration gets it for free; an
     iterate drawn to a mode above sigma passes it, and a caller that knows
     a bound on the ground eigenvalue checks that bound itself."""
+    return _inverse_iteration(system, system.lu(), start, steps)
+
+
+def refine_on_own_factor(system: AssembledSystem, start: Callable,
+                         steps: int) -> EigenPair:
+    """`refine_eigenpair`'s iteration on a factor of K - sigma M_p that
+    this call makes, uses and frees on the calling thread; `system.lu()`
+    stays unmade.  `start()` gives the free-node start vector once the
+    factorization is done, so it may wait for another thread's result.
+    A failure's frames are cleared before it leaves (`clear_frames`), so
+    the factor is freed on this thread however the call ends.  A one-job
+    sweep runs this on its worker thread, which calls nothing else of the
+    package, so the main thread's calls stay nested for a tracer that
+    keeps one span stack."""
+    lu = factor(system._operator())
+    try:
+        return _inverse_iteration(system, lu, start(), steps)
+    except BaseException as exc:
+        # the iteration's frame holds the factor
+        clear_frames(exc)
+        raise
+    finally:
+        del lu
+
+
+# rows of K and M_p copied to long double at a time for the Rayleigh
+# quotient: a long-double copy of the whole eps = 0.1 sweep K is 11.9 MB,
+# 9.3 MB of it entries
+_QUOTIENT_ROWS = 1 << 13
+
+
+def _longdouble_product(A: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """A @ x for a long-double x, with A's entries in long double, one
+    block of `_QUOTIENT_ROWS` rows at a time.  Each row sums its products
+    in the order of the whole-matrix product, so the result is the same
+    to the bit."""
+    out = np.empty(A.shape[0], dtype=np.longdouble)
+    for a in range(0, A.shape[0], _QUOTIENT_ROWS):
+        b = min(a + _QUOTIENT_ROWS, A.shape[0])
+        lo, hi = A.indptr[a], A.indptr[b]
+        block = sp.csr_matrix((A.data[lo:hi].astype(np.longdouble),
+                               A.indices[lo:hi], A.indptr[a:b + 1] - lo),
+                              shape=(b - a, A.shape[1]))
+        out[a:b] = block @ x
+    return out
+
+
+def _inverse_iteration(system: AssembledSystem, lu, start: np.ndarray,
+                       steps: int) -> EigenPair:
+    """The steps, quotient and sign of `refine_eigenpair` on the factor
+    `lu` of the system's operator."""
     if system.Mp.nnz == 0:
         raise ValueError("weighted mass is identically zero")
-    lu = system.lu()
     u = np.asarray(start, dtype=float)
     for _ in range(steps):
         y = lu.solve(system.Mp @ u)
         u = y / np.sqrt(y @ (system.Mp @ y))
     ul = u.astype(np.longdouble)
-    Ku = system.K.astype(np.longdouble) @ ul
-    Mu = system.Mp.astype(np.longdouble) @ ul
+    Ku = _longdouble_product(system.K, ul)
+    Mu = _longdouble_product(system.Mp, ul)
     lam = (ul @ Ku) / (ul @ Mu)
     if not lam > system.shift:
         raise ValueError(f"Rayleigh quotient {float(lam)!r} is not above the "
@@ -728,4 +794,3 @@ def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
         u = -u
     return EigenPair(float(lam),
                      FieldSolution(system.disc, system.expand(u), res))
-

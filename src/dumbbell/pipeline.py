@@ -20,7 +20,7 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, ClassVar
@@ -222,9 +222,9 @@ def run_profiles(cfg: RunConfig, return_fields: bool = False):
 # contracts the next mode (lam2 >= 2 lam_k0: the left body's ground mode,
 # or the second mode of D+ at 2.38 lam_k0) by (lam1 - sigma)/(lam2 - sigma)
 # <= about 1e-3 (Parlett, The Symmetric Eigenvalue Problem, ch. 4).  A
-# Rayleigh quotient at or below sigma raises in fem.refine_eigenpair, and
-# _dumbbell_eigenpair's lam_eps <= lam_ref guard catches an iterate drawn
-# to a higher mode.
+# Rayleigh quotient at or below sigma raises in fem's inverse iteration,
+# and _full_pair's lam_eps <= lam_ref guard catches an iterate drawn to a
+# higher mode.
 _SHIFT_OFFSET = 1e-3
 # eigen_smallest steps for the restricted reference: 1 Krylov solve and the
 # 2-solve polish.  The cold all-ones start overlaps the D+ modes at O(1);
@@ -241,37 +241,46 @@ _REFERENCE_STEPS = 3
 _EIGENPAIR_STEPS = 4
 
 
-def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float,
-                        then: Callable = lambda: None):
-    """An entry's eigen phase: the mass-normalized ground pair of the
-    dumbbell and the eigenvalue lambda_ref of its restricted reference.
-    The full operator is factored on the calling thread while a helper
-    thread solves the reference and then runs `then()`, which must not
-    raise; in a one-job sweep that is the previous entry's readouts."""
+def _entry_system(cfg: RunConfig, eps: float) -> fem.AssembledSystem:
+    """An entry's dumbbell mesh, discretization and assembled system."""
     mesh = build_dumbbell_mesh(cfg.mesh_config(eps))
     for _ in range(cfg.sweep_level):
         mesh = refine(mesh)
-    disc = fem.Discretization(mesh)
-    system = fem.assemble(disc, cfg.weight())
+    return fem.assemble(fem.Discretization(mesh), cfg.weight())
+
+
+def _full_pair(system: fem.AssembledSystem, lam_k0: float,
+               reference: Callable[[], fem.EigenPair]):
+    """The mass-normalized ground pair of the dumbbell and the eigenvalue
+    lambda_ref of its restricted reference.  The full operator is factored
+    first, on the calling thread; `reference()` then gives the restricted
+    pair, waiting for it if another thread is still solving it, and may
+    be called twice.  The factor is made, used and freed in this call
+    (`fem.refine_on_own_factor`), so a one-job sweep runs it on its
+    worker thread."""
     full = system.shifted((1 - _SHIFT_OFFSET) * lam_k0)
-
-    def beside():
-        try:
-            return _restricted_reference(system, lam_k0)
-        finally:
-            then()
-
-    ref = fem.factor_alongside(full, beside)
     # float64 solves, whose LU keeps the left body's digits without
     # refinement
-    pair = fem.refine_eigenpair(full, ref.field.values[system.free],
-                                _EIGENPAIR_STEPS)
+    pair = fem.refine_on_own_factor(
+        full, lambda: reference().field.values[system.free],
+        _EIGENPAIR_STEPS)
+    lam_ref = reference().lam
     # the restricted space is a subspace of the sweep space, so by min-max
     # lam_eps <= lam_ref; a larger lam_eps is an iterate on the wrong mode
-    if pair.lam > ref.lam * (1 + 1e-12):
+    if pair.lam > lam_ref * (1 + 1e-12):
         raise ValueError(f"lambda_eps = {pair.lam!r} exceeds the restricted "
-                         f"reference lambda_ref = {ref.lam!r}")
-    return pair, ref.lam
+                         f"reference lambda_ref = {lam_ref!r}")
+    return pair, lam_ref
+
+
+def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
+    """An entry's eigen phase on the calling thread, as the `--jobs` pool
+    runs it: the system, its restricted reference, whose factor is freed
+    before the full operator's is made, and the full pair (`_full_pair`).
+    A one-job sweep runs the same three functions on two threads."""
+    system = _entry_system(cfg, eps)
+    ref = _restricted_reference(system, lam_k0)
+    return _full_pair(system, lam_k0, lambda: ref)
 
 
 def _restricted_reference(system: fem.AssembledSystem,
@@ -488,30 +497,62 @@ def _fill(entry: dict, solve: Callable) -> None:
 
 
 def _pipelined_sweep(cfg: RunConfig, pset: ProfileSet) -> list:
-    """The entries in two stages: while entry i's full operator is
-    factored on this thread, the helper thread of its eigen phase solves
-    its restricted reference and then runs entry i-1's readouts.  The
-    last entry's readouts run after the loop, and an entry whose eigen
-    phase fails before its helper starts runs them itself.  Each entry's
-    exception becomes its own error."""
-    sweep, pending = [], []
+    """The entries on two threads.  One worker thread, alive for the whole
+    sweep, takes one job per entry: it factors the entry's full operator,
+    waits for the restricted reference's eigenvector and runs the full
+    pair's steps and guard (`_full_pair`).  This thread, for each entry i,
+    builds its system and submits its job, waits for entry i-1's pair (so
+    at most one full factor is alive, and entry i's reference never
+    overlaps entry i-1's full factor), solves entry i's restricted
+    reference and hands it to the worker, and runs entry i-1's readouts;
+    the last entry's run after the loop.  Entry i's build runs beside
+    entry i-1's factorization, its reference and entry i-1's readouts
+    beside its own.  Each factor is made, used and freed on one thread,
+    and each exception becomes its own entry's error; a failed reference
+    is handed to the worker, whose job then raises it.  Whatever ends the
+    loop, the last hand-off is resolved, so the worker never waits for
+    ever."""
+    lam_k0 = pset.constants.lam_k0
+    sweep, last, handoff = [], None, Future()
 
-    def readouts():
-        while pending:
-            entry, eigen = pending.pop()
-            _fill(entry, lambda: _entry_readouts(cfg, pset, entry["eps"],
-                                                 *eigen))
+    def readouts(entry, job):
+        _fill(entry, lambda: _entry_readouts(cfg, pset, entry["eps"],
+                                             *job.result()))
 
-    for eps in map(float, cfg.eps_sweep):
-        entry = {"eps": eps}
-        sweep.append(entry)
+    with ThreadPoolExecutor(max_workers=1) as worker:
         try:
-            pending.append((entry, _dumbbell_eigenpair(
-                cfg, eps, pset.constants.lam_k0, readouts)))
-        except Exception as exc:
-            entry.update(_error(exc))
-            readouts()
-    readouts()
+            for eps in map(float, cfg.eps_sweep):
+                entry, job = {"eps": eps}, None
+                sweep.append(entry)
+                try:
+                    system = _entry_system(cfg, eps)
+                except Exception as exc:
+                    entry.update(_error(exc))
+                else:
+                    handoff = Future()
+                    job = worker.submit(_full_pair, system, lam_k0,
+                                        handoff.result)
+                if last is not None:
+                    wait([last[1]])
+                if job is not None:
+                    try:
+                        handoff.set_result(
+                            _restricted_reference(system, lam_k0))
+                    except Exception as exc:
+                        # the worker raises it: its frames, the reference's
+                        # factor among their locals, are cleared here first
+                        fem.clear_frames(exc)
+                        handoff.set_exception(exc)
+                    del system
+                if last is not None:
+                    readouts(*last)
+                last = None if job is None else (entry, job)
+            if last is not None:
+                readouts(*last)
+        finally:
+            # an unresolved hand-off (an interrupt) would block the worker,
+            # and the pool's shutdown with it
+            handoff.cancel()
     return sweep
 
 

@@ -5,8 +5,9 @@ tests only.
 is the polish it replaced: plain steps, then two steps that each add a
 correction solve against the residual taken in long double, on long-double
 copies of K, M_p and K - sigma M_p.  Tests patch it in for
-`fem.refine_eigenpair` to check that the float64 steps keep the digits the
-sweep reads.
+`fem.refine_eigenpair`, and for the iteration of `fem.refine_on_own_factor`
+that gives a sweep entry's full pair, to check that the float64 steps keep
+the digits the sweep reads.
 """
 
 import numpy as np

@@ -70,11 +70,12 @@ def test_problem_size(bench, workload, tmp_path):
 
 
 def test_traced_sweep_keeps_its_spans_nested(bench, tmp_path, monkeypatch):
-    # the tracer keeps one span stack, so while an entry's helper thread
-    # makes traced calls the entry's own thread must make none.  Barriers
-    # hold the entry's factorization open across the helper's traced one;
-    # a traced call around the entry's factorization then closes out of
-    # order, which raises in it and fails the entry
+    # the tracer keeps one span stack, so while the main thread makes
+    # traced calls the sweep's worker thread must make none.  Barriers
+    # hold the worker's factorization open across the main thread's traced
+    # one in the restricted reference; a traced call around the worker's
+    # factorization or its iteration then closes out of order, which
+    # raises in it and fails the entry
     _, spans = bench
     cfg = pipeline.RunConfig(cache=False, jobs=1, out_dir=str(tmp_path),
                              **COARSE)
@@ -84,11 +85,11 @@ def test_traced_sweep_keeps_its_spans_nested(bench, tmp_path, monkeypatch):
     factor, reference = fem.factor, pipeline._restricted_reference
 
     def gated_factor(A):
-        if threading.current_thread() is threading.main_thread():
-            meet()  # the helper has begun the reference
-            meet()  # the helper is inside its traced factorization
+        if threading.current_thread() is not threading.main_thread():
+            meet()  # the main thread has begun the reference
+            meet()  # the main thread is inside its traced factorization
             lu = factor(A)
-            meet()  # the helper may factor now
+            meet()  # the main thread may factor now
             return lu
         meet()
         meet()
@@ -108,8 +109,10 @@ def test_traced_sweep_keeps_its_spans_nested(bench, tmp_path, monkeypatch):
         tracer.uninstall()
     assert [e.get("error") for e in traced.sweep] == [None, None]
     assert all(end is not None for _, _, end, _, _ in tracer.spans)
-    # the restricted reference's eigen solve, one per entry, is traced
-    assert [s[0] for s in tracer.spans].count("fem.eigsh") == 2
+    # the restricted reference's eigen solve and its polish, one per
+    # entry, are traced; the full pair's iteration on the worker is not
+    names = [s[0] for s in tracer.spans]
+    assert names.count("fem.eigsh") == names.count("fem.polish") == 2
     assert ([e["ratios"] for e in traced.sweep]
             == [e["ratios"] for e in plain.sweep])
 

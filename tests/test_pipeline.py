@@ -4,6 +4,9 @@ import math
 import os
 import re
 import threading
+import time
+import weakref
+from concurrent.futures import CancelledError
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +25,8 @@ from extended_polish_oracle import extended_refine_eigenpair
 COARSE = dict(eps_sweep=(0.3, 0.2), h0=0.2, grade_levels=6,
               profile_level=0, sweep_level=0)
 # three eps, so that the middle entry of a one-job sweep has neighbours on
-# both sides: its readouts run beside the third entry's factorization
-# while its own factorization ran beside the first entry's readouts
+# both sides: its build runs beside the first entry's factorization, and
+# its readouts beside the third entry's
 COARSE3 = dict(COARSE, eps_sweep=(0.3, 0.25, 0.2))
 
 
@@ -39,6 +42,26 @@ def synthetic_record(values_by_eps, name="R3"):
 
 def unreachable(*args, **kwargs):
     raise AssertionError("a solve was entered")
+
+
+def bounded_handoff(monkeypatch, seen=None, seconds=120):
+    """Make the one-job sweep's worker wait at most `seconds` for each
+    restricted reference: a hand-off the sweep leaves unresolved then
+    fails its entry with a TimeoutError instead of blocking the test.
+    The type of whatever the wait raised is appended to `seen`."""
+    full_pair = pl._full_pair
+
+    def bounded(system, lam_k0, reference):
+        def wait():
+            try:
+                return reference(timeout=seconds)
+            except BaseException as exc:
+                if seen is not None:
+                    seen.append(type(exc))
+                raise
+        return full_pair(system, lam_k0, wait)
+
+    monkeypatch.setattr(pl, "_full_pair", bounded)
 
 
 # every entry carries these keys, in this order, on either track
@@ -508,17 +531,18 @@ class TestSweep:
         # error falls by 1e-3 a step and measures 3e-14 at 4 steps on this
         # mesh, 3e-11 at 3 and 3e-8 at 2, so 1e-11 of the left peak
         # catches a cut to 3 steps
+        # the full pair's iteration is the last one the entry runs
         calls = []
-        refine = fem.refine_eigenpair
-        monkeypatch.setattr(fem, "refine_eigenpair",
-                            lambda system, start, steps:
+        iterate = fem._inverse_iteration
+        monkeypatch.setattr(fem, "_inverse_iteration",
+                            lambda system, lu, start, steps:
                             calls.append((system, start))
-                            or refine(system, start, steps))
+                            or iterate(system, lu, start, steps))
         cfg = pl.RunConfig(cache=False, **COARSE)
         pair, _ = pl._dumbbell_eigenpair(cfg, 0.1,
                                          coarse_pset.constants.lam_k0)
         system, start = calls[-1]
-        deep = refine(system, start, 12)
+        deep = fem.refine_eigenpair(system, start, 12)
         left = pair.field.disc.nodes[:, 0] < -0.5
         u, v = pair.field.values[left], deep.field.values[left]
         assert np.max(np.abs(u - v)) <= 1e-11 * np.max(np.abs(v))
@@ -535,8 +559,13 @@ class TestSweep:
         cfg = pl.RunConfig(cache=False, **COARSE)
         lam_k0 = coarse_pset.constants.lam_k0
         pair, lam_ref = pl._dumbbell_eigenpair(cfg, eps, lam_k0)
+        # the reference's polish and the full pair's iteration, which
+        # runs on a factor of its own
         monkeypatch.setattr(fem, "refine_eigenpair",
                             extended_refine_eigenpair)
+        monkeypatch.setattr(fem, "_inverse_iteration",
+                            lambda system, lu, start, steps:
+                            extended_refine_eigenpair(system, start, steps))
         oracle, oracle_ref = pl._dumbbell_eigenpair(cfg, eps, lam_k0)
         assert pair.lam == pytest.approx(oracle.lam, rel=1e-15, abs=0)
         assert lam_ref == pytest.approx(oracle_ref, rel=1e-15, abs=0)
@@ -668,17 +697,18 @@ class TestSweep:
             pl.run_sweep(pl.RunConfig(**COARSE), constants)
 
     def test_failed_entry_keeps_sweep_alive(self, monkeypatch, tmp_path):
-        # a one-job sweep runs each entry's eigen phase, not _sweep_entry
+        # a one-job sweep builds each entry's system, then splits its
+        # eigen phase over two threads; it never calls _sweep_entry
         cfg = pl.RunConfig(out_dir=str(tmp_path), **COARSE)
         pset = pl.run_profiles(cfg, return_fields=True)
-        orig = pl._dumbbell_eigenpair
+        orig = pl._entry_system
 
-        def flaky(cfg_, eps, *args):
+        def flaky(cfg_, eps):
             if eps == 0.3:
                 raise RuntimeError("synthetic failure")
-            return orig(cfg_, eps, *args)
+            return orig(cfg_, eps)
 
-        monkeypatch.setattr(pl, "_dumbbell_eigenpair", flaky)
+        monkeypatch.setattr(pl, "_entry_system", flaky)
         rec = pl.run_sweep(cfg, pset)
         assert "error" in rec.sweep[0]
         assert "synthetic failure" in rec.sweep[0]["error"]
@@ -714,13 +744,15 @@ class TestSweep:
 
     def test_failed_reference_fails_its_entry_and_ends_its_helper(
             self, coarse_pset, monkeypatch):
-        # the restricted reference runs on a helper thread while the entry
-        # factors its full operator; its exception reaches the entry, and
-        # the helper is joined before the entry ends
+        # the restricted reference runs on the main thread while the
+        # worker factors the entry's full operator; its exception is handed
+        # to the worker, which frees its factor and fails the entry with
+        # it, and the worker is joined before the sweep ends
         def broken(system, lam_k0):
             raise RuntimeError("synthetic reference failure")
 
         monkeypatch.setattr(pl, "_restricted_reference", broken)
+        bounded_handoff(monkeypatch)
         before = threading.active_count()
         rec = pl.run_sweep(pl.RunConfig(cache=False, **COARSE), coarse_pset)
         assert threading.active_count() == before
@@ -740,8 +772,10 @@ def coarse3_record(tmp_path_factory, coarse_pset):
 
 
 class TestPipelinedSweep:
-    """A one-job sweep runs entry i's readouts on the helper thread of
-    entry i+1's eigen phase, after that entry's restricted reference."""
+    """A one-job sweep factors each entry's full operator and runs its
+    full pair on one worker thread; the main thread builds each entry,
+    solves its restricted reference and runs the previous entry's
+    readouts meanwhile."""
 
     def test_two_jobs_give_the_one_job_record_byte_for_byte(
             self, coarse3_record, coarse_pset, tmp_path):
@@ -764,29 +798,36 @@ class TestPipelinedSweep:
             return readouts(cfg_, pset_, eps, *eigen)
 
         monkeypatch.setattr(pl, "_entry_readouts", flaky)
+        bounded_handoff(monkeypatch)
         before = threading.active_count()
         got = pl.run_sweep(cfg, coarse_pset)
         assert threading.active_count() == before
-        # the first two entries' readouts ran beside the next entry's
-        # factorization, the last entry's on the main thread after it
+        # every readout runs on the main thread: the first two beside the
+        # next entry's factorization on the worker, the last after it
         assert [threads[e] is threading.main_thread()
-                for e in cfg.eps_sweep] == [False, False, True]
+                for e in cfg.eps_sweep] == [True, True, True]
         assert got.sweep == [{"eps": 0.3, "error": "RuntimeError: synthetic "
                               "readout failure", "ratios": {}}] + rec.sweep[1:]
 
-    @pytest.mark.parametrize("phase", ["mesh", "reference", "polish"])
+    @pytest.mark.parametrize("phase", ["mesh", "reference",
+                                       "reference polish", "polish"])
     def test_eigen_failure_keeps_the_previous_readouts(
             self, phase, coarse3_record, coarse_pset, monkeypatch):
-        # the middle entry fails before its helper starts (its mesh), on
-        # its helper (its restricted reference) or after it (its full
-        # pair's polish); the first entry's readouts run either way, and
-        # only the middle entry carries the error
+        # the middle entry fails before its worker job is submitted (its
+        # mesh), on the main thread beside its worker job (its restricted
+        # reference, before or after the reference's factor is made) or
+        # in that job (its full pair's iteration); the first entry's
+        # readouts run either way, only the middle entry carries the
+        # error, and every factor is still freed on the thread that made
+        # it, the failed one's included
         cfg, rec, _ = coarse3_record
-        # the reference's own polish runs on the helper, uncounted
+        # the reference's own iteration runs on the main thread, so only
+        # the worker's calls count for the full pair's
         target, name, on_main = {
             "mesh": (pl, "build_dumbbell_mesh", True),
-            "reference": (pl, "_restricted_reference", False),
-            "polish": (fem, "refine_eigenpair", True)}[phase]
+            "reference": (pl, "_restricted_reference", True),
+            "reference polish": (fem, "refine_eigenpair", True),
+            "polish": (fem, "_inverse_iteration", False)}[phase]
         original, calls = getattr(target, name), []
 
         def flaky(*args):
@@ -797,23 +838,6 @@ class TestPipelinedSweep:
                     raise RuntimeError(f"synthetic {phase} failure")
             return original(*args)
 
-        readouts, threads = pl._entry_readouts, []
-        monkeypatch.setattr(pl, "_entry_readouts", lambda *args: (
-            threads.append(threading.current_thread()) or readouts(*args)))
-        monkeypatch.setattr(target, name, flaky)
-        before = threading.active_count()
-        got = pl.run_sweep(cfg, coarse_pset)
-        assert threading.active_count() == before
-        # a failed reference still leaves the first readouts on its helper
-        assert (threads[0] is threading.main_thread()) == (phase == "mesh")
-        assert got.sweep == [rec.sweep[0], {
-            "eps": 0.25, "error": f"RuntimeError: synthetic {phase} failure",
-            "ratios": {}}, rec.sweep[2]]
-
-    def test_each_factor_lives_on_one_thread(self, coarse_pset, monkeypatch):
-        # a SuperLU factor freed on another thread than its own keeps its
-        # memory: every full factor is made, solved on (4 steps) and freed
-        # by the main thread, every reference factor (3 steps) by a helper
         lives, factor = [], fem.factor
 
         def counted(A):
@@ -821,7 +845,76 @@ class TestPipelinedSweep:
             lives.append(events)
             return _CountingLU(factor(A), events)
 
+        readouts, threads = pl._entry_readouts, []
+        monkeypatch.setattr(pl, "_entry_readouts", lambda *args: (
+            threads.append(threading.current_thread()) or readouts(*args)))
+        monkeypatch.setattr(target, name, flaky)
         monkeypatch.setattr(fem, "factor", counted)
+        bounded_handoff(monkeypatch)
+        before = threading.active_count()
+        got = pl.run_sweep(cfg, coarse_pset)
+        assert threading.active_count() == before
+        assert len(threads) == 2
+        assert all(t is threading.main_thread() for t in threads)
+        assert got.sweep == [rec.sweep[0], {
+            "eps": 0.25, "error": f"RuntimeError: synthetic {phase} failure",
+            "ratios": {}}, rec.sweep[2]]
+        for events in lives:
+            kinds = [kind for kind, _ in events]
+            assert kinds[0] == "made" and kinds[-1] == "freed", kinds
+            assert len({thread for _, thread in events}) == 1
+
+    def test_interrupt_resolves_the_handoff(self, coarse_pset, monkeypatch):
+        # an interrupt in the first reference leaves the worker's job
+        # waiting for it; the sweep cancels the hand-off, so the worker
+        # frees its factor and the pool shuts down
+        def interrupted(system, lam_k0):
+            raise KeyboardInterrupt
+
+        seen = []
+        monkeypatch.setattr(pl, "_restricted_reference", interrupted)
+        bounded_handoff(monkeypatch, seen)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            pl.run_sweep(pl.RunConfig(cache=False, **COARSE3), coarse_pset)
+        assert threading.active_count() == before
+        assert seen == [CancelledError]
+
+    def test_each_factor_lives_on_one_thread(self, coarse_pset, monkeypatch):
+        # a SuperLU factor freed on another thread than its own keeps its
+        # memory: every full factor is made, solved on (4 steps) and freed
+        # by the one worker thread, every reference factor (3 steps) by the
+        # main thread.  Entry i's reference starts once entry i-1's full
+        # factor is freed, so at most one full factor is alive with it;
+        # the worker's iterations are slowed down so that entry i's build
+        # ends first
+        lives, factor, order = [], fem.factor, []
+
+        def counted(A):
+            events = []
+            lives.append(events)
+            lu = _CountingLU(factor(A), events)
+            if threading.current_thread() is not threading.main_thread():
+                k = [kind for kind, _ in order].count("made")
+                order.append(("made", k))
+                weakref.finalize(lu, order.append, ("freed", k))
+            return lu
+
+        reference, iterate = pl._restricted_reference, fem._inverse_iteration
+
+        def slow(*args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)
+            return iterate(*args)
+
+        def logged(*args):
+            order.append(("reference",
+                          [kind for kind, _ in order].count("reference")))
+            return reference(*args)
+
+        monkeypatch.setattr(fem, "factor", counted)
+        monkeypatch.setattr(pl, "_restricted_reference", logged)
+        monkeypatch.setattr(fem, "_inverse_iteration", slow)
         rec = pl.run_sweep(pl.RunConfig(cache=False, **COARSE3), coarse_pset)
         assert [e.get("error") for e in rec.sweep] == [None] * 3
         owners = []
@@ -831,7 +924,17 @@ class TestPipelinedSweep:
             assert len({thread for _, thread in events}) == 1
             owners.append((events[0][1] is threading.main_thread(),
                            kinds.count("solve")))
-        assert sorted(owners) == [(False, 3)] * 3 + [(True, 4)] * 3
+        assert sorted(owners) == [(False, 4)] * 3 + [(True, 3)] * 3
+        assert len({events[0][1] for events in lives}) == 2
+        alive = set()
+        for kind, k in order:
+            if kind == "made":
+                alive.add(k)
+            elif kind == "freed":
+                alive.remove(k)
+            else:
+                assert alive <= {k}, (kind, k, alive)
+        assert alive == set()
 
 
 class TestCLI:
