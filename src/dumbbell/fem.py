@@ -11,29 +11,29 @@ a sweep entry 7 (3 for the restricted reference, 4 for the full pair, both
 shifted 1e-3 below the profile eigenvalue lam_k0).
 An AssembledSystem is the one place that reduces, factors and solves a
 Dirichlet problem: it holds only the free-node K and M_p, carries its
-shift and factors K - shift M_p once, so every eigen step and load solve
-on it reuses that factor.  `factor_alongside` factors one system while a
-helper thread runs an independent task, in the profile stage all of u0
-(beside Phi's factor) and Ubar's assembly (beside PhiHat's).  A sweep
-entry's full pair comes from `refine_on_own_factor`, which a one-job
-sweep runs on its worker thread: the factor is made, used and freed in
-that one call.  Every factor is made, used and freed on one thread: a
-SuperLU factor freed on another thread than the one that made it keeps
-its memory (an eps = 0.3 sweep factor made on a helper and dropped on
-the main thread grew RSS from 88 to 383 MB in 8 rounds, against a flat
-98 MB when the helper dropped it), so a failure's frames, which hold
-the factor among their locals, are cleared on the thread that made it
-(`clear_frames`).  The process keeps one malloc arena, so that a second
-thread holds none of its own: the eps = 0.3 and 0.1 sweep peaked at
-215-219 MB with the helper's arena and 196-199 MB without, against
-188 MB with no helper (perfbench's `sweep_direct`).
+shift and factors K - shift M_p once in `lu()`, so every eigen step on
+it reuses that factor.  Two calls make, use and free a factor of their
+own instead, and so may run on a worker thread: `system.solve(load)`,
+which the profile stage runs on its worker for Phi, PhiHat and Ubar
+(`solve_dirichlet` hands the harmonic ones over as such a job), and
+`refine_on_own_factor`, which a one-job sweep runs on its worker for
+each entry's full pair.  Every factor is made, used and freed on one
+thread: a SuperLU factor freed on another thread than the one that made
+it keeps its memory (an eps = 0.3 sweep factor made on a helper and
+dropped on the main thread grew RSS from 88 to 383 MB in 8 rounds,
+against a flat 98 MB when the helper dropped it), so a failure's
+frames, which hold the factor among their locals, are cleared on the
+thread that made it (`clear_frames`).  The process keeps one malloc
+arena, so that a second thread holds none of its own: the eps = 0.3 and
+0.1 sweep peaked at 215-219 MB with the helper's arena and 196-199 MB
+without, against 188 MB with no helper (perfbench's `sweep_direct`).
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
-import threading
 import traceback
 from dataclasses import dataclass, field as dfield, replace
 from typing import Callable
@@ -52,7 +52,6 @@ __all__ = [
     "EigenPair",
     "assemble",
     "factor",
-    "factor_alongside",
     "clear_frames",
     "solve_dirichlet",
     "eigen_smallest",
@@ -469,15 +468,42 @@ class AssembledSystem:
     def solve(self, load: np.ndarray) -> "FieldSolution":
         """Solve (K - shift M_p) u = load on the free nodes with u = 0 on
         the fixed ones; `load` is full-length.  The field carries the
-        relative residual of the reduced solve."""
+        relative residual of the reduced solve.
+
+        The factor is made, used and freed in this call, on the calling
+        thread, and `lu()` stays unmade; `factor` is the one public
+        function of the package it calls, so a worker thread may run it
+        beside another thread's traced calls.  A shifted operator is
+        certified SPD before the solve: with its row and column
+        permutations equal, the LU is a congruence of the operator, so by
+        Sylvester's law of inertia all pivots of U positive certifies
+        shift < lambda_1, and a non-positive pivot raises ValueError.
+        Reading the pivots makes SuperLU keep L and U as CSC copies on the
+        factor (12.5 MB for Ubar's at the default level 1 under scipy
+        1.17.1), which die with it here."""
         rhs = load[self.free]
         try:
-            lu = self.lu()
+            lu = factor(self._operator())
         except RuntimeError as exc:
             raise RuntimeError(
                 f"singular factorization after Dirichlet elimination ({exc}); "
                 "check boundary tags and shifts") from exc
-        u = lu.solve(rhs)
+        try:
+            if self.shift and not np.array_equal(lu.perm_r, lu.perm_c):
+                raise RuntimeError("shifted factor pivoted off the diagonal; "
+                                   "its pivots do not give the inertia")
+            if self.shift and np.any(lu.U.diagonal() <= 0):
+                raise ValueError(
+                    f"shift {self.shift:.6g} is not below the smallest "
+                    "weighted eigenvalue: K - shift M_p has a non-positive "
+                    "pivot")
+            u = lu.solve(rhs)
+        except BaseException as exc:
+            # a failed call's frame may hold the factor
+            clear_frames(exc)
+            raise
+        finally:
+            del lu
         r = self.K @ u - self.shift * (self.Mp @ u) - rhs
         resid = np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300)
         return FieldSolution(self.disc, self.expand(u), residual=float(resid))
@@ -486,41 +512,6 @@ class AssembledSystem:
         full = np.zeros(self.disc.n_nodes)
         full[self.free] = reduced
         return full
-
-
-def factor_alongside(system: AssembledSystem, task: Callable):
-    """Run `task()` on a helper thread while the calling thread factors
-    `system`, keeping the factor as its `lu()`; returns the task's result,
-    or raises its exception, once both are done.  Its one caller is the
-    profile stage, through `solve_dirichlet`: u0 beside Phi's factor, and
-    Ubar's assembly beside PhiHat's.
-
-    The task must not touch `system`'s factor, and should free whatever
-    factor it makes before it returns, so that each SuperLU factor lives
-    and dies on one thread.  The calling thread factors through `factor`
-    and calls nothing else of this package while the helper runs, so that
-    calls of the package made on one thread at a time stay nested.  A
-    failed task's frames are cleared on the helper (`clear_frames`), so
-    its locals, a factor among them, are not freed on the calling
-    thread."""
-    out = {}
-
-    def run():
-        try:
-            out["value"] = task()
-        except BaseException as exc:
-            clear_frames(exc)
-            out["error"] = exc
-
-    helper = threading.Thread(target=run, name="factor_alongside")
-    helper.start()
-    try:
-        system._lu = factor(system._operator())
-    finally:
-        helper.join()
-    if "error" in out:
-        raise out["error"]
-    return out["value"]
 
 
 def clear_frames(exc: BaseException) -> None:
@@ -608,21 +599,22 @@ class FieldSolution:
         return float(out[0]) if scalar and out.size == 1 else out
 
 
-def solve_dirichlet(disc: Discretization, lift: Callable,
-                    beside: Callable) -> FieldSolution:
-    """The remainder w of the harmonic field I(lift) + w, I being nodal
-    interpolation: -div(rho^m grad w) = div(rho^m grad I(lift)) with w = 0
-    on the Dirichlet nodes (the axis is always natural), so the load is
-    -K I(lift), formed with the all-node K before its reduction, and the
-    boundary values are those of the lift; no mass form is assembled.
+def solve_dirichlet(disc: Discretization,
+                    lift: Callable) -> Callable[[], FieldSolution]:
+    """The solve of the remainder w of the harmonic field I(lift) + w, I
+    being nodal interpolation: -div(rho^m grad w) = div(rho^m grad
+    I(lift)) with w = 0 on the Dirichlet nodes (the axis is always
+    natural), so the load is -K I(lift), formed with the all-node K before
+    its reduction, and the boundary values are those of the lift; no mass
+    form is assembled.
 
-    `beside()` runs on a helper thread while the reduced K is factored
-    (`factor_alongside`); its result is dropped and its exception raised
-    before the solve."""
+    The system and its load are built on the calling thread and returned
+    as a job, `AssembledSystem.solve` bound to the load, whose call
+    returns w; it makes, uses and frees its factor on whichever thread
+    runs it, as the profile stage's worker does."""
     K = assemble_stiffness(disc)
     system = _dirichlet_system(disc, K, sp.csr_matrix(K.shape))
-    factor_alongside(system, beside)
-    return system.solve(-(K @ lift(*disc.nodes.T)))
+    return functools.partial(system.solve, -(K @ lift(*disc.nodes.T)))
 
 
 # ----------------------------------------------------------------------------

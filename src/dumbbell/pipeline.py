@@ -144,40 +144,50 @@ class ProfileSet:
     constants: ProfileConstants
 
 
-class _StageError(RuntimeError):
-    """A profile stage's failure, already named after its stage."""
-
-
 def _compute_profiles(cfg: RunConfig) -> ProfileSet:
-    """The four profiles in two overlapped pairs: the main thread factors
-    Phi's stiffness while a helper thread solves all of u0, then PhiHat's
-    while the helper assembles Ubar's system and load.  Ubar's shifted
-    factor waits for lam_k0 and is made on the main thread; beside the
-    whole of Ubar, PhiHat's factor would share the peak with Ubar's and
-    with the L and U copies its inertia read keeps.  Each factor is made,
-    used and freed on one thread, and a helper's failure keeps its own
-    stage's name."""
+    """The four profiles on two threads.  One worker thread, alive for
+    the whole stage, makes, uses and frees the factor of each of Phi,
+    PhiHat and Ubar in one job (`fem.AssembledSystem.solve`).  This
+    thread builds Phi's system and load and queues its job, then PhiHat's,
+    solves all of u0 (its factor made, used and freed here), assembles
+    Ubar's system at lam_k0 and queues its job, and reads the constants of
+    Phi, PhiHat and Ubar off their profiles as the jobs return them.  The
+    worker calls nothing that a tracer wraps, so every traced call is
+    made on this thread and the calls stay nested.  A failure on either
+    thread is raised under its stage's name (`profile stage 'u0' failed:
+    ...`); a failure here cancels the queued jobs, and the running one
+    still frees its factor on the worker."""
     mc, level, weight = cfg.mesh_config(), cfg.profile_level, cfg.weight()
-    out = {}
+    jobs = {}
 
     def stage(name, solve):
         try:
-            out[name] = solve()
-        except _StageError:
-            raise
+            return solve()
         except Exception as exc:
-            raise _StageError(
+            raise RuntimeError(
                 f"profile stage {name!r} failed: {exc}") from exc
 
-    # the inner stages run on the helper, beside the outer factorization
-    stage("Phi", lambda: prof.compute_Phi(mc, level, lambda: stage(
-        "u0", lambda: prof.compute_u0(mc, level, weight))))
-    stage("PhiHat", lambda: prof.compute_PhiHat(mc, level, lambda: stage(
-        "Ubar", lambda: prof.assemble_Ubar(mc, weight, level))))
-    # Ubar's shift is the u0 eigenvalue; its solve replaces its assembly
-    stage("Ubar", lambda: prof.compute_Ubar(
-        out["Ubar"], out["u0"][1]["lam_k0"], _KTILDE_LIST))
-    solved = [out[name] for name in ("u0", "Phi", "PhiHat", "Ubar")]
+    def queue(name, assemble):
+        jobs[name] = worker.submit(stage(name, assemble))
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        try:
+            queue("Phi", lambda: prof.assemble_Phi(mc, level))
+            queue("PhiHat", lambda: prof.assemble_PhiHat(mc, level))
+            u0 = stage("u0", lambda: prof.compute_u0(mc, level, weight))
+            queue("Ubar", lambda: prof.assemble_Ubar(
+                mc, weight, level, u0[1]["lam_k0"]))
+            solved = [u0]
+            for name, read in (("Phi", prof.compute_Phi),
+                               ("PhiHat", prof.compute_PhiHat),
+                               ("Ubar", lambda profile: prof.compute_Ubar(
+                                   profile, _KTILDE_LIST))):
+                # the job's Future goes once its profile is taken
+                solved.append(stage(name, lambda: read(
+                    jobs.pop(name).result())))
+        finally:
+            for job in jobs.values():
+                job.cancel()
     values = {k: v for _, found in solved for k, v in found.items()}
     return ProfileSet(*(profile for profile, _ in solved),
                       ProfileConstants(level=level, **values))

@@ -16,14 +16,17 @@ part through a smooth cutoff:
         -x1/(Upsilon_N |x|^N) at the origin, singular coefficient exactly 1:
         remainder solves the shifted problem (K - lam_k0 M_p) w = commutator.
 
-Phi and PhiHat take a task to run on a helper thread while their
-stiffness is factored (`fem.factor_alongside`); Ubar comes in two halves,
-`assemble_Ubar`, which needs no lam_k0 and can be such a task, and
-`compute_Ubar`, the shifted factor and solve.
+Phi, PhiHat and Ubar come in two halves each: `assemble_*` builds the
+remainder's system and load and returns a job that solves it
+(`fem.AssembledSystem.solve`, which makes, uses and frees its own
+factor) and returns the profile, so that the profile stage runs it on a
+worker thread; `compute_*` reads the constants off that profile.  u0 is
+one call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -38,7 +41,9 @@ __all__ = [
     "ProfileSolution",
     "smoothstep",
     "compute_u0",
+    "assemble_Phi",
     "compute_Phi",
+    "assemble_PhiHat",
     "compute_PhiHat",
     "assemble_Ubar",
     "compute_Ubar",
@@ -133,20 +138,20 @@ def compute_u0(cfg: MeshConfig, level: int, weight: fem.WeightModel):
 # Phi and PhiHat
 # ----------------------------------------------------------------------------
 
-def _harmonic_profile(domain: str, cfg: MeshConfig, level: int,
-                      lift: Callable, beside: Callable) -> ProfileSolution:
-    """Harmonic profile on a profile domain: the closed-form lift plus a
-    finite element remainder that vanishes on the domain's Dirichlet edges
-    (the axis stays natural).  `beside()` runs on a helper thread while
-    the stiffness is factored (`fem.solve_dirichlet`)."""
+def _harmonic_job(domain: str, cfg: MeshConfig, level: int,
+                  lift: Callable) -> Callable[[], ProfileSolution]:
+    """The job that solves a harmonic profile on a profile domain: the
+    closed-form lift plus a finite element remainder that vanishes on the
+    domain's Dirichlet edges (the axis stays natural).  The remainder's
+    system and load are built here (`fem.solve_dirichlet`)."""
     disc = _discretization(build_profile_mesh(domain, cfg), level)
-    return ProfileSolution(fem.solve_dirichlet(disc, lift, beside), lift)
+    solve = fem.solve_dirichlet(disc, lift)
+    return lambda: ProfileSolution(solve(), lift)
 
 
-def compute_Phi(cfg: MeshConfig, level: int, beside: Callable):
-    """Harmonic profile growing like (x1-1)+ in D+, decaying in the tube;
-    the constant `c_phi` is its ground-mode coefficient at the tube exit.
-    `beside()` runs on a helper thread while the stiffness is factored.
+def assemble_Phi(cfg: MeshConfig, level: int):
+    """The job that solves Phi, harmonic, growing like (x1-1)+ in D+ and
+    decaying in the tube.
 
     Carried part chi(|x-e1|) (x1-1)+ with chi = 0 for |x-e1| <= 1 and 1
     for |x-e1| >= 2; the remainder gets homogeneous data everywhere, so
@@ -156,35 +161,44 @@ def compute_Phi(cfg: MeshConfig, level: int, beside: Callable):
         r = np.hypot(x1 - 1.0, rho)
         return smoothstep(r, 1.0, 2.0) * np.maximum(x1 - 1.0, 0.0)
 
-    profile = _harmonic_profile("PhiDomain", cfg, level, lift, beside)
+    return _harmonic_job("PhiDomain", cfg, level, lift)
+
+
+def compute_Phi(profile: ProfileSolution):
+    """Phi, as `assemble_Phi`'s job returns it, with its constant `c_phi`,
+    its ground-mode coefficient at the tube exit."""
     return profile, {"c_phi": cs.project_section(
-        profile, 1.0, 1.0, cs.disk_ground_mode(cfg.dimension))}
+        profile, 1.0, 1.0, cs.disk_ground_mode(profile.field.disc.dimension))}
 
 
-def compute_PhiHat(cfg: MeshConfig, level: int, beside: Callable):
-    """Harmonic profile on D- plus the unit tube, growing like the tube
-    mode h(x1, rho) = e^(sqrt(lambda1) x1) psi1(rho).  The constants are
-    its unit-sphere coefficient `c_phihat`, its section mass `m_phihat`
-    and its ground-mode coefficient `a0_phihat` at the tube entrance.
-    `beside()` runs on a helper thread while the stiffness is factored.
+def assemble_PhiHat(cfg: MeshConfig, level: int):
+    """The job that solves PhiHat, harmonic on D- plus the unit tube and
+    growing like the tube mode h(x1, rho) = e^(sqrt(lambda1) x1) psi1(rho).
 
     Carried part chi(x1) h with chi ramping over 0.5 <= x1 <= 2, so the
     remainder vanishes on the inflow face (PhiHat = h there), on the walls
     and on the far hemisphere.
     """
-    n = cfg.dimension
-    mode = cs.disk_ground_mode(n)
+    mode = cs.disk_ground_mode(cfg.dimension)
 
     def lift(x1, rho):
         val = smoothstep(x1, 0.5, 2.0) * np.exp(mode.sqrt_lambda1 * x1) \
             * mode.psi1(np.minimum(rho, 1.0))
         return np.where(rho <= 1.0, val, 0.0)
 
-    profile = _harmonic_profile("PhiHatDomain", cfg, level, lift, beside)
+    return _harmonic_job("PhiHatDomain", cfg, level, lift)
+
+
+def compute_PhiHat(profile: ProfileSolution):
+    """PhiHat, as `assemble_PhiHat`'s job returns it, with its constants:
+    its unit-sphere coefficient `c_phihat`, its section mass `m_phihat`
+    and its ground-mode coefficient `a0_phihat` at the tube entrance."""
+    n = profile.field.disc.dimension
     return profile, {
         "c_phihat": cs.project_sphere(profile, 0.0, 1.0, -1, n),
         "m_phihat": cs.section_mass(profile, 1.0, 1.0, n),
-        "a0_phihat": cs.project_section(profile, 0.0, 1.0, mode)}
+        "a0_phihat": cs.project_section(profile, 0.0, 1.0,
+                                        cs.disk_ground_mode(n))}
 
 
 # ----------------------------------------------------------------------------
@@ -198,15 +212,22 @@ def _ubar_kernel(x1, rho, n: int):
     return -x1 / (cs.upsilon(n) * r ** n)
 
 
-def assemble_Ubar(cfg: MeshConfig, weight: fem.WeightModel,
-                  level: int) -> tuple[fem.AssembledSystem, np.ndarray]:
-    """The half of Ubar that needs no lam_k0: the unshifted system on D-
-    and the commutator load, as `compute_Ubar` takes them.
+def assemble_Ubar(cfg: MeshConfig, weight: fem.WeightModel, level: int,
+                  lam_k0: float):
+    """The job that solves Ubar, the solution of -Du = lam_k0 p u on D-
+    with singular part exactly -x1/(Upsilon_N |x|^N) at the origin.
 
     With S0 the singular kernel and chi a decreasing cutoff (1 inside
     |x| < 1, 0 outside |x| > 2), S0 is harmonic and p chi S0 = 0, so the
-    remainder's load is the commutator Delta(chi S0) = S0 (chi'' - (N-1)
-    chi'/|x|), supported on the cutoff annulus."""
+    remainder solves (K - lam_k0 M_p) w = Delta(chi S0) = S0 (chi'' -
+    (N-1) chi'/|x|), a load supported on the cutoff annulus.  The job's
+    one factor of K - lam_k0 M_p serves the spectral-gap guard and the
+    solve (`fem.AssembledSystem.solve`): all its pivots positive certifies
+    lam_k0 < lambda_1(D-).  The margin lam_k0 <= 0.8 lambda_1(D-) is
+    `RunConfig.validate`'s weight rule: D- mirrors D+, so lambda_1(D-) =
+    lam_k0 a_plus/a_minus.  Reading the pivots makes SuperLU keep L and U
+    as CSC copies on the factor, which the job frees with it, before the
+    half-sphere read-outs."""
     disc = _discretization(build_profile_mesh("HalfMinus", cfg), level)
     n = disc.dimension
 
@@ -218,46 +239,21 @@ def assemble_Ubar(cfg: MeshConfig, weight: fem.WeightModel,
         return _ubar_kernel(x1, rho, n) * (
             d2 - (n - 1) * d1 / np.where(r == 0, np.inf, r))
 
-    return fem.assemble(disc, weight), fem.assemble_load(disc, commutator)
-
-
-def compute_Ubar(assembled: tuple[fem.AssembledSystem, np.ndarray],
-                 lam_k0: float, ktilde):
-    """Solution of -Du = lam_k0 p u on D- with singular part exactly
-    -x1/(Upsilon_N |x|^N) at the origin, from the system and load of
-    `assemble_Ubar`; the constant `norm_gamma` maps each radius in
-    `ktilde` to the half-sphere mass of Ubar there.
-
-    The remainder solves (K - lam_k0 M_p) w = commutator.  One factor of
-    K - lam_k0 M_p serves the spectral-gap guard and the solve.  With the
-    row and column permutations equal, its LU is a congruence of the
-    operator, so by Sylvester's law of inertia all pivots of U positive
-    certifies lam_k0 < lambda_1(D-).  The margin lam_k0 <= 0.8
-    lambda_1(D-) is `RunConfig.validate`'s weight rule: D- mirrors D+, so
-    lambda_1(D-) = lam_k0 a_plus/a_minus.  Reading the pivots makes
-    SuperLU keep L and U as CSC copies on the factor (12.5 MB at the
-    default level 1 under scipy 1.17.1), so the factor is dropped right
-    after the solve, before the half-sphere read-outs.
-    """
-    unshifted, load = assembled
-    system = unshifted.shifted(lam_k0)
-    n = system.disc.dimension
-    lu = system.lu()
-    if not np.array_equal(lu.perm_r, lu.perm_c):
-        raise RuntimeError("shifted factor pivoted off the diagonal; its "
-                           "pivots do not give the inertia")
-    if np.any(lu.U.diagonal() <= 0):
-        raise ValueError(
-            f"spectral gap violated: shift {lam_k0:.6g} is not below "
-            "lambda_1(D-); weight misconfigured")
-    remainder = system.solve(load)
-    del lu, system
-
     def carried(x1, rho):
         r = np.hypot(x1, rho)
         return smoothstep(2.0 - r, 0.0, 1.0) * _ubar_kernel(x1, rho, n)
 
-    profile = ProfileSolution(remainder, carried)
+    system = fem.assemble(disc, weight).shifted(lam_k0)
+    solve = functools.partial(system.solve,
+                              fem.assemble_load(disc, commutator))
+    return lambda: ProfileSolution(solve(), carried)
+
+
+def compute_Ubar(profile: ProfileSolution, ktilde):
+    """Ubar, as `assemble_Ubar`'s job returns it, with its constant
+    `norm_gamma`, which maps each radius in `ktilde` to the half-sphere
+    mass of Ubar there."""
+    n = profile.field.disc.dimension
     return profile, {"norm_gamma": {
         float(k): cs.half_sphere_mass(profile, 0.0, float(k), -1, n)
         for k in ktilde}}

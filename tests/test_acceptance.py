@@ -132,8 +132,8 @@ def test_criterion_04_profile_identity_residuals(pset):
 
     # Step-1 identity on PhiHat: vhat(h)/h^(1-N) = vhat(1); the residual
     # is dominated by domain truncation, hence the wide domain here
-    wide, _ = P.compute_PhiHat(MeshConfig(h0=0.2, levels=6, r_out=32.0), 0,
-                               lambda: None)
+    wide, _ = P.compute_PhiHat(P.assemble_PhiHat(
+        MeshConfig(h0=0.2, levels=6, r_out=32.0), 0)())
     w1 = cs.project_sphere(wide, 0.0, 1.0, -1)
     for h in (2.0, 3.0):
         wh = cs.project_sphere(wide, 0.0, h, -1)

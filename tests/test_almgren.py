@@ -39,7 +39,7 @@ def halfminus_wide():
 def ubar_pack():
     cfg = MeshConfig(h0=0.2, levels=6, r_out=12.0)
     lam = P.compute_u0(cfg, 0, fem.WeightModel())[1]["lam_k0"]
-    ub, _ = P.compute_Ubar(P.assemble_Ubar(cfg, fem.WeightModel(), 0), lam,
+    ub, _ = P.compute_Ubar(P.assemble_Ubar(cfg, fem.WeightModel(), 0, lam)(),
                            _KTILDE_LIST)
     return ub, lam
 

@@ -119,31 +119,31 @@ def test_traced_sweep_keeps_its_spans_nested(bench, tmp_path, monkeypatch):
 
 def test_traced_profile_stage_keeps_its_spans_nested(bench, tmp_path,
                                                      monkeypatch):
-    # u0 runs on a helper thread while the main thread factors Phi's
-    # stiffness, and Ubar's assembly while it factors PhiHat's; the main
-    # thread makes no traced call meanwhile.  Barriers hold Phi's
-    # factorization open across the helper's traced u0 factorization, as
-    # in the sweep test above
+    # the profile stage's worker thread factors and solves Phi, PhiHat
+    # and Ubar while the main thread makes traced calls, so it must make
+    # none.  Barriers hold the worker's Phi factorization open across the
+    # main thread's traced u0 factorization, as in the sweep test above
     _, spans = bench
     cfg = pipeline.RunConfig(cache=False, jobs=1, out_dir=str(tmp_path),
                              **COARSE)
     plain = pipeline.run_profiles(cfg)
     meet = threading.Barrier(2, timeout=60).wait
     factor, u0 = fem.factor, profiles.compute_u0
-    on_main = []
+    on_worker, on_main = [], []
 
     def gated_factor(A):
-        if threading.current_thread() is not threading.main_thread():
+        if threading.current_thread() is threading.main_thread():
+            on_main.append(A.shape)
             meet()
             meet()
             return factor(A)
-        on_main.append(A.shape)
-        if len(on_main) > 1:  # PhiHat's and Ubar's
+        on_worker.append(A.shape)
+        if len(on_worker) > 1:  # PhiHat's and Ubar's
             return factor(A)
-        meet()  # the helper has begun u0
-        meet()  # the helper is inside its traced factorization
+        meet()  # the main thread has begun u0
+        meet()  # the main thread is inside its traced factorization
         lu = factor(A)
-        meet()  # the helper may factor now
+        meet()  # the main thread may factor now
         return lu
 
     def gated_u0(*args):
@@ -158,7 +158,7 @@ def test_traced_profile_stage_keeps_its_spans_nested(bench, tmp_path,
         traced = pipeline.run_profiles(cfg)
     finally:
         tracer.uninstall()
-    assert len(on_main) == 3
+    assert len(on_main) == 1 and len(on_worker) == 3
     assert all(end is not None for _, _, end, _, _ in tracer.spans)
     names = [s[0] for s in tracer.spans]
     assert [names.count(f"profiles.{p}") for p in

@@ -3,7 +3,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -266,7 +265,7 @@ class TestSolveDirichlet:
         m = M.refine(M.build_profile_mesh(kind,
                                           M.MeshConfig(h0=0.6, r_out=8.0)))
         disc = fem.Discretization(m)
-        sol = fem.solve_dirichlet(disc, lift, lambda: None)
+        sol = fem.solve_dirichlet(disc, lift)()
         scale = np.abs(lift(disc.nodes[:, 0], disc.nodes[:, 1])).max()
         assert np.abs(sol.values).max() <= 1e-10 * scale
         assert sol.residual < 1e-12
@@ -279,7 +278,7 @@ class TestSolveDirichlet:
         monkeypatch.setattr(fem, "assemble_mass", never)
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
         disc = fem.Discretization(m)
-        sol = fem.solve_dirichlet(disc, lambda x, r: x, lambda: None)
+        sol = fem.solve_dirichlet(disc, lambda x, r: x)()
         assert np.abs(sol.values).max() <= 1e-10 * 8.0
         assert sol.residual < 1e-12
 
@@ -503,54 +502,15 @@ class TestFactor:
             b = rng.standard_normal(A.shape[0])
             assert np.array_equal(lu.solve(b), ref.solve(b))
 
-    def test_factor_alongside_returns_the_task_and_keeps_the_factor(self):
-        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
-        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-        shifted = sysd.shifted(0.5)
-        threads = []
-        b = np.random.default_rng(7).standard_normal(len(sysd.free))
-        x = fem.factor_alongside(
-            shifted, lambda: threads.append(threading.current_thread())
-            or fem.factor(sysd.K).solve(b))
-        assert threads[0] is not threading.current_thread()
-        assert np.array_equal(x, fem.factor(sysd.K).solve(b))
-        assert np.array_equal(shifted.lu().solve(b),
-                              fem.factor(sysd.K - 0.5 * sysd.Mp).solve(b))
-
-    def test_factor_alongside_raises_the_task_error_after_the_factor(self):
-        # the task's error wraps a cause, as a named profile stage does;
-        # the cause's frame holds a local that must be freed on the helper
-        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
-        sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
-        before = threading.active_count()
-        freed = []
-
-        class Held:
-            def __del__(self):
-                freed.append(threading.current_thread())
-
-        def failing():
-            held = Held()  # noqa: F841
-            raise ValueError("synthetic cause")
-
-        def broken():
-            try:
-                failing()
-            except ValueError as exc:
-                raise RuntimeError("synthetic task failure") from exc
-
-        with pytest.raises(RuntimeError, match="synthetic task failure"):
-            fem.factor_alongside(sysd, broken)
-        assert threading.active_count() == before
-        assert sysd._lu is not None
-        assert len(freed) == 1 and freed[0] is not threading.current_thread()
-
     def test_repeated_factors_keep_the_heap_intact(self):
         # SuperLU in scipy 1.17.1 corrupts the heap on these operators at
         # relax = 80, panel_size = 40; MALLOC_CHECK_=3 makes glibc abort
         # the child at the first corrupt free.  The second loop runs two
-        # factorizations at once, as each sweep entry does
+        # factorizations at once, one on a second thread, as the one-job
+        # sweep and the profile stage do on their workers
         script = textwrap.dedent("""
+            import threading
+
             import numpy as np
             from dumbbell import fem, mesh as M
             from dumbbell.pipeline import RunConfig
@@ -572,11 +532,14 @@ class TestFactor:
                     del lu
                 b = np.ones(A.shape[0])
                 for _ in range(3):
-                    shifted = system.shifted(shift)
-                    x = fem.factor_alongside(
-                        shifted, lambda: fem.factor(A).solve(b))
-                    assert np.array_equal(x, shifted.lu().solve(b))
-                    del shifted
+                    out = {}
+                    helper = threading.Thread(target=lambda: out.update(
+                        x=fem.factor(A).solve(b)))
+                    helper.start()
+                    lu = fem.factor(A)
+                    helper.join()
+                    assert np.array_equal(out["x"], lu.solve(b))
+                    del lu
         """)
         src = os.path.dirname(os.path.dirname(os.path.abspath(fem.__file__)))
         path = os.pathsep.join(filter(None, [src,

@@ -369,7 +369,7 @@ def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
     # run.  Solves: u0 12 (10 Krylov, 2 polish), Phi 1, PhiHat 1, Ubar 1.
     # A SuperLU factor freed on another thread than its own keeps its
     # memory, so each is made, solved on and freed by one thread: u0's by
-    # the helper, the other three by the main thread
+    # the main thread, the other three by the stage's one worker thread
     lives, arpack = [], []
     splu, eigsh = fem.spla.splu, fem.spla.eigsh
 
@@ -388,9 +388,11 @@ def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
         kinds = [kind for kind, _ in events]
         assert kinds[0] == "made" and kinds[-1] == "freed", kinds
         assert len({thread for _, thread in events}) == 1
-        owners.append((events[0][1] is threading.main_thread(),
-                       kinds.count("solve")))
-    assert sorted(owners) == [(False, 12), (True, 1), (True, 1), (True, 1)]
+        owners.append((events[0][1], kinds.count("solve")))
+    main = threading.main_thread()
+    assert sorted((thread is main, solves) for thread, solves in owners) \
+        == [(False, 1), (False, 1), (False, 1), (True, 12)]
+    assert len({thread for thread, _ in owners if thread is not main}) == 1
     assert arpack == []
 
 
@@ -643,25 +645,90 @@ class TestSweep:
             pl._compute_profiles(pl.RunConfig(**COARSE))
 
     @pytest.mark.parametrize("name, solve", [("u0", "compute_u0"),
-                                             ("Ubar", "assemble_Ubar")])
+                                             ("Ubar", "assemble_Ubar"),
+                                             ("Phi", "solve"),
+                                             ("Ubar", "inertia")])
     def test_failed_helper_stage_keeps_its_name(self, name, solve,
                                                 monkeypatch):
-        # u0 and Ubar's assembly fail on the helper thread, beside Phi's
-        # and PhiHat's factorizations: the error names the helper's stage,
-        # and the helper is joined before the stage fails
+        # u0 and Ubar's assembly fail on the main thread; Phi's solve, and
+        # Ubar's inertia guard at 5 lam_k0 (above lambda_1(D-) = 2 lam_k0),
+        # on the stage's worker thread.  The error names the failed stage,
+        # every factor made is freed on its own thread, a failed solve's
+        # too, and the worker is joined before the stage fails
+        lam_k0 = 5 * 1.6443731 if solve == "inertia" else 1.0
         monkeypatch.setattr(pl.prof, "compute_u0", lambda *a, **k: (
-            None, {"lam_k0": 1.0, "d0": 1.0, "d0_spread": 0.0}))
+            None, {"lam_k0": lam_k0, "d0": 1.0, "d0_spread": 0.0}))
         monkeypatch.setattr(pl.prof, "compute_Ubar", unreachable)
 
         def broken(*args, **kwargs):
             raise ValueError("synthetic failure")
 
-        monkeypatch.setattr(pl.prof, solve, broken)
+        class FailingLU(_CountingLU):
+            def solve(self, b):
+                broken()
+
+        lives, factor = [], fem.factor
+        made = FailingLU if solve == "solve" else _CountingLU
+
+        def tracked(A):
+            lives.append([])
+            return made(factor(A), lives[-1])
+
+        monkeypatch.setattr(fem, "factor", tracked)
+        if solve in ("compute_u0", "assemble_Ubar"):
+            monkeypatch.setattr(pl.prof, solve, broken)
+        message = "shift .* is not below" if solve == "inertia" \
+            else "synthetic"
         before = threading.active_count()
         with pytest.raises(RuntimeError,
-                           match=f"^profile stage '{name}' failed: synthetic"):
+                           match=f"^profile stage '{name}' failed: {message}"):
             pl._compute_profiles(pl.RunConfig(**COARSE))
         assert threading.active_count() == before
+        for events in lives:
+            assert events[-1][0] == "freed", events
+            assert events[0][1] is events[-1][1]
+        if solve in ("solve", "inertia"):
+            assert lives
+
+    def test_failed_u0_cancels_the_queued_solves(self, monkeypatch):
+        # u0 fails on the main thread while the worker is inside Phi's
+        # factorization and PhiHat's job waits in the queue.  The worker is
+        # held there until the stage shuts it down, after the failure: the
+        # queued job is cancelled, so no factorization starts after the
+        # failure, and Phi's factor is still freed on the worker
+        order, lives, factor = [], [], fem.factor
+        entered, released = threading.Event(), threading.Event()
+
+        def gated(A):
+            order.append("factor")
+            entered.set()
+            released.wait(60)
+            lives.append([])
+            return _CountingLU(factor(A), lives[-1])
+
+        def broken_u0(*args):
+            assert entered.wait(60)
+            order.append("u0 failed")
+            raise ValueError("synthetic failure")
+
+        class Releasing(pl.ThreadPoolExecutor):
+            def shutdown(self, *args, **kwargs):
+                released.set()
+                super().shutdown(*args, **kwargs)
+
+        monkeypatch.setattr(fem, "factor", gated)
+        monkeypatch.setattr(pl.prof, "compute_u0", broken_u0)
+        monkeypatch.setattr(pl, "ThreadPoolExecutor", Releasing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError,
+                           match="^profile stage 'u0' failed: synthetic"):
+            pl._compute_profiles(pl.RunConfig(**COARSE))
+        assert threading.active_count() == before
+        assert order == ["factor", "u0 failed"]
+        [events] = lives
+        assert [kind for kind, _ in events] == ["made", "solve", "freed"]
+        assert len({thread for _, thread in events}) == 1
+        assert events[0][1] is not threading.main_thread()
 
     def test_each_constant_comes_from_one_solve(self, monkeypatch):
         # the stage merges the solves' dicts, so a key that two solves

@@ -22,18 +22,19 @@ def u0_pack():
 
 @pytest.fixture(scope="module")
 def phi_pack():
-    return P.compute_Phi(CFG, 0, lambda: None)
+    return P.compute_Phi(P.assemble_Phi(CFG, 0)())
 
 
 @pytest.fixture(scope="module")
 def phihat_pack():
-    return P.compute_PhiHat(CFG, 0, lambda: None)
+    return P.compute_PhiHat(P.assemble_PhiHat(CFG, 0)())
 
 
 @pytest.fixture(scope="module")
 def ubar_pack(u0_pack):
-    return P.compute_Ubar(P.assemble_Ubar(CFG, fem.WeightModel(), 0),
-                          u0_pack[1]["lam_k0"], _KTILDE_LIST)
+    return P.compute_Ubar(P.assemble_Ubar(CFG, fem.WeightModel(), 0,
+                                          u0_pack[1]["lam_k0"])(),
+                          _KTILDE_LIST)
 
 
 class TestSmoothstep:
@@ -121,7 +122,7 @@ class TestPhi:
         assert np.all(sol(xs, np.full_like(xs, 0.7)) > 0)
 
     def test_c_phi_stable_under_refinement(self, phi_pack):
-        _, found = P.compute_Phi(CFG, 1, lambda: None)
+        _, found = P.compute_Phi(P.assemble_Phi(CFG, 1)())
         assert found["c_phi"] == pytest.approx(phi_pack[1]["c_phi"], rel=1e-2)
 
     def test_outside_evaluation_is_nan(self, phi_pack):
@@ -161,9 +162,9 @@ def test_harmonic_profiles_assemble_stiffness_once(monkeypatch):
     monkeypatch.setattr(fem, "assemble_stiffness",
                         lambda disc: calls.append(disc) or assemble(disc))
     cfg = MeshConfig(h0=0.5, levels=3, r_out=8.0)
-    P.compute_Phi(cfg, 0, lambda: None)
+    P.assemble_Phi(cfg, 0)()
     assert len(calls) == 1
-    P.compute_PhiHat(cfg, 0, lambda: None)
+    P.assemble_PhiHat(cfg, 0)()
     assert len(calls) == 2
 
 
@@ -195,7 +196,7 @@ class TestPhiHat:
         exactly like h^(1-N); the residual is set by domain truncation, so
         a wide domain is used here."""
         cfg = MeshConfig(h0=0.2, levels=6, r_out=32.0)
-        sol, _ = P.compute_PhiHat(cfg, 0, lambda: None)
+        sol, _ = P.compute_PhiHat(P.assemble_PhiHat(cfg, 0)())
         v1 = cs.project_sphere(sol, 0.0, 1.0, -1)
         for h in (1.5, 2.0, 3.0):
             vh = cs.project_sphere(sol, 0.0, h, -1)
@@ -246,7 +247,7 @@ class TestUbar:
         """With p = 0 the exact solution is the harmonic kernel itself (up
         to the small domain-truncation correction)."""
         sol, _ = P.compute_Ubar(
-            P.assemble_Ubar(CFG, fem.WeightModel(0.0, 0.0), 0), 1.3,
+            P.assemble_Ubar(CFG, fem.WeightModel(0.0, 0.0), 0, 1.3)(),
             _KTILDE_LIST)
         for r in (0.5, 1.5):
             x1, rho = -r / math.sqrt(2), r / math.sqrt(2)
@@ -261,10 +262,10 @@ class TestUbar:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             sol, found = P.compute_Ubar(
-                P.assemble_Ubar(cfg, fem.WeightModel(1.0, 0.0), 0), 1.3,
+                P.assemble_Ubar(cfg, fem.WeightModel(1.0, 0.0), 0, 1.3)(),
                 _KTILDE_LIST)
         ref, _ = P.compute_Ubar(
-            P.assemble_Ubar(cfg, fem.WeightModel(0.0, 0.0), 0), 1.3,
+            P.assemble_Ubar(cfg, fem.WeightModel(0.0, 0.0), 0, 1.3)(),
             _KTILDE_LIST)
         assert np.allclose(sol.field.values, ref.field.values,
                            rtol=1e-12, atol=0)
@@ -281,9 +282,9 @@ class TestUbar:
     def test_spectral_gap_guard(self, u0_pack):
         # 5 lam_k0 lies above lambda_1(D-) = 2 lam_k0: a negative pivot
         lam = u0_pack[1]["lam_k0"]
-        with pytest.raises(ValueError):
-            P.compute_Ubar(P.assemble_Ubar(CFG, fem.WeightModel(), 0),
-                           5.0 * lam, _KTILDE_LIST)
+        solve = P.assemble_Ubar(CFG, fem.WeightModel(), 0, 5.0 * lam)
+        with pytest.raises(ValueError, match="not below the smallest"):
+            solve()
 
     def test_factor_is_freed_before_the_read_outs(self, u0_pack,
                                                   monkeypatch):
@@ -307,8 +308,9 @@ class TestUbar:
         monkeypatch.setattr(fem, "factor", Tracked)
         monkeypatch.setattr(cs, "half_sphere_mass",
                             lambda *a: events.append("read") or mass(*a))
-        P.compute_Ubar(P.assemble_Ubar(CFG, fem.WeightModel(), 0),
-                       u0_pack[1]["lam_k0"], _KTILDE_LIST)
+        P.compute_Ubar(P.assemble_Ubar(CFG, fem.WeightModel(), 0,
+                                       u0_pack[1]["lam_k0"])(),
+                       _KTILDE_LIST)
         assert events == ["freed", "read", "read", "read"]
 
     def test_left_spectrum_mirrors_the_right(self, u0_pack):
