@@ -2,8 +2,9 @@
 
 Subcommands mirror the stages: cross-section constants, profile solves,
 the eps sweep, verdict checking on a stored record, and report emission.
-Exit codes: 0 on success, 2 when a verification verdict fails, 1 on
-execution errors.
+Exit codes: 0 on success (`--help` included), 2 when a verification
+verdict fails, 1 on execution errors and on usage errors, such as an
+unknown flag.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ def _build_config(args) -> pl.RunConfig:
     if getattr(args, "levels", None) is not None:
         base["sweep_level"] = args.levels
         base["profile_level"] = args.levels
-    if getattr(args, "jobs", None) is not None:
-        base["jobs"] = args.jobs
     if getattr(args, "out", None):
         base["out_dir"] = args.out
     return pl.RunConfig(**base).validate()
@@ -115,14 +114,6 @@ def main(argv=None) -> int:
                        help="override the eps sweep")
         p.add_argument("--levels", type=int,
                        help="mesh refinement level for all solves")
-        if name == "sweep":
-            p.add_argument("--jobs", type=int,
-                           help="threads that solve whole eps entries; at "
-                           "1 a worker thread already factors each entry "
-                           "while the main thread builds the next one. On "
-                           "two cores the default sweep took 2.9 s at 2 "
-                           "against 3.0 s at 1, peaking at 216 MB against "
-                           "190 MB (medians of 8 alternated runs)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("verify", help="re-check verdicts on a stored record")
@@ -135,7 +126,11 @@ def main(argv=None) -> int:
     p.add_argument("--formats", default="json,csv,svg")
     p.set_defaults(func=_cmd_report)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exit_:
+        # argparse exits 2 on a usage error, the code of a failed verdict
+        return 1 if exit_.code else 0
     try:
         return args.func(args)
     except (OSError, ValueError, RuntimeError, ArithmeticError) as exc:

@@ -16,7 +16,7 @@ it reuses that factor.  Two calls make, use and free a factor of their
 own instead, and so may run on a worker thread: `system.solve(load)`,
 which the profile stage runs on its worker for Phi, PhiHat and Ubar
 (`solve_dirichlet` hands the harmonic ones over as such a job), and
-`refine_on_own_factor`, which a one-job sweep runs on its worker for
+`refine_on_own_factor`, which the sweep runs on its worker for
 each entry's full pair.  Every factor is made, used and freed on one
 thread: a SuperLU factor freed on another thread than the one that made
 it keeps its memory (an eps = 0.3 sweep factor made on a helper and
@@ -65,7 +65,7 @@ __all__ = [
 # libc without mallopt keeps its own arena policy.  M_MMAP_THRESHOLD is
 # fixed at 8 MiB: glibc's dynamic threshold rises to 32 MB after the first
 # large free, and the freed assembly arrays of each sweep entry then stay
-# resident in the heap.  The default one-job `dumbbell sweep` peaked at a
+# resident in the heap.  The default `dumbbell sweep` peaked at a
 # median 188.8 MB with this threshold and 195.9 MB with the dynamic one;
 # at 1 MiB the eps = 0.3 and 0.1 sweep ran 6-31 % slower (4 alternated
 # in-process pairs), as the mapped arrays fault their pages in again
@@ -725,8 +725,8 @@ def refine_on_own_factor(system: AssembledSystem, start: Callable,
     stays unmade.  `start()` gives the free-node start vector once the
     factorization is done, so it may wait for another thread's result.
     A failure's frames are cleared before it leaves (`clear_frames`), so
-    the factor is freed on this thread however the call ends.  A one-job
-    sweep runs this on its worker thread, which calls nothing else of the
+    the factor is freed on this thread however the call ends.  The sweep
+    runs this on its worker thread, which calls nothing else of the
     package, so the main thread's calls stay nested for a tracer that
     keeps one span stack."""
     lu = factor(system._operator())

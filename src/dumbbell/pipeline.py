@@ -69,6 +69,7 @@ class RunConfig:
     sweep_level: int = 1
     out_dir: str = "runs"
     cache: bool = True
+    # pinned at 1 and read by nothing, only for perfbench/run.py's jobs=1
     jobs: int = 1
 
     def validate(self) -> "RunConfig":
@@ -81,6 +82,9 @@ class RunConfig:
                     value, (int, np.integer)) or value < least:
                 raise ValueError(f"{name}={value!r} must be an integer "
                                  f">= {least}")
+        if self.jobs != 1:
+            raise ValueError(f"jobs={self.jobs!r} must be 1: the sweep runs "
+                             "one path, on two threads")
         for name in ("a_plus", "a_minus", "h0", "r_out"):
             value = getattr(self, name)
             # MeshConfig's range checks let NaN and infinity through
@@ -266,8 +270,8 @@ def _full_pair(system: fem.AssembledSystem, lam_k0: float,
     first, on the calling thread; `reference()` then gives the restricted
     pair, waiting for it if another thread is still solving it, and may
     be called twice.  The factor is made, used and freed in this call
-    (`fem.refine_on_own_factor`), so a one-job sweep runs it on its
-    worker thread."""
+    (`fem.refine_on_own_factor`), so the sweep runs it on its worker
+    thread."""
     full = system.shifted((1 - _SHIFT_OFFSET) * lam_k0)
     # float64 solves, whose LU keeps the left body's digits without
     # refinement
@@ -281,16 +285,6 @@ def _full_pair(system: fem.AssembledSystem, lam_k0: float,
         raise ValueError(f"lambda_eps = {pair.lam!r} exceeds the restricted "
                          f"reference lambda_ref = {lam_ref!r}")
     return pair, lam_ref
-
-
-def _dumbbell_eigenpair(cfg: RunConfig, eps: float, lam_k0: float):
-    """An entry's eigen phase on the calling thread, as the `--jobs` pool
-    runs it: the system, its restricted reference, whose factor is freed
-    before the full operator's is made, and the full pair (`_full_pair`).
-    A one-job sweep runs the same three functions on two threads."""
-    system = _entry_system(cfg, eps)
-    ref = _restricted_reference(system, lam_k0)
-    return _full_pair(system, lam_k0, lambda: ref)
 
 
 def _restricted_reference(system: fem.AssembledSystem,
@@ -333,12 +327,6 @@ def _sup_window(samples: dict, window: str, view, reference, x1, rho):
                          f"{x1.size} samples are not finite")
     samples[window] = out["samples"]
     return out
-
-
-def _sweep_entry(cfg: RunConfig, eps: float, pset: ProfileSet) -> dict:
-    """One entry of the record: its eigen phase, then its readouts."""
-    return _entry_readouts(cfg, pset, eps, *_dumbbell_eigenpair(
-        cfg, eps, pset.constants.lam_k0))
 
 
 def _entry_readouts(cfg: RunConfig, pset: ProfileSet, eps: float,
@@ -497,23 +485,17 @@ def _error(exc: Exception) -> dict:
     return {"error": f"{type(exc).__name__}: {exc}", "ratios": {}}
 
 
-def _fill(entry: dict, solve: Callable) -> None:
-    """Add the keys of `solve()`'s entry to `entry`, which holds its eps,
-    or those of its exception's error."""
-    try:
-        entry.update(solve())
-    except Exception as exc:
-        entry.update(_error(exc))
+def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
+    """Sweep `cfg.eps_sweep`; `constants` is the ProfileSet to reuse, or
+    None to solve the profiles first.
 
-
-def _pipelined_sweep(cfg: RunConfig, pset: ProfileSet) -> list:
-    """The entries on two threads.  One worker thread, alive for the whole
-    sweep, takes one job per entry: it factors the entry's full operator,
-    waits for the restricted reference's eigenvector and runs the full
-    pair's steps and guard (`_full_pair`).  This thread, for each entry i,
-    builds its system and submits its job, waits for entry i-1's pair (so
-    at most one full factor is alive, and entry i's reference never
-    overlaps entry i-1's full factor), solves entry i's restricted
+    The entries run on two threads.  One worker thread, alive for the
+    whole sweep, takes one job per entry: it factors the entry's full
+    operator, waits for the restricted reference's eigenvector and runs
+    the full pair's steps and guard (`_full_pair`).  This thread, for each
+    entry i, builds its system and submits its job, waits for entry i-1's
+    pair (so at most one full factor is alive, and entry i's reference
+    never overlaps entry i-1's full factor), solves entry i's restricted
     reference and hands it to the worker, and runs entry i-1's readouts;
     the last entry's run after the loop.  Entry i's build runs beside
     entry i-1's factorization, its reference and entry i-1's readouts
@@ -522,12 +504,24 @@ def _pipelined_sweep(cfg: RunConfig, pset: ProfileSet) -> list:
     is handed to the worker, whose job then raises it.  Whatever ends the
     loop, the last hand-off is resolved, so the worker never waits for
     ever."""
+    cfg.validate()
+    if constants is None:
+        pset = run_profiles(cfg, return_fields=True)
+    elif isinstance(constants, ProfileSet):
+        pset = constants
+    else:
+        raise TypeError("run_sweep needs a ProfileSet or None as "
+                        f"constants, not {type(constants).__name__}")
+
     lam_k0 = pset.constants.lam_k0
     sweep, last, handoff = [], None, Future()
 
     def readouts(entry, job):
-        _fill(entry, lambda: _entry_readouts(cfg, pset, entry["eps"],
-                                             *job.result()))
+        try:
+            entry.update(_entry_readouts(cfg, pset, entry["eps"],
+                                         *job.result()))
+        except Exception as exc:
+            entry.update(_error(exc))
 
     with ThreadPoolExecutor(max_workers=1) as worker:
         try:
@@ -561,35 +555,8 @@ def _pipelined_sweep(cfg: RunConfig, pset: ProfileSet) -> list:
                 readouts(*last)
         finally:
             # an unresolved hand-off (an interrupt) would block the worker,
-            # and the pool's shutdown with it
+            # and the worker's shutdown with it
             handoff.cancel()
-    return sweep
-
-
-def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
-    """Sweep `cfg.eps_sweep`; `constants` is the ProfileSet to reuse, or
-    None to solve the profiles first."""
-    cfg.validate()
-    if constants is None:
-        pset = run_profiles(cfg, return_fields=True)
-    elif isinstance(constants, ProfileSet):
-        pset = constants
-    else:
-        raise TypeError("run_sweep needs a ProfileSet or None as "
-                        f"constants, not {type(constants).__name__}")
-
-    if cfg.jobs > 1:
-        # each worker runs whole entries, its factors on its own thread;
-        # the map yields them in sweep order
-        def work(eps):
-            entry = {"eps": eps}
-            _fill(entry, lambda: _sweep_entry(cfg, eps, pset))
-            return entry
-
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            sweep = list(pool.map(work, map(float, cfg.eps_sweep)))
-    else:
-        sweep = _pipelined_sweep(cfg, pset)
 
     record = RunRecord(cfg.hash(), cfg.canonical(), pset.constants, sweep)
     record.verdicts = verify(record)

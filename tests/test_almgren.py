@@ -9,9 +9,10 @@ from dumbbell import fem
 from dumbbell import profiles as P
 from dumbbell.mesh import (MeshConfig, build_dumbbell_mesh, build_profile_mesh,
                            refine)
-from dumbbell.pipeline import RunConfig, _KTILDE_LIST, _dumbbell_eigenpair
+from dumbbell.pipeline import RunConfig, _KTILDE_LIST
 from lanczos_oracle import lanczos_pairs
 from masked_energy_oracle import masked_energy
+from sequential_entry_oracle import sequential_eigenpair
 
 MODE = cs.disk_ground_mode(3)
 SL1 = MODE.sqrt_lambda1
@@ -228,7 +229,7 @@ def sweep_pair():
     _, found = P.compute_u0(cfg.mesh_config(), cfg.profile_level,
                             cfg.weight())
     lam_k0 = found["lam_k0"]
-    pair, _ = _dumbbell_eigenpair(cfg, 0.3, lam_k0)
+    pair, _ = sequential_eigenpair(cfg, 0.3, lam_k0)
     return pair.field.disc, pair.field.values, pair.lam
 
 

@@ -21,10 +21,12 @@ from dumbbell import record as rd
 from dumbbell.mesh import build_dumbbell_mesh
 from dumbbell.scaled import ScaledAmplitude
 from extended_polish_oracle import extended_refine_eigenpair
+from sequential_entry_oracle import (sequential_eigenpair, sequential_entry,
+                                     sequential_sweep)
 
 COARSE = dict(eps_sweep=(0.3, 0.2), h0=0.2, grade_levels=6,
               profile_level=0, sweep_level=0)
-# three eps, so that the middle entry of a one-job sweep has neighbours on
+# three eps, so that the middle entry of the sweep has neighbours on
 # both sides: its build runs beside the first entry's factorization, and
 # its readouts beside the third entry's
 COARSE3 = dict(COARSE, eps_sweep=(0.3, 0.25, 0.2))
@@ -45,7 +47,7 @@ def unreachable(*args, **kwargs):
 
 
 def bounded_handoff(monkeypatch, seen=None, seconds=120):
-    """Make the one-job sweep's worker wait at most `seconds` for each
+    """Make the sweep's worker wait at most `seconds` for each
     restricted reference: a hand-off the sweep leaves unresolved then
     fails its entry with a TimeoutError instead of blocking the test.
     The type of whatever the wait raised is appended to `seen`."""
@@ -99,6 +101,8 @@ class TestRunConfig:
         {"profile_level": True},
         {"grade_levels": 8.0},
         {"jobs": 1.5},
+        # pinned: the sweep has one path
+        {"jobs": 2},
         {"dimension": 3.0},
         {"dimension": False},
         # the weight rule: lam_k0 at most 0.8 lambda_1(D-)
@@ -124,7 +128,7 @@ class TestRunConfig:
 
     def test_hash_ignores_io_fields(self):
         a = pl.RunConfig(out_dir="x", jobs=1, cache=True)
-        b = pl.RunConfig(out_dir="y", jobs=4, cache=False)
+        b = pl.RunConfig(out_dir="y", cache=False)
         assert a.hash() == b.hash()
         c = pl.RunConfig(h0=0.2)
         assert a.hash() != c.hash()
@@ -463,8 +467,8 @@ class TestSweep:
     def test_eigenpair_repeatable_in_one_process(self, coarse_pset):
         cfg = pl.RunConfig(cache=False, **COARSE)
         lam_k0 = coarse_pset.constants.lam_k0
-        first, first_ref = pl._dumbbell_eigenpair(cfg, 0.2, lam_k0)
-        second, second_ref = pl._dumbbell_eigenpair(cfg, 0.2, lam_k0)
+        first, first_ref = sequential_eigenpair(cfg, 0.2, lam_k0)
+        second, second_ref = sequential_eigenpair(cfg, 0.2, lam_k0)
         assert first.lam == second.lam
         assert first_ref == second_ref
         assert np.array_equal(first.field.values, second.field.values)
@@ -491,8 +495,8 @@ class TestSweep:
         monkeypatch.setattr(fem, "assemble_stiffness",
                             lambda disc: assembled.append(disc)
                             or assemble(disc))
-        pl._sweep_entry(pl.RunConfig(cache=False, **COARSE), 0.3,
-                        coarse_pset)
+        sequential_entry(pl.RunConfig(cache=False, **COARSE), 0.3,
+                         coarse_pset)
         assert len(factored) == 2
         assert len(assembled) == 1
         assert len(solves) == 4 + 3
@@ -522,8 +526,8 @@ class TestSweep:
 
         monkeypatch.setattr(pl, "_restricted_reference", lowered)
         with pytest.raises(ValueError, match="exceeds the restricted"):
-            pl._sweep_entry(pl.RunConfig(cache=False, **COARSE), 0.3,
-                            coarse_pset)
+            sequential_entry(pl.RunConfig(cache=False, **COARSE), 0.3,
+                             coarse_pset)
 
     def test_warm_start_reaches_the_left_body(self, coarse_pset,
                                               monkeypatch):
@@ -541,8 +545,8 @@ class TestSweep:
                             calls.append((system, start))
                             or iterate(system, lu, start, steps))
         cfg = pl.RunConfig(cache=False, **COARSE)
-        pair, _ = pl._dumbbell_eigenpair(cfg, 0.1,
-                                         coarse_pset.constants.lam_k0)
+        pair, _ = sequential_eigenpair(cfg, 0.1,
+                                       coarse_pset.constants.lam_k0)
         system, start = calls[-1]
         deep = fem.refine_eigenpair(system, start, 12)
         left = pair.field.disc.nodes[:, 0] < -0.5
@@ -560,7 +564,7 @@ class TestSweep:
         # to eps = 0.004)
         cfg = pl.RunConfig(cache=False, **COARSE)
         lam_k0 = coarse_pset.constants.lam_k0
-        pair, lam_ref = pl._dumbbell_eigenpair(cfg, eps, lam_k0)
+        pair, lam_ref = sequential_eigenpair(cfg, eps, lam_k0)
         # the reference's polish and the full pair's iteration, which
         # runs on a factor of its own
         monkeypatch.setattr(fem, "refine_eigenpair",
@@ -568,7 +572,7 @@ class TestSweep:
         monkeypatch.setattr(fem, "_inverse_iteration",
                             lambda system, lu, start, steps:
                             extended_refine_eigenpair(system, start, steps))
-        oracle, oracle_ref = pl._dumbbell_eigenpair(cfg, eps, lam_k0)
+        oracle, oracle_ref = sequential_eigenpair(cfg, eps, lam_k0)
         assert pair.lam == pytest.approx(oracle.lam, rel=1e-15, abs=0)
         assert lam_ref == pytest.approx(oracle_ref, rel=1e-15, abs=0)
         # R7 of the eigenvalue law divides by this gap
@@ -607,12 +611,12 @@ class TestSweep:
         pset = dataclasses.replace(coarse_pset, ubar=ubar_with_hole)
         cfg = pl.RunConfig(cache=False, **COARSE)
         with pytest.raises(ValueError, match=r"normalized_vs_Ubar\[kt=0.5\]"):
-            pl._sweep_entry(cfg, 0.3, pset)
+            sequential_entry(cfg, 0.3, pset)
 
     def test_cascade_track_entry(self, coarse_pset):
         # below eps = 0.1 the left-side scales come from the tube fit alone
         cfg = pl.RunConfig(cache=False, **COARSE)
-        entry = pl._sweep_entry(cfg, 0.09, coarse_pset)
+        entry = sequential_entry(cfg, 0.09, coarse_pset)
         assert entry["track"] == "cascade"
         assert list(entry) == ENTRY_KEYS
         assert entry["spherical"] is None
@@ -758,14 +762,14 @@ class TestSweep:
 
     def test_profile_constants_rejected_before_any_solve(self, monkeypatch):
         monkeypatch.setattr(pl, "run_profiles", unreachable)
-        monkeypatch.setattr(pl, "_sweep_entry", unreachable)
+        monkeypatch.setattr(pl, "_entry_system", unreachable)
         constants = synthetic_record([]).constants
         with pytest.raises(TypeError, match="ProfileConstants"):
             pl.run_sweep(pl.RunConfig(**COARSE), constants)
 
     def test_failed_entry_keeps_sweep_alive(self, monkeypatch, tmp_path):
-        # a one-job sweep builds each entry's system, then splits its
-        # eigen phase over two threads; it never calls _sweep_entry
+        # the sweep builds each entry's system on the main thread; a build
+        # that raises fails its own entry and no other
         cfg = pl.RunConfig(out_dir=str(tmp_path), **COARSE)
         pset = pl.run_profiles(cfg, return_fields=True)
         orig = pl._entry_system
@@ -783,31 +787,13 @@ class TestSweep:
 
     def test_two_jobs_give_the_one_job_record(self, coarse_record,
                                               coarse_pset):
+        # the two-thread sweep against the sequential oracle on one thread
         cfg, rec, _ = coarse_record
-        two = pl.run_sweep(dataclasses.replace(cfg, jobs=2), coarse_pset)
-        assert json.dumps(two.to_dict()) == json.dumps(rec.to_dict())
-
-    def test_worker_exception_becomes_an_error_entry(
-            self, coarse_record, coarse_pset, monkeypatch):
-        cfg, rec, _ = coarse_record
-        solved = {entry["eps"]: entry for entry in rec.sweep}
-        threads = set()
-
-        def flaky(cfg_, eps, pset_):
-            threads.add(threading.current_thread())
-            if eps == 0.3:
-                raise RuntimeError("synthetic failure")
-            return solved[eps]
-
-        monkeypatch.setattr(pl, "_sweep_entry", flaky)
-        two = pl.run_sweep(dataclasses.replace(cfg, jobs=2), coarse_pset)
-        assert threading.main_thread() not in threads
-        assert two.sweep == [{"eps": 0.3,
-                              "error": "RuntimeError: synthetic failure",
-                              "ratios": {}}, solved[0.2]]
-        assert two.verdicts["sweep_errors"]["eps"] == [0.3]
-        assert not two.verdicts["sweep_errors"]["pass"]
-        assert not two.verdicts["overall_pass"]
+        one = pl.RunRecord(cfg.hash(), cfg.canonical(),
+                           coarse_pset.constants,
+                           sequential_sweep(cfg, coarse_pset))
+        one.verdicts = pl.verify(one)
+        assert json.dumps(one.to_dict()) == json.dumps(rec.to_dict())
 
     def test_failed_reference_fails_its_entry_and_ends_its_helper(
             self, coarse_pset, monkeypatch):
@@ -839,17 +825,23 @@ def coarse3_record(tmp_path_factory, coarse_pset):
 
 
 class TestPipelinedSweep:
-    """A one-job sweep factors each entry's full operator and runs its
+    """The sweep factors each entry's full operator and runs its
     full pair on one worker thread; the main thread builds each entry,
     solves its restricted reference and runs the previous entry's
     readouts meanwhile."""
 
     def test_two_jobs_give_the_one_job_record_byte_for_byte(
             self, coarse3_record, coarse_pset, tmp_path):
+        # the two jobs are the sweep's two threads; the one-job record is
+        # the sequential oracle's, the same four functions composed in
+        # turn on one thread
         cfg, rec, out = coarse3_record
         assert [e.get("error") for e in rec.sweep] == [None] * 3
-        two = pl.run_sweep(dataclasses.replace(cfg, jobs=2), coarse_pset)
-        pl.emit(two, str(tmp_path))
+        oracle = pl.RunRecord(cfg.hash(), cfg.canonical(),
+                              coarse_pset.constants,
+                              sequential_sweep(cfg, coarse_pset))
+        oracle.verdicts = pl.verify(oracle)
+        pl.emit(oracle, str(tmp_path))
         assert ((tmp_path / "record.json").read_bytes()
                 == (Path(out) / "record.json").read_bytes())
 
@@ -934,7 +926,7 @@ class TestPipelinedSweep:
     def test_interrupt_resolves_the_handoff(self, coarse_pset, monkeypatch):
         # an interrupt in the first reference leaves the worker's job
         # waiting for it; the sweep cancels the hand-off, so the worker
-        # frees its factor and the pool shuts down
+        # frees its factor and shuts down
         def interrupted(system, lam_k0):
             raise KeyboardInterrupt
 
@@ -1143,21 +1135,32 @@ class TestCLI:
             err = capsys.readouterr().err
             assert "error:" in err and key in err
 
-    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    @pytest.mark.parametrize("jobs", [0, -1, 2])
     def test_bad_jobs_fails_before_profile_stage(self, jobs, monkeypatch,
                                                  tmp_path, capsys):
+        # the field is pinned at 1: the sweep has one path
         monkeypatch.setattr(pl, "run_profiles", unreachable)
-        assert cli.main(["sweep", "--jobs", jobs, "--out", str(tmp_path)]) == 1
-        assert "jobs" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": jobs}))
+        assert cli.main(["sweep", "--config", str(cfg),
+                         "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "jobs" in err
 
     def test_profiles_takes_no_jobs_flag(self, monkeypatch, capsys):
-        # `jobs` maps sweep entries only: the profile stage always runs on
-        # the main thread and one helper
         monkeypatch.setattr(pl, "run_profiles", unreachable)
-        with pytest.raises(SystemExit) as exit_:
-            cli.main(["profiles", "--jobs", "2"])
-        assert exit_.value.code == 2
+        assert cli.main(["profiles", "--jobs", "2"]) == 1
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    def test_usage_error_exits_1_and_help_exits_0(self, monkeypatch,
+                                                   capsys):
+        # argparse exits 2 on a usage error, the code of a failed verdict;
+        # an old `sweep --jobs 2` must not read as one
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        assert cli.main(["sweep", "--jobs", "2"]) == 1
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+        assert cli.main(["--help"]) == 0
+        assert "usage: dumbbell" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key, value", [("grade_levels", 8.5),
                                             ("sweep_level", 0.5)])
