@@ -87,6 +87,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     record = pl.load_record(args.record)
+    # the stored verdicts may be stale or missing; verify judges afresh
+    record.verdicts = pl.verify(record)
     paths = pl.emit(record, args.out or ".",
                     formats=tuple(args.formats.split(",")))
     for p in paths:
@@ -109,9 +111,11 @@ def main(argv=None) -> int:
             ("sweep", _cmd_sweep, "run the eps sweep and emit outputs")):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="JSON file with RunConfig fields")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--eps", type=float, nargs="+",
-                       help="override the eps sweep")
+        # the profile meshes have no eps, and profiles writes no file
+        if name == "sweep":
+            p.add_argument("--out", help="output directory")
+            p.add_argument("--eps", type=float, nargs="+",
+                           help="override the eps sweep")
         p.add_argument("--levels", type=int,
                        help="mesh refinement level for all solves")
         p.set_defaults(func=func)

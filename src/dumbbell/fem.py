@@ -482,13 +482,8 @@ class AssembledSystem:
         factor (12.5 MB for Ubar's at the default level 1 under scipy
         1.17.1), which die with it here."""
         rhs = load[self.free]
-        try:
-            lu = factor(self._operator())
-        except RuntimeError as exc:
-            raise RuntimeError(
-                f"singular factorization after Dirichlet elimination ({exc}); "
-                "check boundary tags and shifts") from exc
-        try:
+
+        def certified_solve(lu):
             if self.shift and not np.array_equal(lu.perm_r, lu.perm_c):
                 raise RuntimeError("shifted factor pivoted off the diagonal; "
                                    "its pivots do not give the inertia")
@@ -497,13 +492,9 @@ class AssembledSystem:
                     f"shift {self.shift:.6g} is not below the smallest "
                     "weighted eigenvalue: K - shift M_p has a non-positive "
                     "pivot")
-            u = lu.solve(rhs)
-        except BaseException as exc:
-            # a failed call's frame may hold the factor
-            clear_frames(exc)
-            raise
-        finally:
-            del lu
+            return lu.solve(rhs)
+
+        u = _on_own_factor(self, certified_solve)
         r = self.K @ u - self.shift * (self.Mp @ u) - rhs
         resid = np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300)
         return FieldSolution(self.disc, self.expand(u), residual=float(resid))
@@ -522,6 +513,26 @@ def clear_frames(exc: BaseException) -> None:
     while exc is not None:
         traceback.clear_frames(exc.__traceback__)
         exc = exc.__cause__ or exc.__context__
+
+
+def _on_own_factor(system: AssembledSystem, use: Callable):
+    """`use(lu)` on a factor of the system's operator that this call
+    makes and frees on the calling thread.  A failed factorization raises
+    RuntimeError; a failure of `use` has its frames cleared
+    (`clear_frames`) before it leaves, since they may hold the factor."""
+    try:
+        lu = factor(system._operator())
+    except RuntimeError as exc:
+        raise RuntimeError(
+            f"singular factorization after Dirichlet elimination ({exc}); "
+            "check boundary tags and shifts") from exc
+    try:
+        return use(lu)
+    except BaseException as exc:
+        clear_frames(exc)
+        raise
+    finally:
+        del lu
 
 
 def _dirichlet_system(disc: Discretization, K_full: sp.csr_matrix,
@@ -729,15 +740,8 @@ def refine_on_own_factor(system: AssembledSystem, start: Callable,
     runs this on its worker thread, which calls nothing else of the
     package, so the main thread's calls stay nested for a tracer that
     keeps one span stack."""
-    lu = factor(system._operator())
-    try:
-        return _inverse_iteration(system, lu, start(), steps)
-    except BaseException as exc:
-        # the iteration's frame holds the factor
-        clear_frames(exc)
-        raise
-    finally:
-        del lu
+    return _on_own_factor(system, lambda lu: _inverse_iteration(
+        system, lu, start(), steps))
 
 
 # rows of K and M_p copied to long double at a time for the Rayleigh

@@ -19,10 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -68,8 +66,9 @@ class RunConfig:
     profile_level: int = 1
     sweep_level: int = 1
     out_dir: str = "runs"
-    cache: bool = True
-    # pinned at 1 and read by nothing, only for perfbench/run.py's jobs=1
+    # both pinned and read by nothing, only for perfbench/run.py's
+    # RunConfig(cache=False, jobs=1, ...)
+    cache: bool = False
     jobs: int = 1
 
     def validate(self) -> "RunConfig":
@@ -85,6 +84,10 @@ class RunConfig:
         if self.jobs != 1:
             raise ValueError(f"jobs={self.jobs!r} must be 1: the sweep runs "
                              "one path, on two threads")
+        # every run solves its own profiles: nothing is cached on disk
+        if self.cache is not False:
+            raise ValueError(f"cache={self.cache!r} must be false: profiles "
+                             "are solved afresh on every run")
         for name in ("a_plus", "a_minus", "h0", "r_out"):
             value = getattr(self, name)
             # MeshConfig's range checks let NaN and infinity through
@@ -198,26 +201,10 @@ def _compute_profiles(cfg: RunConfig) -> ProfileSet:
 
 
 def run_profiles(cfg: RunConfig, return_fields: bool = False):
-    """Profile constants for a config, cached on disk by config hash; a
-    cache file that other package source wrote is recomputed and replaced."""
-    cfg.validate()
-    cache_path = os.path.join(cfg.out_dir, "cache",
-                              f"profiles-{cfg.hash()}.json")
-    h = hashlib.sha256()
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        h.update(path.name.encode() + path.read_bytes())
-    source = h.hexdigest()
-    if cfg.cache and not return_fields and os.path.exists(cache_path):
-        with open(cache_path) as fh:
-            blob = json.load(fh)
-        if blob.get("source") == source:
-            return ProfileConstants.from_dict(blob["constants"])
-    pset = _compute_profiles(cfg)
-    if cfg.cache:
-        os.makedirs(os.path.dirname(cache_path), exist_ok=True)
-        with open(cache_path, "w") as fh:
-            json.dump({"source": source,
-                       "constants": pset.constants.to_dict()}, fh, indent=1)
+    """The profile constants of a config, solved afresh on every call;
+    with `return_fields`, the whole `ProfileSet`.  Nothing is written to
+    disk."""
+    pset = _compute_profiles(cfg.validate())
     return pset if return_fields else pset.constants
 
 

@@ -121,14 +121,16 @@ class TestRunConfig:
         {"eps_sweep": 0.3},
         {"h0": math.nan},
         {"r_out": math.inf},
+        # pinned: every run solves its own profiles
+        {"cache": True},
     ])
     def test_rejects_out_of_range_fields(self, bad):
         with pytest.raises(ValueError):
             pl.RunConfig(**bad).validate()
 
     def test_hash_ignores_io_fields(self):
-        a = pl.RunConfig(out_dir="x", jobs=1, cache=True)
-        b = pl.RunConfig(out_dir="y", cache=False)
+        a = pl.RunConfig(out_dir="x", jobs=1)
+        b = pl.RunConfig(out_dir="y")
         assert a.hash() == b.hash()
         c = pl.RunConfig(h0=0.2)
         assert a.hash() != c.hash()
@@ -313,41 +315,6 @@ class TestEmit:
         assert got.mantissa == amp.mantissa
 
 
-class TestProfileCache:
-    def test_cache_hit_is_bit_identical(self, tmp_path):
-        cfg = pl.RunConfig(out_dir=str(tmp_path), **COARSE)
-        first = pl.run_profiles(cfg)
-        cache = tmp_path / "cache" / f"profiles-{cfg.hash()}.json"
-        assert cache.exists()
-        stamp = cache.stat().st_mtime_ns
-        second = pl.run_profiles(cfg)
-        assert cache.stat().st_mtime_ns == stamp  # not recomputed
-        assert first.to_dict() == second.to_dict()
-
-    def test_cache_from_other_source_is_recomputed(self, tmp_path):
-        cfg = pl.RunConfig(out_dir=str(tmp_path), **COARSE)
-        first = pl.run_profiles(cfg)
-        cache = tmp_path / "cache" / f"profiles-{cfg.hash()}.json"
-        blob = json.loads(cache.read_text())
-        source = blob["source"]
-        blob["source"] = "0" * 64
-        blob["constants"]["c_phi"] = -1.0
-        cache.write_text(json.dumps(blob))
-        again = pl.run_profiles(cfg)
-        assert again.c_phi == pytest.approx(first.c_phi, rel=1e-9)
-        assert json.loads(cache.read_text())["source"] == source
-        # the old format held the bare constants; it is a miss too
-        cache.write_text(json.dumps(dict(first.to_dict(), c_phi=-1.0)))
-        assert pl.run_profiles(cfg).c_phi == pytest.approx(first.c_phi,
-                                                           rel=1e-9)
-        assert json.loads(cache.read_text())["source"] == source
-
-    def test_cache_disabled(self, tmp_path):
-        cfg = pl.RunConfig(out_dir=str(tmp_path), cache=False, **COARSE)
-        pl.run_profiles(cfg)
-        assert not (tmp_path / "cache").exists()
-
-
 class _CountingLU:
     """A SuperLU factor that logs to `events` the thread that makes it,
     each solve's and the one that frees it."""
@@ -367,7 +334,7 @@ class _CountingLU:
         self._events.append(("freed", threading.current_thread()))
 
 
-def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
+def test_profile_stage_factors_each_operator_once(monkeypatch):
     # K on D+ (the u0 iteration), the two harmonic solves, and
     # K - lam_k0 M_p on D- (the Ubar inertia guard and solve); no ARPACK
     # run.  Solves: u0 12 (10 Krylov, 2 polish), Phi 1, PhiHat 1, Ubar 1.
@@ -385,8 +352,7 @@ def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
     monkeypatch.setattr(fem.spla, "splu", counted)
     monkeypatch.setattr(fem.spla, "eigsh", lambda *a, **kw:
                         arpack.append(a) or eigsh(*a, **kw))
-    pl.run_profiles(pl.RunConfig(out_dir=str(tmp_path), cache=False,
-                                 **COARSE))
+    pl.run_profiles(pl.RunConfig(**COARSE))
     owners = []
     for events in lives:
         kinds = [kind for kind, _ in events]
@@ -400,9 +366,21 @@ def test_profile_stage_factors_each_operator_once(tmp_path, monkeypatch):
     assert arpack == []
 
 
+def test_runs_leave_no_profile_cache(tmp_path):
+    # every run solves its own profiles: the profile stage writes nothing,
+    # and a sweep that solves them leaves only what emit writes
+    cfg = pl.RunConfig(out_dir=str(tmp_path), **COARSE)
+    pl.run_profiles(cfg)
+    assert list(tmp_path.iterdir()) == []
+    record = pl.run_sweep(cfg)
+    written = pl.emit(record, cfg.out_dir)
+    assert not (tmp_path / "cache").exists()
+    assert sorted(map(str, tmp_path.iterdir())) == sorted(written)
+
+
 @pytest.fixture(scope="module")
 def coarse_pset():
-    cfg = pl.RunConfig(cache=False, **COARSE)
+    cfg = pl.RunConfig(**COARSE)
     return pl.run_profiles(cfg, return_fields=True)
 
 
@@ -465,7 +443,7 @@ class TestSweep:
             assert (bd / bc).to_float() == pytest.approx(1.0, abs=0.5)
 
     def test_eigenpair_repeatable_in_one_process(self, coarse_pset):
-        cfg = pl.RunConfig(cache=False, **COARSE)
+        cfg = pl.RunConfig(**COARSE)
         lam_k0 = coarse_pset.constants.lam_k0
         first, first_ref = sequential_eigenpair(cfg, 0.2, lam_k0)
         second, second_ref = sequential_eigenpair(cfg, 0.2, lam_k0)
@@ -495,15 +473,14 @@ class TestSweep:
         monkeypatch.setattr(fem, "assemble_stiffness",
                             lambda disc: assembled.append(disc)
                             or assemble(disc))
-        sequential_entry(pl.RunConfig(cache=False, **COARSE), 0.3,
-                         coarse_pset)
+        sequential_entry(pl.RunConfig(**COARSE), 0.3, coarse_pset)
         assert len(factored) == 2
         assert len(assembled) == 1
         assert len(solves) == 4 + 3
 
     def test_restricted_reference_field_carries_its_residual(
             self, coarse_pset):
-        cfg = pl.RunConfig(cache=False, **COARSE)
+        cfg = pl.RunConfig(**COARSE)
         disc = fem.Discretization(build_dumbbell_mesh(cfg.mesh_config(0.3)))
         system = fem.assemble(disc, cfg.weight())
         ref = pl._restricted_reference(system, coarse_pset.constants.lam_k0)
@@ -526,8 +503,7 @@ class TestSweep:
 
         monkeypatch.setattr(pl, "_restricted_reference", lowered)
         with pytest.raises(ValueError, match="exceeds the restricted"):
-            sequential_entry(pl.RunConfig(cache=False, **COARSE), 0.3,
-                             coarse_pset)
+            sequential_entry(pl.RunConfig(**COARSE), 0.3, coarse_pset)
 
     def test_warm_start_reaches_the_left_body(self, coarse_pset,
                                               monkeypatch):
@@ -544,7 +520,7 @@ class TestSweep:
                             lambda system, lu, start, steps:
                             calls.append((system, start))
                             or iterate(system, lu, start, steps))
-        cfg = pl.RunConfig(cache=False, **COARSE)
+        cfg = pl.RunConfig(**COARSE)
         pair, _ = sequential_eigenpair(cfg, 0.1,
                                        coarse_pset.constants.lam_k0)
         system, start = calls[-1]
@@ -562,7 +538,7 @@ class TestSweep:
         # reads them.  Both eigenvalues come out bitwise equal here, and
         # the projections within 4e-14 (2.4e-12 on the default mesh down
         # to eps = 0.004)
-        cfg = pl.RunConfig(cache=False, **COARSE)
+        cfg = pl.RunConfig(**COARSE)
         lam_k0 = coarse_pset.constants.lam_k0
         pair, lam_ref = sequential_eigenpair(cfg, eps, lam_k0)
         # the reference's polish and the full pair's iteration, which
@@ -609,13 +585,13 @@ class TestSweep:
             return out
 
         pset = dataclasses.replace(coarse_pset, ubar=ubar_with_hole)
-        cfg = pl.RunConfig(cache=False, **COARSE)
+        cfg = pl.RunConfig(**COARSE)
         with pytest.raises(ValueError, match=r"normalized_vs_Ubar\[kt=0.5\]"):
             sequential_entry(cfg, 0.3, pset)
 
     def test_cascade_track_entry(self, coarse_pset):
         # below eps = 0.1 the left-side scales come from the tube fit alone
-        cfg = pl.RunConfig(cache=False, **COARSE)
+        cfg = pl.RunConfig(**COARSE)
         entry = sequential_entry(cfg, 0.09, coarse_pset)
         assert entry["track"] == "cascade"
         assert list(entry) == ENTRY_KEYS
@@ -807,7 +783,7 @@ class TestSweep:
         monkeypatch.setattr(pl, "_restricted_reference", broken)
         bounded_handoff(monkeypatch)
         before = threading.active_count()
-        rec = pl.run_sweep(pl.RunConfig(cache=False, **COARSE), coarse_pset)
+        rec = pl.run_sweep(pl.RunConfig(**COARSE), coarse_pset)
         assert threading.active_count() == before
         assert [e["error"] for e in rec.sweep] == [
             "RuntimeError: synthetic reference failure"] * 2
@@ -935,7 +911,7 @@ class TestPipelinedSweep:
         bounded_handoff(monkeypatch, seen)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            pl.run_sweep(pl.RunConfig(cache=False, **COARSE3), coarse_pset)
+            pl.run_sweep(pl.RunConfig(**COARSE3), coarse_pset)
         assert threading.active_count() == before
         assert seen == [CancelledError]
 
@@ -974,7 +950,7 @@ class TestPipelinedSweep:
         monkeypatch.setattr(fem, "factor", counted)
         monkeypatch.setattr(pl, "_restricted_reference", logged)
         monkeypatch.setattr(fem, "_inverse_iteration", slow)
-        rec = pl.run_sweep(pl.RunConfig(cache=False, **COARSE3), coarse_pset)
+        rec = pl.run_sweep(pl.RunConfig(**COARSE3), coarse_pset)
         assert [e.get("error") for e in rec.sweep] == [None] * 3
         owners = []
         for events in lives:
@@ -1099,12 +1075,11 @@ class TestCLI:
         monkeypatch.setattr(fem.spla, "splu", unreachable)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"a_minus": 0.9}))
-        assert cli.main(["profiles", "--config", str(cfg),
-                         "--out", str(tmp_path)]) == 1
+        assert cli.main(["profiles", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "a_minus" in err
         with pytest.raises(ValueError, match="lambda_1"):
-            pl.run_profiles(pl.RunConfig(a_minus=0.9, cache=False))
+            pl.run_profiles(pl.RunConfig(a_minus=0.9))
         # the margin itself is allowed
         pl.RunConfig(a_minus=0.8).validate()
 
@@ -1151,6 +1126,25 @@ class TestCLI:
         monkeypatch.setattr(pl, "run_profiles", unreachable)
         assert cli.main(["profiles", "--jobs", "2"]) == 1
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    def test_profiles_takes_no_out_or_eps_flag(self, monkeypatch, capsys):
+        # the profile stage writes no file, and its meshes have no eps
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        assert cli.main(["profiles", "--out", "x"]) == 1
+        assert "unrecognized arguments: --out" in capsys.readouterr().err
+        assert cli.main(["profiles", "--eps", "0.3", "0.1"]) == 1
+        assert "unrecognized arguments: --eps" in capsys.readouterr().err
+
+    def test_cache_in_config_fails_before_profile_stage(
+            self, monkeypatch, tmp_path, capsys):
+        # the field is pinned at false: there is no profile cache
+        monkeypatch.setattr(pl, "run_profiles", unreachable)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cache": True}))
+        for command in ("profiles", "sweep"):
+            assert cli.main([command, "--config", str(cfg)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "cache" in err
 
     def test_usage_error_exits_1_and_help_exits_0(self, monkeypatch,
                                                    capsys):
@@ -1201,6 +1195,22 @@ class TestCLI:
         assert (tmp_path / "rep" / "R3.csv").exists()
         assert (tmp_path / "rep" / "R3.svg").exists()
         capsys.readouterr()
+
+    def test_report_judges_the_record_afresh(self, tmp_path, capsys):
+        # a record whose stored verdicts are missing: verify recomputes
+        # them, and report draws the same ones
+        rec = synthetic_record([(0.3, 1.1), (0.2, 1.05)])
+        pl.emit(rec, str(tmp_path), formats=("json",))
+        path = str(tmp_path / "record.json")
+        assert json.loads(Path(path).read_text())["verdicts"] == {}
+        assert cli.main(["verify", path]) == 0
+        capsys.readouterr()
+        out = tmp_path / "rep"
+        assert cli.main(["report", path, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert (out / "R3.csv").exists() and (out / "R3.svg").exists()
+        written = json.loads((out / "record.json").read_text())
+        assert written["verdicts"] == json.loads(json.dumps(pl.verify(rec)))
 
     def test_unknown_report_format_is_execution_error(self, tmp_path,
                                                       capsys):
