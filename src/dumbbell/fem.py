@@ -13,20 +13,14 @@ An AssembledSystem is the one place that reduces, factors and solves a
 Dirichlet problem: it holds only the free-node K and M_p, carries its
 shift and factors K - shift M_p once in `lu()`, so every eigen step on
 it reuses that factor.  Two calls make, use and free a factor of their
-own instead, and so may run on a worker thread: `system.solve(load)`,
-which the profile stage runs on its worker for Phi, PhiHat and Ubar
-(`solve_dirichlet` hands the harmonic ones over as such a job), and
-`refine_on_own_factor`, which the sweep runs on its worker for
-each entry's full pair.  Every factor is made, used and freed on one
-thread: a SuperLU factor freed on another thread than the one that made
-it keeps its memory (an eps = 0.3 sweep factor made on a helper and
-dropped on the main thread grew RSS from 88 to 383 MB in 8 rounds,
-against a flat 98 MB when the helper dropped it), so a failure's
-frames, which hold the factor among their locals, are cleared on the
-thread that made it (`clear_frames`).  The process keeps one malloc
-arena, so that a second thread holds none of its own: the eps = 0.3 and
-0.1 sweep peaked at 215-219 MB with the helper's arena and 196-199 MB
-without, against 188 MB with no helper (perfbench's `sweep_direct`).
+own instead, and so may run on a worker thread: `system.solve(load)`
+(`solve_dirichlet` returns the harmonic ones as such a job) and
+`refine_on_own_factor`.  Why each factor must die on the thread that
+made it, and how a worker keeps to that, is written once, in
+`pipeline._Worker`.  The process keeps one malloc arena, so that a
+second thread holds none of its own: the eps = 0.3 and 0.1 sweep peaked
+at 215-219 MB with the helper's arena and 196-199 MB without, against
+188 MB with no helper (perfbench's `sweep_direct`).
 """
 
 from __future__ import annotations
@@ -34,7 +28,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-import traceback
 from dataclasses import dataclass, field as dfield, replace
 from typing import Callable
 
@@ -52,7 +45,6 @@ __all__ = [
     "EigenPair",
     "assemble",
     "factor",
-    "clear_frames",
     "solve_dirichlet",
     "eigen_smallest",
     "refine_eigenpair",
@@ -446,7 +438,7 @@ class AssembledSystem:
         """Factor of K - shift M_p (of K itself at shift 0), made on the
         first call and kept."""
         if self._lu is None:
-            self._lu = factor(self._operator())
+            self._lu = _own_factor(self)
         return self._lu
 
     def _operator(self) -> sp.csr_matrix:
@@ -470,31 +462,26 @@ class AssembledSystem:
         the fixed ones; `load` is full-length.  The field carries the
         relative residual of the reduced solve.
 
-        The factor is made, used and freed in this call, on the calling
-        thread, and `lu()` stays unmade; `factor` is the one public
-        function of the package it calls, so a worker thread may run it
-        beside another thread's traced calls.  A shifted operator is
-        certified SPD before the solve: with its row and column
-        permutations equal, the LU is a congruence of the operator, so by
-        Sylvester's law of inertia all pivots of U positive certifies
-        shift < lambda_1, and a non-positive pivot raises ValueError.
-        Reading the pivots makes SuperLU keep L and U as CSC copies on the
-        factor (12.5 MB for Ubar's at the default level 1 under scipy
-        1.17.1), which die with it here."""
+        The factor is made, used and freed in this call, and `lu()` stays
+        unmade.  A shifted operator is certified SPD before the solve: with
+        its row and column permutations equal, the LU is a congruence of
+        the operator, so by Sylvester's law of inertia all pivots of U
+        positive certifies shift < lambda_1, and a non-positive pivot
+        raises ValueError.  Reading the pivots makes SuperLU keep L and U
+        as CSC copies on the factor (12.5 MB for Ubar's at the default
+        level 1 under scipy 1.17.1), which die with it here."""
         rhs = load[self.free]
-
-        def certified_solve(lu):
-            if self.shift and not np.array_equal(lu.perm_r, lu.perm_c):
-                raise RuntimeError("shifted factor pivoted off the diagonal; "
-                                   "its pivots do not give the inertia")
-            if self.shift and np.any(lu.U.diagonal() <= 0):
-                raise ValueError(
-                    f"shift {self.shift:.6g} is not below the smallest "
-                    "weighted eigenvalue: K - shift M_p has a non-positive "
-                    "pivot")
-            return lu.solve(rhs)
-
-        u = _on_own_factor(self, certified_solve)
+        lu = _own_factor(self)
+        if self.shift and not np.array_equal(lu.perm_r, lu.perm_c):
+            raise RuntimeError("shifted factor pivoted off the diagonal; "
+                               "its pivots do not give the inertia")
+        if self.shift and np.any(lu.U.diagonal() <= 0):
+            raise ValueError(
+                f"shift {self.shift:.6g} is not below the smallest "
+                "weighted eigenvalue: K - shift M_p has a non-positive "
+                "pivot")
+        u = lu.solve(rhs)
+        del lu
         r = self.K @ u - self.shift * (self.Mp @ u) - rhs
         resid = np.linalg.norm(r) / max(np.linalg.norm(rhs), 1e-300)
         return FieldSolution(self.disc, self.expand(u), residual=float(resid))
@@ -505,34 +492,15 @@ class AssembledSystem:
         return full
 
 
-def clear_frames(exc: BaseException) -> None:
-    """Clear the finished frames of `exc` and of every exception in its
-    chain, so that their locals, a SuperLU factor among them, are freed
-    now, on the calling thread, and not on whichever thread drops the
-    exception last."""
-    while exc is not None:
-        traceback.clear_frames(exc.__traceback__)
-        exc = exc.__cause__ or exc.__context__
-
-
-def _on_own_factor(system: AssembledSystem, use: Callable):
-    """`use(lu)` on a factor of the system's operator that this call
-    makes and frees on the calling thread.  A failed factorization raises
-    RuntimeError; a failure of `use` has its frames cleared
-    (`clear_frames`) before it leaves, since they may hold the factor."""
+def _own_factor(system: AssembledSystem):
+    """A new factor of the system's operator; a failed factorization
+    raises RuntimeError with a hint at its usual cause."""
     try:
-        lu = factor(system._operator())
+        return factor(system._operator())
     except RuntimeError as exc:
         raise RuntimeError(
             f"singular factorization after Dirichlet elimination ({exc}); "
             "check boundary tags and shifts") from exc
-    try:
-        return use(lu)
-    except BaseException as exc:
-        clear_frames(exc)
-        raise
-    finally:
-        del lu
 
 
 def _dirichlet_system(disc: Discretization, K_full: sp.csr_matrix,
@@ -619,10 +587,8 @@ def solve_dirichlet(disc: Discretization,
     its reduction, and the boundary values are those of the lift; no mass
     form is assembled.
 
-    The system and its load are built on the calling thread and returned
-    as a job, `AssembledSystem.solve` bound to the load, whose call
-    returns w; it makes, uses and frees its factor on whichever thread
-    runs it, as the profile stage's worker does."""
+    The system and its load are built here and returned as a job,
+    `AssembledSystem.solve` bound to the load, whose call returns w."""
     K = assemble_stiffness(disc)
     system = _dirichlet_system(disc, K, sp.csr_matrix(K.shape))
     return functools.partial(system.solve, -(K @ lift(*disc.nodes.T)))
@@ -734,14 +700,8 @@ def refine_on_own_factor(system: AssembledSystem, start: Callable,
     """`refine_eigenpair`'s iteration on a factor of K - sigma M_p that
     this call makes, uses and frees on the calling thread; `system.lu()`
     stays unmade.  `start()` gives the free-node start vector once the
-    factorization is done, so it may wait for another thread's result.
-    A failure's frames are cleared before it leaves (`clear_frames`), so
-    the factor is freed on this thread however the call ends.  The sweep
-    runs this on its worker thread, which calls nothing else of the
-    package, so the main thread's calls stay nested for a tracer that
-    keeps one span stack."""
-    return _on_own_factor(system, lambda lu: _inverse_iteration(
-        system, lu, start(), steps))
+    factorization is done, so it may wait for another thread's result."""
+    return _inverse_iteration(system, _own_factor(system), start(), steps)
 
 
 # rows of K and M_p copied to long double at a time for the Rayleigh

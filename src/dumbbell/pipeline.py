@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import traceback
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from typing import Callable, ClassVar
@@ -137,6 +138,69 @@ class RunConfig:
 
 
 # ----------------------------------------------------------------------------
+# Factor worker
+# ----------------------------------------------------------------------------
+
+def _cleared(fn, *args):
+    """`fn(*args)`; a failure leaves with the frames of it and of its
+    `__cause__`/`__context__` chain cleared, so that their locals, a
+    SuperLU factor among them, are freed now, on this thread."""
+    try:
+        return fn(*args)
+    except BaseException as exc:
+        # the bare `raise` re-raises the caught failure, not what exc names
+        while exc is not None:
+            traceback.clear_frames(exc.__traceback__)
+            exc = exc.__cause__ or exc.__context__
+        raise
+
+
+class _Worker:
+    """A stage's one factor worker thread, alive for its `with` block.
+
+    Every SuperLU factor is made, used and freed on one thread: memory
+    SuperLU allocated on one thread and freed on another is not returned
+    (an eps = 0.3 sweep factor made on a helper and dropped on the main
+    thread grew RSS from 88 to 383 MB in 8 rounds, against a flat 98 MB
+    when the helper dropped it).  So each job makes, uses and frees its
+    own factor (`fem.AssembledSystem.solve`, `fem.refine_on_own_factor`),
+    and `submit` runs it inside `_cleared`, which clears a failure's
+    frames, the factor among their locals, on the worker.  The jobs call
+    nothing a tracer wraps, so a tracer with one span stack sees the main
+    thread's calls nested.
+
+    `handoff()` opens the one Future the next queued job waits on;
+    `hand(fn, *args)` resolves it on the main thread with `fn(*args)` or,
+    its frames cleared, with its failure, which the job then raises.
+    Leaving the block cancels the open hand-off, so that no job waits
+    for ever (after an interrupt, say), then shuts the pool down: queued
+    jobs are cancelled, and the running one frees its factor on the
+    worker."""
+
+    def __enter__(self) -> "_Worker":
+        self._pool = ThreadPoolExecutor(max_workers=1)
+        self._handoff = Future()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._handoff.cancel()
+        self._pool.shutdown(cancel_futures=True)
+
+    def submit(self, fn, *args) -> Future:
+        return self._pool.submit(_cleared, fn, *args)
+
+    def handoff(self) -> Future:
+        self._handoff = Future()
+        return self._handoff
+
+    def hand(self, fn, *args) -> None:
+        try:
+            self._handoff.set_result(_cleared(fn, *args))
+        except Exception as exc:
+            self._handoff.set_exception(exc)
+
+
+# ----------------------------------------------------------------------------
 # Profile stage
 # ----------------------------------------------------------------------------
 
@@ -152,18 +216,13 @@ class ProfileSet:
 
 
 def _compute_profiles(cfg: RunConfig) -> ProfileSet:
-    """The four profiles on two threads.  One worker thread, alive for
-    the whole stage, makes, uses and frees the factor of each of Phi,
-    PhiHat and Ubar in one job (`fem.AssembledSystem.solve`).  This
+    """The four profiles, on this thread and a `_Worker`, which solves Phi,
+    PhiHat and Ubar, one job each (`fem.AssembledSystem.solve`).  This
     thread builds Phi's system and load and queues its job, then PhiHat's,
-    solves all of u0 (its factor made, used and freed here), assembles
-    Ubar's system at lam_k0 and queues its job, and reads the constants of
-    Phi, PhiHat and Ubar off their profiles as the jobs return them.  The
-    worker calls nothing that a tracer wraps, so every traced call is
-    made on this thread and the calls stay nested.  A failure on either
-    thread is raised under its stage's name (`profile stage 'u0' failed:
-    ...`); a failure here cancels the queued jobs, and the running one
-    still frees its factor on the worker."""
+    solves all of u0, assembles Ubar's system at lam_k0 and queues its
+    job, and reads the constants of Phi, PhiHat and Ubar off their
+    profiles as the jobs return them.  A failure on either thread is
+    raised under its stage's name (`profile stage 'u0' failed: ...`)."""
     mc, level, weight = cfg.mesh_config(), cfg.profile_level, cfg.weight()
     jobs = {}
 
@@ -177,24 +236,20 @@ def _compute_profiles(cfg: RunConfig) -> ProfileSet:
     def queue(name, assemble):
         jobs[name] = worker.submit(stage(name, assemble))
 
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        try:
-            queue("Phi", lambda: prof.assemble_Phi(mc, level))
-            queue("PhiHat", lambda: prof.assemble_PhiHat(mc, level))
-            u0 = stage("u0", lambda: prof.compute_u0(mc, level, weight))
-            queue("Ubar", lambda: prof.assemble_Ubar(
-                mc, weight, level, u0[1]["lam_k0"]))
-            solved = [u0]
-            for name, read in (("Phi", prof.compute_Phi),
-                               ("PhiHat", prof.compute_PhiHat),
-                               ("Ubar", lambda profile: prof.compute_Ubar(
-                                   profile, _KTILDE_LIST))):
-                # the job's Future goes once its profile is taken
-                solved.append(stage(name, lambda: read(
-                    jobs.pop(name).result())))
-        finally:
-            for job in jobs.values():
-                job.cancel()
+    with _Worker() as worker:
+        queue("Phi", lambda: prof.assemble_Phi(mc, level))
+        queue("PhiHat", lambda: prof.assemble_PhiHat(mc, level))
+        u0 = stage("u0", lambda: prof.compute_u0(mc, level, weight))
+        queue("Ubar", lambda: prof.assemble_Ubar(
+            mc, weight, level, u0[1]["lam_k0"]))
+        solved = [u0]
+        for name, read in (("Phi", prof.compute_Phi),
+                           ("PhiHat", prof.compute_PhiHat),
+                           ("Ubar", lambda profile: prof.compute_Ubar(
+                               profile, _KTILDE_LIST))):
+            # the job's Future goes once its profile is taken
+            solved.append(stage(name, lambda: read(
+                jobs.pop(name).result())))
     values = {k: v for _, found in solved for k, v in found.items()}
     return ProfileSet(*(profile for profile, _ in solved),
                       ProfileConstants(level=level, **values))
@@ -476,21 +531,19 @@ def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
     """Sweep `cfg.eps_sweep`; `constants` is the ProfileSet to reuse, or
     None to solve the profiles first.
 
-    The entries run on two threads.  One worker thread, alive for the
-    whole sweep, takes one job per entry: it factors the entry's full
-    operator, waits for the restricted reference's eigenvector and runs
-    the full pair's steps and guard (`_full_pair`).  This thread, for each
-    entry i, builds its system and submits its job, waits for entry i-1's
-    pair (so at most one full factor is alive, and entry i's reference
-    never overlaps entry i-1's full factor), solves entry i's restricted
+    The entries run on this thread and a `_Worker`, which takes one job
+    per entry: it factors the entry's full operator, waits for the
+    restricted reference's eigenvector at the hand-off and runs the full
+    pair's steps and guard (`_full_pair`).  This thread, for each entry
+    i, builds its system and submits its job, waits for entry i-1's pair
+    (so at most one full factor is alive, and entry i's reference never
+    overlaps entry i-1's full factor), solves entry i's restricted
     reference and hands it to the worker, and runs entry i-1's readouts;
     the last entry's run after the loop.  Entry i's build runs beside
     entry i-1's factorization, its reference and entry i-1's readouts
-    beside its own.  Each factor is made, used and freed on one thread,
-    and each exception becomes its own entry's error; a failed reference
-    is handed to the worker, whose job then raises it.  Whatever ends the
-    loop, the last hand-off is resolved, so the worker never waits for
-    ever."""
+    beside its own.  Each exception becomes its own entry's error; a
+    failed reference is handed to the worker, whose job then raises
+    it."""
     cfg.validate()
     if constants is None:
         pset = run_profiles(cfg, return_fields=True)
@@ -501,7 +554,7 @@ def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
                         f"constants, not {type(constants).__name__}")
 
     lam_k0 = pset.constants.lam_k0
-    sweep, last, handoff = [], None, Future()
+    sweep, last = [], None
 
     def readouts(entry, job):
         try:
@@ -510,40 +563,27 @@ def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
         except Exception as exc:
             entry.update(_error(exc))
 
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        try:
-            for eps in map(float, cfg.eps_sweep):
-                entry, job = {"eps": eps}, None
-                sweep.append(entry)
-                try:
-                    system = _entry_system(cfg, eps)
-                except Exception as exc:
-                    entry.update(_error(exc))
-                else:
-                    handoff = Future()
-                    job = worker.submit(_full_pair, system, lam_k0,
-                                        handoff.result)
-                if last is not None:
-                    wait([last[1]])
-                if job is not None:
-                    try:
-                        handoff.set_result(
-                            _restricted_reference(system, lam_k0))
-                    except Exception as exc:
-                        # the worker raises it: its frames, the reference's
-                        # factor among their locals, are cleared here first
-                        fem.clear_frames(exc)
-                        handoff.set_exception(exc)
-                    del system
-                if last is not None:
-                    readouts(*last)
-                last = None if job is None else (entry, job)
+    with _Worker() as worker:
+        for eps in map(float, cfg.eps_sweep):
+            entry, job = {"eps": eps}, None
+            sweep.append(entry)
+            try:
+                system = _entry_system(cfg, eps)
+            except Exception as exc:
+                entry.update(_error(exc))
+            else:
+                job = worker.submit(_full_pair, system, lam_k0,
+                                    worker.handoff().result)
+            if last is not None:
+                wait([last[1]])
+            if job is not None:
+                worker.hand(_restricted_reference, system, lam_k0)
+                del system
             if last is not None:
                 readouts(*last)
-        finally:
-            # an unresolved hand-off (an interrupt) would block the worker,
-            # and the worker's shutdown with it
-            handoff.cancel()
+            last = None if job is None else (entry, job)
+        if last is not None:
+            readouts(*last)
 
     record = RunRecord(cfg.hash(), cfg.canonical(), pset.constants, sweep)
     record.verdicts = verify(record)

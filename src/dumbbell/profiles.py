@@ -18,10 +18,9 @@ part through a smooth cutoff:
 
 Phi, PhiHat and Ubar come in two halves each: `assemble_*` builds the
 remainder's system and load and returns a job that solves it
-(`fem.AssembledSystem.solve`, which makes, uses and frees its own
-factor) and returns the profile, so that the profile stage runs it on a
-worker thread; `compute_*` reads the constants off that profile.  u0 is
-one call.
+(`fem.AssembledSystem.solve`) and returns the profile, for the profile
+stage's `pipeline._Worker`; `compute_*` reads the constants off that
+profile.  u0 is one call.
 """
 
 from __future__ import annotations

@@ -327,6 +327,20 @@ class TestAssembledSystem:
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
         assert sub.shift == 0.01 and sub._lu is None
 
+    def test_singular_operator_names_its_likely_cause(self):
+        # lu() and solve() factor through one entry, so a singular
+        # operator raises the same hint from either, not SuperLU's bare
+        # "Factor is exactly singular"
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
+        disc = fem.Discretization(m)
+        system = fem.assemble(disc, fem.WeightModel())
+        system.K = sp.csr_matrix(system.K.shape)
+        hint = r"^singular factorization .* check boundary tags and shifts$"
+        with pytest.raises(RuntimeError, match=hint):
+            system.lu()
+        with pytest.raises(RuntimeError, match=hint):
+            system.solve(np.ones(disc.n_nodes))
+
 
 class TestEigen:
     def test_bessel_oracle_half_disk(self):
