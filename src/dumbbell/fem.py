@@ -9,6 +9,13 @@ by shift-invert Rayleigh-Ritz with a float64 inverse-iteration polish, the
 package's only eigen algorithm, at one solve a step: u0 takes 12 solves,
 a sweep entry 7 (3 for the restricted reference, 4 for the full pair, both
 shifted 1e-3 below the profile eigenvalue lam_k0).
+Every form goes through one row-block builder, `_assemble_form`, straight
+onto the nodes it keeps: the element triplets of each block of kept rows
+are summed by scipy's COO-to-CSR step in the order of a whole-mesh
+conversion, bit for bit, into CSR arrays sized once, so no all-node
+matrix, whole-mesh triplet set or reduced copy is held (`assemble` at
+eps = 0.1, level 1 peaks at 15.7 MB traced, against 33.1 MB for the
+whole-mesh path).
 An AssembledSystem is the one place that reduces, factors and solves a
 Dirichlet problem: it holds only the free-node K and M_p, carries its
 shift and factors K - shift M_p once in `lu()`, so every eigen step on
@@ -56,11 +63,13 @@ __all__ = [
 # of its own: M_ARENA_MAX is glibc's mallopt parameter (malloc.h), and a
 # libc without mallopt keeps its own arena policy.  M_MMAP_THRESHOLD is
 # fixed at 8 MiB: glibc's dynamic threshold rises to 32 MB after the first
-# large free, and the freed assembly arrays of each sweep entry then stay
-# resident in the heap.  The default `dumbbell sweep` peaked at a
-# median 188.8 MB with this threshold and 195.9 MB with the dynamic one;
-# at 1 MiB the eps = 0.3 and 0.1 sweep ran 6-31 % slower (4 alternated
-# in-process pairs), as the mapped arrays fault their pages in again
+# large free, and the freed factor storage of each sweep entry then stays
+# resident in the heap.  With the row-block build, whose blocks stay far
+# below 8 MiB, the two calls still lowered perfbench's peak by median:
+# sweep_direct 186.4 -> 176.7 MB and profiles 144.2 -> 138.4 MB, at the
+# same op time (5 alternated 15 s pairs each); at 1 MiB the eps = 0.3 and
+# 0.1 sweep ran 6-31 % slower (4 alternated in-process pairs), as the
+# mapped arrays fault their pages in again
 _M_ARENA_MAX, _M_MMAP_THRESHOLD = -8, -3
 try:
     _mallopt = ctypes.CDLL(None).mallopt
@@ -337,9 +346,18 @@ class Discretization:
 # Assembly
 # ----------------------------------------------------------------------------
 
-def _assemble_form(disc: Discretization, kind: str,
-                   coeff: Callable | None = None) -> sp.csr_matrix:
-    """kind 'stiffness' or 'mass'; coeff(x1, rho) multiplies the integrand.
+# triplets summed at a time, at most: the stiffness form at eps = 0.1,
+# level 1 (925 000 triplets) goes in 15 blocks.  Against 1 << 17 the
+# build's traced peak fell 18.2 -> 15.7 MB at about the same time
+_BLOCK_TRIPLETS = 1 << 16
+
+
+def _element_blocks(disc: Discretization, kind: str,
+                    coeff: Callable | None = None):
+    """The element blocks of a form, kind 'stiffness' or 'mass';
+    coeff(x1, rho) multiplies the integrand.  Returns the int32 nodes
+    (t, 6) of the t cells that carry the form, their 21 entries i <= j
+    (t, 21), and `pos` (6, 6), the entry of each (i, j).
 
     Each form is one matrix product of per-cell quadrature factors with a
     reference table built from the rule (Kirby & Logg, ACM TOMS 2006), for
@@ -348,7 +366,7 @@ def _assemble_form(disc: Discretization, kind: str,
     sum_(q,kl) wfac[t, q] B[t, kl] (dshp[q, i, k] dshp[q, j, l] +
     dshp[q, i, l] dshp[q, j, k] if k < l), over the 6 entries k <= l of B[t],
     the Gram matrix of the cell's barycentric gradients.  Both triangles of
-    a block are taken from the same 21 numbers, so the block is bitwise
+    a block are read from the same 21 numbers, so the block is bitwise
     symmetric."""
     degree = 4 if kind == "stiffness" else 6
     bary, wts = _dunavant(degree)
@@ -359,18 +377,20 @@ def _assemble_form(disc: Discretization, kind: str,
     pos = np.empty((nloc, nloc), dtype=np.intp)
     pos[i, j] = pos[j, i] = np.arange(len(i))
 
-    p = disc.mesh.vertices[disc.mesh.triangles]
+    p = np.take(disc.mesh.vertices, disc.mesh.triangles, axis=0)
     # a WeightModel only where its annuli reach: the same cells are kept
     idx = (np.flatnonzero(coeff.support(p)) if isinstance(coeff, WeightModel)
            else np.arange(len(p)))
-    p = p[idx]
+    p = np.take(p, idx, axis=0)
     rho = p[..., 1] @ bary.T  # (t, q)
     cvals = 1.0
     if coeff is not None and len(p):
         cvals = np.asarray(coeff(p[..., 0] @ bary.T, rho), dtype=float)
         live = np.any(cvals != 0.0, axis=1)
         idx, rho, cvals = idx[live], rho[live], cvals[live]
-    wfac = (wts * rho ** disc.measure_exponent * cvals) * disc.area[idx, None]
+    wfac = ((wts * rho ** disc.measure_exponent * cvals)
+            * np.take(disc.area, idx)[:, None])
+    del p, rho, cvals
 
     if kind == "mass":
         local = wfac @ (shp[:, i] * shp[:, j])
@@ -379,20 +399,123 @@ def _assemble_form(disc: Discretization, kind: str,
         di, dj = dshp[:, i], dshp[:, j]  # (q, 21, 3)
         table = di[..., k] * dj[..., l] + (k < l) * di[..., l] * dj[..., k]
         table = table.swapaxes(1, 2).reshape(-1, len(i))  # (q * 6, 21)
-        bg = disc.bgrads[idx]
-        gram = bg[:, k, 0] * bg[:, l, 0] + bg[:, k, 1] * bg[:, l, 1]
+        gx, gy = (np.take(disc.bgrads[..., c], idx, axis=0) for c in (0, 1))
+        # column by column: fancy indexing of the gradients took 3.7 ms
+        # of a 15 ms stiffness build at eps = 0.1, level 1
+        gram = np.empty((len(idx), len(k)))
+        for c, (a, b) in enumerate(zip(k, l)):
+            gram[:, c] = gx[:, a] * gx[:, b] + gy[:, a] * gy[:, b]
         local = (wfac[:, :, None] * gram[:, None, :]).reshape(
             len(idx), -1) @ table
-    local = np.take(local, pos.ravel(), axis=1)
-
     # int32 node ids, which COO keeps; int64 ones it scans and copies
-    cells = disc.cells[idx].astype(np.int32)
-    rows = np.repeat(cells, nloc, axis=1).ravel()
-    cols = np.tile(cells, (1, nloc)).ravel()
-    mat = sp.coo_matrix((local.ravel(), (rows, cols)),
-                        shape=(disc.n_nodes, disc.n_nodes)).tocsr()
-    mat.sum_duplicates()
-    return mat
+    return np.take(disc.cells, idx, axis=0).astype(np.int32), local, pos
+
+
+def _pattern_size(disc: Discretization, cells: np.ndarray,
+                  around: np.ndarray, kept: np.ndarray) -> int:
+    """Entries of the summed form of the P2 cells `cells` (t, 6) on the
+    nodes of the mask `kept`, rows and columns; `around` counts the cells
+    at each node.  The cells give sum_t |kept in t|^2 (row, column) pairs.
+    A pair counted twice is a node with itself, once for every cell around
+    it, or two nodes of an edge (its ends and its midside node) that two
+    of the cells share: two cells of a conforming mesh share one edge at
+    most, and a midside node lies in the cells of its edge only."""
+    nv = len(disc.mesh.vertices)
+    ones = kept.view(np.uint8)
+    per_cell = np.take(ones, cells) @ np.ones(cells.shape[1], dtype=np.uint8)
+    size = int(np.dot(per_cell, per_cell.astype(np.int64)))
+    at_node = around[kept]
+    size -= int(at_node.sum()) - np.count_nonzero(at_node)
+    shared = np.flatnonzero(around[nv:] == 2)
+    per_edge = (np.take(ones, np.take(disc._edges.edges, shared, axis=0))
+                @ np.ones(2, dtype=np.uint8) + np.take(ones, nv + shared))
+    return size - int(np.dot(per_edge, per_edge.astype(np.int64))
+                      - per_edge.sum())
+
+
+def _assemble_form(disc: Discretization, kind: str,
+                   coeff: Callable | None = None,
+                   free: np.ndarray | None = None,
+                   times: np.ndarray | None = None):
+    """The form of `_element_blocks` on the sorted nodes `free`, rows and
+    columns (all nodes when None), as CSR with sorted, summed entries.
+
+    The triplets (cell t, local i, local j) of the element blocks are
+    summed by scipy's COO-to-CSR conversion one block of kept rows at a
+    time, at most `_BLOCK_TRIPLETS` triplets each.  A scan of the (t, i)
+    pairs' block keys picks each block's pairs in increasing order, so the
+    triplets of every row reach the conversion in the order of the whole
+    mesh and the row is summed over the same entries in the same order as
+    in one whole-mesh conversion, bit for bit.  Fixed rows are dropped
+    before that sum; fixed columns only after it, since the conversion
+    sorts each row with an unstable sort whose order of duplicates depends
+    on all of the row's entries.  Given `times`, a vector over all nodes,
+    it returns (form, product), the product being that of the kept rows
+    over all columns with `times`, summed as in the all-node form.
+
+    No all-node matrix, whole-mesh triplet set or reduced copy is held:
+    the output arrays are sized once, to the entries of the form's
+    pattern (`_pattern_size`), and each block writes its rows into them;
+    sized by the triplet count instead, they would hold 3.9 MB more
+    through the blocks at eps = 0.1, level 1."""
+    cells, local, pos = _element_blocks(disc, kind, coeff)
+    n, nloc = disc.n_nodes, cells.shape[1]
+    rows = np.arange(n) if free is None else free
+    # blocks of about equal triplet counts: a row has nloc per cell at it
+    around = np.bincount(cells.ravel(), minlength=n)
+    load = np.r_[0, np.cumsum(np.take(around, rows))]
+    blocks = max(1, -(-nloc * int(load[-1]) // _BLOCK_TRIPLETS))
+    bounds = np.searchsorted(load, np.linspace(0, load[-1], blocks + 1))
+    bounds[-1] = len(rows)
+    row = np.zeros(n, dtype=np.int32)
+    row[rows] = np.arange(len(rows))
+    # the row block of every (t, i) pair, t * nloc + i; fixed rows in none
+    block = np.full(n, blocks, dtype=np.min_scalar_type(blocks))
+    block[rows] = np.repeat(np.arange(blocks), np.diff(bounds))
+    key = np.take(block, cells).ravel()
+    column = np.arange(n, dtype=np.int32)
+    if free is not None:
+        column[:] = -1
+        column[free] = np.arange(len(free))
+
+    size = _pattern_size(disc, cells, around, block < blocks)
+    indptr = np.zeros(len(rows) + 1, dtype=np.int32)
+    indices = np.empty(size, dtype=np.int32)
+    data = np.empty(size)
+    product = None if times is None else np.empty(len(rows))
+    end = 0
+    for b, (lo, hi) in enumerate(zip(bounds[:-1].tolist(),
+                                     bounds[1:].tolist())):
+        # the block's pairs in increasing order, as the whole mesh has them
+        pair = np.flatnonzero(key == b)
+        t = pair // nloc
+        at = np.take(pos, pair - t * nloc, axis=0)
+        at += local.shape[1] * t[:, None]
+        vals = np.take(local, at).ravel()
+        del at
+        here = np.take(row, np.take(cells, pair))
+        here -= lo
+        mat = sp.coo_matrix(
+            (vals, (np.repeat(here, nloc), np.take(cells, t, axis=0).ravel())),
+            shape=(hi - lo, n)).tocsr()
+        del pair, t, vals, here
+        if times is not None:
+            product[lo:hi] = mat @ times
+        got = np.take(column, mat.indices)
+        keep = got >= 0
+        got = got[keep]
+        indptr[lo + 1:hi + 1] = end + mat.indptr[1:] - np.searchsorted(
+            np.flatnonzero(~keep), mat.indptr[1:])
+        indices[end:end + len(got)] = got
+        data[end:end + len(got)] = mat.data[keep]
+        end += len(got)
+        del mat, got, keep
+    if end != size:
+        raise ValueError(f"{end} summed entries against a pattern of {size}:"
+                         " the mesh is not conforming")
+    form = sp.csr_matrix((data, indices, indptr),
+                         shape=(len(rows), n if free is None else len(free)))
+    return form if times is None else (form, product)
 
 
 def assemble_stiffness(disc: Discretization) -> sp.csr_matrix:
@@ -503,21 +626,23 @@ def _own_factor(system: AssembledSystem):
             "check boundary tags and shifts") from exc
 
 
-def _dirichlet_system(disc: Discretization, K_full: sp.csr_matrix,
-                      Mp_full: sp.csr_matrix) -> AssembledSystem:
-    """The system of the all-node forms, reduced once to the nodes off the
-    boundary tags of `Discretization.dirichlet_tags()`."""
-    nodes = np.arange(disc.n_nodes)
-    return AssembledSystem(disc, K_full, Mp_full, nodes, nodes[:0]).clamped(
-        disc.boundary_nodes(*disc.dirichlet_tags()))
+def _dirichlet_nodes(disc: Discretization):
+    """Sorted free and fixed nodes: the fixed ones lie on the boundary
+    tags of `Discretization.dirichlet_tags()`."""
+    fixed = disc.boundary_nodes(*disc.dirichlet_tags())
+    free = np.ones(disc.n_nodes, dtype=bool)
+    free[fixed] = False
+    return np.flatnonzero(free), fixed
 
 
 def assemble(disc: Discretization,
              weight: WeightModel | Callable) -> AssembledSystem:
     """Assemble K (SPD on free nodes) and M_p (PSD) for -Du = l p u, with
     Dirichlet conditions on `Discretization.dirichlet_tags()`."""
-    return _dirichlet_system(disc, assemble_stiffness(disc),
-                             assemble_mass(disc, coeff=weight))
+    free, fixed = _dirichlet_nodes(disc)
+    return AssembledSystem(disc, _assemble_form(disc, "stiffness", free=free),
+                           _assemble_form(disc, "mass", weight, free=free),
+                           free, fixed)
 
 
 def factor(A: sp.spmatrix):
@@ -583,15 +708,17 @@ def solve_dirichlet(disc: Discretization,
     """The solve of the remainder w of the harmonic field I(lift) + w, I
     being nodal interpolation: -div(rho^m grad w) = div(rho^m grad
     I(lift)) with w = 0 on the Dirichlet nodes (the axis is always
-    natural), so the load is -K I(lift), formed with the all-node K before
-    its reduction, and the boundary values are those of the lift; no mass
-    form is assembled.
+    natural), so the load is -K I(lift), formed with the free rows of K
+    over all columns before the fixed columns are dropped, and the
+    boundary values are those of the lift; no mass form is assembled.
 
     The system and its load are built here and returned as a job,
     `AssembledSystem.solve` bound to the load, whose call returns w."""
-    K = assemble_stiffness(disc)
-    system = _dirichlet_system(disc, K, sp.csr_matrix(K.shape))
-    return functools.partial(system.solve, -(K @ lift(*disc.nodes.T)))
+    free, fixed = _dirichlet_nodes(disc)
+    K, K_lift = _assemble_form(disc, "stiffness", free=free,
+                               times=lift(*disc.nodes.T))
+    system = AssembledSystem(disc, K, sp.csr_matrix(K.shape), free, fixed)
+    return functools.partial(system.solve, system.expand(-K_lift))
 
 
 # ----------------------------------------------------------------------------
@@ -736,6 +863,10 @@ def _inverse_iteration(system: AssembledSystem, lu, start: np.ndarray,
     for _ in range(steps):
         y = lu.solve(system.Mp @ u)
         u = y / np.sqrt(y @ (system.Mp @ y))
+    # a factor of this call's own dies here, on its thread, before the
+    # quotient copies rows of K and M_p to long double; `system.lu()` keeps
+    # the system's
+    del lu
     ul = u.astype(np.longdouble)
     Ku = _longdouble_product(system.K, ul)
     Mu = _longdouble_product(system.Mp, ul)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,7 @@ import scipy.sparse.linalg as spla
 from dumbbell import fem
 from dumbbell import mesh as M
 from dumbbell.pipeline import RunConfig
+import assembly_oracle
 from lanczos_oracle import lanczos_pairs
 
 
@@ -122,6 +124,21 @@ class TestAssembly:
         diff = (K - K.T).tocoo()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
+    def test_build_memory_bounded(self, sweep_mesh_01):
+        # the build holds no all-node matrix, whole-mesh triplet set or
+        # reduced copy: the whole-mesh assembly peaked at 33.1 MB here,
+        # 8.5 MB of it the system it returns, and this build at 15.7 MB
+        disc = fem.Discretization(sweep_mesh_01)
+        weight = fem.WeightModel()
+        tracemalloc.start()
+        try:
+            system = fem.assemble(disc, weight)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(system.free) > 50000
+        assert peak <= 20e6
+
     def test_p2_is_the_only_element(self):
         m = M.build_profile_mesh("HalfMinus", M.MeshConfig(h0=0.8, r_out=8.0))
         with pytest.raises(ValueError, match="P2 is the only element"):
@@ -226,6 +243,70 @@ def poisson(disc, f, exact):
     return fem.FieldSolution(disc, w.values + lift, w.residual)
 
 
+def _oracle_mesh(name, sweep_mesh_01):
+    if name == "sweep-eps0.1-level1":
+        return sweep_mesh_01
+    if name == "PhiDomain":
+        return M.refine(M.build_profile_mesh("PhiDomain",
+                                             RunConfig().mesh_config()))
+    # the coarse sweep of tests/test_pipeline.py, at its first eps
+    return M.build_dumbbell_mesh(RunConfig(
+        eps_sweep=(0.3, 0.2), h0=0.2, grade_levels=6, profile_level=0,
+        sweep_level=0).mesh_config(0.3))
+
+
+def assert_same_csr(got, want):
+    got.check_format(full_check=True)
+    assert got.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(got, attr).dtype == getattr(want, attr).dtype, attr
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+
+
+@pytest.mark.parametrize("name", ["sweep-eps0.1-level1", "PhiDomain",
+                                  "coarse"])
+class TestAssemblyOracle:
+    """The row-block build against the whole-mesh COO assembly of
+    tests/assembly_oracle.py, bit for bit."""
+
+    def test_assemble(self, name, sweep_mesh_01):
+        disc = fem.Discretization(_oracle_mesh(name, sweep_mesh_01))
+        got = fem.assemble(disc, fem.WeightModel())
+        want = assembly_oracle.assemble(disc, fem.WeightModel())
+        assert_same_csr(got.K, want.K)
+        assert_same_csr(got.Mp, want.Mp)
+        assert got.Mp.nnz > 0
+        for attr in ("free", "fixed"):
+            assert getattr(got, attr).dtype == getattr(want, attr).dtype
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+    def test_all_node_forms(self, name, sweep_mesh_01):
+        disc = fem.Discretization(_oracle_mesh(name, sweep_mesh_01))
+        weight = fem.WeightModel()
+        assert_same_csr(fem.assemble_stiffness(disc),
+                        assembly_oracle.assemble_form(disc, "stiffness"))
+        for coeff in (weight, lambda x1, rho: weight(x1, rho)):
+            assert_same_csr(fem.assemble_mass(disc, coeff),
+                            assembly_oracle.assemble_form(disc, "mass",
+                                                          coeff))
+
+    def test_dirichlet_load(self, name, sweep_mesh_01):
+        disc = fem.Discretization(_oracle_mesh(name, sweep_mesh_01))
+        lift = lambda x1, rho: x1 ** 2 - 0.5 * rho ** 2 + np.sin(3.0 * x1)
+        job = fem.solve_dirichlet(disc, lift)
+        system, load = job.func.__self__, job.args[0]
+        want = assembly_oracle.dirichlet_system(
+            disc, assembly_oracle.assemble_form(disc, "stiffness"),
+            sp.csr_matrix((disc.n_nodes, disc.n_nodes)))
+        assert_same_csr(system.K, want.K)
+        assert_same_csr(system.Mp, want.Mp)
+        assert np.array_equal(system.free, want.free)
+        assert np.array_equal(load[system.free],
+                              assembly_oracle.dirichlet_load(disc, lift)[
+                                  system.free])
+        assert not load[system.fixed].any()
+
+
 class TestSolveDirichlet:
     def test_manufactured_cubic_l2_order(self):
         # u = x1 rho^2 solves -Delta_axi u = -4 x1 (u_rhorho + u_rho/rho
@@ -272,10 +353,13 @@ class TestSolveDirichlet:
 
     def test_assembles_no_mass_form(self, monkeypatch):
         # the harmonic solve needs only the stiffness: its lift load is
-        # formed from the all-node K before the reduction
-        def never(*args, **kwargs):
-            raise AssertionError("solve_dirichlet assembled a mass form")
-        monkeypatch.setattr(fem, "assemble_mass", never)
+        # formed from the free rows of K over all columns
+        assemble = fem._assemble_form
+
+        def stiffness_only(disc, kind, *args, **kwargs):
+            assert kind == "stiffness", "solve_dirichlet assembled a mass form"
+            return assemble(disc, kind, *args, **kwargs)
+        monkeypatch.setattr(fem, "_assemble_form", stiffness_only)
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
         disc = fem.Discretization(m)
         sol = fem.solve_dirichlet(disc, lambda x, r: x)()
@@ -579,6 +663,38 @@ class TestRefineEigenpair:
         fem.refine_eigenpair(shifted, np.ones(len(sysd.free)), 3)
         assert factored == []
         assert shifted.lu() is lu
+
+    def test_own_factor_dies_before_the_quotient(self, monkeypatch):
+        # refine_on_own_factor's factor is freed after the last solve, on
+        # its thread, before the long-double quotient copies rows of K and
+        # M_p; refine_eigenpair's cached system.lu() stays
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
+        shifted = fem.assemble(fem.Discretization(m),
+                               fem.WeightModel()).shifted(0.5)
+        factor, product = fem.factor, fem._longdouble_product
+        made, alive = [], []
+
+        class Tracked:
+            def __init__(self, lu):
+                self.solve = lu.solve
+
+        def tracked(A):
+            lu = Tracked(factor(A))
+            made.append(weakref.ref(lu))
+            return lu
+
+        def quotient_rows(A, x):
+            alive.append([ref() is not None for ref in made])
+            return product(A, x)
+        monkeypatch.setattr(fem, "factor", tracked)
+        monkeypatch.setattr(fem, "_longdouble_product", quotient_rows)
+        start = np.ones(len(shifted.free))
+        fem.refine_on_own_factor(shifted, lambda: start, 2)
+        assert alive == [[False], [False]]
+        alive.clear()
+        fem.refine_eigenpair(shifted, start, 2)
+        assert alive == [[False, True], [False, True]]
+        assert made[1]() is shifted._lu
 
     def test_plain_steps_then_two_refined(self):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))

@@ -457,7 +457,7 @@ class TestSweep:
         # for the restricted reference, and one stiffness matrix for both;
         # 4 steps on the first and 3 on the second, one solve a step
         factored, assembled, solves = [], [], []
-        factor, assemble = fem.factor, fem.assemble_stiffness
+        factor, assemble = fem.factor, fem._assemble_form
 
         class CountingLU:
             def __init__(self, lu):
@@ -470,12 +470,13 @@ class TestSweep:
         monkeypatch.setattr(fem, "factor",
                             lambda A: factored.append(A.shape)
                             or CountingLU(factor(A)))
-        monkeypatch.setattr(fem, "assemble_stiffness",
-                            lambda disc: assembled.append(disc)
-                            or assemble(disc))
+        monkeypatch.setattr(fem, "_assemble_form",
+                            lambda disc, kind, *args, **kwargs:
+                            assembled.append(kind)
+                            or assemble(disc, kind, *args, **kwargs))
         sequential_entry(pl.RunConfig(**COARSE), 0.3, coarse_pset)
         assert len(factored) == 2
-        assert len(assembled) == 1
+        assert assembled.count("stiffness") == 1
         assert len(solves) == 4 + 3
 
     def test_restricted_reference_field_carries_its_residual(

@@ -158,14 +158,16 @@ def test_harmonic_profiles_assemble_stiffness_once(monkeypatch):
     """The lifted solve forms its load from the stiffness matrix it
     factors, so each harmonic profile assembles exactly one."""
     calls = []
-    assemble = fem.assemble_stiffness
-    monkeypatch.setattr(fem, "assemble_stiffness",
-                        lambda disc: calls.append(disc) or assemble(disc))
+    assemble = fem._assemble_form
+    monkeypatch.setattr(fem, "_assemble_form",
+                        lambda disc, kind, *args, **kwargs:
+                        calls.append(kind) or assemble(disc, kind, *args,
+                                                       **kwargs))
     cfg = MeshConfig(h0=0.5, levels=3, r_out=8.0)
     P.assemble_Phi(cfg, 0)()
-    assert len(calls) == 1
+    assert calls == ["stiffness"]
     P.assemble_PhiHat(cfg, 0)()
-    assert len(calls) == 2
+    assert calls == ["stiffness"] * 2
 
 
 class TestPhiHat:
