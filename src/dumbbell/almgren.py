@@ -73,10 +73,10 @@ def _masked_rule(corners, side):
     bary = np.broadcast_to(np.eye(3), (len(corners), 3, 3))
     pieces = []
     for level in range(_DEPTH + 1):
+        c0, c1, c2 = corners[:, 0:1], corners[:, 1:2], corners[:, 2:3]
         probes = np.concatenate([
-            corners,
-            0.5 * (corners + np.roll(corners, 1, axis=1)),
-            corners.mean(axis=1, keepdims=True)], axis=1)
+            corners, 0.5 * (corners + np.concatenate([c2, c0, c1], axis=1)),
+            (c0 + c1 + c2) / 3.0], axis=1)
         level_vals = side(probes[..., 0], probes[..., 1])  # (P, 7)
         below = (level_vals < -_ON_CUT).any(axis=1)
         full = ~below
@@ -99,6 +99,67 @@ def _masked_rule(corners, side):
     return tuple(np.concatenate(a) for a in zip(*pieces))
 
 
+class _MaskedPlan:
+    """What `_masked_energy` needs of the mesh and the level: the masked
+    rule's pieces (`_masked_rule`), the nodes of each piece's cell, the
+    P2 shapes at a cut piece's own nodes and B^-T times its cell's
+    gradients (a whole cell keeps its own), the weights, and, batch by
+    batch, the physical Dunavant points, rho^m and the weight p where it
+    can be nonzero.  None of it reads the field."""
+
+    def __init__(self, disc, weight, side):
+        base_pts, _ = fem._dunavant(_DEGREE)
+        corners = disc.mesh.vertices[disc.mesh.triangles]  # (T, 3, 2)
+        cells, pieces, fracs = _masked_rule(corners, side)
+        self.nodes = disc.cells[cells]  # (P, i)
+        self.cut = np.flatnonzero((pieces != np.eye(3)).any(axis=(1, 2)))
+        self.at_nodes = fem._p2_shapes(
+            (_P2_NODES @ pieces[self.cut]).reshape(-1, 3))[0].reshape(
+                -1, 6, 6)
+        self.bgrads = disc.bgrads[cells]  # (P, 3, 2)
+        self.bgrads[self.cut] = np.swapaxes(
+            np.linalg.inv(pieces[self.cut]), 1, 2) @ self.bgrads[self.cut]
+        corners = pieces @ corners[cells]  # (P, 3, 2), physical
+        self.wts = fracs * disc.area[cells, None]
+        weighted = np.full(len(cells), weight is not None)
+        if isinstance(weight, fem.WeightModel):
+            weighted &= weight.support(corners)
+        self.batches = []
+        for lo in range(0, len(cells), _BATCH):
+            sl = slice(lo, lo + _BATCH)
+            phys = base_pts @ corners[sl]  # (P, q, 2)
+            x1, rho = phys[..., 0], phys[..., 1]
+            w = np.flatnonzero(weighted[sl])
+            p = (np.asarray(weight(x1[w], rho[w]), float) if len(w)
+                 else None)
+            self.batches.append((sl, x1, rho, rho ** disc.measure_exponent,
+                                 w, p))
+        self.omega = cs.sphere_surface_area(disc.dimension - 2)
+
+    def energy(self, u_values, lam, extra=None, extra_grad=None):
+        """The energy of the field with nodal values `u_values` (plus the
+        closed-form part `extra`, if any) at eigenvalue `lam`; the
+        weighted term only where p can be nonzero, and not at lam = 0."""
+        base_pts, _ = fem._dunavant(_DEGREE)
+        shp, dshp = fem._p2_shapes(base_pts)  # (q, i), (q, i, 3)
+        dtab = dshp.transpose(1, 0, 2).reshape(6, -1)  # (i, 3q)
+        nodal = u_values[self.nodes]  # (P, i)
+        nodal[self.cut] = (self.at_nodes @ nodal[self.cut, :, None])[..., 0]
+        total = 0.0
+        for sl, x1, rho, rho_m, w, p in self.batches:
+            uvals = nodal[sl] @ shp.T
+            grads = (nodal[sl] @ dtab).reshape(*uvals.shape, 3) \
+                @ self.bgrads[sl]
+            if extra is not None:
+                uvals = uvals + extra(x1, rho)
+                grads = grads + extra_grad(x1, rho)
+            dens = np.einsum("tqd,tqd->tq", grads, grads)
+            if p is not None and lam != 0.0:
+                dens[w] -= lam * p * uvals[w] ** 2
+            total += float(np.sum(self.wts[sl] * dens * rho_m))
+        return self.omega * total
+
+
 def _masked_energy(disc, u_values, weight, lam, side,
                    extra=None, extra_grad=None):
     """omega-weighted energy int (|grad u|^2 - lam p u^2) rho^m over the
@@ -107,40 +168,15 @@ def _masked_energy(disc, u_values, weight, lam, side,
     B (rows, in its cell's barycentric frame) takes the field at its own P2
     nodes and B^-T times the cell's gradients, a whole cell its own; values
     and gradients at the Dunavant points are then products with the
-    reference tables, and p is evaluated only where it can be nonzero."""
-    base_pts, _ = fem._dunavant(_DEGREE)
-    shp, dshp = fem._p2_shapes(base_pts)  # (q, i), (q, i, 3)
-    dtab = dshp.transpose(1, 0, 2).reshape(6, -1)  # (i, 3q)
-    corners = disc.mesh.vertices[disc.mesh.triangles]  # (T, 3, 2)
-    cells, pieces, fracs = _masked_rule(corners, side)
-    nodal = u_values[disc.cells[cells]]  # (P, i)
-    bgrads = disc.bgrads[cells]  # (P, 3, 2)
-    cut = np.flatnonzero((pieces != np.eye(3)).any(axis=(1, 2)))
-    at_nodes = fem._p2_shapes((_P2_NODES @ pieces[cut]).reshape(-1, 3))[0]
-    nodal[cut] = (at_nodes.reshape(-1, 6, 6) @ nodal[cut, :, None])[..., 0]
-    bgrads[cut] = np.swapaxes(np.linalg.inv(pieces[cut]), 1, 2) @ bgrads[cut]
-    corners = pieces @ corners[cells]  # (P, 3, 2), physical
-    wts = fracs * disc.area[cells, None]
-    weighted = np.full(len(cells), weight is not None and lam != 0.0)
-    if isinstance(weight, fem.WeightModel):
-        weighted &= weight.support(corners)
-    total = 0.0
-    for lo in range(0, len(cells), _BATCH):
-        sl = slice(lo, lo + _BATCH)
-        phys = base_pts @ corners[sl]  # (P, q, 2)
-        uvals = nodal[sl] @ shp.T
-        grads = (nodal[sl] @ dtab).reshape(*uvals.shape, 3) @ bgrads[sl]
-        x1, rho = phys[..., 0], phys[..., 1]
-        if extra is not None:
-            uvals = uvals + extra(x1, rho)
-            grads = grads + extra_grad(x1, rho)
-        dens = np.einsum("tqd,tqd->tq", grads, grads)
-        w = np.flatnonzero(weighted[sl])
-        if len(w):
-            dens[w] -= lam * np.asarray(weight(x1[w], rho[w]), float) \
-                * uvals[w] ** 2
-        total += float(np.sum(wts[sl] * dens * rho ** disc.measure_exponent))
-    return cs.sphere_surface_area(disc.dimension - 2) * total
+    reference tables, and p is evaluated only where it can be nonzero: the
+    plan of the mesh and the level (`_MaskedPlan`), then its energy."""
+    plan = _MaskedPlan(disc, weight if lam != 0.0 else None, side)
+    return plan.energy(u_values, lam, extra, extra_grad)
+
+
+def _channel_plan(disc, weight, t):
+    """The `_MaskedPlan` of the channel region x1 < t."""
+    return _MaskedPlan(disc, weight, lambda x1, rho, _t=t: _t - x1)
 
 
 def _fd_gradient(f, h=1e-6):
@@ -229,14 +265,18 @@ def frequency_channel(field, eps, t_list, weight=None, lam=0.0,
     D = np.empty(len(t_list))
     H = np.empty(len(t_list))
     for i, t in enumerate(t_list):
-        e = _masked_energy(disc, values, weight, lam,
-                           lambda x1, rho, _t=t: _t - x1,
-                           extra=extra, extra_grad=extra_grad)
-        _, hc = ch.htilde(evaluator, t, eps, n)
+        D[i] = _channel_plan(disc, weight if lam != 0.0 else None,
+                             t).energy(values, lam, extra, extra_grad)
+        H[i] = ch.htilde(evaluator, t, eps, n)[1]
+    return _channel_trace(eps, t_list, D, H)
+
+
+def _channel_trace(eps, t_list, D, H) -> FrequencyTrace:
+    """The channel frequency trace of the energies D and the channel masses
+    H at the sections `t_list`; a mass that is not positive raises."""
+    for t, hc in zip(t_list, H):
         if hc <= 0:
             raise ValueError(f"channel mass vanishes at section {t}")
-        D[i] = e
-        H[i] = hc
     return FrequencyTrace(t_list, D, H, eps * D / H)
 
 
@@ -245,6 +285,43 @@ def frequency_channel(field, eps, t_list, weight=None, lam=0.0,
 # ----------------------------------------------------------------------------
 
 _KINDS = ("RightJunction", "Channel", "LeftJunction", "Normalized")
+
+
+def _frame(kind: str, eps: float, x0: float | None = None,
+           ktilde: float | None = None):
+    """The map (center, anchor, scale) of a blow-up view, checked."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown blow-up kind {kind!r}")
+    if not 0 < eps < 0.5:
+        raise ValueError("eps out of range")
+    if kind == "Channel" and (x0 is None or not 0 < x0 < 1):
+        raise ValueError("Channel view needs x0 in (0, 1)")
+    if kind == "Normalized" and (ktilde is None or ktilde <= 0):
+        raise ValueError("Normalized view needs ktilde > 0")
+    return {"RightJunction": (1.0, 1.0, eps), "Channel": (x0, 1.0, eps),
+            "LeftJunction": (0.0, 0.0, eps),
+            "Normalized": (0.0, 0.0, 1.0)}[kind]
+
+
+def _view_points(frame, x1, rho):
+    """The points (x1, rho) at which a view with the map `frame` reads
+    its field for the view points (x1, rho)."""
+    center, anchor, scale = frame
+    x1 = np.asarray(x1, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    return center + scale * (x1 - anchor), scale * rho
+
+
+def _denominator(kind: str, eps: float, mass: float | None) -> float:
+    """A view's denominator: eps for RightJunction, else the square root
+    of the field's `mass` (its Htilde at x0 or at eps, or its half-sphere
+    mass over Gamma-_ktilde), which must be positive."""
+    if kind == "RightJunction":
+        return eps
+    if mass <= 0:
+        what = "surface" if kind == "Normalized" else "section"
+        raise ValueError(f"degenerate field: {what} mass vanishes")
+    return math.sqrt(mass)
 
 
 def blowup(field, kind: str, eps: float, x0: float | None = None,
@@ -258,38 +335,21 @@ def blowup(field, kind: str, eps: float, x0: float | None = None,
     Normalized:    u / sqrt(half-sphere mass over Gamma-_ktilde).
 
     Each view evaluates field(center + scale (x1 - anchor), scale rho) / den
-    with the map and the denominator fixed here.
+    with the map (`_frame`) and the denominator (`_denominator`) fixed
+    here.
     """
-    if kind not in _KINDS:
-        raise ValueError(f"unknown blow-up kind {kind!r}")
-    if not 0 < eps < 0.5:
-        raise ValueError("eps out of range")
-    if kind == "RightJunction":
-        center, anchor, scale, den = 1.0, 1.0, eps, eps
-    elif kind == "Channel":
-        if x0 is None or not 0 < x0 < 1:
-            raise ValueError("Channel view needs x0 in (0, 1)")
-        ht, _ = ch.htilde(field, x0, eps, dimension)
-        if ht <= 0:
-            raise ValueError("degenerate field: section mass vanishes")
-        center, anchor, scale, den = x0, 1.0, eps, math.sqrt(ht)
+    frame = _frame(kind, eps, x0, ktilde)
+    mass = None
+    if kind == "Channel":
+        mass = ch.htilde(field, x0, eps, dimension)[0]
     elif kind == "LeftJunction":
-        ht, _ = ch.htilde(field, eps, eps, dimension)
-        if ht <= 0:
-            raise ValueError("degenerate field: section mass vanishes")
-        center, anchor, scale, den = 0.0, 0.0, eps, math.sqrt(ht)
-    else:
-        if ktilde is None or ktilde <= 0:
-            raise ValueError("Normalized view needs ktilde > 0")
-        m = cs.half_sphere_mass(field, 0.0, ktilde, -1, dimension)
-        if m <= 0:
-            raise ValueError("degenerate field: surface mass vanishes")
-        center, anchor, scale, den = 0.0, 0.0, 1.0, math.sqrt(m)
+        mass = ch.htilde(field, eps, eps, dimension)[0]
+    elif kind == "Normalized":
+        mass = cs.half_sphere_mass(field, 0.0, ktilde, -1, dimension)
+    den = _denominator(kind, eps, mass)
 
     def view(x1, rho):
-        x1 = np.asarray(x1, dtype=float)
-        rho = np.asarray(rho, dtype=float)
-        return field(center + scale * (x1 - anchor), scale * rho) / den
+        return field(*_view_points(frame, x1, rho)) / den
     return view
 
 

@@ -34,18 +34,30 @@ __all__ = [
 # Section and half-sphere masses
 # ----------------------------------------------------------------------------
 
+def _section(r: float, eps: float):
+    """The points (x1, rho) at which `htilde` reads a field: the scaled
+    section x1 = r, which must lie in the tube [0, 1]."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError(f"section x1 = {r} outside the tube [0, 1]")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return cs._section_points(r, eps)
+
+
+def _masses(vals, eps: float, dimension: int):
+    """`htilde` of the field values `vals` at `_section`'s points."""
+    ht = cs._section_mass(vals, dimension)
+    return ht, eps ** (dimension - 1) * ht
+
+
 def htilde(field, r: float, eps: float, dimension: int = 3):
     """Scaled-section mass Htilde(r) = int_Sigma field(r, eps x')^2 dx' and
     the channel mass Hc(r) = eps^(N-1) Htilde(r).
 
     `r` is the x1-coordinate of the section, which must lie in the tube
     [0, 1]."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"section x1 = {r} outside the tube [0, 1]")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    ht = cs.section_mass(field, r, eps, dimension)
-    return ht, eps ** (dimension - 1) * ht
+    vals = np.asarray(field(*_section(r, eps)), dtype=float)
+    return _masses(vals, eps, dimension)
 
 
 def hminus(field, t: float, dimension: int = 3) -> float:

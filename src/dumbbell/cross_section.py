@@ -175,54 +175,102 @@ def upsilon(n: int) -> float:
 # Projections
 # ----------------------------------------------------------------------------
 
+def _polar_rule(sign: int):
+    """Gauss nodes and weights in the polar angle of a half-sphere."""
+    a, b = (0.0, 0.5 * math.pi) if sign > 0 else (0.5 * math.pi, math.pi)
+    return gauss_legendre(DEFAULT_QUAD_ORDER, a, b)
+
+
+def _sphere_points(center: float, r: float, sign: int):
+    """The Gauss points (x1, rho) on the half-sphere of radius r about
+    (center, 0) on the `sign` side, at which `project_sphere` and
+    `half_sphere_mass` read a field."""
+    if sign not in (-1, 1):
+        raise ValueError("sign must be +1 or -1")
+    phi, _ = _polar_rule(sign)
+    return center + r * np.cos(phi), r * np.sin(phi)
+
+
+def _sphere_projection(vals, sign: int, n: int) -> float:
+    """`project_sphere` of the field values `vals` at `_sphere_points`:
+    the axisymmetric reduction in the polar angle, dsigma = omega_(N-2)
+    sin^(N-2)(phi) dphi."""
+    phi, w = _polar_rule(sign)
+    cosp, sinp = np.cos(phi), np.sin(phi)
+    psi = sign * cosp / upsilon(n)
+    return sphere_surface_area(n - 2) * float(
+        np.sum(w * vals * psi * sinp ** (n - 2)))
+
+
 def project_sphere(fld: Callable, center: float, r: float, sign: int,
                    n: int = 3) -> float:
     """int_{S^(N-1)_sign} field(center + r*theta) Psi^sign(theta) dsigma.
 
     `fld(x1, rho)` must accept arrays; `center` is the x1-coordinate of the
-    sphere center (on the axis).  Axisymmetric reduction in the polar angle:
-    dsigma = omega_(N-2) sin^(N-2)(phi) dphi.
+    sphere center (on the axis).
     """
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
     if r <= 0:
         raise ValueError("radius must be positive")
-    a, b = (0.0, 0.5 * math.pi) if sign > 0 else (0.5 * math.pi, math.pi)
-    phi, w = gauss_legendre(DEFAULT_QUAD_ORDER, a, b)
-    cosp, sinp = np.cos(phi), np.sin(phi)
-    vals = np.asarray(fld(center + r * cosp, r * sinp), dtype=float)
-    psi = sign * cosp / upsilon(n)
+    vals = np.asarray(fld(*_sphere_points(center, r, sign)), dtype=float)
+    return _sphere_projection(vals, sign, n)
+
+
+def _section_points(t: float, eps: float):
+    """The radial Gauss points (x1, rho) of the scaled section x1 = t,
+    rho = eps r, r in [0, 1], at which `project_section` and
+    `section_mass` read a field."""
+    r, _ = gauss_legendre(DEFAULT_QUAD_ORDER)
+    return np.full_like(r, t), eps * r
+
+
+@lru_cache(maxsize=None)
+def _psi1_at_nodes(mode: CrossSectionMode) -> np.ndarray:
+    """psi1 at the radial Gauss nodes of the section rule, read-only: the
+    same for every section and eps, so its power series runs once."""
+    psi = mode.psi1(gauss_legendre(DEFAULT_QUAD_ORDER)[0])
+    psi.setflags(write=False)
+    return psi
+
+
+def _section_projection(vals, mode: CrossSectionMode) -> float:
+    """`project_section` of the field values `vals` at `_section_points`."""
+    n = mode.dimension
+    r, w = gauss_legendre(DEFAULT_QUAD_ORDER)
     return sphere_surface_area(n - 2) * float(
-        np.sum(w * vals * psi * sinp ** (n - 2)))
+        np.sum(w * vals * _psi1_at_nodes(mode) * r ** (n - 2)))
 
 
 def project_section(fld: Callable, t: float, eps: float,
                     mode: CrossSectionMode) -> float:
     """int_Sigma field(t, eps*x') psi1(x') dx' by radial Gauss quadrature
     with weight r^(N-2) on [0, 1]."""
-    n = mode.dimension
-    r, w = gauss_legendre(DEFAULT_QUAD_ORDER)
-    vals = np.asarray(fld(np.full_like(r, t), eps * r), dtype=float)
-    return sphere_surface_area(n - 2) * float(
-        np.sum(w * vals * mode.psi1(r) * r ** (n - 2)))
+    vals = np.asarray(fld(*_section_points(t, eps)), dtype=float)
+    return _section_projection(vals, mode)
+
+
+def _half_sphere_mass(vals, t: float, sign: int, n: int) -> float:
+    """`half_sphere_mass` of the field values `vals` at `_sphere_points`."""
+    phi, w = _polar_rule(sign)
+    return sphere_surface_area(n - 2) * t ** (n - 1) * float(
+        np.sum(w * vals ** 2 * np.sin(phi) ** (n - 2)))
 
 
 def half_sphere_mass(fld: Callable, center: float, t: float, sign: int,
                      n: int = 3) -> float:
     """int_{Gamma_t} field^2 dsigma over the half-sphere of radius t about
     `center` on the given side (true (N-1)-dimensional surface integral)."""
-    if sign not in (-1, 1):
-        raise ValueError("sign must be +1 or -1")
-    a, b = (0.0, 0.5 * math.pi) if sign > 0 else (0.5 * math.pi, math.pi)
-    phi, w = gauss_legendre(DEFAULT_QUAD_ORDER, a, b)
-    cosp, sinp = np.cos(phi), np.sin(phi)
-    vals = np.asarray(fld(center + t * cosp, t * sinp), dtype=float)
-    return sphere_surface_area(n - 2) * t ** (n - 1) * float(
-        np.sum(w * vals ** 2 * sinp ** (n - 2)))
+    vals = np.asarray(fld(*_sphere_points(center, t, sign)), dtype=float)
+    return _half_sphere_mass(vals, t, sign, n)
+
+
+def _section_mass(vals, n: int) -> float:
+    """`section_mass` of the field values `vals` at `_section_points`."""
+    r, w = gauss_legendre(DEFAULT_QUAD_ORDER)
+    return sphere_surface_area(n - 2) * float(
+        np.sum(w * vals ** 2 * r ** (n - 2)))
 
 
 def section_mass(fld: Callable, t: float, eps: float, n: int = 3) -> float:
     """int_Sigma field^2(t, eps*x') dx' (scaled-section L2 mass)."""
-    r, w = gauss_legendre(DEFAULT_QUAD_ORDER)
-    vals = np.asarray(fld(np.full_like(r, t), eps * r), dtype=float)
-    return sphere_surface_area(n - 2) * float(np.sum(w * vals ** 2 * r ** (n - 2)))
+    vals = np.asarray(fld(*_section_points(t, eps)), dtype=float)
+    return _section_mass(vals, n)

@@ -42,7 +42,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import MeridianMesh, edge_table
+from .mesh import MeridianMesh
 
 __all__ = [
     "WeightModel",
@@ -227,8 +227,9 @@ class Discretization:
         self.dimension = mesh.dimension
         self.measure_exponent = self.dimension - 2
 
-        # midside node of edge k is node nv + k
-        self._edges = edge_table(mesh.triangles)
+        # midside node of edge k is node nv + k; a refined mesh carries
+        # its table, derived from its parent's without a sort
+        self._edges = mesh.edges
         v, nv = mesh.vertices, len(mesh.vertices)
         ends = self._edges.edges
         self.nodes = np.vstack([v, 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])])
@@ -268,33 +269,38 @@ class Discretization:
         """Bucket grid, stored as CSR: the cells whose bounding box meets
         bucket b are ids[start[b]:start[b + 1]], in increasing index order.
         Its lines sit at per-axis quantiles of the cell centroids, about
-        sqrt(cells)/2 a side, so graded regions get small buckets."""
-        p = self.mesh.vertices[self.mesh.triangles]
-        lo = np.minimum(np.minimum(p[:, 0], p[:, 1]), p[:, 2])
-        hi = np.maximum(np.maximum(p[:, 0], p[:, 1]), p[:, 2])
-        centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
-        n = max(4, int(math.sqrt(len(p)) / 2))
-        at = np.arange(1, n) * len(p) // n
-        lines = [np.unique(np.sort(centroid[:, d])[at]) for d in (0, 1)]
+        sqrt(cells)/2 a side, so graded regions get small buckets.  One
+        gather of the corners, as the (x or y, vertex, cell) table that
+        `locate` reads, gives the boxes and the centroids too."""
+        corner = np.take(self.mesh.vertices.T, self.mesh.triangles.T, axis=1)
+        lo, hi = corner.min(axis=1), corner.max(axis=1)  # (2, cells)
+        centroid = (corner[:, 0] + corner[:, 1] + corner[:, 2]) / 3.0
+        cells = corner.shape[2]
+        n = max(4, int(math.sqrt(cells) / 2))
+        at = np.arange(1, n) * cells // n
+        lines = [np.unique(np.sort(c)[at]) for c in centroid]
         ny = len(lines[1]) + 1
         # boxes grow by more than the barycentric slack, so a point just off
         # a cell's edge meets that cell even across a bucket line
-        pad = 1e-9 * np.maximum(hi[:, :1] - lo[:, :1], hi[:, 1:] - lo[:, 1:])
-        ilo, ihi = (self._bucket_ij(b, lines) for b in (lo - pad, hi + pad))
-        span = ihi - ilo + 1
-        count = span[:, 0] * span[:, 1]
-        cell = np.repeat(np.arange(len(p)), count)
+        pad = 1e-9 * np.maximum(hi[0] - lo[0], hi[1] - lo[1])
+        (x0, y0), (x1, y1) = ([np.searchsorted(line, c, side="right")
+                               for line, c in zip(lines, box)]
+                              for box in (lo - pad, hi + pad))
+        cols = y1 - y0 + 1
+        count = (x1 - x0 + 1) * cols
+        cell = np.repeat(np.arange(cells), count)
         k = np.arange(len(cell)) - np.repeat(np.cumsum(count) - count, count)
-        row, col = np.divmod(k, np.repeat(span[:, 1], count))
-        bucket = np.repeat(ilo[:, 0] * ny + ilo[:, 1], count) + row * ny + col
+        cols = np.repeat(cols, count)
+        row = k // cols
+        bucket = np.repeat(x0 * ny + y0, count) + row * ny + (k - row * cols)
         nb = (len(lines[0]) + 1) * ny
         # keys of 16 bits or fewer get numpy's radix sort
-        key = bucket.astype(np.min_scalar_type(nb))
-        order = np.argsort(key, kind="stable")
-        start = np.searchsorted(bucket[order], np.arange(nb + 1))
+        order = np.argsort(bucket.astype(np.min_scalar_type(nb)),
+                           kind="stable")
+        start = np.r_[0, np.cumsum(np.bincount(bucket, minlength=nb))]
         # corners and barycentric gradients as (x or y, vertex, cell) tables
         self._locator = (lines, ny, cell[order], start,
-                         p.T.copy(), self.bgrads.T.copy())
+                         corner, self.bgrads.T.copy())
 
     @staticmethod
     def _bucket_ij(pts, lines):
@@ -694,13 +700,29 @@ class FieldSolution:
         x1 = np.atleast_1d(x1)
         rho = np.atleast_1d(np.asarray(rho, dtype=float))
         x1b, rhob = np.broadcast_arrays(x1, rho)
-        tri, bary = self.disc.locate(x1b.ravel(), rhob.ravel())
-        out = np.full(tri.shape, np.nan)
-        ok = tri >= 0
-        out[ok] = np.einsum("pk,pk->p", _p2_shapes(bary[ok])[0],
-                            self.values[self.disc.cells[tri[ok]]])
-        out = out.reshape(x1b.shape)
+        located = _Located(self.disc, x1b.ravel(), rhob.ravel())
+        out = located.read(self.values).reshape(x1b.shape)
         return float(out[0]) if scalar and out.size == 1 else out
+
+
+class _Located:
+    """Points located once in a discretization (`Discretization.locate`),
+    with the P2 shape values and the nodes of the cell of each point that
+    lies in the mesh; `read` gives a nodal field's values there, NaN
+    outside, as `FieldSolution.evaluate` does."""
+
+    def __init__(self, disc: Discretization, x1: np.ndarray,
+                 rho: np.ndarray):
+        tri, bary = disc.locate(x1, rho)
+        self.inside = tri >= 0
+        self.shapes = _p2_shapes(bary[self.inside])[0]
+        self.nodes = disc.cells[tri[self.inside]]
+
+    def read(self, values: np.ndarray) -> np.ndarray:
+        out = np.full(self.inside.shape, np.nan)
+        out[self.inside] = np.einsum("pk,pk->p", self.shapes,
+                                     values[self.nodes])
+        return out
 
 
 def solve_dirichlet(disc: Discretization,

@@ -101,6 +101,15 @@ class MeridianMesh:
             raise ValueError("vertex with negative rho")
         if np.any(self.signed_areas() <= 0.0):
             raise ValueError("non-positively-oriented triangle")
+        self._edges = None
+
+    @property
+    def edges(self) -> "EdgeTable":
+        """The mesh's EdgeTable, numbered by `edge_table` on first use; a
+        mesh made by `refine` carries the one derived from its parent's."""
+        if self._edges is None:
+            self._edges = edge_table(self.triangles)
+        return self._edges
 
     def signed_areas(self) -> np.ndarray:
         p = self.vertices[self.triangles]
@@ -361,13 +370,71 @@ def build_profile_mesh(kind: str, cfg: MeshConfig) -> MeridianMesh:
     return MeridianMesh(*_merge(blocks), cfg.dimension)
 
 
+def _child_edges(parent: EdgeTable, triangles: np.ndarray,
+                 nv: int) -> EdgeTable:
+    """The EdgeTable of `refine`'s child, derived from the parent's in
+    O(cells), without a sort: it equals `edge_table` of the child's
+    triangles.
+
+    Parent triangle t (a, b, c), with midpoints mab, mbc, mca of its sides
+    0, 1, 2, gives children 4t..4t+3, whose first nine sides are in turn
+    a-mab, mab-mca, mca-a, b-mbc, mbc-mab, mab-b, c-mca, mca-mbc, mbc-c
+    (the fourth child's sides repeat the three interior ones).  The
+    interior edges are new in t's block, and so are the two halves of a
+    parent edge in the block of the first triangle that holds it; the
+    child's edges are the new ones in that order, block by block."""
+    se = parent.side_edge
+    flat = se.ravel()
+    # edges are numbered by first appearance, so a side holds its edge's
+    # first appearance iff its number exceeds every number before it
+    seen = np.maximum.accumulate(np.r_[-1, flat[:-1]])
+    first = (flat > seen).reshape(-1, 3)
+    # the nine sides' ends as columns of (a, b, c, mab, mbc, mca)
+    corner = np.hstack([triangles, nv + se])
+    v, w = (np.take(corner, cols, axis=1) for cols in _SLOT_ENDS)
+    new = np.ones(v.shape, dtype=bool)
+    new[:, _HALVES] = np.take(first, _HALF_SIDE, axis=1)
+    at = np.flatnonzero(new)
+    ids = np.zeros(v.shape, dtype=np.int64)
+    ids.ravel()[at] = np.arange(len(at))
+    # the half of parent edge e at its smaller end is half[2e], at its
+    # larger half[2e + 1]; each is numbered in its first side's block
+    e = np.take(se, _HALF_SIDE, axis=1)
+    key = 2 * e + (np.take(v, _HALVES, axis=1)
+                   > np.take(triangles, _HALF_OTHER, axis=1))
+    fresh = np.take(new, _HALVES, axis=1)
+    half = np.empty(2 * len(parent.edges), dtype=np.int64)
+    half[key[fresh]] = np.take(ids, _HALVES, axis=1)[fresh]
+    ids[:, _HALVES] = np.take(half, key)
+    counts = np.full(v.shape, 2, dtype=parent.counts.dtype)
+    counts[:, _HALVES] = np.take(parent.counts, e)
+    v, w = np.take(v, at), np.take(w, at)
+    return EdgeTable(np.stack([np.minimum(v, w), np.maximum(v, w)], axis=1),
+                     np.take(ids, _CHILD_SIDES, axis=1).reshape(-1, 3),
+                     np.take(counts, at))
+
+
+# the nine new sides of a refined triangle's block (see _child_edges):
+# their ends as columns of (a, b, c, mab, mbc, mca); the six halves among
+# them, the parent side each halves and that side's other parent vertex;
+# and the slot of every child side
+_SLOT_ENDS = ((0, 3, 0, 1, 4, 1, 2, 5, 2), (3, 5, 5, 4, 3, 3, 5, 4, 4))
+_HALVES = [0, 2, 3, 5, 6, 8]
+_HALF_SIDE = [0, 2, 1, 0, 2, 1]
+_HALF_OTHER = [1, 2, 2, 0, 0, 1]
+_CHILD_SIDES = [0, 1, 2, 3, 4, 5, 6, 7, 8, 4, 7, 1]
+
+
 def refine(mesh: MeridianMesh) -> MeridianMesh:
-    """Uniform red refinement: every triangle into 4 via edge midpoints."""
-    table = edge_table(mesh.triangles)
+    """Uniform red refinement: every triangle into 4 via edge midpoints.
+    The child carries its EdgeTable, derived from the parent's."""
+    table = mesh.edges
     v = mesh.vertices
     verts = np.vstack([v, 0.5 * (v[table.edges[:, 0]] + v[table.edges[:, 1]])])
     a, b, c = mesh.triangles.T
     mab, mbc, mca = (len(v) + table.side_edge).T
     tris = np.stack([a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca],
                     axis=1).reshape(-1, 3)
-    return MeridianMesh(verts, tris, mesh.dimension)
+    child = MeridianMesh(verts, tris, mesh.dimension)
+    child._edges = _child_edges(table, mesh.triangles, len(v))
+    return child

@@ -344,12 +344,16 @@ def _restricted_reference(system: fem.AssembledSystem,
 
 
 # readout geometry: the right-window fit sections, the R2 stations x0, the
-# ktilde radii of R5 and the normalized blow-ups, and the radii of the
-# spherical fit in D- (those inside the tube radius are skipped)
+# junction probe sections, the ktilde radii of R5 and the normalized
+# blow-ups, and the radii of the spherical fit in D- (those inside the
+# tube radius are skipped)
 _FIT_WINDOW, _FIT_POINTS = (0.55, 0.85), 13
 _X0_LIST = (0.3, 0.5, 0.7)
+_PROBES = (0.02, 0.05, 0.08)
 _KTILDE_LIST = (0.5, 1.0, 1.5)
 _SPHERICAL_RADII = (0.3, 0.5, 0.8, 1.2, 2.0)
+# the channel frequency's section
+_FREQ_SECTION = 0.5
 
 
 def _annulus_samples(center: float, radii, side: int, n_phi: int = 25):
@@ -359,11 +363,99 @@ def _annulus_samples(center: float, radii, side: int, n_phi: int = 25):
     return center + r * np.cos(phi), r * np.sin(phi)
 
 
+def _windows() -> dict:
+    """The blow-up windows, in the record's order: each one's view (kind,
+    x0, ktilde; None for R6, which reads u itself) and sample points."""
+    inner = _annulus_samples(0.0, (0.6, 1.0, 1.4), -1)
+    rr = np.linspace(0.02, 0.98, 33)
+    windows = {
+        "right_vs_d0Phi": (("RightJunction", None, None),
+                           _annulus_samples(1.0, (1.6, 2.0, 2.4), +1)),
+        "left_vs_PhiHat": (("LeftJunction", None, None),
+                           _annulus_samples(0.0, (1.6, 2.0, 2.4), -1)),
+        "channel_vs_psi1": (("Channel", 0.5, None), (np.ones_like(rr), rr))}
+    for kt in _KTILDE_LIST:
+        windows[f"normalized_vs_Ubar[kt={kt:g}]"] = (
+            ("Normalized", None, kt), inner)
+    windows["R6"] = (None, inner)
+    return windows
+
+
+def _window_references(pset: ProfileSet, n: int) -> dict:
+    """The reference side of each blow-up window (d0 Phi, c_hat PhiHat,
+    psi1, Ubar / sqrt(norm_gamma) and big Ubar), the same at every eps:
+    each profile is read once, Ubar once for its four windows."""
+    con = pset.constants
+    windows = _windows()
+    (x1_in, rho_in) = windows["R6"][1]
+    ubar = pset.ubar(x1_in, rho_in)
+    refs = {"right_vs_d0Phi": con.d0 * pset.phi(
+                *windows["right_vs_d0Phi"][1]),
+            "left_vs_PhiHat": con.c_hat * pset.phihat(
+                *windows["left_vs_PhiHat"][1]),
+            "channel_vs_psi1": cs.disk_ground_mode(n).psi1(
+                windows["channel_vs_psi1"][1][1])}
+    for kt in _KTILDE_LIST:
+        refs[f"normalized_vs_Ubar[kt={kt:g}]"] = ubar / math.sqrt(
+            con.norm_gamma[kt])
+    refs["R6"] = con.c_phihat * (con.d0 * con.c_phi) * ubar
+    return refs
+
+
+class _ReadoutPlan:
+    """The mesh-only half of an entry's readouts, built from its
+    discretization and eps before its eigenvector is needed: every point
+    at which the readouts read u (the sections, the spheres and the
+    blow-up windows of its track), duplicates dropped and located in one
+    `Discretization.locate` call, and the masked quadrature of the channel
+    region x1 < `_FREQ_SECTION` (`almgren._MaskedPlan`).  `reads` maps
+    each read's key to its points (x1, rho); `reader(values)` gathers a
+    nodal field at every point at once."""
+
+    def __init__(self, cfg: RunConfig, disc: fem.Discretization,
+                 eps: float):
+        self.direct = eps >= _DIRECT_EPS
+        reads = {("section", t): cs._section_points(t, eps)
+                 for t in np.linspace(*_FIT_WINDOW, _FIT_POINTS)}
+        reads[("section", _FREQ_SECTION)] = ch._section(_FREQ_SECTION, eps)
+        if self.direct:
+            for x0 in _X0_LIST + (eps,):
+                reads[("section", x0)] = ch._section(x0, eps)
+            for tp in _PROBES:
+                reads[("section", tp)] = cs._section_points(tp, eps)
+            for r in _SPHERICAL_RADII + _KTILDE_LIST:
+                reads[("sphere", r)] = cs._sphere_points(0.0, r, -1)
+            for name, (view, points) in _windows().items():
+                if view is not None:
+                    points = almgren._view_points(
+                        almgren._frame(view[0], eps, *view[1:]), *points)
+                reads[("window", name)] = points
+        self.reads = reads
+        x1 = np.concatenate([x for x, _ in reads.values()])
+        rho = np.concatenate([r for _, r in reads.values()])
+        points, self._inverse = np.unique(np.stack([x1, rho], axis=1),
+                                          axis=0, return_inverse=True)
+        self._located = fem._Located(disc, points[:, 0], points[:, 1])
+        ends = np.cumsum([0] + [len(x) for x, _ in reads.values()])
+        self._slices = {key: slice(lo, hi)
+                        for key, lo, hi in zip(reads, ends[:-1], ends[1:])}
+        self.channel = almgren._channel_plan(disc, cfg.weight(),
+                                             _FREQ_SECTION)
+
+    def reader(self, values: np.ndarray) -> Callable:
+        """The values of the nodal field `values` at the points of a read,
+        by its key, as `FieldSolution.evaluate` gives them."""
+        at = self._located.read(values)[self._inverse]
+        return lambda *key: at[self._slices[key]]
+
+
 def _sup_window(samples: dict, window: str, view, reference, x1, rho):
-    """Compare `view` with `reference` on the points (x1, rho) and record
-    the sample count under `window`; a non-finite sample (say, a point the
-    locator missed) fails the entry instead of leaving the sup."""
-    out = almgren.compare_views(view, reference, x1, rho)
+    """Compare the `view` values with the `reference` values on the
+    window's points (x1, rho) and record the sample count under `window`;
+    a non-finite sample (say, a point the locator missed) fails the entry
+    instead of leaving the sup."""
+    out = almgren.compare_views(lambda a, b: view, lambda a, b: reference,
+                                x1, rho)
     if out["samples"] != x1.size:
         raise ValueError(f"window {window}: {x1.size - out['samples']} of "
                          f"{x1.size} samples are not finite")
@@ -372,20 +464,29 @@ def _sup_window(samples: dict, window: str, view, reference, x1, rho):
 
 
 def _entry_readouts(cfg: RunConfig, pset: ProfileSet, eps: float,
-                    pair: fem.EigenPair, lam_ref: float) -> dict:
+                    pair: fem.EigenPair, lam_ref: float,
+                    plan: _ReadoutPlan | None = None,
+                    references: Callable[[], dict] | None = None) -> dict:
     """An entry's readout phase: everything the record reads off the
-    eigenpair.  It factors and solves nothing."""
+    eigenpair.  It factors and solves nothing.  `plan` is the entry's
+    `_ReadoutPlan`, built here if None; `references()` gives the blow-up
+    windows' reference side (`_window_references`), evaluated here if
+    None.  The values are the plan's reads of u, put through the same
+    reductions as `cross_section`, `channel` and `almgren` apply."""
     con = pset.constants
     n = cfg.dimension
     mode = cs.disk_ground_mode(n)
     sl1 = mode.sqrt_lambda1
-    track = "direct" if eps >= _DIRECT_EPS else "cascade"
     u = pair.field
+    if plan is None:
+        plan = _ReadoutPlan(cfg, u.disc, eps)
+    track = "direct" if plan.direct else "cascade"
+    read = plan.reader(u.values)
 
     # growing-mode amplitude A from the right tube window
     ts = np.linspace(*_FIT_WINDOW, _FIT_POINTS)
     fit = ch.fit_channel_mode(
-        [(t, cs.project_section(u.evaluate, t, eps, mode)) for t in ts],
+        [(t, cs._section_projection(read("section", t), mode)) for t in ts],
         eps, sl1)
 
     # cascade reconstruction of the left-side scales from tube data
@@ -394,23 +495,28 @@ def _entry_readouts(cfg: RunConfig, pset: ProfileSet, eps: float,
         .scale_exp(-sl1 / eps)
 
     # channel frequency at the midpoint section
-    freq = almgren.frequency_channel(u, eps, [0.5], weight=cfg.weight(),
-                                     lam=pair.lam)
+    freq = almgren._channel_trace(
+        eps, np.array([_FREQ_SECTION]),
+        np.array([plan.channel.energy(u.values, pair.lam)]),
+        np.array([ch._masses(read("section", _FREQ_SECTION), eps, n)[1]]))
 
     kd0cphi = con.d0 * con.c_phi
     if track == "direct":
+        def htilde(x0):
+            return ch._masses(read("section", x0), eps, n)[0]
+
         # section masses, kept scaled
-        ht_x0 = {x0: ScaledAmplitude.from_float(
-            ch.htilde(u.evaluate, x0, eps, n)[0]) for x0 in _X0_LIST}
-        ht_eps = ScaledAmplitude.from_float(
-            ch.htilde(u.evaluate, eps, eps, n)[0])
+        ht_x0 = {x0: ScaledAmplitude.from_float(htilde(x0))
+                 for x0 in _X0_LIST}
+        ht_eps = ScaledAmplitude.from_float(htilde(eps))
 
         # decaying-mode coefficient by defect: next to the left junction
         # the B-term is a percent-level fraction of the local signal (it
         # is invisible to a uniformly weighted window fit), so subtract
         # the fitted growing mode at t = 0.05 and unfold the decay factor
-        junction_probes = {tp: cs.project_section(u.evaluate, tp, eps, mode)
-                           for tp in (0.02, 0.05, 0.08)}
+        junction_probes = {tp: cs._section_projection(read("section", tp),
+                                                      mode)
+                           for tp in _PROBES}
         decay = sl1 / eps * (0.05 - 1.0)
         grow = fit.A.scale_exp(decay).to_float()
         b_defect = ScaledAmplitude.from_float(
@@ -419,59 +525,48 @@ def _entry_readouts(cfg: RunConfig, pset: ProfileSet, eps: float,
         # spherical representation in D-; a zero section mass at eps
         # fails the entry in R4
         sph = ch.spherical_fit(
-            [(r, cs.project_sphere(u.evaluate, 0.0, r, -1, n))
+            [(r, cs._sphere_projection(read("sphere", r), -1, n))
              for r in _SPHERICAL_RADII if r > eps], n)
         spherical = {"alpha": sph.alpha, "beta": sph.beta, "d": sph.d,
                      "residual": sph.residual}
         left = {"R4": (sph.d / (n * eps ** (n - 1)))
                 / ((-con.c_phihat * con.c_hat) * ht_eps.sqrt().to_float())}
         big = con.c_phihat * kd0cphi
+        shell = {kt: cs._half_sphere_mass(read("sphere", kt), kt, -1, n)
+                 for kt in _KTILDE_LIST}
         for kt in _KTILDE_LIST:
-            amp = ScaledAmplitude.from_float(math.sqrt(
-                cs.half_sphere_mass(u.evaluate, 0.0, kt, -1, n))).scale_exp(
-                    sl1 / eps - n * math.log(eps))
+            amp = ScaledAmplitude.from_float(math.sqrt(shell[kt])).scale_exp(
+                sl1 / eps - n * math.log(eps))
             left[f"R5[kt={kt:g}]"] = (
                 amp / (math.sqrt(con.norm_gamma[kt]) * big)).to_float()
 
-        # blow-up comparisons; `samples` counts the points behind each sup
-        comparisons, samples = {}, {}
-        view = almgren.blowup(u.evaluate, "RightJunction", eps)
-        out = _sup_window(samples, "right_vs_d0Phi", view,
-                          lambda a, b: con.d0 * pset.phi(a, b),
-                          *_annulus_samples(1.0, (1.6, 2.0, 2.4), +1))
-        comparisons["right_vs_d0Phi"] = out["sup"] / out["ref_sup"]
-
-        uhat = almgren.blowup(u.evaluate, "LeftJunction", eps, dimension=n)
-        out = _sup_window(samples, "left_vs_PhiHat", uhat,
-                          lambda a, b: con.c_hat * pset.phihat(a, b),
-                          *_annulus_samples(0.0, (1.6, 2.0, 2.4), -1))
-        comparisons["left_vs_PhiHat"] = out["sup"] / out["ref_sup"]
-
-        view = almgren.blowup(u.evaluate, "Channel", eps, x0=0.5,
-                              dimension=n)
-        rr = np.linspace(0.02, 0.98, 33)
-        out = _sup_window(samples, "channel_vs_psi1", view,
-                          lambda a, b: mode.psi1(b), np.ones_like(rr), rr)
-        comparisons["channel_vs_psi1"] = out["sup"]
-
-        x1_in, rho_in = _annulus_samples(0.0, (0.6, 1.0, 1.4), -1)
-        norm_dev = {}
-        for kt in _KTILDE_LIST:
-            view = almgren.blowup(u.evaluate, "Normalized", eps, ktilde=kt,
-                                  dimension=n)
-            ref = lambda a, b, _k=kt: pset.ubar(a, b) / math.sqrt(
-                con.norm_gamma[_k])
-            out = _sup_window(samples, f"normalized_vs_Ubar[kt={kt:g}]",
-                              view, ref, x1_in, rho_in)
-            norm_dev[kt] = out["sup"] / out["ref_sup"]
-        comparisons["normalized_vs_Ubar"] = norm_dev
-
+        # blow-up comparisons against the references; `samples` counts
+        # the points behind each sup
+        refs = references() if references else _window_references(pset, n)
+        # each view's mass, as `almgren.blowup` reads it
+        masses = {"RightJunction": None, "Channel": htilde(0.5),
+                  "LeftJunction": htilde(eps)}
         scale = ScaledAmplitude.from_float(1.0).scale_exp(
             sl1 / eps - n * math.log(eps)).to_float()
-        out = _sup_window(samples, "R6",
-                          lambda a, b: scale * u.evaluate(a, b),
-                          lambda a, b: big * pset.ubar(a, b), x1_in, rho_in)
-        left["R6"] = out["sup"] / out["ref_sup"]
+        comparisons, samples, outs = {}, {}, {}
+        for name, (view, points) in _windows().items():
+            values = read("window", name)
+            if view is None:
+                values = scale * values
+            else:
+                kind, _, kt = view
+                mass = shell[kt] if kind == "Normalized" else masses[kind]
+                values = values / almgren._denominator(kind, eps, mass)
+            outs[name] = _sup_window(samples, name, values, refs[name],
+                                     *points)
+        for name in ("right_vs_d0Phi", "left_vs_PhiHat"):
+            comparisons[name] = outs[name]["sup"] / outs[name]["ref_sup"]
+        comparisons["channel_vs_psi1"] = outs["channel_vs_psi1"]["sup"]
+        comparisons["normalized_vs_Ubar"] = {
+            kt: outs[f"normalized_vs_Ubar[kt={kt:g}]"]["sup"]
+            / outs[f"normalized_vs_Ubar[kt={kt:g}]"]["ref_sup"]
+            for kt in _KTILDE_LIST}
+        left["R6"] = outs["R6"]["sup"] / outs["R6"]["ref_sup"]
     else:
         # the left side is not read: section masses from the propagated
         # tube amplitude, and no left-side ratios
@@ -554,12 +649,21 @@ def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
                         f"constants, not {type(constants).__name__}")
 
     lam_k0 = pset.constants.lam_k0
-    sweep, last = [], None
+    sweep, last, refs = [], None, {}
 
-    def readouts(entry, job):
+    def references():
+        # once per sweep; a failure is each direct entry's error
+        if not refs:
+            refs.update(_window_references(pset, cfg.dimension))
+        return refs
+
+    def readouts(entry, job, disc):
         try:
+            # the plan reads the mesh alone, so the last entry's fills
+            # the wait for its pair
+            plan = _ReadoutPlan(cfg, disc, entry["eps"])
             entry.update(_entry_readouts(cfg, pset, entry["eps"],
-                                         *job.result()))
+                                         *job.result(), plan, references))
         except Exception as exc:
             entry.update(_error(exc))
 
@@ -578,10 +682,11 @@ def run_sweep(cfg: RunConfig, constants=None) -> RunRecord:
                 wait([last[1]])
             if job is not None:
                 worker.hand(_restricted_reference, system, lam_k0)
+                disc = system.disc
                 del system
             if last is not None:
                 readouts(*last)
-            last = None if job is None else (entry, job)
+            last = None if job is None else (entry, job, disc)
         if last is not None:
             readouts(*last)
 

@@ -257,6 +257,25 @@ class TestMaskedEnergyOracle:
         scale = masked_energy(disc, u, None, 0.0, cut)
         assert abs(got - ref) <= 1e-13 * scale
 
+    def test_channel_plan_matches_the_kernel_bit_for_bit(self, sweep_pair):
+        # the sweep's channel region x1 < 0.5, its rule, shapes, gradient
+        # transforms and weights planned once before any field: the energy
+        # of the eigenvector and of another field on the same plan equals
+        # the one-call kernel's exactly, and the point-by-point oracle's
+        # to its tolerance (it rounds the eigenvector's energy one ulp
+        # apart)
+        disc, u, lam = sweep_pair
+        weight = fem.WeightModel()
+        plan = A._channel_plan(disc, weight, 0.5)
+        cut = lambda x1, rho: 0.5 - x1
+        other = np.random.default_rng(4).standard_normal(disc.n_nodes)
+        for values in (u, other):
+            got = plan.energy(values, lam)
+            assert got == A._masked_energy(disc, values, weight, lam, cut)
+            scale = masked_energy(disc, values, None, 0.0, cut)
+            assert abs(got - masked_energy(disc, values, weight, lam, cut)) \
+                <= 1e-13 * scale
+
     def test_full_region_matches_assembled_forms(self, sweep_pair):
         # u^T (K - lam M_p) u of an eigenpair cancels down to its residual,
         # so the difference is measured against the omega u^T K u scale

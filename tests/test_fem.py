@@ -17,6 +17,7 @@ from dumbbell import fem
 from dumbbell import mesh as M
 from dumbbell.pipeline import RunConfig
 import assembly_oracle
+import locator_oracle
 from lanczos_oracle import lanczos_pairs
 
 
@@ -987,3 +988,29 @@ class TestLocate:
             tracemalloc.stop()
         assert np.all(tri >= 0)
         assert peak < 64e6
+
+
+class TestLocatorBuild:
+    @pytest.mark.parametrize("name", ["sweep", "eps=0.004"]
+                             + list(M.PROFILE_KINDS))
+    def test_tables_match_the_oracle_build(self, name, sweep_mesh_01):
+        # the one-gather build against the old one, table by table: the
+        # bucket lines and ny, the cell ids and starts of each bucket, and
+        # the corner and gradient tables, bit for bit
+        if name == "sweep":
+            mesh = sweep_mesh_01
+        elif name == "eps=0.004":
+            mesh = M.refine(M.build_dumbbell_mesh(
+                RunConfig().mesh_config(0.004)))
+        else:
+            mesh = M.refine(M.build_profile_mesh(name, M.MeshConfig()))
+        disc = fem.Discretization(mesh)
+        disc._build_locator()
+        got, want = disc._locator, locator_oracle.build_locator(disc)
+        assert len(got) == len(want) == 6
+        for k, (a, b) in enumerate(zip(got[0], want[0])):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), k
+        assert got[1] == want[1]
+        for k, (a, b) in enumerate(zip(got[2:], want[2:])):
+            assert a.dtype == b.dtype and a.shape == b.shape, k
+            assert a.tobytes() == b.tobytes(), k

@@ -322,3 +322,28 @@ def test_immutability():
     m = small_dumbbell()
     with pytest.raises(ValueError):
         m.vertices[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("kind", ["eps=0.3", "eps=0.1", "eps=0.004"]
+                         + list(M.PROFILE_KINDS))
+def test_refined_edge_table_matches_the_sorted_one(kind):
+    # refine derives its child's EdgeTable from the parent's without a
+    # sort; through two refinements it and the Discretization built on it
+    # equal those of the same triangles numbered afresh by edge_table
+    cfg = M.MeshConfig()
+    if kind.startswith("eps="):
+        m = M.build_dumbbell_mesh(M.MeshConfig(eps=float(kind[4:])))
+    else:
+        m = M.build_profile_mesh(kind, cfg)
+    for _ in range(2):
+        m = M.refine(m)
+        fresh = M.MeridianMesh(m.vertices, m.triangles, m.dimension)
+        want = M.edge_table(m.triangles)
+        for field in ("edges", "side_edge", "counts"):
+            got = getattr(m.edges, field)
+            assert got.dtype == getattr(want, field).dtype, field
+            assert np.array_equal(got, getattr(want, field)), field
+        got, ref = fem.Discretization(m), fem.Discretization(fresh)
+        for field in ("nodes", "cells"):
+            a, b = getattr(got, field), getattr(ref, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field

@@ -973,6 +973,96 @@ class TestPipelinedSweep:
         assert alive == set()
 
 
+class TestReadoutPlan:
+    """Each entry's readouts are a mesh-only plan, every point located in
+    one call, and a value phase on the eigenvector."""
+
+    @pytest.mark.parametrize("config, eps", [
+        ("default", 0.3), ("default", 0.1), ("coarse", 0.09)])
+    def test_plan_reads_like_evaluate(self, config, eps):
+        # every read of the plan, gathered from its one location call,
+        # equals FieldSolution.evaluate on the same points bit for bit
+        cfg = pl.RunConfig(**(COARSE if config == "coarse" else {}))
+        disc = pl._entry_system(cfg, eps).disc
+        plan = pl._ReadoutPlan(cfg, disc, eps)
+        assert plan.direct == (eps >= 0.1)
+        kinds = {key[0] for key in plan.reads}
+        assert kinds == ({"section", "sphere", "window"} if plan.direct
+                         else {"section"})
+        values = np.random.default_rng(2).standard_normal(disc.n_nodes)
+        read, field = plan.reader(values), fem.FieldSolution(disc, values)
+        for key, (x1, rho) in plan.reads.items():
+            got, want = read(*key), field.evaluate(x1, rho)
+            assert got.shape == want.shape, key
+            assert got.tobytes() == want.tobytes(), key
+
+    def test_readouts_locate_once_on_the_entry_mesh(self, coarse_pset,
+                                                    monkeypatch):
+        # the plan locates every point of the entry in one call; the
+        # windows' references read Phi, PhiHat and Ubar once each
+        cfg = pl.RunConfig(**COARSE)
+        pair, lam_ref = sequential_eigenpair(cfg, 0.3,
+                                             coarse_pset.constants.lam_k0)
+        locate, calls = fem.Discretization.locate, []
+
+        def counted(disc, x1, rho):
+            calls.append(disc)
+            return locate(disc, x1, rho)
+
+        monkeypatch.setattr(fem.Discretization, "locate", counted)
+        pl._entry_readouts(cfg, coarse_pset, 0.3, pair, lam_ref)
+        discs = [pair.field.disc] + [p.field.disc for p in (
+            coarse_pset.phi, coarse_pset.phihat, coarse_pset.ubar)]
+        assert [sum(d is disc for d in calls) for disc in discs] == [1] * 4
+        assert len(calls) == 4
+
+    def test_sweep_locates_once_per_entry_and_profile(self, coarse_pset,
+                                                      monkeypatch):
+        # the references are read once per sweep, not once per entry
+        locate, calls = fem.Discretization.locate, []
+
+        def counted(disc, x1, rho):
+            calls.append(disc)
+            return locate(disc, x1, rho)
+
+        monkeypatch.setattr(fem.Discretization, "locate", counted)
+        rec = pl.run_sweep(pl.RunConfig(**COARSE3), coarse_pset)
+        assert [e.get("error") for e in rec.sweep] == [None] * 3
+        assert len(calls) == 3 + 3
+        assert len({id(disc) for disc in calls}) == 6
+
+    def test_last_plan_is_built_before_its_pair_returns(self, coarse_pset,
+                                                        monkeypatch):
+        # the last entry's plan reads its mesh alone, so it is built while
+        # the worker still runs the last pair; the worker's iterations are
+        # slowed down so that the pair ends last
+        cfg = pl.RunConfig(**COARSE)
+        order, plan = [], pl._ReadoutPlan
+        full_pair, iterate = pl._full_pair, fem._inverse_iteration
+
+        def slow(*args):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.05)
+            return iterate(*args)
+
+        def planned(cfg_, disc, eps):
+            order.append(("plan", eps))
+            return plan(cfg_, disc, eps)
+
+        def paired(*args):
+            out = full_pair(*args)
+            order.append(("pair", len([k for k, _ in order if k == "pair"])))
+            return out
+
+        monkeypatch.setattr(fem, "_inverse_iteration", slow)
+        monkeypatch.setattr(pl, "_ReadoutPlan", planned)
+        monkeypatch.setattr(pl, "_full_pair", paired)
+        rec = pl.run_sweep(cfg, coarse_pset)
+        assert [e.get("error") for e in rec.sweep] == [None] * 2
+        assert order == [("pair", 0), ("plan", 0.3), ("plan", 0.2),
+                         ("pair", 1)]
+
+
 class TestCLI:
     def test_cross_section(self, capsys):
         assert cli.main(["cross-section"]) == 0
