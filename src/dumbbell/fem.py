@@ -17,17 +17,16 @@ matrix, whole-mesh triplet set or reduced copy is held (`assemble` at
 eps = 0.1, level 1 peaks at 15.7 MB traced, against 33.1 MB for the
 whole-mesh path).
 An AssembledSystem is the one place that reduces, factors and solves a
-Dirichlet problem: it holds only the free-node K and M_p, carries its
-shift and factors K - shift M_p once in `lu()`, so every eigen step on
-it reuses that factor.  Two calls make, use and free a factor of their
-own instead, and so may run on a worker thread: `system.solve(load)`
-(`solve_dirichlet` returns the harmonic ones as such a job) and
-`refine_on_own_factor`.  Why each factor must die on the thread that
-made it, and how a worker keeps to that, is written once, in
-`pipeline._Worker`.  The process keeps one malloc arena, so that a
-second thread holds none of its own: the eps = 0.3 and 0.1 sweep peaked
-at 215-219 MB with the helper's arena and 196-199 MB without, against
-188 MB with no helper (perfbench's `sweep_direct`).
+Dirichlet problem: a frozen value holding only the free-node K and M_p
+and its shift, and no factor.  `lu()` hands its caller a new factor of
+K - shift M_p; `solve`, `eigen_smallest`, `refine_eigenpair` and
+`refine_on_own_factor` each make, use and free their own before they
+return, so any of them may run on a worker thread.  Why each factor must
+die on the thread that made it is written once, in `pipeline._Worker`.
+The process keeps one malloc arena, so that a second thread holds none
+of its own: the eps = 0.3 and 0.1 sweep peaked at 215-219 MB with the
+helper's arena and 196-199 MB without, against 188 MB with no helper
+(perfbench's `sweep_direct`).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
-from dataclasses import dataclass, field as dfield, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -545,10 +544,11 @@ def assemble_load(disc: Discretization, f: Callable) -> np.ndarray:
                        minlength=disc.n_nodes)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """Stiffness K and weighted mass M_p on the free nodes, with the
-    Dirichlet elimination bookkeeping.
+    Dirichlet elimination bookkeeping; a frozen value (compared by
+    identity, its fields being arrays) that keeps no factor.
 
     `shift` is the sigma of the operator K - sigma M_p that `lu` factors,
     which is SPD only for sigma below the smallest weighted eigenvalue;
@@ -561,44 +561,41 @@ class AssembledSystem:
     free: np.ndarray
     fixed: np.ndarray
     shift: float = 0.0
-    _lu: object = dfield(default=None, repr=False)
 
     def lu(self):
-        """Factor of K - shift M_p (of K itself at shift 0), made on the
-        first call and kept."""
-        if self._lu is None:
-            self._lu = _own_factor(self)
-        return self._lu
+        """A new factor of K - shift M_p (of K itself at shift 0), which
+        the caller uses and drops."""
+        return _own_factor(self)
 
     def _operator(self) -> sp.csr_matrix:
         return self.K - self.shift * self.Mp if self.shift else self.K
 
     def shifted(self, shift: float) -> "AssembledSystem":
-        """The same system with another shift and no factor yet."""
-        return replace(self, shift=float(shift), _lu=None)
+        """The same system with another shift."""
+        return replace(self, shift=float(shift))
 
     def clamped(self, nodes: np.ndarray) -> "AssembledSystem":
         """The system with `nodes` fixed as well, reduced from its own
-        free-node matrices, with the same shift and no factor yet."""
+        free-node matrices, with the same shift."""
         keep = np.flatnonzero(~np.isin(self.free, nodes))
         return replace(self, K=self.K[keep][:, keep].tocsr(),
                        Mp=self.Mp[keep][:, keep].tocsr(),
                        free=self.free[keep],
-                       fixed=np.union1d(self.fixed, nodes), _lu=None)
+                       fixed=np.union1d(self.fixed, nodes))
 
     def solve(self, load: np.ndarray) -> "FieldSolution":
         """Solve (K - shift M_p) u = load on the free nodes with u = 0 on
         the fixed ones; `load` is full-length.  The field carries the
         relative residual of the reduced solve.
 
-        The factor is made, used and freed in this call, and `lu()` stays
-        unmade.  A shifted operator is certified SPD before the solve: with
-        its row and column permutations equal, the LU is a congruence of
-        the operator, so by Sylvester's law of inertia all pivots of U
+        A shifted operator is certified SPD before the solve: with its row
+        and column permutations equal, the LU is a congruence of the
+        operator, so by Sylvester's law of inertia all pivots of U
         positive certifies shift < lambda_1, and a non-positive pivot
         raises ValueError.  Reading the pivots makes SuperLU keep L and U
         as CSC copies on the factor (12.5 MB for Ubar's at the default
-        level 1 under scipy 1.17.1), which die with it here."""
+        level 1 under scipy 1.17.1), which die with it before the
+        residual is taken."""
         rhs = load[self.free]
         lu = _own_factor(self)
         if self.shift and not np.array_equal(lu.perm_r, lu.perm_c):
@@ -757,8 +754,9 @@ class EigenPair:
 
 def eigen_smallest(system: AssembledSystem, steps: int) -> EigenPair:
     """Ground pair of K u = l M_p u from a cold start: shift-invert
-    Rayleigh-Ritz, then two inverse-iteration steps of `refine_eigenpair`,
-    all on the system's factor of A = K - sigma M_p.
+    Rayleigh-Ritz, then the two inverse-iteration steps of
+    `refine_eigenpair`, all on the one factor of A = K - sigma M_p that
+    this call makes and frees.
 
     `steps` (at least 3) counts solves: `steps - 2` Krylov solves
     A y = M_p v grow an M_p-orthonormal basis from the all-ones vector to
@@ -812,17 +810,17 @@ def eigen_smallest(system: AssembledSystem, steps: int) -> EigenPair:
     # the basis (2 (steps - 1) vectors) is freed before the polish, whose
     # Rayleigh quotient copies rows of K and M_p to long double
     del V, MV
-    return refine_eigenpair(system, ritz, 2)
+    return _inverse_iteration(system, lu, ritz, 2)
 
 
 def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
                      steps: int) -> EigenPair:
     """Shifted inverse iteration in float64.
 
-    Iterates on the factor `system.lu()` of K - sigma M_p, sigma being
-    `system.shift`, and makes no factorization of its own.  From the
-    free-node vector `start`, runs exactly `steps` iterations, each one
-    solve of (K - sigma M_p) y = M_p u that contracts the other
+    Iterates on a factor of K - sigma M_p, sigma being `system.shift`,
+    that this call makes (`system.lu()`) and frees after the last step.
+    From the free-node vector `start`, runs exactly `steps` iterations,
+    each one solve of (K - sigma M_p) y = M_p u that contracts the other
     eigencomponents by (lam1 - sigma)/(lam2 - sigma) or better, followed
     by M_p-normalization.  The LU solve of this SPD operator is accurate
     component by component (Skeel, Math. Comp. 1980), so components many
@@ -846,10 +844,10 @@ def refine_eigenpair(system: AssembledSystem, start: np.ndarray,
 
 def refine_on_own_factor(system: AssembledSystem, start: Callable,
                          steps: int) -> EigenPair:
-    """`refine_eigenpair`'s iteration on a factor of K - sigma M_p that
-    this call makes, uses and frees on the calling thread; `system.lu()`
-    stays unmade.  `start()` gives the free-node start vector once the
-    factorization is done, so it may wait for another thread's result."""
+    """`refine_eigenpair` for a worker job: the factor is made without
+    `system.lu()`, which a tracer may wrap, and `start()` gives the
+    free-node start vector once the factorization is done, so it may wait
+    for another thread's result."""
     return _inverse_iteration(system, _own_factor(system), start(), steps)
 
 
@@ -885,9 +883,8 @@ def _inverse_iteration(system: AssembledSystem, lu, start: np.ndarray,
     for _ in range(steps):
         y = lu.solve(system.Mp @ u)
         u = y / np.sqrt(y @ (system.Mp @ y))
-    # a factor of this call's own dies here, on its thread, before the
-    # quotient copies rows of K and M_p to long double; `system.lu()` keeps
-    # the system's
+    # a factor made for this call dies here, before the quotient copies
+    # rows of K and M_p to long double; eigen_smallest holds its own
     del lu
     ul = u.astype(np.longdouble)
     Ku = _longdouble_product(system.K, ul)

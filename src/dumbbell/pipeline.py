@@ -8,10 +8,13 @@ track) the section masses, the junction defect, the spherical fit and the
 blow-up windows are read off the dumbbell eigenvector (all scales sit
 inside double range), and give R4-R6.  Below that (the cascade track) the
 section masses come from the tube amplitude A_eps propagated through the
-exact channel algebra, and nothing left of the tube is read: the global
-eigenvector's left-side entries are numerically meaningless there.  On
-direct entries the `cascade_B` verdict checks the cascade's decaying-mode
-coefficient against the one measured next to the left junction.
+exact channel algebra, and nothing left of the tube is read.  The
+left-side entries keep their digits there too (`fem.refine_eigenpair`;
+measured finite, with 5e-13 eigen residuals, down to eps = 0.02); what
+fails below 0.1 is `cascade_B`, which on direct entries checks the
+cascade's decaying-mode coefficient against the one measured by a defect
+next to the left junction: below 0.1 the error of the tube fit swamps
+the percent-level B term of that defect.
 """
 
 from __future__ import annotations
@@ -162,12 +165,15 @@ class _Worker:
     SuperLU allocated on one thread and freed on another is not returned
     (an eps = 0.3 sweep factor made on a helper and dropped on the main
     thread grew RSS from 88 to 383 MB in 8 rounds, against a flat 98 MB
-    when the helper dropped it).  So each job makes, uses and frees its
-    own factor (`fem.AssembledSystem.solve`, `fem.refine_on_own_factor`),
-    and `submit` runs it inside `_cleared`, which clears a failure's
-    frames, the factor among their locals, on the worker.  The jobs call
-    nothing a tracer wraps, so a tracer with one span stack sees the main
-    thread's calls nested.
+    when the helper dropped it).  Every fem call frees the factor it
+    makes before it returns, and `submit` runs each job inside
+    `_cleared`, which clears a failure's frames, the factor among their
+    locals, on the worker.  The jobs call nothing a tracer wraps, so a
+    tracer with one span stack sees the main thread's calls nested.
+    SuperLU calls on two threads wait on each other for the interpreter
+    lock (scipy 1.17.1: the eps = 0.1 factorization took 153 ms alone,
+    241 beside reference solves on a thread and 175 beside them in a
+    process), so the worker pays off by overlapping SuperLU with numpy.
 
     `handoff()` opens the one Future the next queued job waits on;
     `hand(fn, *args)` resolves it on the main thread with `fn(*args)` or,
@@ -335,9 +341,7 @@ def _restricted_reference(system: fem.AssembledSystem,
     right junction clamped to zero: a nested subspace of the sweep space,
     so the eigenvalue comparison is free of independent-mesh bias.  Its
     eigenvector, zero on the clamped nodes, is the start of the sweep's
-    own iteration.  The pair is returned without its subsystem, so that
-    the subsystem's factor is freed on the thread that made it when this
-    returns."""
+    own iteration."""
     left = np.nonzero(system.disc.nodes[:, 0] <= 1.0 + 1e-14)[0]
     sub = system.clamped(left).shifted((1 - _SHIFT_OFFSET) * lam_k0)
     return fem.eigen_smallest(sub, _REFERENCE_STEPS)
@@ -464,22 +468,19 @@ def _sup_window(samples: dict, window: str, view, reference, x1, rho):
 
 
 def _entry_readouts(cfg: RunConfig, pset: ProfileSet, eps: float,
-                    pair: fem.EigenPair, lam_ref: float,
-                    plan: _ReadoutPlan | None = None,
-                    references: Callable[[], dict] | None = None) -> dict:
+                    pair: fem.EigenPair, lam_ref: float, plan: _ReadoutPlan,
+                    references: Callable[[], dict]) -> dict:
     """An entry's readout phase: everything the record reads off the
     eigenpair.  It factors and solves nothing.  `plan` is the entry's
-    `_ReadoutPlan`, built here if None; `references()` gives the blow-up
-    windows' reference side (`_window_references`), evaluated here if
-    None.  The values are the plan's reads of u, put through the same
-    reductions as `cross_section`, `channel` and `almgren` apply."""
+    `_ReadoutPlan`; `references()` gives the blow-up windows' reference
+    side (`_window_references`).  The values are the plan's reads of u,
+    put through the same reductions as `cross_section`, `channel` and
+    `almgren` apply."""
     con = pset.constants
     n = cfg.dimension
     mode = cs.disk_ground_mode(n)
     sl1 = mode.sqrt_lambda1
     u = pair.field
-    if plan is None:
-        plan = _ReadoutPlan(cfg, u.disc, eps)
     track = "direct" if plan.direct else "cascade"
     read = plan.reader(u.values)
 
@@ -542,7 +543,7 @@ def _entry_readouts(cfg: RunConfig, pset: ProfileSet, eps: float,
 
         # blow-up comparisons against the references; `samples` counts
         # the points behind each sup
-        refs = references() if references else _window_references(pset, n)
+        refs = references()
         # each view's mass, as `almgren.blowup` reads it
         masses = {"RightJunction": None, "Channel": htilde(0.5),
                   "LeftJunction": htilde(eps)}

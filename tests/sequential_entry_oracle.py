@@ -22,9 +22,13 @@ def sequential_eigenpair(cfg: pl.RunConfig, eps: float, lam_k0: float):
 
 def sequential_entry(cfg: pl.RunConfig, eps: float,
                      pset: pl.ProfileSet) -> dict:
-    """One entry of the record: its eigen phase, then its readouts."""
-    return pl._entry_readouts(cfg, pset, eps, *sequential_eigenpair(
-        cfg, eps, pset.constants.lam_k0))
+    """One entry of the record: its eigen phase, then its readouts, with
+    the entry's readout plan and the windows' references made here."""
+    pair, lam_ref = sequential_eigenpair(cfg, eps, pset.constants.lam_k0)
+    plan = pl._ReadoutPlan(cfg, pair.field.disc, eps)
+    return pl._entry_readouts(
+        cfg, pset, eps, pair, lam_ref, plan,
+        lambda: pl._window_references(pset, cfg.dimension))
 
 
 def sequential_sweep(cfg: pl.RunConfig, pset: pl.ProfileSet) -> list:

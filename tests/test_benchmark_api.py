@@ -109,10 +109,11 @@ def test_traced_sweep_keeps_its_spans_nested(bench, tmp_path, monkeypatch):
         tracer.uninstall()
     assert [e.get("error") for e in traced.sweep] == [None, None]
     assert all(end is not None for _, _, end, _, _ in tracer.spans)
-    # the restricted reference's eigen solve and its polish, one per
-    # entry, are traced; the full pair's iteration on the worker is not
+    # the restricted reference's eigen solve, its polish inside, one per
+    # entry, is traced; the full pair's iteration on the worker is not
     names = [s[0] for s in tracer.spans]
-    assert names.count("fem.eigsh") == names.count("fem.polish") == 2
+    assert names.count("fem.eigsh") == 2
+    assert names.count("fem.polish") == 0
     assert ([e["ratios"] for e in traced.sweep]
             == [e["ratios"] for e in plain.sweep])
 

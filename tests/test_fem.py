@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -28,13 +29,39 @@ def half_disk_mesh(n_rad, n_theta):
     return M.MeridianMesh(v, t, 3)
 
 
-def counting_solves(system):
-    """Route the system's solves through a stub of its factor; returns the
-    list that gains one entry a solve."""
-    lu, solves = system.lu(), []
-    system._lu = SimpleNamespace(
-        solve=lambda b: solves.append(1) or lu.solve(b))
+def counting_solves(monkeypatch):
+    """Route the solves on every factor fem makes from here on through a
+    stub; returns the list that gains one entry a solve."""
+    factor, solves = fem.factor, []
+
+    def counted(A):
+        lu = factor(A)
+        return SimpleNamespace(solve=lambda b: solves.append(1) or lu.solve(b))
+    monkeypatch.setattr(fem, "factor", counted)
     return solves
+
+
+class Tracked:
+    """A factor whose life a weak reference can watch."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+def tracking_factors(monkeypatch):
+    """Wrap every factor fem makes from here on in a `Tracked`; returns
+    the list that gains a weak reference to each."""
+    factor, made = fem.factor, []
+
+    def tracked(A):
+        lu = Tracked(factor(A))
+        made.append(weakref.ref(lu))
+        return lu
+    monkeypatch.setattr(fem, "factor", tracked)
+    return made
 
 
 def rayleigh(system, pair):
@@ -396,7 +423,6 @@ class TestAssembledSystem:
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
         disc = fem.Discretization(m)
         sysd = fem.assemble(disc, fem.WeightModel()).shifted(0.01)
-        sysd.lu()
         extra = np.flatnonzero(disc.nodes[:, 0] < 3.0)
         sub = sysd.clamped(extra)
         fixed = np.union1d(sysd.fixed, extra)
@@ -410,7 +436,7 @@ class TestAssembledSystem:
             want = full[free][:, free].tocsr()
             for attr in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, attr), getattr(want, attr))
-        assert sub.shift == 0.01 and sub._lu is None
+        assert sub.shift == 0.01
 
     def test_singular_operator_names_its_likely_cause(self):
         # lu() and solve() factor through one entry, so a singular
@@ -419,12 +445,51 @@ class TestAssembledSystem:
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
         disc = fem.Discretization(m)
         system = fem.assemble(disc, fem.WeightModel())
-        system.K = sp.csr_matrix(system.K.shape)
+        system = dataclasses.replace(system, K=sp.csr_matrix(system.K.shape))
         hint = r"^singular factorization .* check boundary tags and shifts$"
         with pytest.raises(RuntimeError, match=hint):
             system.lu()
         with pytest.raises(RuntimeError, match=hint):
             system.solve(np.ones(disc.n_nodes))
+
+    def test_fields_are_frozen(self):
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
+        system = fem.assemble(fem.Discretization(m), fem.WeightModel())
+        names = [f.name for f in dataclasses.fields(system)]
+        assert names == ["disc", "K", "Mp", "free", "fixed", "shift"]
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(system, name, getattr(system, name))
+
+    def test_each_lu_is_a_new_factor(self):
+        # lu() keeps nothing: its caller uses the factor and drops it
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
+        system = fem.assemble(fem.Discretization(m),
+                              fem.WeightModel()).shifted(0.5)
+        first, second = system.lu(), system.lu()
+        assert first is not second
+        b = np.ones(len(system.free))
+        assert np.array_equal(first.solve(b), second.solve(b))
+
+    def test_no_factor_outlives_its_call(self, monkeypatch):
+        # every factor is made, used and freed inside one call, so none
+        # can be dropped later on another thread than its own
+        m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
+        disc = fem.Discretization(m)
+        system = fem.assemble(disc, fem.WeightModel())
+        shifted = system.shifted(0.5)
+        start = np.ones(len(system.free))
+        made = tracking_factors(monkeypatch)
+        for call in (lambda: fem.eigen_smallest(system, 12),
+                     lambda: fem.eigen_smallest(shifted, 3),
+                     lambda: fem.refine_eigenpair(shifted, start, 2),
+                     lambda: fem.refine_on_own_factor(shifted,
+                                                      lambda: start, 2),
+                     lambda: shifted.solve(np.ones(disc.n_nodes))):
+            before = len(made)
+            call()
+            assert len(made) == before + 1
+            assert made[-1]() is None
 
 
 class TestEigen:
@@ -520,7 +585,7 @@ class TestEigen:
             with pytest.raises(ValueError, match="steps"):
                 fem.eigen_smallest(sysd, steps)
 
-    def test_more_steps_than_free_dofs(self):
+    def test_more_steps_than_free_dofs(self, monkeypatch):
         # six free nodes in the weight annulus: the sixth Krylov solve
         # lands in the span of the basis, which stops growing there
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
@@ -528,7 +593,7 @@ class TestEigen:
         x1, rho = sysd.disc.nodes[sysd.free].T
         keep = sysd.free[np.argsort(np.hypot(x1 - 5.5, rho - 0.5))[:6]]
         tiny = sysd.clamped(np.setdiff1d(sysd.free, keep))
-        solves = counting_solves(tiny)
+        solves = counting_solves(monkeypatch)
         pair = fem.eigen_smallest(tiny, 12)
         assert len(solves) == 6 + 2
         mu, X = sla.eigh(tiny.Mp.toarray(), tiny.K.toarray())
@@ -538,7 +603,7 @@ class TestEigen:
         x = x * (np.sign(x @ (tiny.Mp @ u)) / math.sqrt(x @ (tiny.Mp @ x)))
         assert np.max(np.abs(u - x)) <= 1e-12 * np.max(np.abs(x))
 
-    def test_start_already_an_eigenvector(self):
+    def test_start_already_an_eigenvector(self, monkeypatch):
         # K = L + lam D with L a path-graph Laplacian (L 1 = 0) and Mp = D:
         # the all-ones start is the ground state, and the first Krylov
         # solve adds nothing to the basis
@@ -549,7 +614,7 @@ class TestEigen:
         K, Mp = (L + lam * sp.diags(d)).tocsr(), sp.diags(d).tocsr()
         sysd = fem.AssembledSystem(SimpleNamespace(n_nodes=n), K, Mp,
                                    np.arange(n), np.empty(0, dtype=np.int64))
-        solves = counting_solves(sysd)
+        solves = counting_solves(monkeypatch)
         pair = fem.eigen_smallest(sysd, 12)
         assert len(solves) == 1 + 2
         assert pair.lam == pytest.approx(lam, rel=1e-14)
@@ -651,57 +716,50 @@ class TestFactor:
 
 class TestRefineEigenpair:
     def test_shifted_system_factors_once(self, monkeypatch):
+        # one factor of the shifted operator a call, whatever its steps
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         shifted = sysd.shifted(0.5)
         assert shifted.shift == 0.5 and sysd.shift == 0.0
-        lu = shifted.lu()
-        assert shifted.lu() is lu
         factored = []
         factor = fem.factor
-        monkeypatch.setattr(fem, "factor",
-                            lambda A: factored.append(A.shape) or factor(A))
-        fem.refine_eigenpair(shifted, np.ones(len(sysd.free)), 3)
-        assert factored == []
-        assert shifted.lu() is lu
+        monkeypatch.setattr(fem, "factor", lambda A: factored.append(A)
+                            or factor(A))
+        for steps in (0, 3):
+            fem.refine_eigenpair(shifted, np.ones(len(sysd.free)), steps)
+        assert len(factored) == 2
+        want = sysd.K - 0.5 * sysd.Mp
+        for A in factored:
+            assert (A != want).nnz == 0
 
     def test_own_factor_dies_before_the_quotient(self, monkeypatch):
-        # refine_on_own_factor's factor is freed after the last solve, on
-        # its thread, before the long-double quotient copies rows of K and
-        # M_p; refine_eigenpair's cached system.lu() stays
+        # refine_on_own_factor's and refine_eigenpair's factors are freed
+        # after the last solve, on their thread, before the long-double
+        # quotient copies rows of K and M_p; eigen_smallest holds its
+        # factor through its polish's quotient and frees it on return
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         shifted = fem.assemble(fem.Discretization(m),
                                fem.WeightModel()).shifted(0.5)
-        factor, product = fem.factor, fem._longdouble_product
-        made, alive = [], []
-
-        class Tracked:
-            def __init__(self, lu):
-                self.solve = lu.solve
-
-        def tracked(A):
-            lu = Tracked(factor(A))
-            made.append(weakref.ref(lu))
-            return lu
+        product = fem._longdouble_product
+        made, alive = tracking_factors(monkeypatch), []
 
         def quotient_rows(A, x):
             alive.append([ref() is not None for ref in made])
             return product(A, x)
-        monkeypatch.setattr(fem, "factor", tracked)
         monkeypatch.setattr(fem, "_longdouble_product", quotient_rows)
         start = np.ones(len(shifted.free))
         fem.refine_on_own_factor(shifted, lambda: start, 2)
-        assert alive == [[False], [False]]
-        alive.clear()
         fem.refine_eigenpair(shifted, start, 2)
-        assert alive == [[False, True], [False, True]]
-        assert made[1]() is shifted._lu
+        fem.eigen_smallest(shifted, 3)
+        assert alive == [[False]] * 2 + [[False, False]] * 2 \
+            + [[False, False, True]] * 2
+        assert made[2]() is None
 
-    def test_plain_steps_then_two_refined(self):
+    def test_plain_steps_then_two_refined(self, monkeypatch):
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.35, r_out=8.0))
         sysd = fem.assemble(fem.Discretization(m), fem.WeightModel())
         shifted = sysd.shifted(0.5)
-        solves = counting_solves(shifted)
+        solves = counting_solves(monkeypatch)
         # one solve a step
         for steps, count in ((0, 0), (1, 1), (2, 2), (6, 6)):
             solves.clear()

@@ -542,10 +542,8 @@ class TestSweep:
         cfg = pl.RunConfig(**COARSE)
         lam_k0 = coarse_pset.constants.lam_k0
         pair, lam_ref = sequential_eigenpair(cfg, eps, lam_k0)
-        # the reference's polish and the full pair's iteration, which
-        # runs on a factor of its own
-        monkeypatch.setattr(fem, "refine_eigenpair",
-                            extended_refine_eigenpair)
+        # the reference's polish and the full pair's iteration, both in
+        # fem._inverse_iteration
         monkeypatch.setattr(fem, "_inverse_iteration",
                             lambda system, lu, start, steps:
                             extended_refine_eigenpair(system, start, steps))
@@ -851,18 +849,18 @@ class TestPipelinedSweep:
             self, phase, coarse3_record, coarse_pset, monkeypatch):
         # the middle entry fails before its worker job is submitted (its
         # mesh), on the main thread beside its worker job (its restricted
-        # reference, before or after the reference's factor is made) or
-        # in that job (its full pair's iteration); the first entry's
-        # readouts run either way, only the middle entry carries the
-        # error, and every factor is still freed on the thread that made
-        # it, the failed one's included
+        # reference, before its factor is made or in its polish, with the
+        # factor alive) or in that job (its full pair's iteration); the
+        # first entry's readouts run either way, only the middle entry
+        # carries the error, and every factor is still freed on the thread
+        # that made it, the failed one's included
         cfg, rec, _ = coarse3_record
         # the reference's own iteration runs on the main thread, so only
         # the worker's calls count for the full pair's
         target, name, on_main = {
             "mesh": (pl, "build_dumbbell_mesh", True),
             "reference": (pl, "_restricted_reference", True),
-            "reference polish": (fem, "refine_eigenpair", True),
+            "reference polish": (fem, "_inverse_iteration", True),
             "polish": (fem, "_inverse_iteration", False)}[phase]
         original, calls = getattr(target, name), []
 
@@ -1010,7 +1008,10 @@ class TestReadoutPlan:
             return locate(disc, x1, rho)
 
         monkeypatch.setattr(fem.Discretization, "locate", counted)
-        pl._entry_readouts(cfg, coarse_pset, 0.3, pair, lam_ref)
+        pl._entry_readouts(
+            cfg, coarse_pset, 0.3, pair, lam_ref,
+            pl._ReadoutPlan(cfg, pair.field.disc, 0.3),
+            lambda: pl._window_references(coarse_pset, cfg.dimension))
         discs = [pair.field.disc] + [p.field.disc for p in (
             coarse_pset.phi, coarse_pset.phihat, coarse_pset.ubar)]
         assert [sum(d is disc for d in calls) for disc in discs] == [1] * 4
