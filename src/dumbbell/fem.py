@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import MeridianMesh
+from .mesh import MeridianMesh, edge_table
 
 __all__ = [
     "WeightModel",
@@ -226,9 +226,9 @@ class Discretization:
         self.dimension = mesh.dimension
         self.measure_exponent = self.dimension - 2
 
-        # midside node of edge k is node nv + k; a refined mesh carries
-        # its table, derived from its parent's without a sort
-        self._edges = mesh.edges
+        # midside node of edge k is node nv + k, the edges numbered by
+        # edge_table, as refine numbers its midpoints
+        self._edges = edge_table(mesh.triangles)
         v, nv = mesh.vertices, len(mesh.vertices)
         ends = self._edges.edges
         self.nodes = np.vstack([v, 0.5 * (v[ends[:, 0]] + v[ends[:, 1]])])
@@ -559,7 +559,6 @@ class AssembledSystem:
     K: sp.csr_matrix
     Mp: sp.csr_matrix
     free: np.ndarray
-    fixed: np.ndarray
     shift: float = 0.0
 
     def lu(self):
@@ -580,8 +579,7 @@ class AssembledSystem:
         keep = np.flatnonzero(~np.isin(self.free, nodes))
         return replace(self, K=self.K[keep][:, keep].tocsr(),
                        Mp=self.Mp[keep][:, keep].tocsr(),
-                       free=self.free[keep],
-                       fixed=np.union1d(self.fixed, nodes))
+                       free=self.free[keep])
 
     def solve(self, load: np.ndarray) -> "FieldSolution":
         """Solve (K - shift M_p) u = load on the free nodes with u = 0 on
@@ -629,23 +627,22 @@ def _own_factor(system: AssembledSystem):
             "check boundary tags and shifts") from exc
 
 
-def _dirichlet_nodes(disc: Discretization):
-    """Sorted free and fixed nodes: the fixed ones lie on the boundary
-    tags of `Discretization.dirichlet_tags()`."""
-    fixed = disc.boundary_nodes(*disc.dirichlet_tags())
+def _free_nodes(disc: Discretization) -> np.ndarray:
+    """Sorted free nodes: all but those on the boundary tags of
+    `Discretization.dirichlet_tags()`."""
     free = np.ones(disc.n_nodes, dtype=bool)
-    free[fixed] = False
-    return np.flatnonzero(free), fixed
+    free[disc.boundary_nodes(*disc.dirichlet_tags())] = False
+    return np.flatnonzero(free)
 
 
 def assemble(disc: Discretization,
              weight: WeightModel | Callable) -> AssembledSystem:
     """Assemble K (SPD on free nodes) and M_p (PSD) for -Du = l p u, with
     Dirichlet conditions on `Discretization.dirichlet_tags()`."""
-    free, fixed = _dirichlet_nodes(disc)
+    free = _free_nodes(disc)
     return AssembledSystem(disc, _assemble_form(disc, "stiffness", free=free),
                            _assemble_form(disc, "mass", weight, free=free),
-                           free, fixed)
+                           free)
 
 
 def factor(A: sp.spmatrix):
@@ -733,10 +730,10 @@ def solve_dirichlet(disc: Discretization,
 
     The system and its load are built here and returned as a job,
     `AssembledSystem.solve` bound to the load, whose call returns w."""
-    free, fixed = _dirichlet_nodes(disc)
+    free = _free_nodes(disc)
     K, K_lift = _assemble_form(disc, "stiffness", free=free,
                                times=lift(*disc.nodes.T))
-    system = AssembledSystem(disc, K, sp.csr_matrix(K.shape), free, fixed)
+    system = AssembledSystem(disc, K, sp.csr_matrix(K.shape), free)
     return functools.partial(system.solve, system.expand(-K_lift))
 
 

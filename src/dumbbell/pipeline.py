@@ -410,9 +410,9 @@ class _ReadoutPlan:
     """The mesh-only half of an entry's readouts, built from its
     discretization and eps before its eigenvector is needed: every point
     at which the readouts read u (the sections, the spheres and the
-    blow-up windows of its track), duplicates dropped and located in one
-    `Discretization.locate` call, and the masked quadrature of the channel
-    region x1 < `_FREQ_SECTION` (`almgren._MaskedPlan`).  `reads` maps
+    blow-up windows of its track), located in one `Discretization.locate`
+    call, and the masked quadrature of the channel region
+    x1 < `_FREQ_SECTION` (`almgren._MaskedPlan`).  `reads` maps
     each read's key to its points (x1, rho); `reader(values)` gathers a
     nodal field at every point at once."""
 
@@ -435,11 +435,9 @@ class _ReadoutPlan:
                         almgren._frame(view[0], eps, *view[1:]), *points)
                 reads[("window", name)] = points
         self.reads = reads
-        x1 = np.concatenate([x for x, _ in reads.values()])
-        rho = np.concatenate([r for _, r in reads.values()])
-        points, self._inverse = np.unique(np.stack([x1, rho], axis=1),
-                                          axis=0, return_inverse=True)
-        self._located = fem._Located(disc, points[:, 0], points[:, 1])
+        self._located = fem._Located(
+            disc, np.concatenate([x for x, _ in reads.values()]),
+            np.concatenate([r for _, r in reads.values()]))
         ends = np.cumsum([0] + [len(x) for x, _ in reads.values()])
         self._slices = {key: slice(lo, hi)
                         for key, lo, hi in zip(reads, ends[:-1], ends[1:])}
@@ -449,7 +447,7 @@ class _ReadoutPlan:
     def reader(self, values: np.ndarray) -> Callable:
         """The values of the nodal field `values` at the points of a read,
         by its key, as `FieldSolution.evaluate` gives them."""
-        at = self._located.read(values)[self._inverse]
+        at = self._located.read(values)
         return lambda *key: at[self._slices[key]]
 
 

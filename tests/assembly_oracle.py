@@ -30,8 +30,7 @@ def assemble_form(disc, kind, coeff=None):
 def dirichlet_system(disc, K_full, Mp_full):
     """The all-node pair reduced to the nodes off the Dirichlet tags."""
     nodes = np.arange(disc.n_nodes)
-    return fem.AssembledSystem(disc, K_full, Mp_full, nodes,
-                               nodes[:0]).clamped(
+    return fem.AssembledSystem(disc, K_full, Mp_full, nodes).clamped(
         disc.boundary_nodes(*disc.dirichlet_tags()))
 
 

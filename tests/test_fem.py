@@ -304,9 +304,8 @@ class TestAssemblyOracle:
         assert_same_csr(got.K, want.K)
         assert_same_csr(got.Mp, want.Mp)
         assert got.Mp.nnz > 0
-        for attr in ("free", "fixed"):
-            assert getattr(got, attr).dtype == getattr(want, attr).dtype
-            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+        assert got.free.dtype == want.free.dtype
+        assert np.array_equal(got.free, want.free)
 
     def test_all_node_forms(self, name, sweep_mesh_01):
         disc = fem.Discretization(_oracle_mesh(name, sweep_mesh_01))
@@ -332,7 +331,7 @@ class TestAssemblyOracle:
         assert np.array_equal(load[system.free],
                               assembly_oracle.dirichlet_load(disc, lift)[
                                   system.free])
-        assert not load[system.fixed].any()
+        assert not np.delete(load, system.free).any()
 
 
 class TestSolveDirichlet:
@@ -425,9 +424,7 @@ class TestAssembledSystem:
         sysd = fem.assemble(disc, fem.WeightModel()).shifted(0.01)
         extra = np.flatnonzero(disc.nodes[:, 0] < 3.0)
         sub = sysd.clamped(extra)
-        fixed = np.union1d(sysd.fixed, extra)
-        free = np.setdiff1d(np.arange(disc.n_nodes), fixed)
-        assert np.array_equal(sub.fixed, fixed)
+        free = np.setdiff1d(sysd.free, extra)
         assert np.array_equal(sub.free, free)
         # a reduction of the reduced matrices is one reduction of the
         # independently assembled all-node forms, bit for bit
@@ -456,7 +453,7 @@ class TestAssembledSystem:
         m = M.build_profile_mesh("HalfPlus", M.MeshConfig(h0=0.6, r_out=8.0))
         system = fem.assemble(fem.Discretization(m), fem.WeightModel())
         names = [f.name for f in dataclasses.fields(system)]
-        assert names == ["disc", "K", "Mp", "free", "fixed", "shift"]
+        assert names == ["disc", "K", "Mp", "free", "shift"]
         for name in names:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(system, name, getattr(system, name))
@@ -613,7 +610,7 @@ class TestEigen:
                       -np.ones(n - 1), -np.ones(n - 1)], [0, -1, 1])
         K, Mp = (L + lam * sp.diags(d)).tocsr(), sp.diags(d).tocsr()
         sysd = fem.AssembledSystem(SimpleNamespace(n_nodes=n), K, Mp,
-                                   np.arange(n), np.empty(0, dtype=np.int64))
+                                   np.arange(n))
         solves = counting_solves(monkeypatch)
         pair = fem.eigen_smallest(sysd, 12)
         assert len(solves) == 1 + 2
@@ -884,8 +881,7 @@ class TestRefineEigenpair:
         class _Stub:
             n_nodes = n
 
-        sysd = fem.AssembledSystem(_Stub(), K, Mp,
-                                   np.arange(n), np.empty(0, dtype=np.int64))
+        sysd = fem.AssembledSystem(_Stub(), K, Mp, np.arange(n))
         # a perturbed start unshifted, and the sweep's all-ones start
         # shifted to 0.99 lam
         for start, shift in ((u0, 0.0), (np.ones(n), 0.99 * lam_true)):
